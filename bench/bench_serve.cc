@@ -12,6 +12,7 @@
 // approximate policy misses the exact-recall requests while fixed brute
 // force overpays for the cheap ones, so the planner wins by routing.
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -32,10 +33,8 @@
 #include "rng/random.h"
 #include "serve/batch_scheduler.h"
 #include "serve/engine.h"
-#include "serve/feedback.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
-#include "serve/serve_stats.h"
 #include "serve/sharded_engine.h"
 #include "util/failpoint.h"
 #include "util/stats.h"
@@ -58,12 +57,13 @@ struct PolicyResult {
   std::size_t dot_products_total = 0;
   std::size_t answered = 0;
   bool meets_all_targets = false;
+  /// Answered requests per path, indexed by QueryAlgo.
+  std::array<std::size_t, kNumQueryAlgos> selection{};
 };
 
 struct WorkloadResult {
   std::string name;
-  std::vector<PolicyResult> policies;
-  std::vector<std::size_t> planner_selection;  // indexed by QueryAlgo
+  std::vector<PolicyResult> policies;  // [0] = planner
   double qps = 0.0;
   double p50_ms = 0.0;
   double p99_ms = 0.0;
@@ -107,7 +107,7 @@ QueryOptions RequestFor(std::size_t i) {
 PolicyResult ScoreStream(const Engine& engine, const Matrix& data,
                          const Matrix& queries, const std::string& name,
                          std::optional<QueryAlgo> forced,
-                         QueryPrecision precision, ServeMetrics* metrics) {
+                         QueryPrecision precision) {
   PolicyResult result;
   result.name = name;
   double recall_sum = 0.0;
@@ -126,7 +126,7 @@ PolicyResult ScoreStream(const Engine& engine, const Matrix& data,
     if (!response.ok()) continue;  // forced path can't answer this request
     ++result.answered;
     result.dot_products_total += response->stats.dot_products;
-    if (metrics != nullptr) metrics->Record(response->stats);
+    ++result.selection[static_cast<std::size_t>(response->stats.algorithm)];
     std::size_t hits = 0;
     for (const auto& truth : exact) {
       for (const auto& match : response->matches) {
@@ -160,13 +160,12 @@ PolicyResult ScoreStream(const Engine& engine, const Matrix& data,
 }
 
 PolicyResult RunPolicy(const Engine& engine, const Matrix& data,
-                       const Matrix& queries, std::optional<QueryAlgo> forced,
-                       ServeMetrics* metrics) {
+                       const Matrix& queries, std::optional<QueryAlgo> forced) {
   const std::string name = forced.has_value()
                                ? std::string(QueryAlgoName(*forced))
                                : std::string("planner");
   return ScoreStream(engine, data, queries, name, forced,
-                     QueryPrecision::kAuto, metrics);
+                     QueryPrecision::kAuto);
 }
 
 // Pushes the workload through the BatchScheduler concurrently and
@@ -237,18 +236,10 @@ WorkloadResult RunWorkload(const std::string& name, const Matrix& data,
 
   WorkloadResult result;
   result.name = name;
-  ServeMetrics planner_metrics;
-  result.policies.push_back(
-      RunPolicy(**engine, data, queries, std::nullopt, &planner_metrics));
+  result.policies.push_back(RunPolicy(**engine, data, queries, std::nullopt));
   for (QueryAlgo algo : {QueryAlgo::kBruteForce, QueryAlgo::kBallTree,
                          QueryAlgo::kLsh, QueryAlgo::kSketch}) {
-    result.policies.push_back(
-        RunPolicy(**engine, data, queries, algo, nullptr));
-  }
-  result.planner_selection.resize(kNumQueryAlgos);
-  for (std::size_t a = 0; a < kNumQueryAlgos; ++a) {
-    result.planner_selection[a] =
-        planner_metrics.SelectionCount(static_cast<QueryAlgo>(a));
+    result.policies.push_back(RunPolicy(**engine, data, queries, algo));
   }
   RunConcurrent(**engine, queries, &result);
 
@@ -600,7 +591,9 @@ HedgeResult RunHedgeSection(Rng* rng) {
         std::cerr << "hedge query: " << response.status().ToString() << "\n";
         std::exit(1);
       }
-      if (hedged != nullptr) *hedged += response->stats.shards_hedged;
+      if (hedged != nullptr) {
+        *hedged += response->stats.metrics.Get("serve.shard.hedged");
+      }
       if (partial != nullptr && response->partial) ++*partial;
     }
     Failpoints::Disarm("serve/shard/slow/0");
@@ -624,7 +617,7 @@ HedgeResult RunHedgeSection(Rng* rng) {
 
 // ---------------------------------------------------------------------
 // QoS section (PR 10). Two claims, both gated:
-//   (a) The adaptive feedback planner beats every fixed (algo,
+//   (a) The planner with its feedback loop on beats every fixed (algo,
 //       precision) policy on a stream whose character shifts mid-run:
 //       the first half queries the corpus's own distribution (exactly
 //       what warmup calibration probed), the second half switches to
@@ -830,11 +823,11 @@ QosSectionResult RunQosSection(Rng* rng) {
 
   result.policies.push_back(ScoreStream(*adaptive_engine, data, queries,
                                         "adaptive", std::nullopt,
-                                        QueryPrecision::kAuto, nullptr));
+                                        QueryPrecision::kAuto));
   result.policies.push_back(ScoreStream(*static_engine, data, queries,
                                         "static", std::nullopt,
-                                        QueryPrecision::kAuto, nullptr));
-  const FeedbackCounters feedback = adaptive_engine->feedback().counters();
+                                        QueryPrecision::kAuto));
+  const FeedbackCounters feedback = adaptive_engine->planner().counters();
   result.feedback_audits = feedback.audits;
   result.feedback_evictions = feedback.evictions;
   result.feedback_hedged = feedback.hedged;
@@ -857,7 +850,7 @@ QosSectionResult RunQosSection(Rng* rng) {
     const std::string name = std::string(QueryAlgoName(algo)) + "/" +
                              std::string(QueryPrecisionName(precision));
     result.policies.push_back(ScoreStream(*static_engine, data, queries, name,
-                                          algo, precision, nullptr));
+                                          algo, precision));
   }
 
   // Gate (a): the adaptive planner meets every target group across the
@@ -960,7 +953,7 @@ void WriteJson(const std::vector<WorkloadResult>& workloads,
     for (std::size_t a = 0; a < kNumQueryAlgos; ++a) {
       out << (a == 0 ? "" : ", ") << "\""
           << QueryAlgoName(static_cast<QueryAlgo>(a))
-          << "\": " << wl.planner_selection[a];
+          << "\": " << wl.policies.front().selection[a];
     }
     out << "},\n      \"policies\": [\n";
     for (std::size_t p = 0; p < wl.policies.size(); ++p) {

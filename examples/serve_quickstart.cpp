@@ -18,6 +18,7 @@
 #include <future>
 #include <iostream>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -27,7 +28,6 @@
 #include "rng/random.h"
 #include "serve/batch_scheduler.h"
 #include "serve/engine.h"
-#include "serve/serve_stats.h"
 #include "serve/sharded_engine.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -99,7 +99,6 @@ int main() {
   }
 
   // 4. Collect answers; every future resolves (deadline, shed, or OK).
-  ips::ServeMetrics metrics;
   std::size_t ok_count = 0, within_deadline = 0, failed = 0;
   for (auto& future : futures) {
     const auto result = future.get();
@@ -108,7 +107,6 @@ int main() {
       continue;
     }
     ++ok_count;
-    metrics.Record(result->stats);
     if (result->stats.deadline_met) ++within_deadline;
   }
   scheduler.Drain();
@@ -120,11 +118,25 @@ int main() {
             << " within the " << kDeadlineSeconds << " s deadline ("
             << 100.0 * within_fraction << "%)\n\n";
 
-  // 5. Per-algorithm selection counts and latency, via util/table.
-  metrics.ToTable().PrintMarkdown(std::cout);
-  const auto latency = metrics.LatencySummaryMillis();
-  std::cout << "\nlatency (ms): mean=" << latency.mean
-            << " min=" << latency.min << " max=" << latency.max << "\n";
+  // 5. Per-algorithm selection counts and engine execution time, read
+  //    from the registry the engine reports into. The scheduler hands
+  //    coalesced groups to Engine::BatchQuery and singletons to
+  //    Engine::Query, which time themselves separately.
+  ips::MetricsRegistry& registry = ips::MetricsRegistry::Global();
+  std::cout << "selected:";
+  for (const char* algo : {"brute", "tree", "lsh", "sketch"}) {
+    std::cout << " " << algo << "="
+              << registry.GetCounter(std::string("serve.engine.selected.") +
+                                     algo)
+                     ->Value();
+  }
+  std::cout << "\n";
+  for (const char* name : {"serve.engine.exec_seconds",
+                           "serve.engine.batch.exec_seconds"}) {
+    const ips::Histogram* exec = registry.GetHistogram(name);
+    std::cout << name << ": n=" << exec->Count()
+              << " mean=" << exec->Mean() * 1e3 << " ms\n";
+  }
 
   const ips::SchedulerCounters counters = scheduler.counters();
   std::cout << "scheduler: " << counters.batches << " batches, max queue depth "
@@ -182,7 +194,6 @@ int main() {
                        ips::FireEvery{1});
 
   constexpr std::size_t kDegradedRequests = 200;
-  ips::ServeMetrics degraded_metrics;
   std::size_t degraded_ok = 0, degraded_within = 0;
   for (std::size_t i = 0; i < kDegradedRequests; ++i) {
     std::vector<double> query(kDim);
@@ -195,22 +206,27 @@ int main() {
     const auto result = sharded->Query({query, request, context});
     if (!result.ok()) continue;
     ++degraded_ok;
-    // RecordResult counts partial answers separately from clean ones,
-    // so the dashboard distinguishes "fast" from "fast but degraded".
-    degraded_metrics.RecordResult(*result);
     if (result->stats.deadline_met) ++degraded_within;
   }
   ips::Failpoints::Disarm("serve/shard/query/2");
 
+  // The registry counts partial answers apart from clean ones, so the
+  // dashboard distinguishes "fast" from "fast but degraded". Only this
+  // section drives a sharded engine, so the serve.shard.* counters are
+  // its own.
+  const auto shard_counter = [&](const char* name) {
+    return registry.GetCounter(std::string("serve.shard.") + name)->Value();
+  };
   const double degraded_within_fraction =
       static_cast<double>(degraded_within) /
       static_cast<double>(kDegradedRequests);
   std::cout << "served " << degraded_ok << "/" << kDegradedRequests
             << " requests, " << degraded_within << " within the deadline ("
             << 100.0 * degraded_within_fraction << "%)\n"
-            << "partial answers: " << degraded_metrics.PartialCount()
-            << ", shard calls lost: " << degraded_metrics.ShardsFailedTotal()
-            << ", hedged: " << degraded_metrics.ShardsHedgedTotal() << "\n"
+            << "partial answers: " << shard_counter("partial")
+            << ", shard calls failed: " << shard_counter("failed")
+            << ", skipped by the breaker: " << shard_counter("skipped")
+            << ", hedged: " << shard_counter("hedged") << "\n"
             << "shard 2 breaker: "
             << (sharded->breaker_state(2) ==
                         ips::ShardedEngine::BreakerState::kOpen
@@ -223,7 +239,7 @@ int main() {
     std::cerr << "FAIL: degraded mode broke the serving SLO\n";
     return 1;
   }
-  if (degraded_metrics.PartialCount() != kDegradedRequests) {
+  if (shard_counter("partial") != kDegradedRequests) {
     std::cerr << "FAIL: lost shard coverage was not surfaced as partial\n";
     return 1;
   }

@@ -154,7 +154,7 @@ run_serve() {
   # fixed algorithm on a calibration workload, (2) batched execution
   # clears 2x over sequential at equal recall, (3) sharded
   # scatter-gather passes its overhead gate, (4) hedging cuts the
-  # straggler p99, (5) the adaptive feedback planner beats every fixed
+  # straggler p99, (5) the planner with its feedback loop beats every fixed
   # (algo, precision) policy across a mid-run workload shift, and
   # (6) a victim tenant's p99 holds its bound under 10x overload from
   # an aggressor tenant (QoS admission + token buckets + lanes). The

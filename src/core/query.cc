@@ -41,10 +41,6 @@ void QueryStats::Merge(const QueryStats& other) {
   queue_seconds += other.queue_seconds;
   deadline_met = deadline_met && other.deadline_met;
   batch_size += other.batch_size;
-  shards_total += other.shards_total;
-  shards_ok += other.shards_ok;
-  shards_failed += other.shards_failed;
-  shards_hedged += other.shards_hedged;
   for (const auto& [key, value] : other.metrics.items()) {
     metrics.Add(key, value);
   }

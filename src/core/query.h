@@ -143,16 +143,6 @@ struct QueryStats {
   /// Queries whose work this object accounts for: 1 for a single query,
   /// the member count after Merge()-ing a batch's per-query stats.
   std::size_t batch_size = 1;
-  /// Scatter-gather shard accounting (serve/sharded_engine.h); all zero
-  /// for single-engine paths. shards_total = shards the query was
-  /// fanned out to, shards_ok answered, shards_failed lost (failed,
-  /// skipped by an open circuit breaker, or out of retry budget),
-  /// shards_hedged answered through the cheap hedge fallback instead of
-  /// the primary path. shards_ok + shards_failed == shards_total.
-  std::size_t shards_total = 0;
-  std::size_t shards_ok = 0;
-  std::size_t shards_failed = 0;
-  std::size_t shards_hedged = 0;
   /// Labeled per-algorithm extensions, e.g. "lsh.tables.buckets_probed".
   MetricSet metrics;
   /// Per-stage span tree, when QueryOptions::trace was set.
@@ -175,7 +165,8 @@ struct QueryResult {
   QueryStats stats;
   PlanDecision plan;
   /// True when the answer covers only part of the dataset: a
-  /// scatter-gather query lost one or more shards (stats.shards_failed)
+  /// scatter-gather query lost one or more shards (the
+  /// "serve.shard.failed" label of stats.metrics)
   /// but still returned the merged top-k of the surviving shards
   /// (graceful degradation, DESIGN.md §11). Always false on
   /// single-engine paths.

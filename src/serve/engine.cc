@@ -66,27 +66,7 @@ Matrix GatherRows(const Matrix& data, const std::vector<std::size_t>& rows) {
 
 }  // namespace
 
-Engine::Engine(Matrix data, EngineOptions options)
-    : data_(std::move(data)),
-      options_(options),
-      profile_(DatasetProfile::FromData(data_)),
-      build_rng_(options.seed) {}
-
-Engine::Engine(Matrix data, EngineOptions options, DatasetProfile profile,
-               std::unique_ptr<Planner> planner)
-    : data_(std::move(data)),
-      options_(options),
-      profile_(profile),
-      planner_(std::move(planner)),
-      build_rng_(options.seed) {
-  feedback_ =
-      std::make_unique<FeedbackPlanner>(planner_.get(), options_.feedback);
-}
-
-StatusOr<std::unique_ptr<Engine>> Engine::Create(Matrix data,
-                                                 EngineOptions options) {
-  IPS_RETURN_IF_ERROR(ValidateNonEmpty(data, "engine data"));
-  IPS_RETURN_IF_ERROR(ValidateFinite(data, "engine data"));
+Status ValidateEngineOptions(const EngineOptions& options) {
   if (options.tree_leaf_size < 1) {
     return Status::InvalidArgument("engine tree_leaf_size must be >= 1");
   }
@@ -94,14 +74,31 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(Matrix data,
     return Status::InvalidArgument("engine lsh k and l must be >= 1");
   }
   IPS_RETURN_IF_ERROR(ValidateFilterParams(options.sketch_filter));
-  IPS_RETURN_IF_ERROR(ValidateFeedbackOptions(options.feedback));
+  return ValidateFeedbackOptions(options.feedback);
+}
+
+Engine::Engine(Matrix data, EngineOptions options, DatasetProfile profile)
+    : data_(std::move(data)),
+      options_(options),
+      profile_(profile),
+      build_rng_(options.seed) {}
+
+StatusOr<std::unique_ptr<Engine>> Engine::Create(Matrix data,
+                                                 EngineOptions options) {
+  IPS_RETURN_IF_ERROR(ValidateNonEmpty(data, "engine data"));
+  IPS_RETURN_IF_ERROR(ValidateFinite(data, "engine data"));
+  IPS_RETURN_IF_ERROR(ValidateEngineOptions(options));
+  const DatasetProfile profile = DatasetProfile::FromData(data);
   std::unique_ptr<Engine> engine(
-      new Engine(std::move(data), options));
-  IPS_RETURN_IF_ERROR(engine->Calibrate());
+      new Engine(std::move(data), options, profile));
+  auto calibration = engine->Calibrate();
+  IPS_RETURN_IF_ERROR(calibration.status());
+  engine->planner_ =
+      std::make_unique<Planner>(profile, *calibration, options.feedback);
   return engine;
 }
 
-Status Engine::Calibrate() {
+StatusOr<PlannerCalibration> Engine::Calibrate() {
   // Calibration runs during Create, before the engine is shared, but
   // it draws from build_rng_, so it takes the build lock like any
   // other index-building path.
@@ -118,12 +115,7 @@ Status Engine::Calibrate() {
 
   const std::size_t probes =
       std::min(options_.probe_queries, profile_.n);
-  if (probes == 0) {
-    planner_ = std::make_unique<Planner>(profile_, calib);
-    feedback_ =
-        std::make_unique<FeedbackPlanner>(planner_.get(), options_.feedback);
-    return Status::Ok();
-  }
+  if (probes == 0) return calib;
 
   // Probe indexes are built on a subsample so warmup stays cheap; the
   // measured fractions extrapolate to the full dataset.
@@ -261,10 +253,7 @@ Status Engine::Calibrate() {
   }
 
   calib.probe_queries = probes;
-  planner_ = std::make_unique<Planner>(profile_, calib);
-  feedback_ =
-      std::make_unique<FeedbackPlanner>(planner_.get(), options_.feedback);
-  return Status::Ok();
+  return calib;
 }
 
 Status Engine::EnsureIndex(QueryAlgo algo) const {
@@ -374,9 +363,9 @@ StatusOr<QueryResult> Engine::Query(const Request& request) const {
   // the feedback loop is blind to it degrading under shift. The
   // audit's brute scan is billed to this request (it ran here) and its
   // wall time lands in exec_seconds below.
-  if (options_.feedback.enabled && !options.force_algorithm.has_value() &&
+  if (!options.force_algorithm.has_value() &&
       options.precision == QueryPrecision::kAuto &&
-      PlanCanMiss(result.plan) && feedback_->BeginAudit(options)) {
+      PlanCanMiss(result.plan) && planner_->BeginAudit(options)) {
     AuditResult(query, options, &result);
   }
   result.stats.exec_seconds = timer.Seconds();
@@ -416,12 +405,7 @@ StatusOr<PlanDecision> Engine::MakePlan(const QueryOptions& options,
         std::string("forced ") + std::string(QueryAlgoName(forced));
     return plan;
   }
-  // The adaptive layer: live re-fit estimates override the warmup
-  // calibration per workload segment (a straight pass-through to the
-  // base planner while feedback is disabled).
-  auto decision = feedback_->Plan(options);
-  IPS_RETURN_IF_ERROR(decision.status());
-  return std::move(decision).value();
+  return planner_->Plan(options);
 }
 
 void Engine::AuditResult(std::span<const double> query,
@@ -444,9 +428,9 @@ void Engine::AuditResult(std::span<const double> query,
                           static_cast<double>(exact.size());
   // The served path's own cost is what the re-fit curves price; the
   // audit scan is accounted separately below.
-  feedback_->RecordAudit(options, result->plan.algorithm,
-                         result->plan.precision, observed_recall,
-                         static_cast<double>(result->stats.dot_products));
+  planner_->RecordAudit(options, result->plan.algorithm,
+                        result->plan.precision, observed_recall,
+                        static_cast<double>(result->stats.dot_products));
   result->stats.dot_products += data_.rows();
   result->stats.metrics.Add("serve.feedback.audit_dots",
                             static_cast<double>(data_.rows()));
@@ -454,7 +438,7 @@ void Engine::AuditResult(std::span<const double> query,
     // Predicted-miss hedging, audit flavor: the exact answer is already
     // in hand, so the caller gets it instead of the miss. The miss
     // still trained the curves above, which is what evicts the path.
-    feedback_->NoteHedge();
+    planner_->NoteHedge();
     result->matches = exact;
     result->plan.reason +=
         "; feedback-hedged to exact (observed recall " +

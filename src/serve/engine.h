@@ -36,11 +36,9 @@
 #include "lsh/tables.h"
 #include "lsh/transforms.h"
 #include "rng/random.h"
-#include "serve/feedback.h"
 #include "serve/planner.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
-#include "serve/serve_stats.h"
 #include "sketch/filter.h"
 #include "sketch/sketch_mips.h"
 #include "util/status.h"
@@ -67,11 +65,15 @@ struct EngineOptions {
   double recall_margin = 0.05;
   /// Seed of the engine's private Rng (index builds, warmup).
   std::uint64_t seed = 2026;
-  /// Online re-fit loop layered over the warmup calibration
-  /// (serve/feedback.h): shadow audits, per-segment live curves,
+  /// The planner's online re-fit loop over the warmup calibration
+  /// (serve/planner.h): shadow audits, per-segment live curves,
   /// eviction, and predicted-miss hedging.
   FeedbackOptions feedback;
 };
+
+/// Validates the option fields a build or a warm start depends on (tree
+/// leaf size, LSH (K, L), sketch filter, feedback loop).
+Status ValidateEngineOptions(const EngineOptions& options);
 
 /// How Engine::CreateFromSnapshot materializes the dataset.
 struct SnapshotLoadOptions {
@@ -152,26 +154,23 @@ class Engine : public QueryEngine {
 
   std::size_t dim() const override { return profile_.dim; }
 
+  /// The planner, including its live estimate table and feedback
+  /// counters (inert when options().feedback.enabled is false).
   const Planner& planner() const { return *planner_; }
-  /// The online re-fit layer (always constructed; inert when
-  /// options().feedback.enabled is false).
-  const FeedbackPlanner& feedback() const { return *feedback_; }
   const DatasetProfile& profile() const { return profile_; }
   const Matrix& data() const { return data_; }
   const EngineOptions& options() const { return options_; }
 
  private:
-  Engine(Matrix data, EngineOptions options);
-
-  /// Warm-start ctor (CreateFromSnapshot only): trusts a persisted
-  /// profile and planner instead of re-deriving them from the data.
-  Engine(Matrix data, EngineOptions options, DatasetProfile profile,
-         std::unique_ptr<Planner> planner);
+  /// The caller installs planner_ before sharing the engine: Create
+  /// from the warmup calibration, CreateFromSnapshot from the persisted
+  /// one.
+  Engine(Matrix data, EngineOptions options, DatasetProfile profile);
 
   /// Warmup: build subsample-scale indexes and measure pruning fraction,
   /// candidate fraction, and probe recall for the planner's cost model —
   /// all read off the unified QueryStats of probe-index Query calls.
-  Status Calibrate() IPS_EXCLUDES(build_mutex_);
+  StatusOr<PlannerCalibration> Calibrate() IPS_EXCLUDES(build_mutex_);
 
   /// Executes `options` on `algo` (indexes already built), filling the
   /// result's stats through the index's Query and nesting its spans
@@ -192,7 +191,7 @@ class Engine : public QueryEngine {
 
   /// Runs the exact shadow audit for an approximate planner-chosen
   /// answer: measures observed recall against the brute-force truth,
-  /// trains the feedback curves, and hedges an audited miss by
+  /// trains the planner's live estimates, and hedges an audited miss by
   /// replacing the matches with the exact answer.
   void AuditResult(std::span<const double> query, const QueryOptions& options,
                    QueryResult* result) const;
@@ -204,7 +203,6 @@ class Engine : public QueryEngine {
   EngineOptions options_;
   DatasetProfile profile_;
   std::unique_ptr<Planner> planner_;
-  std::unique_ptr<FeedbackPlanner> feedback_;
 
   // Lazily-built indexes (and the LSH path's transform + base family,
   // which must outlive its index); guarded by build_mutex_, immutable

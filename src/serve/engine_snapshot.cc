@@ -480,6 +480,12 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     IPS_RETURN_IF_ERROR(meta.status());
     IPS_RETURN_IF_ERROR(DecodeMeta(*meta, &options));
   }
+  // A CRC-valid META can still carry options Create would reject (a
+  // zero audit_every divides by zero at the first audit).
+  if (const Status valid = ValidateEngineOptions(options); !valid.ok()) {
+    return Status::DataLoss(path + ": META holds invalid engine options: " +
+                            valid.message());
+  }
   DatasetProfile profile;
   {
     auto prof = read_section(storage::kSectionProfile);
@@ -499,9 +505,10 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     IPS_RETURN_IF_ERROR(DecodeCalibration(*calib, &calibration));
   }
 
-  std::unique_ptr<Engine> engine(new Engine(
-      std::move(data), options, profile,
-      std::make_unique<Planner>(profile, calibration)));
+  std::unique_ptr<Engine> engine(
+      new Engine(std::move(data), options, profile));
+  engine->planner_ =
+      std::make_unique<Planner>(profile, calibration, options.feedback);
   engine->data_keepalive_ = mapped;
 
   // Install every persisted index eagerly: the warm start's first

@@ -1,10 +1,12 @@
 #include "serve/planner.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "core/top_k.h"
 #include "linalg/kernels.h"
+#include "obs/metrics.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 
@@ -45,7 +47,36 @@ std::string VariantName(QueryAlgo algo, QueryPrecision precision) {
   return name;
 }
 
+// Registry mirror of FeedbackCounters.
+struct FeedbackMetrics {
+  Counter* audits;
+  Counter* evictions;
+  Counter* hedged;
+
+  static const FeedbackMetrics& Get() {
+    static const FeedbackMetrics metrics = {
+        MetricsRegistry::Global().GetCounter("serve.feedback.audits"),
+        MetricsRegistry::Global().GetCounter("serve.feedback.evictions"),
+        MetricsRegistry::Global().GetCounter("serve.feedback.hedged")};
+    return metrics;
+  }
+};
+
 }  // namespace
+
+Status ValidateFeedbackOptions(const FeedbackOptions& options) {
+  if (options.audit_every < 1) {
+    return Status::InvalidArgument("feedback audit_every must be >= 1");
+  }
+  if (!(options.decay >= 0.0) || options.decay >= 1.0) {
+    return Status::InvalidArgument("feedback decay must lie in [0, 1)");
+  }
+  if (options.min_observations < 1) {
+    return Status::InvalidArgument(
+        "feedback min_observations must be >= 1");
+  }
+  return Status::Ok();
+}
 
 double DatasetProfile::NormSpread() const {
   if (min_norm <= 0.0) return std::numeric_limits<double>::infinity();
@@ -69,10 +100,20 @@ DatasetProfile DatasetProfile::FromData(const Matrix& data) {
   return profile;
 }
 
-Planner::Planner(DatasetProfile profile, PlannerCalibration calibration)
-    : profile_(profile), calibration_(calibration) {
+Planner::Planner(DatasetProfile profile, PlannerCalibration calibration,
+                 FeedbackOptions feedback)
+    : profile_(profile), calibration_(calibration), feedback_(feedback) {
   // Construction-time precondition, not a query path.
   IPS_CHECK_GT(profile_.n, 0u);  // ipslint:allow(check-in-query)
+}
+
+std::size_t Planner::SegmentOf(const QueryOptions& request) {
+  // k buckets: {1}, {2..8}, {9..}. Finer buckets would fragment the
+  // audit stream; the planner's recall cliffs sit at k == 1 (argmax
+  // paths) and "deep" k (bucket-set coverage), which this captures.
+  std::size_t k_bucket = 0;
+  if (request.k > 1) k_bucket = request.k <= 8 ? 1 : 2;
+  return k_bucket * 2 + (request.is_signed ? 0 : 1);
 }
 
 double Planner::ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
@@ -160,10 +201,18 @@ double Planner::ExpectedDotProducts(QueryAlgo algo, QueryPrecision precision,
   return n;
 }
 
-StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request,
-                                     const VariantOverride& live) const {
+StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
   IPS_FAILPOINT("serve/plan");
   IPS_RETURN_IF_ERROR(ValidateQueryOptions(request));
+
+  // One lock, one copy: the variant loop below prices from the copy and
+  // never touches the mutex. With feedback off the copy stays empty and
+  // every variant keeps its warmup numbers.
+  SegmentState live;
+  if (feedback_.enabled) {
+    MutexLock lock(mutex_);
+    live = segments_[SegmentOf(request)];
+  }
 
   const double budget = request.candidate_budget == 0
                             ? std::numeric_limits<double>::infinity()
@@ -187,14 +236,17 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request,
     double recall = ExpectedRecall(variant.algo, variant.precision, request);
     double cost =
         ExpectedDotProducts(variant.algo, variant.precision, request);
-    if (live != nullptr && recall > 0.0) {
-      // Live re-fit numbers replace the warmup calibration, but only
-      // for variants the warmup deemed answerable at all (recall 0
-      // means "cannot answer this request shape", not "bad recall").
-      if (const auto estimate = live(variant.algo, variant.precision)) {
-        recall = estimate->recall;
-        cost = estimate->cost;
-      }
+    const VariantState& state =
+        live.variants[static_cast<std::size_t>(variant.algo)]
+                     [static_cast<std::size_t>(variant.precision)];
+    // Live re-fit numbers replace the warmup calibration once they have
+    // min_observations audits, but only for variants the warmup deemed
+    // answerable at all (recall 0 means "cannot answer this request
+    // shape", not "bad recall").
+    if (feedback_.enabled && recall > 0.0 &&
+        state.observations >= feedback_.min_observations) {
+      recall = state.recall_ewma;
+      cost = state.cost_ewma;
     }
     if (request.precision != QueryPrecision::kAuto && recall > 0.0 &&
         (!fallback_found || cost < fallback.expected_dot_products)) {
@@ -257,6 +309,86 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request,
                    std::to_string(request.candidate_budget) + " exceeded)";
   }
   return best;
+}
+
+bool Planner::BeginAudit(const QueryOptions& request) const {
+  if (!feedback_.enabled) return false;
+  MutexLock lock(mutex_);
+  SegmentState& segment = segments_[SegmentOf(request)];
+  const bool audit = segment.planned % feedback_.audit_every == 0;
+  ++segment.planned;
+  return audit;
+}
+
+void Planner::RecordAudit(const QueryOptions& request, QueryAlgo algo,
+                          QueryPrecision precision, double observed_recall,
+                          double observed_cost) const {
+  const FeedbackMetrics& metrics = FeedbackMetrics::Get();
+  observed_recall = std::clamp(observed_recall, 0.0, 1.0);
+  observed_cost = std::max(observed_cost, 0.0);
+  bool evicted = false;
+  {
+    MutexLock lock(mutex_);
+    VariantState& state =
+        segments_[SegmentOf(request)]
+            .variants[static_cast<std::size_t>(algo)]
+                     [static_cast<std::size_t>(precision)];
+    if (state.observations == 0) {
+      // Seed the estimate from the warmup prior so early audits move a
+      // calibrated number instead of averaging against zero.
+      state.recall_ewma = ExpectedRecall(algo, precision, request);
+      state.cost_ewma = ExpectedDotProducts(algo, precision, request);
+    }
+    const double step = 1.0 - feedback_.decay;
+    state.recall_ewma =
+        feedback_.decay * state.recall_ewma + step * observed_recall;
+    state.cost_ewma = feedback_.decay * state.cost_ewma + step * observed_cost;
+    ++state.observations;
+    // Eviction = the live estimate crossing below the eligibility bar
+    // this segment's traffic is asking for (target + margin, the same
+    // bar Plan applies to approximate paths). Eligibility commits only
+    // once the estimate is live (>= min_observations) — the same
+    // threshold at which Plan starts trusting it — so the first live
+    // audit of a failing path counts as the flip instead of silently
+    // pre-marking the variant ineligible during the warmup samples.
+    const double bar = request.recall_target + calibration_.recall_margin;
+    const bool live = state.observations >= feedback_.min_observations;
+    const bool eligible = state.recall_ewma >= bar;
+    if (live && state.eligible && !eligible) evicted = true;
+    if (live) state.eligible = eligible;
+    ++counters_.audits;
+    if (evicted) ++counters_.evictions;
+  }
+  metrics.audits->Increment();
+  if (evicted) metrics.evictions->Increment();
+}
+
+void Planner::NoteHedge() const {
+  {
+    MutexLock lock(mutex_);
+    ++counters_.hedged;
+  }
+  FeedbackMetrics::Get().hedged->Increment();
+}
+
+FeedbackCounters Planner::counters() const {
+  MutexLock lock(mutex_);
+  return counters_;
+}
+
+double Planner::LiveRecall(const QueryOptions& request, QueryAlgo algo,
+                           QueryPrecision precision) const {
+  {
+    MutexLock lock(mutex_);
+    const VariantState& state =
+        segments_[SegmentOf(request)]
+            .variants[static_cast<std::size_t>(algo)]
+                     [static_cast<std::size_t>(precision)];
+    if (state.observations >= feedback_.min_observations) {
+      return state.recall_ewma;
+    }
+  }
+  return ExpectedRecall(algo, precision, request);
 }
 
 }  // namespace ips

@@ -23,18 +23,28 @@
 // expected dot-equivalents (preferring ones inside the request's
 // candidate budget when it is set). An explicit request precision
 // restricts the enumeration to variants of that mode.
+//
+// The warmup numbers are only a prior (DESIGN.md §14). Live traffic is
+// bucketed into workload segments keyed by (k bucket, signedness); the
+// engine shadow-audits every audit_every-th can-miss answer per segment
+// against the exact answer and feeds the observed (recall, cost) into a
+// per-(segment, algo, precision) live estimate table. The first audit
+// seeds each estimate from the warmup prior; from min_observations
+// audits on, the live numbers replace the prior in Plan, so a variant
+// whose observed recall falls under target + margin is evicted for that
+// segment and costs re-rank on measured work. Counters land in the
+// registry as "serve.feedback.{audits, evictions, hedged}".
 
 #ifndef IPS_SERVE_PLANNER_H_
 #define IPS_SERVE_PLANNER_H_
 
+#include <array>
 #include <cstddef>
-#include <functional>
-#include <optional>
-#include <string>
 
+#include "core/query.h"
 #include "linalg/matrix.h"
-#include "serve/serve_stats.h"
 #include "util/status.h"
+#include "util/thread_annotations.h"
 
 namespace ips {
 
@@ -101,41 +111,78 @@ struct PlannerCalibration {
   double recall_margin = 0.05;
 };
 
-/// A live (recall, cost) estimate for one (algo, precision) variant,
-/// substituted for the warmup-calibrated numbers when a VariantOverride
-/// supplies it (the FeedbackPlanner's re-fit hook, serve/feedback.h).
-struct VariantEstimate {
-  double recall = 0.0;
-  double cost = 0.0;
+/// Tuning of the online re-fit loop.
+struct FeedbackOptions {
+  /// Master switch: off reproduces the static warmup-calibrated planner.
+  bool enabled = true;
+  /// One exact shadow audit per this many planned queries per segment
+  /// (>= 1). Audits cost one brute-force scan each, so the loop's
+  /// overhead is ~n/audit_every extra dots per query on average.
+  std::size_t audit_every = 16;
+  /// Weight the previous estimate keeps at each audit, in [0, 1);
+  /// 1 - decay is the step toward the new observation.
+  double decay = 0.9;
+  /// Audits required before a (segment, variant) live estimate
+  /// overrides the warmup calibration.
+  std::size_t min_observations = 4;
 };
 
-/// Hook consulted per variant during Plan: return a live estimate to
-/// replace the warmup calibration for that variant, or nullopt to keep
-/// it. Must be safe to call concurrently.
-using VariantOverride = std::function<std::optional<VariantEstimate>(
-    QueryAlgo, QueryPrecision)>;
+Status ValidateFeedbackOptions(const FeedbackOptions& options);
 
-/// Immutable per-dataset planner; thread-safe (Plan is const and pure).
+/// Lifetime counters of the loop (snapshot; mirrored in the registry).
+struct FeedbackCounters {
+  /// Exact shadow audits run.
+  std::size_t audits = 0;
+  /// Eligibility flips observed->ineligible: an audit pushed a
+  /// variant's live recall below the target + margin bar its segment
+  /// had been clearing.
+  std::size_t evictions = 0;
+  /// Audited answers that missed their recall target and were replaced
+  /// by the exact answer before returning.
+  std::size_t hedged = 0;
+};
+
+/// The per-dataset planner. Owns no indexes and runs no queries: the
+/// Engine drives audits and reports observations. Thread-safe: the live
+/// table sits behind one mutex, and Plan copies its request's segment
+/// once and prices without the lock.
 class Planner {
  public:
-  Planner(DatasetProfile profile, PlannerCalibration calibration);
+  Planner(DatasetProfile profile, PlannerCalibration calibration,
+          FeedbackOptions feedback = {});
 
-  /// Picks an (algorithm, precision) variant for `request`. Failpoint:
-  /// "serve/plan". When `request.precision` is explicit the enumeration
-  /// is restricted to that mode and the recall bar becomes advisory —
-  /// the cheapest matching variant is returned with the shortfall noted
-  /// in the decision's reason.
-  [[nodiscard]] StatusOr<PlanDecision> Plan(const QueryOptions& request) const {
-    return Plan(request, nullptr);
-  }
+  /// Picks an (algorithm, precision) variant for `request`, pricing
+  /// from the segment's live estimates where they have
+  /// min_observations audits and from the warmup calibration elsewhere.
+  /// Failpoint: "serve/plan". When `request.precision` is explicit the
+  /// enumeration is restricted to that mode and the recall bar becomes
+  /// advisory — the cheapest matching variant is returned with the
+  /// shortfall noted in the decision's reason.
+  [[nodiscard]] StatusOr<PlanDecision> Plan(const QueryOptions& request) const
+      IPS_EXCLUDES(mutex_);
 
-  /// Plan with per-variant live estimates: where `live` returns one,
-  /// its recall/cost replace the warmup calibration for that variant
-  /// (eligibility and ranking both use the live numbers — a variant
-  /// whose live recall undershoots the target is evicted from the
-  /// plan). Exact paths (expected recall >= 1) keep the no-margin rule.
-  [[nodiscard]] StatusOr<PlanDecision> Plan(const QueryOptions& request,
-                                            const VariantOverride& live) const;
+  /// True when this request should run an exact shadow audit (bumps
+  /// the segment's query counter; first query of a segment audits, then
+  /// every audit_every-th). Always false with feedback disabled.
+  bool BeginAudit(const QueryOptions& request) const IPS_EXCLUDES(mutex_);
+
+  /// Feeds one audit observation into the (segment of `request`,
+  /// `algo`, `precision`) estimate: recall in [0, 1], cost in
+  /// dot-equivalents. Detects eligibility flips against the request's
+  /// target + the calibration margin.
+  void RecordAudit(const QueryOptions& request, QueryAlgo algo,
+                   QueryPrecision precision, double observed_recall,
+                   double observed_cost) const IPS_EXCLUDES(mutex_);
+
+  /// The engine substituted the exact answer for an audited miss.
+  void NoteHedge() const IPS_EXCLUDES(mutex_);
+
+  FeedbackCounters counters() const IPS_EXCLUDES(mutex_);
+
+  /// Live recall estimate of (segment of `request`, algo, precision),
+  /// or the warmup expectation while under min_observations.
+  double LiveRecall(const QueryOptions& request, QueryAlgo algo,
+                    QueryPrecision precision) const IPS_EXCLUDES(mutex_);
 
   /// Expected dot-equivalents if (`algo`, `precision`) answered
   /// `request`; used for A/B accounting by benches. kAuto prices the
@@ -148,19 +195,44 @@ class Planner {
     return ExpectedDotProducts(algo, QueryPrecision::kAuto, request);
   }
 
-  const DatasetProfile& profile() const { return profile_; }
-  const PlannerCalibration& calibration() const { return calibration_; }
-
   /// Calibrated recall the model expects of (`algo`, `precision`) for
   /// `request`; 0 when the variant cannot answer the request at all
-  /// (e.g. signed queries on the sketch argmax path). Public so the
-  /// FeedbackPlanner can seed its live estimates from the warmup prior.
+  /// (e.g. signed queries on the sketch argmax path).
   double ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
                         const QueryOptions& request) const;
 
+  const DatasetProfile& profile() const { return profile_; }
+  const PlannerCalibration& calibration() const { return calibration_; }
+
+  /// Segment index of `request` (k bucket x signedness); exposed for
+  /// tests that pin the bucketing.
+  static std::size_t SegmentOf(const QueryOptions& request);
+  static constexpr std::size_t kNumSegments = 6;
+
  private:
+  struct VariantState {
+    double recall_ewma = 0.0;
+    double cost_ewma = 0.0;
+    std::size_t observations = 0;
+    /// Last eligibility verdict (live recall vs target + margin); the
+    /// eviction counter fires on true -> false flips.
+    bool eligible = true;
+  };
+
+  struct SegmentState {
+    std::size_t planned = 0;
+    std::array<std::array<VariantState, kNumQueryPrecisions>, kNumQueryAlgos>
+        variants{};
+  };
+
   DatasetProfile profile_;
   PlannerCalibration calibration_;
+  FeedbackOptions feedback_;
+
+  mutable Mutex mutex_;
+  mutable std::array<SegmentState, kNumSegments> segments_
+      IPS_GUARDED_BY(mutex_);
+  mutable FeedbackCounters counters_ IPS_GUARDED_BY(mutex_);
 };
 
 }  // namespace ips

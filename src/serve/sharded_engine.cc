@@ -40,10 +40,10 @@ struct ShardAnswer {
 
 // Merges one logical query's per-shard answers under the deterministic
 // gather ordering (score descending, then *global* row index
-// ascending), fills the shards_* accounting, and flags the result
-// partial when shards were lost. Fails only when every shard failed: a
-// uniform failure keeps its Status, mixed failures collapse to a
-// kUnavailable summary.
+// ascending), sets the serve.shard.{total,ok,failed,hedged} labels, and
+// flags the result partial when shards were lost. Fails only when every
+// shard failed: a uniform failure keeps its Status, mixed failures
+// collapse to a kUnavailable summary.
 StatusOr<QueryResult> MergeShardAnswers(
     const std::vector<ShardAnswer>& answers,
     const std::vector<std::size_t>& offsets, std::size_t k,
@@ -91,11 +91,11 @@ StatusOr<QueryResult> MergeShardAnswers(
             });
   if (pool.size() > k) pool.resize(k);
   merged.matches = std::move(pool);
-  merged.stats.shards_total = answers.size();
-  merged.stats.shards_ok = ok;
-  merged.stats.shards_failed = answers.size() - ok;
-  merged.stats.shards_hedged = hedged;
-  merged.partial = merged.stats.shards_failed > 0;
+  merged.stats.metrics.Set("serve.shard.total", answers.size());
+  merged.stats.metrics.Set("serve.shard.ok", ok);
+  merged.stats.metrics.Set("serve.shard.failed", answers.size() - ok);
+  merged.stats.metrics.Set("serve.shard.hedged", hedged);
+  merged.partial = ok < answers.size();
   if (retries_total > 0) {
     merged.stats.metrics.Add("serve.shard.retries", retries_total);
   }

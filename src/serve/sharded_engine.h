@@ -22,15 +22,16 @@
 //    the coordinator skips the planner path and fires the cheap
 //    fallback (a forced brute scan of the shard slice — fixed,
 //    predictable cost, no index build or planner variance) and the
-//    result is counted in QueryStats::shards_hedged.
+//    result is counted in the "serve.shard.hedged" label.
 //  * Per-shard circuit breaker: `failure_threshold` consecutive
 //    failures trip the breaker and eject the shard from the scatter
 //    set; after `open_seconds` one half-open probe is let through —
 //    success closes the breaker, failure re-opens it.
 //  * Graceful degradation: a query that loses shards still returns the
 //    merged top-k of the survivors, flagged QueryResult::partial with
-//    shards_total/ok/failed/hedged accounting in its stats. Only when
-//    *every* shard fails does Query return a Status.
+//    "serve.shard.{total,ok,failed,hedged}" labels in its stats metrics
+//    (ok + failed == total). Only when *every* shard fails does Query
+//    return a Status.
 //
 // Observability: "serve.shard.*" registry metrics, and (with
 // options.trace) one child span per shard under the

@@ -599,16 +599,19 @@ TEST_F(ChaosTest, ShardQueryFailpointYieldsPartialResult) {
     const auto result = (*engine)->Query({q, {}});
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     EXPECT_TRUE(result->partial);
-    EXPECT_EQ(result->stats.shards_total, 4u);
-    EXPECT_EQ(result->stats.shards_ok, 3u);
-    EXPECT_EQ(result->stats.shards_failed, 1u);
+    EXPECT_EQ(result->stats.metrics.Get("serve.shard.total"), 4u);
+    EXPECT_EQ(result->stats.metrics.Get("serve.shard.ok"), 3u);
+    EXPECT_EQ(result->stats.metrics.Get("serve.shard.failed"), 1u);
+    EXPECT_EQ(result->stats.metrics.Get("serve.shard.ok") +
+                  result->stats.metrics.Get("serve.shard.failed"),
+              result->stats.metrics.Get("serve.shard.total"));
     EXPECT_FALSE(result->matches.empty());
   }
   // The fleet is not poisoned: the next query is whole.
   const auto clean = (*engine)->Query({q, {}});
   ASSERT_TRUE(clean.ok());
   EXPECT_FALSE(clean->partial);
-  EXPECT_EQ(clean->stats.shards_ok, 4u);
+  EXPECT_EQ(clean->stats.metrics.Get("serve.shard.ok"), 4u);
 }
 
 TEST_F(ChaosTest, AllShardsDownSurfacesUniformStatusThenRecovers) {
@@ -635,7 +638,7 @@ TEST_F(ChaosTest, AllShardsDownSurfacesUniformStatusThenRecovers) {
   const auto recovered = (*engine)->Query({q, {}});
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
   EXPECT_FALSE(recovered->partial);
-  EXPECT_EQ(recovered->stats.shards_ok, 4u);
+  EXPECT_EQ(recovered->stats.metrics.Get("serve.shard.ok"), 4u);
 }
 
 TEST_F(ChaosTest, CircuitBreakerTripsSkipsAndRecovers) {
@@ -702,9 +705,9 @@ TEST_F(ChaosTest, SlowShardStragglerIsHedgedAroundNotFailed) {
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   const auto hedged = (*engine)->Query({q, request, context});
   ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
-  EXPECT_GE(hedged->stats.shards_hedged, 1u);
+  EXPECT_GE(hedged->stats.metrics.Get("serve.shard.hedged"), 1u);
   EXPECT_FALSE(hedged->partial);
-  EXPECT_EQ(hedged->stats.shards_failed, 0u);
+  EXPECT_EQ(hedged->stats.metrics.Get("serve.shard.failed"), 0u);
   Failpoints::DisarmAll();
   // Stall cleared: the fleet serves un-hedged again once the latency
   // window drains the stalled samples out.
@@ -745,8 +748,8 @@ TEST_F(ChaosTest, ShardFailpointUnderBatchQueryDegradesEveryMember) {
     ASSERT_EQ(result->size(), queries.rows());
     for (const QueryResult& member : *result) {
       EXPECT_TRUE(member.partial);
-      EXPECT_EQ(member.stats.shards_failed, 1u);
-      EXPECT_EQ(member.stats.shards_ok, 3u);
+      EXPECT_EQ(member.stats.metrics.Get("serve.shard.failed"), 1u);
+      EXPECT_EQ(member.stats.metrics.Get("serve.shard.ok"), 3u);
     }
   }
   const auto clean = (*engine)->BatchQuery(queries, {}, {});
@@ -781,7 +784,7 @@ TEST_F(ChaosTest, ShardFailpointUnderScheduledBatchExecution) {
       // Scheduled sharded traffic degrades exactly like direct calls.
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       EXPECT_TRUE(result->partial);
-      EXPECT_EQ(result->stats.shards_failed, 1u);
+      EXPECT_EQ(result->stats.metrics.Get("serve.shard.failed"), 1u);
     }
     Failpoints::DisarmAll();
   }

@@ -233,31 +233,11 @@ TEST(Lint, FindingFormatIsFileLineRuleMessage) {
 }
 
 TEST(Lint, RealRuleTableParses) {
-  // Guard the checked-in table itself: ten rules, all regexes valid.
+  // Guard the checked-in table itself: nine rules, all regexes valid.
   const auto rules =
       LoadRules(std::string(IPS_REPO_ROOT) + "/tools/ipslint.rules");
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
-  EXPECT_EQ(rules->size(), 10u);
-}
-
-TEST(Lint, LegacySubmitSignatureIsRejectedByTheRealTable) {
-  // The PR 10 API sweep removed Submit(std::vector<double>, ...) in
-  // favor of Submit(const Request&); the checked-in table keeps the old
-  // signature from creeping back anywhere in the tree.
-  const auto rules =
-      LoadRules(std::string(IPS_REPO_ROOT) + "/tools/ipslint.rules");
-  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
-  const auto findings = LintText(
-      *rules, "tests/some_test.cc",
-      "auto f = scheduler.Submit(std::vector<double>(8, 0.1), options);\n");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "legacy-submit");
-  // The Request form does not trip the rule.
-  EXPECT_TRUE(
-      LintText(
-          *rules, "tests/some_test.cc",
-          "auto f = scheduler.Submit({std::vector<double>(8, 0.1), opts});\n")
-          .empty());
+  EXPECT_EQ(rules->size(), 9u);
 }
 
 TEST(SplitCodeAndComments, TracksMultiLineConstructs) {

@@ -2,10 +2,10 @@
 // dispatch through the serve Request envelope (query span +
 // core::QueryOptions + RequestContext), trace spans and registry
 // metrics of served queries, the recall contract of planner-selected
-// answers against exact ground truth, the feedback planner's live
-// re-fitting and eviction, and the QoS batch scheduler (admission,
-// token buckets, priority lanes, shedding, expiry, drain, shutdown,
-// per-tenant counter partition).
+// answers against exact ground truth, the planner's live re-fitting,
+// eviction, and pinned routing across a workload shift, and the QoS
+// batch scheduler (admission, token buckets, priority lanes, shedding,
+// expiry, drain, shutdown, per-tenant counter partition).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,10 +26,8 @@
 #include "rng/random.h"
 #include "serve/batch_scheduler.h"
 #include "serve/engine.h"
-#include "serve/feedback.h"
 #include "serve/planner.h"
 #include "serve/request.h"
-#include "serve/serve_stats.h"
 #include "util/status.h"
 
 namespace ips {
@@ -238,13 +237,13 @@ TEST(EngineTest, StatsAccountForWork) {
   ASSERT_TRUE(tree.ok());
   EXPECT_GE(tree->stats.dot_products, 3u);
   EXPECT_LE(tree->stats.dot_products, 400u);
-  ServeMetrics metrics;
-  metrics.Record(brute->stats);
-  metrics.Record(tree->stats);
-  EXPECT_EQ(metrics.TotalRequests(), 2u);
-  EXPECT_EQ(metrics.SelectionCount(QueryAlgo::kBruteForce), 1u);
-  EXPECT_EQ(metrics.SelectionCount(QueryAlgo::kBallTree), 1u);
-  EXPECT_EQ(metrics.TotalDotProducts(),
+  EXPECT_EQ(brute->stats.algorithm, QueryAlgo::kBruteForce);
+  EXPECT_EQ(tree->stats.algorithm, QueryAlgo::kBallTree);
+  // Merge is the one aggregation primitive: work sums, requests count.
+  QueryStats total = brute->stats;
+  total.Merge(tree->stats);
+  EXPECT_EQ(total.batch_size, 2u);
+  EXPECT_EQ(total.dot_products,
             brute->stats.dot_products + tree->stats.dot_products);
 }
 
@@ -598,11 +597,11 @@ TEST(EngineCalibrationTest, MeasuresTopKLshRecallSeparately) {
   EXPECT_GE(calib.lsh_recall, 0.0);
 }
 
-// --- Feedback planner: live re-fitting, eviction, audit cadence ---
+// --- Live estimate table: re-fitting, eviction, audit cadence ---
 
 class FeedbackTest : public ::testing::Test {
  protected:
-  static Planner MakeBase() {
+  static Planner MakePlanner(FeedbackOptions options = {}) {
     DatasetProfile profile;
     profile.n = 10000;
     profile.dim = 32;
@@ -615,75 +614,73 @@ class FeedbackTest : public ::testing::Test {
     calib.lsh_recall = 0.95;
     calib.lsh_topk_recall = 0.95;
     calib.probe_queries = 16;
-    return Planner(profile, calib);
+    return Planner(profile, calib, options);
   }
 };
 
 TEST_F(FeedbackTest, SegmentBucketsPinKAndSignedness) {
   QueryOptions request;
   request.k = 1;
-  EXPECT_EQ(FeedbackPlanner::SegmentOf(request), 0u);
+  EXPECT_EQ(Planner::SegmentOf(request), 0u);
   request.is_signed = false;
-  EXPECT_EQ(FeedbackPlanner::SegmentOf(request), 1u);
+  EXPECT_EQ(Planner::SegmentOf(request), 1u);
   request.is_signed = true;
   request.k = 5;
-  EXPECT_EQ(FeedbackPlanner::SegmentOf(request), 2u);
+  EXPECT_EQ(Planner::SegmentOf(request), 2u);
   request.is_signed = false;
-  EXPECT_EQ(FeedbackPlanner::SegmentOf(request), 3u);
+  EXPECT_EQ(Planner::SegmentOf(request), 3u);
   request.is_signed = true;
   request.k = 9;
-  EXPECT_EQ(FeedbackPlanner::SegmentOf(request), 4u);
+  EXPECT_EQ(Planner::SegmentOf(request), 4u);
   request.is_signed = false;
-  EXPECT_EQ(FeedbackPlanner::SegmentOf(request), 5u);
+  EXPECT_EQ(Planner::SegmentOf(request), 5u);
 }
 
 TEST_F(FeedbackTest, AuditCadenceFollowsAuditEvery) {
-  const Planner base = MakeBase();
   FeedbackOptions options;
   options.audit_every = 4;
-  const FeedbackPlanner feedback(&base, options);
+  const Planner planner = MakePlanner(options);
   QueryOptions request;
   request.k = 3;
   // First query of a segment audits, then every fourth.
-  EXPECT_TRUE(feedback.BeginAudit(request));
-  EXPECT_FALSE(feedback.BeginAudit(request));
-  EXPECT_FALSE(feedback.BeginAudit(request));
-  EXPECT_FALSE(feedback.BeginAudit(request));
-  EXPECT_TRUE(feedback.BeginAudit(request));
+  EXPECT_TRUE(planner.BeginAudit(request));
+  EXPECT_FALSE(planner.BeginAudit(request));
+  EXPECT_FALSE(planner.BeginAudit(request));
+  EXPECT_FALSE(planner.BeginAudit(request));
+  EXPECT_TRUE(planner.BeginAudit(request));
   // A different segment has its own counter.
   QueryOptions other;
   other.k = 1;
-  EXPECT_TRUE(feedback.BeginAudit(other));
+  EXPECT_TRUE(planner.BeginAudit(other));
 }
 
 TEST_F(FeedbackTest, ObservedMissesEvictThePathForThatSegment) {
-  const Planner base = MakeBase();
   FeedbackOptions options;
   options.min_observations = 2;
   options.decay = 0.5;
-  const FeedbackPlanner feedback(&base, options);
+  const Planner planner = MakePlanner(options);
 
   QueryOptions request;
   request.k = 5;
   request.recall_target = 0.8;
-  const auto before = feedback.Plan(request);
+  const auto before = planner.Plan(request);
   ASSERT_TRUE(before.ok());
   ASSERT_EQ(before->algorithm, QueryAlgo::kLsh)
       << "warmup calibration was supposed to make LSH the cheap winner";
 
   // Two audits observe recall far below the 0.8 target: the live curve
   // replaces the warmup prior and the path is evicted for this segment.
-  feedback.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact,
-                       /*observed_recall=*/0.1, /*observed_cost=*/600.0);
-  feedback.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact,
-                       /*observed_recall=*/0.1, /*observed_cost=*/600.0);
-  const auto after = feedback.Plan(request);
+  planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact,
+                      /*observed_recall=*/0.1, /*observed_cost=*/600.0);
+  planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact,
+                      /*observed_recall=*/0.1, /*observed_cost=*/600.0);
+  const auto after = planner.Plan(request);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(after->algorithm, QueryAlgo::kLsh);
-  EXPECT_GE(feedback.counters().evictions, 1u);
-  EXPECT_EQ(feedback.counters().audits, 2u);
-  EXPECT_LT(feedback.LiveRecall(request, QueryAlgo::kLsh,
-                                QueryPrecision::kExact),
+  EXPECT_GE(planner.counters().evictions, 1u);
+  EXPECT_EQ(planner.counters().audits, 2u);
+  EXPECT_LT(planner.LiveRecall(request, QueryAlgo::kLsh,
+                               QueryPrecision::kExact),
             0.8);
 
   // The k=1 segment never saw those audits: its plan still uses the
@@ -691,26 +688,152 @@ TEST_F(FeedbackTest, ObservedMissesEvictThePathForThatSegment) {
   QueryOptions top1;
   top1.k = 1;
   top1.recall_target = 0.8;
-  const auto other = feedback.Plan(top1);
+  const auto other = planner.Plan(top1);
   ASSERT_TRUE(other.ok());
   EXPECT_EQ(other->algorithm, QueryAlgo::kLsh);
 }
 
-TEST_F(FeedbackTest, DisabledLoopForwardsToBasePlanner) {
-  const Planner base = MakeBase();
+TEST_F(FeedbackTest, DisabledLoopPlansFromWarmupCalibration) {
   FeedbackOptions options;
   options.enabled = false;
-  const FeedbackPlanner feedback(&base, options);
+  const Planner planner = MakePlanner(options);
   QueryOptions request;
   request.k = 5;
   request.recall_target = 0.8;
-  feedback.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact, 0.0,
-                       1.0);
-  feedback.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact, 0.0,
-                       1.0);
-  const auto decision = feedback.Plan(request);
+  planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact, 0.0,
+                      1.0);
+  planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact, 0.0,
+                      1.0);
+  const auto decision = planner.Plan(request);
   ASSERT_TRUE(decision.ok());
   EXPECT_EQ(decision->algorithm, QueryAlgo::kLsh);
+}
+
+// --- Decision pin: the feedback loop's routing, request by request ---
+
+// A scaled-down copy of bench_serve's qos corpus: a skewed-norm catalog
+// in the first 16 dims plus high-norm near-tie rows (4 directions,
+// perturbed below int8 resolution) in the last 8. The stream queries
+// catalog rows for its first half and Gaussians for its second, the
+// shift only live audits can price.
+constexpr std::size_t kPinN = 1024;
+constexpr std::size_t kPinDim = 24;
+constexpr std::size_t kPinTiesStart = 960;
+constexpr std::size_t kPinQueries = 256;
+constexpr std::size_t kPinShift = 128;
+
+Matrix MakeNearTieCorpus(Rng* rng) {
+  Matrix data(kPinN, kPinDim);
+  for (std::size_t i = 0; i < kPinTiesStart; ++i) {
+    double norm_sq = 0.0;
+    for (std::size_t j = 0; j < 16; ++j) {
+      data.At(i, j) = rng->NextGaussian();
+      norm_sq += data.At(i, j) * data.At(i, j);
+    }
+    const double scale =
+        1.0 / (std::sqrt(norm_sq) * static_cast<double>(i + 1));
+    for (std::size_t j = 0; j < 16; ++j) data.At(i, j) *= scale;
+  }
+  double dirs[4][8];
+  for (auto& dir : dirs) {
+    double norm_sq = 0.0;
+    for (double& v : dir) {
+      v = rng->NextGaussian();
+      norm_sq += v * v;
+    }
+    for (double& v : dir) v /= std::sqrt(norm_sq);
+  }
+  for (std::size_t i = kPinTiesStart; i < kPinN; ++i) {
+    const auto& dir = dirs[(i - kPinTiesStart) % 4];
+    double norm_sq = 0.0;
+    for (std::size_t j = 0; j < 8; ++j) {
+      data.At(i, 16 + j) = dir[j] + 5e-4 * rng->NextGaussian();
+      norm_sq += data.At(i, 16 + j) * data.At(i, 16 + j);
+    }
+    const double scale = 8.0 / std::sqrt(norm_sq);
+    for (std::size_t j = 0; j < 8; ++j) data.At(i, 16 + j) *= scale;
+  }
+  return data;
+}
+
+TEST(FeedbackPinTest, RoutingAcrossAShiftIsPinned) {
+  Rng rng(2026);
+  const Matrix data = MakeNearTieCorpus(&rng);
+  EngineOptions options;
+  options.seed = 31;
+  options.sketch_params.kappa = 3.0;
+  options.probe_queries = 64;
+  options.probe_sample = 256;
+  options.feedback.audit_every = 2;
+  const auto engine = Engine::Create(data, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  for (QueryAlgo algo : {QueryAlgo::kBruteForce, QueryAlgo::kBallTree,
+                         QueryAlgo::kLsh, QueryAlgo::kSketch}) {
+    ASSERT_TRUE((*engine)->EnsureIndex(algo).ok());
+  }
+
+  // One two-letter code per request: the first letters of the plan's
+  // algorithm and precision names ("te" = tree/exact, "sf" =
+  // sketch/filter, "sa" = sketch/auto, ...).
+  std::string decisions;
+  std::vector<std::size_t> audited;
+  std::vector<std::size_t> hedged;
+  std::vector<double> q(kPinDim);
+  for (std::size_t i = 0; i < kPinQueries; ++i) {
+    if (i < kPinShift) {
+      const auto row =
+          data.Row(static_cast<std::size_t>(rng.NextBounded(kPinTiesStart)));
+      std::copy(row.begin(), row.end(), q.begin());
+    } else {
+      for (double& v : q) v = rng.NextGaussian();
+    }
+    QueryOptions request;
+    request.recall_target = i % 3 == 0 ? 0.7 : i % 3 == 1 ? 0.9 : 1.0;
+    if (i % 4 == 3) {
+      request.is_signed = false;
+    } else {
+      request.k = 5;
+    }
+    const auto served = (*engine)->Query({q, request});
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    decisions += QueryAlgoName(served->plan.algorithm)[0];
+    decisions += QueryPrecisionName(served->plan.precision)[0];
+    decisions += ' ';
+    if (served->stats.metrics.Has("serve.feedback.audit_dots")) {
+      audited.push_back(i);
+    }
+    if (served->plan.reason.find("feedback-hedged") != std::string::npos) {
+      hedged.push_back(i);
+    }
+  }
+
+  // The filter variant is evicted before the shift (hedges 27-75), the
+  // argmax descent after it (hedges 147, 195), and from request 207 on
+  // the unsigned segment falls back to brute/exact.
+  EXPECT_EQ(decisions,
+            "te te te sf te te te be te te te be te te te sf "
+            "te te te be te te te be te te te sf te te te be "
+            "te te te be te te te sf te te te be te te te be "
+            "te te te sf te te te be te te te be te te te sf "
+            "te te te be te te te be te te te sf te te te be "
+            "te te te be te te te sa te te te be te te te be "
+            "te te te sa te te te be te te te be te te te sa "
+            "te te te be te te te be te te te sa te te te be "
+            "te te te be te te te sa te te te be te te te be "
+            "te te te sa te te te be te te te be te te te sa "
+            "te te te be te te te be te te te sa te te te be "
+            "te te te be te te te sa te te te be te te te be "
+            "te te te sa te te te be te te te be te te te be "
+            "te te te be te te te be te te te be te te te be "
+            "te te te be te te te be te te te be te te te be "
+            "te te te be te te te be te te te be te te te be ");
+  EXPECT_EQ(audited, (std::vector<std::size_t>{3, 27, 51, 75, 99, 123, 147,
+                                                171, 195}));
+  EXPECT_EQ(hedged, (std::vector<std::size_t>{27, 51, 75, 147, 195}));
+  const FeedbackCounters counters = (*engine)->planner().counters();
+  EXPECT_EQ(counters.audits, 9u);
+  EXPECT_EQ(counters.evictions, 2u);
+  EXPECT_EQ(counters.hedged, 5u);
 }
 
 TEST(FeedbackOptionsTest, ValidationRejectsBadKnobs) {

@@ -36,6 +36,14 @@ QueryOptions ForcedBrute(std::size_t k) {
   return options;
 }
 
+// The shard labels partition the fan-out: every shard a query reached
+// either answered or was lost.
+void ExpectShardPartition(const QueryStats& stats) {
+  EXPECT_EQ(stats.metrics.Get("serve.shard.ok") +
+                stats.metrics.Get("serve.shard.failed"),
+            stats.metrics.Get("serve.shard.total"));
+}
+
 TEST_F(ShardedTest, RetryableCodeClassification) {
   EXPECT_TRUE(IsRetryableShardStatus(StatusCode::kUnavailable));
   // Shedding is deliberate back-pressure; retrying amplifies overload.
@@ -70,9 +78,10 @@ TEST_F(ShardedTest, MergeMatchesExactTopKAcrossShardCounts) {
         EXPECT_DOUBLE_EQ(result->matches[i].value, exact[i].value);
       }
       EXPECT_FALSE(result->partial);
-      EXPECT_EQ(result->stats.shards_total, shards);
-      EXPECT_EQ(result->stats.shards_ok, shards);
-      EXPECT_EQ(result->stats.shards_failed, 0u);
+      EXPECT_EQ(result->stats.metrics.Get("serve.shard.total"), shards);
+      EXPECT_EQ(result->stats.metrics.Get("serve.shard.ok"), shards);
+      EXPECT_EQ(result->stats.metrics.Get("serve.shard.failed"), 0u);
+      ExpectShardPartition(result->stats);
       // Forced brute scans every row exactly once across the partition.
       EXPECT_EQ(result->stats.dot_products, data.rows());
     }
@@ -143,8 +152,8 @@ TEST_F(ShardedTest, BatchQueryMatchesSingleQueries) {
       EXPECT_DOUBLE_EQ(member.matches[i].value, single->matches[i].value);
     }
     EXPECT_FALSE(member.partial);
-    EXPECT_EQ(member.stats.shards_total, 3u);
-    EXPECT_EQ(member.stats.shards_ok, 3u);
+    EXPECT_EQ(member.stats.metrics.Get("serve.shard.total"), 3u);
+    EXPECT_EQ(member.stats.metrics.Get("serve.shard.ok"), 3u);
   }
   // Empty batch short-circuits without fan-out.
   const auto empty = (*engine)->BatchQuery(Matrix(), request, {});
@@ -167,8 +176,8 @@ TEST_F(ShardedTest, TransientUnavailableIsRetriedToSuccess) {
   const auto result = (*engine)->Query({q, ForcedBrute(3)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->partial);
-  EXPECT_EQ(result->stats.shards_ok, 2u);
-  EXPECT_EQ(result->stats.shards_failed, 0u);
+  EXPECT_EQ(result->stats.metrics.Get("serve.shard.ok"), 2u);
+  EXPECT_EQ(result->stats.metrics.Get("serve.shard.failed"), 0u);
   EXPECT_EQ(result->stats.metrics.Get("serve.shard.retries"), 1u);
 }
 
@@ -187,9 +196,10 @@ TEST_F(ShardedTest, NonRetryableShardFailureDegradesToPartial) {
   const auto result = (*engine)->Query({q, ForcedBrute(5)});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->partial);
-  EXPECT_EQ(result->stats.shards_total, 2u);
-  EXPECT_EQ(result->stats.shards_ok, 1u);
-  EXPECT_EQ(result->stats.shards_failed, 1u);
+  EXPECT_EQ(result->stats.metrics.Get("serve.shard.total"), 2u);
+  EXPECT_EQ(result->stats.metrics.Get("serve.shard.ok"), 1u);
+  EXPECT_EQ(result->stats.metrics.Get("serve.shard.failed"), 1u);
+  ExpectShardPartition(result->stats);
   EXPECT_FALSE(result->stats.metrics.Has("serve.shard.retries"));
   // Every surviving match comes from shard 0's global range.
   const std::size_t boundary = (*engine)->shard_offset(1);
@@ -220,12 +230,12 @@ TEST_F(ShardedTest, PredictedStragglerIsHedged) {
                   FireEvery{1});
   const auto first = (*engine)->Query({q, request, context});
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->stats.shards_hedged, 0u);
+  EXPECT_EQ(first->stats.metrics.Get("serve.shard.hedged"), 0u);
   const auto second = (*engine)->Query({q, request, context});
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second->stats.shards_hedged, 1u);
+  EXPECT_EQ(second->stats.metrics.Get("serve.shard.hedged"), 1u);
   EXPECT_FALSE(second->partial);
-  EXPECT_EQ(second->stats.shards_ok, 2u);
+  EXPECT_EQ(second->stats.metrics.Get("serve.shard.ok"), 2u);
   // The hedge detoured around the stall: no 50 ms sleep on its path.
   EXPECT_LT(second->stats.exec_seconds, 0.05);
 }
@@ -362,7 +372,7 @@ TEST_F(ShardedTest, BatchSchedulerDrivesShardedEngine) {
     for (std::size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(result->matches[i].index, exact[i].index);
     }
-    EXPECT_EQ(result->stats.shards_total, 2u);
+    EXPECT_EQ(result->stats.metrics.Get("serve.shard.total"), 2u);
     EXPECT_FALSE(result->partial);
   }
 }

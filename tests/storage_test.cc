@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -356,6 +358,77 @@ TEST_F(StorageTest, EngineSnapshotCorruptTreeSectionIsDataLoss) {
   EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
   EXPECT_NE(warm.status().message().find("TREE"), std::string::npos)
       << warm.status().ToString();
+}
+
+// Rewrites the engine snapshot in `dir` through SnapshotWriter, copying
+// every section verbatim except META, whose feedback audit_every (bytes
+// 128-135) is zeroed. Every CRC stays valid; only the decoded options
+// are ones Engine::Create would reject.
+void ZeroMetaAuditEvery(const std::string& dir) {
+  const std::string path = dir + "/snapshot.ips";
+  std::vector<std::tuple<std::uint32_t, std::uint32_t,
+                         std::vector<unsigned char>>>
+      sections;
+  {
+    auto reader = storage::SnapshotReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    for (const storage::SectionEntry& entry : reader->sections()) {
+      auto bytes = reader->ReadSection(entry.id);
+      ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+      sections.emplace_back(entry.id, entry.version, std::move(bytes).value());
+    }
+  }
+  auto writer = storage::SnapshotWriter::Create(path);
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  for (auto& [id, version, bytes] : sections) {
+    if (id == storage::kSectionMeta) {
+      ASSERT_GE(bytes.size(), 136u);
+      std::fill(bytes.begin() + 128, bytes.begin() + 136, 0);
+    }
+    ASSERT_TRUE(writer->WriteSection(id, version, bytes).ok());
+  }
+  ASSERT_TRUE(writer->Finish().ok());
+}
+
+TEST_F(StorageTest, EngineSnapshotWithInvalidMetaOptionsIsDataLoss) {
+  // Loading such a snapshot used to succeed, and the first audited
+  // query then divided by the zero audit_every.
+  auto cold = Engine::Create(RandomMatrix(128, 12, 13), SmallEngineOptions());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  const std::string dir = TempPath("engine_bad_meta_snap");
+  ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
+  ASSERT_NO_FATAL_FAILURE(ZeroMetaAuditEvery(dir));
+
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.engine = SmallEngineOptions();
+  auto sharded =
+      ShardedEngine::Create(RandomMatrix(96, 8, 14), sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const std::string sharded_dir = TempPath("sharded_bad_meta_snap");
+  ASSERT_TRUE((*sharded)->SaveSnapshot(sharded_dir).ok());
+  ASSERT_NO_FATAL_FAILURE(ZeroMetaAuditEvery(sharded_dir + "/shard_1"));
+
+  for (const bool use_mmap : {false, true}) {
+    SnapshotLoadOptions load;
+    load.use_mmap = use_mmap;
+    auto warm = Engine::CreateFromSnapshot(dir, load);
+    ASSERT_FALSE(warm.ok()) << (use_mmap ? "mmap" : "heap");
+    EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(warm.status().message().find("META"), std::string::npos)
+        << warm.status().ToString();
+
+    auto warm_sharded =
+        ShardedEngine::CreateFromSnapshot(sharded_dir, {}, load);
+    ASSERT_FALSE(warm_sharded.ok()) << (use_mmap ? "mmap" : "heap");
+    EXPECT_EQ(warm_sharded.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(warm_sharded.status().message().find("shard 1"),
+              std::string::npos)
+        << warm_sharded.status().ToString();
+    EXPECT_NE(warm_sharded.status().message().find("META"),
+              std::string::npos)
+        << warm_sharded.status().ToString();
+  }
 }
 
 TEST_F(StorageTest, MissingSnapshotDirectoryIsNotFound) {
