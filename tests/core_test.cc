@@ -3,13 +3,20 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/dataset.h"
 #include "core/mips_index.h"
 #include "core/similarity_join.h"
+#include "core/top_k.h"
 #include "linalg/kernels.h"
 #include "lsh/simhash.h"
+#include "lsh/transforms.h"
 #include "rng/random.h"
 
 namespace ips {
@@ -202,6 +209,110 @@ TEST(IndexJoinTest, BruteForceIndexJoinEqualsExactJoin) {
     EXPECT_EQ(via_index.per_query[i].has_value(),
               exact.per_query[i].has_value());
   }
+}
+
+// Entries truncated to multiples of 2^-10: with |entries| <= 1 and
+// d = 16 every inner product is exact in double, so pinned value bits
+// hold under the scalar and the FMA (AVX2) kernels alike. Truncation
+// only shrinks norms, so unit-ball inputs stay in the unit ball.
+Matrix DyadicTruncated(const Matrix& m) {
+  Matrix out = m;
+  for (std::size_t i = 0; i < out.rows(); ++i) {
+    for (double& v : out.Row(i)) v = std::ldexp(std::trunc(std::ldexp(v, 10)), -10);
+  }
+  return out;
+}
+
+// One query's pinned join answer: the matched data row (-1 for no
+// match) and the bit pattern of its score.
+struct JoinPin {
+  std::int64_t data;
+  std::uint64_t bits;
+};
+
+std::string DescribePins(const JoinResult& result) {
+  std::ostringstream out;
+  out << "inner_products " << result.inner_products << ", pins {";
+  for (const auto& match : result.per_query) {
+    if (match.has_value()) {
+      out << "{" << match->data << ", 0x" << std::hex
+          << std::bit_cast<std::uint64_t>(match->value) << std::dec << "}, ";
+    } else {
+      out << "{-1, 0}, ";
+    }
+  }
+  return out.str() + "}";
+}
+
+void ExpectJoinPinned(const JoinResult& result, std::size_t inner_products,
+                      const std::vector<JoinPin>& pins) {
+  EXPECT_EQ(result.inner_products, inner_products) << DescribePins(result);
+  ASSERT_EQ(result.per_query.size(), pins.size()) << DescribePins(result);
+  for (std::size_t qi = 0; qi < pins.size(); ++qi) {
+    const auto& match = result.per_query[qi];
+    if (pins[qi].data < 0) {
+      EXPECT_FALSE(match.has_value()) << "query " << qi;
+      continue;
+    }
+    ASSERT_TRUE(match.has_value()) << "query " << qi << ": "
+                                   << DescribePins(result);
+    EXPECT_EQ(match->query, qi);
+    EXPECT_EQ(static_cast<std::int64_t>(match->data), pins[qi].data)
+        << "query " << qi << ": " << DescribePins(result);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(match->value), pins[qi].bits)
+        << "query " << qi << ": " << DescribePins(result);
+  }
+}
+
+// Pins IndexJoin's answers and work on a tie-free planted instance
+// (12 planted queries plus 4 noise queries), so a change to the join
+// driver or an index's search path cannot move an exact answer, its
+// score bits, or the inner-product count unnoticed.
+TEST(IndexJoinPinTest, AnswersScoresAndWorkArePinned) {
+  Rng rng(41);
+  const PlantedInstance planted =
+      MakePlantedInstance(300, 12, 16, 0.8, 1.0, &rng);
+  const Matrix data = DyadicTruncated(planted.data);
+  Matrix queries = DyadicTruncated(planted.queries);
+  const Matrix noise = DyadicTruncated(MakeUnitBallGaussian(4, 16, 0.5, &rng));
+  for (std::size_t i = 0; i < noise.rows(); ++i) queries.AppendRow(noise.Row(i));
+  // Tie-free at the top: every query's best score strictly beats its
+  // runner-up, signed and unsigned, so tie order cannot matter here.
+  for (const bool is_signed : {true, false}) {
+    for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+      const auto top = TopKBruteForce(data, queries.Row(qi), 2, is_signed);
+      ASSERT_GT(top[0].value, top[1].value) << "query " << qi;
+    }
+  }
+  JoinSpec spec;
+  spec.s = 0.8;
+  spec.c = 0.9;
+
+  const BruteForceIndex brute(data);
+  const TreeMipsIndex tree(data, 8, &rng);
+  const DualBallTransform transform(16, 1.0);
+  const SimHashFamily base(transform.output_dim());
+  const LshMipsIndex lsh(data, &transform, base, {.k = 8, .l = 32}, &rng);
+
+  // Every path finds each planted row (the planted scores are positive,
+  // so signed and unsigned agree) and no noise query clears cs = 0.72;
+  // only the work differs.
+  const std::vector<JoinPin> pins = {
+      {127, 0x3fe9a4b000000000}, {203, 0x3fe91f6c00000000},
+      {37, 0x3fe9586400000000},  {60, 0x3fea225200000000},
+      {291, 0x3fe9e1d000000000}, {79, 0x3fe9979400000000},
+      {248, 0x3fea004a00000000}, {28, 0x3fe96e5800000000},
+      {93, 0x3fe9b70c00000000},  {275, 0x3fe96a5600000000},
+      {91, 0x3fe9bc8e00000000},  {94, 0x3fe9eed200000000},
+      {-1, 0},                   {-1, 0},
+      {-1, 0},                   {-1, 0}};
+  spec.is_signed = true;
+  ExpectJoinPinned(IndexJoin(brute, queries, spec), 4800, pins);
+  ExpectJoinPinned(IndexJoin(tree, queries, spec), 1058, pins);
+  ExpectJoinPinned(IndexJoin(lsh, queries, spec), 447, pins);
+  spec.is_signed = false;
+  ExpectJoinPinned(IndexJoin(brute, queries, spec), 4800, pins);
+  ExpectJoinPinned(IndexJoin(tree, queries, spec), 1705, pins);
 }
 
 TEST(VerifyJoinContractTest, CountsViolations) {
