@@ -58,14 +58,17 @@ int main() {
   const auto index = OrDie(ips::LshMipsIndex::Create(
       instance.data, &transform, sphere_hash, params, &rng));
 
-  // 4. Search.
+  // 4. Search: the (cs, s)-search is a top-1 Query plus the threshold.
+  ips::QueryOptions options;
+  options.k = 1;
+  options.is_signed = spec.is_signed;
   std::cout << "query -> (data index, inner product)\n";
   for (std::size_t qi = 0; qi < instance.queries.rows(); ++qi) {
-    const auto match = index->Search(instance.queries.Row(qi), spec);
-    if (match.has_value()) {
-      std::cout << "  q" << qi << " -> (p" << match->index << ", "
-                << match->value << ")";
-      std::cout << (match->index == instance.plants[qi] ? "  [planted]"
+    const auto top = OrDie(index->Query(instance.queries.Row(qi), options));
+    if (!top.empty() && top[0].value >= spec.cs()) {
+      std::cout << "  q" << qi << " -> (p" << top[0].index << ", "
+                << top[0].value << ")";
+      std::cout << (top[0].index == instance.plants[qi] ? "  [planted]"
                                                         : "")
                 << "\n";
     } else {

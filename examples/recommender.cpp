@@ -21,7 +21,6 @@
 #include "rng/random.h"
 #include "util/status.h"
 #include "util/table.h"
-#include "util/timer.h"
 
 namespace {
 
@@ -74,22 +73,20 @@ int main() {
                            "query ms (total)"});
 
   auto evaluate = [&](const ips::MipsIndex& index, bool unsigned_scores) {
+    ips::JoinSpec engine_spec = spec;
+    engine_spec.is_signed = !unsigned_scores;
+    const ips::JoinResult result = ips::IndexJoin(index, users, engine_spec);
     std::size_t correct = 0;
-    const std::size_t before = index.InnerProductsEvaluated();
-    ips::WallTimer timer;
     for (std::size_t u = 0; u < kUsers; ++u) {
-      ips::JoinSpec engine_spec = spec;
-      engine_spec.is_signed = !unsigned_scores;
-      const auto match = index.Search(users.Row(u), engine_spec);
-      if (match.has_value() && match->index == truth[u]) ++correct;
+      const auto& match = result.per_query[u];
+      if (match.has_value() && match->data == truth[u]) ++correct;
     }
-    const double ms = timer.Millis();
     const double products =
-        static_cast<double>(index.InnerProductsEvaluated() - before) /
-        kUsers;
+        static_cast<double>(result.inner_products) / kUsers;
     table.AddRow({index.Name(),
                   ips::FormatFixed(static_cast<double>(correct) / kUsers, 3),
-                  ips::FormatFixed(products, 1), ips::FormatFixed(ms, 2)});
+                  ips::FormatFixed(products, 1),
+                  ips::FormatFixed(result.seconds * 1e3, 2)});
   };
 
   // Every engine with a validated factory is built through it: a bad

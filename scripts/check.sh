@@ -75,8 +75,9 @@ run_tsan() {
   cmake -B build-tsan -S . -DIPS_SANITIZE=thread \
     -DIPS_BUILD_BENCHMARKS=OFF -DIPS_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-tsan -j"$JOBS" \
-    --target util_test obs_test chaos_test serve_test sharded_test serve_quickstart
-  (cd build-tsan && ctest --output-on-failure -R 'util_test|obs_test|chaos_test|serve_test|sharded_test')
+    --target util_test obs_test core_test chaos_test serve_test sharded_test \
+    serve_quickstart
+  (cd build-tsan && ctest --output-on-failure -R 'util_test|obs_test|core_test|chaos_test|serve_test|sharded_test')
   echo "=== TSan serve quickstart ==="
   ./build-tsan/examples/serve_quickstart
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <utility>
 
@@ -15,10 +14,6 @@
 
 namespace ips {
 namespace {
-
-double Score(double value, const JoinSpec& spec) {
-  return spec.is_signed ? value : std::abs(value);
-}
 
 // Shared head of every index's unified Query entry point: validated
 // options and query, plus an index-owned Trace when the caller asked
@@ -48,12 +43,6 @@ void PublishQuery(std::unique_ptr<Trace> owned, QueryStats local,
     local.trace = std::shared_ptr<const Trace>(std::move(owned));
   }
   if (stats != nullptr) *stats = std::move(local);
-}
-
-std::optional<SearchMatch> FilterByThreshold(const SearchMatch& best,
-                                             const JoinSpec& spec) {
-  if (best.value >= spec.cs()) return best;
-  return std::nullopt;
 }
 
 // Shared validation of every index factory: the dataset itself.
@@ -156,21 +145,6 @@ StatusOr<std::unique_ptr<BruteForceIndex>> BruteForceIndex::Create(
     const Matrix& data) {
   IPS_RETURN_IF_ERROR(ValidateIndexData(data));
   return std::make_unique<BruteForceIndex>(data);
-}
-
-std::optional<SearchMatch> BruteForceIndex::Search(
-    std::span<const double> q, const JoinSpec& spec) const {
-  SearchMatch best;
-  best.value = -std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < data_->rows(); ++i) {
-    const double score = Score(kernels::Dot(data_->Row(i), q), spec);
-    ++evaluated_;
-    if (score > best.value) {
-      best.value = score;
-      best.index = i;
-    }
-  }
-  return FilterByThreshold(best, spec);
 }
 
 StatusOr<std::vector<SearchMatch>> BruteForceIndex::Query(
@@ -277,25 +251,10 @@ StatusOr<std::unique_ptr<TreeMipsIndex>> TreeMipsIndex::Restore(
       new TreeMipsIndex(data, std::move(tree)));
 }
 
-std::optional<SearchMatch> TreeMipsIndex::Search(std::span<const double> q,
-                                                 const JoinSpec& spec) const {
-  const MipsResult result =
-      spec.is_signed ? tree_.QueryMax(q) : tree_.QueryMaxAbs(q);
-  evaluated_ += result.evaluated;
-  SearchMatch best;
-  best.index = result.index;
-  best.value = Score(kernels::Dot(data_->Row(result.index), q), spec);
-  return FilterByThreshold(best, spec);
-}
-
 StatusOr<std::vector<SearchMatch>> TreeMipsIndex::Query(
     std::span<const double> q, const QueryOptions& options, QueryStats* stats,
     Trace* trace) const {
   IPS_RETURN_IF_ERROR(ValidateQueryInputs(q, dim(), options));
-  if (!options.is_signed) {
-    return Status::InvalidArgument(
-        "ball-tree top-k answers signed queries only");
-  }
   if (options.precision != QueryPrecision::kAuto &&
       options.precision != QueryPrecision::kExact) {
     return Status::InvalidArgument(
@@ -311,7 +270,8 @@ StatusOr<std::vector<SearchMatch>> TreeMipsIndex::Query(
   TreeQueryInfo info;
   {
     TraceSpan span(t, "tree");
-    for (const auto& [index, value] : tree_.QueryTopK(q, options.k, t, &info)) {
+    for (const auto& [index, value] :
+         tree_.QueryTopK(q, options.k, options.is_signed, t, &info)) {
       matches.push_back({index, value});
     }
   }
@@ -327,10 +287,6 @@ StatusOr<std::vector<SearchMatch>> TreeMipsIndex::Query(
 StatusOr<std::vector<QueryResult>> TreeMipsIndex::BatchQuery(
     const Matrix& queries, const QueryOptions& options) const {
   IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  if (!options.is_signed) {
-    return Status::InvalidArgument(
-        "ball-tree top-k answers signed queries only");
-  }
   if (options.precision != QueryPrecision::kAuto &&
       options.precision != QueryPrecision::kExact) {
     return Status::InvalidArgument(
@@ -437,31 +393,6 @@ StatusOr<std::unique_ptr<LshMipsIndex>> LshMipsIndex::CreateFromBuckets(
       (transform != nullptr ? transform->Name() + "+" : std::string()) +
       base_family.Name() + "]";
   return index;
-}
-
-std::optional<SearchMatch> LshMipsIndex::Search(std::span<const double> q,
-                                                const JoinSpec& spec) const {
-  std::vector<double> transformed;
-  std::span<const double> probe = q;
-  if (transform_ != nullptr) {
-    transformed = transform_->TransformQuery(q);
-    probe = transformed;
-  }
-  const std::vector<std::size_t> candidates = tables_->Query(probe);
-  ++queries_;
-  candidates_ += candidates.size();
-  SearchMatch best;
-  best.value = -std::numeric_limits<double>::infinity();
-  for (std::size_t index : candidates) {
-    const double score = Score(kernels::Dot(data_->Row(index), q), spec);
-    ++evaluated_;
-    if (score > best.value) {
-      best.value = score;
-      best.index = index;
-    }
-  }
-  if (candidates.empty()) return std::nullopt;
-  return FilterByThreshold(best, spec);
 }
 
 StatusOr<std::vector<SearchMatch>> LshMipsIndex::Query(
@@ -595,12 +526,6 @@ std::vector<std::size_t> LshMipsIndex::Candidates(
   return tables_->Query(q);
 }
 
-double LshMipsIndex::MeanCandidates() const {
-  return queries_ == 0 ? 0.0
-                       : static_cast<double>(candidates_) /
-                             static_cast<double>(queries_);
-}
-
 namespace {
 
 // The §4.3 argmax tree answers exactly one query shape: unsigned
@@ -682,18 +607,6 @@ StatusOr<std::vector<QueryResult>> SketchIndex::BatchQuery(
                           UsesArgmaxDescent(options) ? "sketch.batch"
                                                      : "sketch.filter.batch",
                           /*fallback=*/false);
-}
-
-std::optional<SearchMatch> SketchIndex::Search(std::span<const double> q,
-                                               const JoinSpec& spec) const {
-  IPS_CHECK(!spec.is_signed)
-      << "the Section 4.3 sketch index answers unsigned queries only";
-  const std::size_t index = sketch_.RecoverArgmax(q);
-  ++evaluated_;
-  SearchMatch best;
-  best.index = index;
-  best.value = std::abs(kernels::Dot(data_->Row(index), q));
-  return FilterByThreshold(best, spec);
 }
 
 }  // namespace ips

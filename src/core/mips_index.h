@@ -29,7 +29,6 @@
 #define IPS_CORE_MIPS_INDEX_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -61,20 +60,13 @@ class MipsIndex {
   /// Dimension of the indexed data (and of every valid query).
   virtual std::size_t dim() const = 0;
 
-  /// Best match the index can certify for query `q` under `spec`, with
-  /// its exact score; nullopt when no candidate reaches spec.cs().
-  virtual std::optional<SearchMatch> Search(std::span<const double> q,
-                                            const JoinSpec& spec) const = 0;
-
-  /// Exact inner products evaluated since construction (work measure).
-  virtual std::size_t InnerProductsEvaluated() const = 0;
-
-  /// Unified top-k entry point (core::QueryOptions / core::QueryStats,
-  /// see DESIGN.md §8). Unlike Search, this path is thread-safe: it is
-  /// const and mutates no index-local counters — work is reported
-  /// through `stats` and the global MetricsRegistry. Returns
-  /// kInvalidArgument for options the path cannot honor (e.g. signed
-  /// queries on the sketch path, k > 1 on the sketch path).
+  /// The one search entry point (core::QueryOptions / core::QueryStats,
+  /// see DESIGN.md §8); the (cs, s)-search of Definition 1 is Query
+  /// with k = 1 plus a threshold check (IndexJoin). Thread-safe: it is
+  /// const and mutates no index-local state — work is reported through
+  /// `stats` and the global MetricsRegistry. Returns kInvalidArgument
+  /// for options the path cannot honor (e.g. exact precision on the
+  /// sketch path, quantized precision on the tree).
   ///
   /// When options.trace is set and `trace` is null, a fresh per-query
   /// Trace is allocated and published via stats->trace; callers holding
@@ -121,9 +113,6 @@ class BruteForceIndex : public MipsIndex {
 
   std::string Name() const override { return "brute-force"; }
   std::size_t dim() const override { return data_->cols(); }
-  std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
   /// Precision: kAuto / kExact run the exact scan; kQuantizedRerank
   /// runs the two-stage int8 estimate + exact re-rank; kSketchFilter is
   /// rejected (filtered scans live on the sketch index).
@@ -144,7 +133,6 @@ class BruteForceIndex : public MipsIndex {
  private:
   const Matrix* data_;
   QuantizedMatrix quant_;
-  mutable std::size_t evaluated_ = 0;
 };
 
 /// Exact ball-tree branch-and-bound (tree/mips_tree.h).
@@ -165,10 +153,8 @@ class TreeMipsIndex : public MipsIndex {
 
   std::string Name() const override { return "ball-tree"; }
   std::size_t dim() const override { return data_->cols(); }
-  std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
-  /// Signed queries only (the tree's unsigned bound is looser).
+  /// Exact top-k, signed or unsigned (the unsigned descent prunes on
+  /// the looser |q^T c| + ||q|| r bound, so it scores more points).
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
       QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
@@ -177,8 +163,8 @@ class TreeMipsIndex : public MipsIndex {
   [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options) const override;
 
-  /// The underlying ball tree, for callers that drive the (thread-safe,
-  /// counter-free) QueryTopK / QueryMax primitives themselves.
+  /// The underlying ball tree, for callers that drive its (thread-safe)
+  /// QueryTopK descent themselves.
   const MipsBallTree& tree() const { return tree_; }
 
  private:
@@ -187,7 +173,6 @@ class TreeMipsIndex : public MipsIndex {
 
   const Matrix* data_;
   MipsBallTree tree_;
-  mutable std::size_t evaluated_ = 0;
 };
 
 /// (A)LSH index: optional transform into hash space, (K, L) tables on
@@ -222,9 +207,6 @@ class LshMipsIndex : public MipsIndex {
 
   std::string Name() const override { return name_; }
   std::size_t dim() const override { return data_->cols(); }
-  std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
   /// The full hash -> bucket -> dedup -> verify -> top-k pipeline under
   /// one "lsh" span when traced. Precision: kAuto / kExact verify every
   /// candidate exactly; kQuantizedRerank prunes large candidate sets
@@ -238,9 +220,6 @@ class LshMipsIndex : public MipsIndex {
   /// loaded once and scored against every query that bucketed it.
   [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options) const override;
-
-  /// Mean number of candidates per query so far (work diagnostic).
-  double MeanCandidates() const;
 
   /// Raw candidate set for `q` (data row indices), for callers that
   /// re-rank themselves (e.g. top-k retrieval, core/top_k.h).
@@ -259,9 +238,6 @@ class LshMipsIndex : public MipsIndex {
   std::unique_ptr<LshTables> tables_;
   QuantizedMatrix quant_;
   std::string name_;
-  mutable std::size_t evaluated_ = 0;
-  mutable std::size_t queries_ = 0;
-  mutable std::size_t candidates_ = 0;
 };
 
 /// One validated configuration for the whole sketch layer. This is the
@@ -296,10 +272,6 @@ class SketchIndex : public MipsIndex {
 
   std::string Name() const override { return "sketch-mips"; }
   std::size_t dim() const override { return data_->cols(); }
-  /// Search keeps the Section 4.3 contract: unsigned only (CHECKs).
-  std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
   /// Unsigned k=1 with kAuto precision descends the argmax tree;
   /// everything else (any sign, any k, or forced kSketchFilter) runs
   /// the filter's estimate + exact re-rank. kExact and kQuantizedRerank
@@ -321,7 +293,6 @@ class SketchIndex : public MipsIndex {
   SketchConfig config_;
   SketchMipsIndex sketch_;
   InnerProductFilter filter_;
-  mutable std::size_t evaluated_ = 0;
 };
 
 }  // namespace ips

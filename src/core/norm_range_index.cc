@@ -45,54 +45,16 @@ NormRangeIndex::NormRangeIndex(const Matrix& data,
   }
 }
 
-std::optional<SearchMatch> NormRangeIndex::Search(std::span<const double> q,
-                                                  const JoinSpec& spec) const {
-  IPS_CHECK(spec.is_signed) << "NormRangeIndex answers signed MIPS";
-  const double query_norm = kernels::Norm(q);
-  if (query_norm == 0.0) return std::nullopt;
-  const std::vector<double> direction = kernels::Normalized(q);
-
-  SearchMatch best;
-  best.value = -std::numeric_limits<double>::infinity();
-  for (const Bucket& bucket : buckets_) {
-    const double bucket_bound = bucket.max_norm * query_norm;
-    // Prune: nothing in this (or any later) bucket can beat both the
-    // current best and the cs threshold.
-    if (bucket_bound <= std::max(best.value, spec.cs())) {
-      buckets_pruned_ += 1;
-      break;
-    }
-    const double local_cosine =
-        std::max(best.value, spec.cs()) / bucket_bound;
-    auto consider = [&](std::size_t position) {
-      const std::uint32_t member = bucket.members[position];
-      const double value = kernels::Dot(data_->Row(member), q);
-      ++evaluated_;
-      if (value > best.value) {
-        best.value = value;
-        best.index = member;
-      }
-    };
-    if (local_cosine >= params_.lsh_cosine_threshold) {
-      // Selective regime: probe the bucket's cosine tables.
-      for (std::size_t position : bucket.tables->Query(direction)) {
-        consider(position);
-      }
-    } else {
-      // Low local threshold: scanning is cheaper than high-recall LSH.
-      for (std::size_t position = 0; position < bucket.members.size();
-           ++position) {
-        consider(position);
-      }
-    }
-  }
-  if (best.value >= spec.cs()) return best;
-  return std::nullopt;
-}
-
 StatusOr<std::vector<SearchMatch>> NormRangeIndex::Query(
     std::span<const double> q, const QueryOptions& options, QueryStats* stats,
     Trace* trace) const {
+  return QueryAbove(q, options, -std::numeric_limits<double>::infinity(),
+                    stats, trace);
+}
+
+StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
+    std::span<const double> q, const QueryOptions& options, double floor,
+    QueryStats* stats, Trace* trace) const {
   static Counter* const queries =
       MetricsRegistry::Global().GetCounter("core.normrange.queries");
   static Counter* const buckets_visited =
@@ -111,6 +73,13 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::Query(
   if (!options.is_signed) {
     return Status::InvalidArgument(
         "norm-range top-k answers signed queries only");
+  }
+  if (options.precision != QueryPrecision::kAuto &&
+      options.precision != QueryPrecision::kExact) {
+    return Status::InvalidArgument(
+        "norm-range top-k is exact only (its bucket prune bounds exact "
+        "scores); use brute/lsh for quantized re-rank or the sketch index "
+        "for filtered scans");
   }
   std::unique_ptr<Trace> owned;
   if (options.trace && trace == nullptr) {
@@ -131,21 +100,22 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::Query(
         if (a.value != b.value) return a.value > b.value;
         return a.index < b.index;
       };
-      // Score of the k-th best so far: the bucket prune bound (no
-      // threshold here, unlike Search, so top-k stands in for cs).
-      const auto kth = [&]() {
-        return best.size() < options.k
-                   ? -std::numeric_limits<double>::infinity()
-                   : best.back().value;
+      // The score a new match must beat: the k-th best so far, or the
+      // floor while that is higher (or fewer than k matches are held).
+      const auto bar = [&]() {
+        return best.size() < options.k ? floor
+                                        : std::max(best.back().value, floor);
       };
       for (const Bucket& bucket : buckets_) {
         const double bucket_bound = bucket.max_norm * query_norm;
-        if (bucket_bound <= kth()) {
+        // Prune: nothing in this (or any later, smaller-norm) bucket can
+        // beat the bar.
+        if (bucket_bound <= bar()) {
           pruned = buckets_.size() - visited;
           break;
         }
         ++visited;
-        const double local_cosine = kth() / bucket_bound;
+        const double local_cosine = bar() / bucket_bound;
         auto consider = [&](std::size_t position) {
           const std::uint32_t member = bucket.members[position];
           const SearchMatch m{member, kernels::Dot(data_->Row(member), q)};
@@ -155,16 +125,21 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::Query(
           if (best.size() > options.k) best.pop_back();
         };
         if (local_cosine >= params_.lsh_cosine_threshold) {
+          // Selective regime: probe the bucket's cosine tables.
           for (std::size_t position : bucket.tables->Query(direction)) {
             consider(position);
           }
         } else {
+          // Low local threshold: scanning is cheaper than high-recall LSH.
           for (std::size_t position = 0; position < bucket.members.size();
                ++position) {
             consider(position);
           }
         }
       }
+      // Matches below the floor may not be the true top-k (the prune
+      // ignored them), so they are not reported.
+      while (!best.empty() && best.back().value < floor) best.pop_back();
     }
     span.AddCount("buckets_visited", visited);
     span.AddCount("buckets_pruned", pruned);

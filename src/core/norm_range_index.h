@@ -44,20 +44,23 @@ class NormRangeIndex : public MipsIndex {
 
   std::string Name() const override { return "norm-range(lemp)"; }
   std::size_t dim() const override { return data_->cols(); }
-  std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override { return evaluated_; }
-  /// Signed top-k over the norm-sorted buckets, pruning against the
-  /// k-th best score so far; unlike Search this path is const-clean
-  /// (no mutable counters) and reports through stats/"core.normrange.*".
+  /// Signed top-k over the norm-sorted buckets: QueryAbove with no
+  /// floor. Exact precision only (kAuto / kExact); reports through
+  /// stats and "core.normrange.*".
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
       QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
 
-  std::size_t num_buckets() const { return buckets_.size(); }
+  /// Query restricted to matches scoring >= `floor`: the bucket prune
+  /// runs against max(k-th best so far, floor), so buckets that cannot
+  /// reach the floor are never opened, and only matches >= floor are
+  /// returned. With k = 1 and floor = cs this is the (cs, s)-search of
+  /// Definition 1, which IndexJoin runs on this index.
+  [[nodiscard]] StatusOr<std::vector<SearchMatch>> QueryAbove(
+      std::span<const double> q, const QueryOptions& options, double floor,
+      QueryStats* stats = nullptr, Trace* trace = nullptr) const;
 
-  /// Buckets pruned (never opened) across all queries so far.
-  std::size_t BucketsPruned() const { return buckets_pruned_; }
+  std::size_t num_buckets() const { return buckets_.size(); }
 
  private:
   struct Bucket {
@@ -72,8 +75,6 @@ class NormRangeIndex : public MipsIndex {
   const Matrix* data_;
   NormRangeParams params_;
   std::vector<Bucket> buckets_;  // descending max_norm
-  mutable std::size_t evaluated_ = 0;
-  mutable std::size_t buckets_pruned_ = 0;
 };
 
 }  // namespace ips

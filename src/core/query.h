@@ -74,7 +74,7 @@ std::string_view QueryPrecisionName(QueryPrecision precision);
 
 /// One top-k query, uniform across the engine, the scheduler, and every
 /// index. Fields an answer path cannot honor are rejected (forced tree
-/// on unsigned queries). Purely algorithmic: transport-level fields
+/// with a quantized precision). Purely algorithmic: transport-level fields
 /// (tenant, priority, deadline) live in serve::RequestContext so batch
 /// coalescing can key on this struct alone.
 struct QueryOptions {
@@ -86,7 +86,7 @@ struct QueryOptions {
   bool is_signed = true;
   /// Bypass the planner and force an answer path (A/B comparisons,
   /// benchmarks). The forced path must be able to answer the request
-  /// (e.g. tree is signed-only) or the query returns kInvalidArgument.
+  /// (e.g. the tree is exact-only) or the query returns kInvalidArgument.
   std::optional<QueryAlgo> force_algorithm;
   /// Scoring precision. kAuto lets the planner pick any variant whose
   /// calibrated recall clears the target; an explicit value forces the

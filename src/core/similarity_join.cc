@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
+#include <utility>
 
+#include "core/norm_range_index.h"
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
@@ -45,6 +47,67 @@ void RecordIndexJoinRun(const JoinResult& result, std::size_t queries) {
   seconds->Observe(result.seconds);
 }
 
+// The exact scan over queries [begin, end): each query's best data row
+// is recorded when it reaches spec.s. Returns the inner products spent.
+std::size_t ExactJoinChunk(const Matrix& data, const Matrix& queries,
+                           const JoinSpec& spec, std::size_t begin,
+                           std::size_t end, JoinResult* result) {
+  std::size_t products = 0;
+  for (std::size_t qi = begin; qi < end; ++qi) {
+    const std::span<const double> q = queries.Row(qi);
+    SearchMatch best;
+    best.value = -std::numeric_limits<double>::infinity();
+    for (std::size_t di = 0; di < data.rows(); ++di) {
+      const double raw = kernels::Dot(data.Row(di), q);
+      const double score = spec.is_signed ? raw : std::abs(raw);
+      ++products;
+      if (score > best.value) {
+        best.value = score;
+        best.index = di;
+      }
+    }
+    if (best.value >= spec.s) {
+      result->per_query[qi] = JoinMatch{qi, best.index, best.value};
+    }
+  }
+  return products;
+}
+
+// The one index-join loop: Definition 1's (cs, s)-search is a k = 1
+// Query per row, matched iff the top-1 scores >= spec.cs(); work is the
+// sum of the per-query dot products. The norm-range index prunes its
+// buckets on the threshold itself (QueryAbove), so it is asked for
+// matches >= cs directly. A Query failure (options the index cannot
+// honor) fails the whole join.
+StatusOr<JoinResult> RunIndexJoin(const MipsIndex& index,
+                                  const Matrix& queries,
+                                  const JoinSpec& spec) {
+  const auto* norm_range = dynamic_cast<const NormRangeIndex*>(&index);
+  QueryOptions options;
+  options.k = 1;
+  options.is_signed = spec.is_signed;
+  JoinResult result;
+  result.per_query.resize(queries.rows());
+  WallTimer timer;
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    QueryStats stats;
+    auto matches =
+        norm_range != nullptr
+            ? norm_range->QueryAbove(queries.Row(qi), options, spec.cs(),
+                                     &stats)
+            : index.Query(queries.Row(qi), options, &stats);
+    IPS_RETURN_IF_ERROR(matches.status());
+    result.inner_products += stats.dot_products;
+    if (!matches->empty() && matches->front().value >= spec.cs()) {
+      const SearchMatch& best = matches->front();
+      result.per_query[qi] = JoinMatch{qi, best.index, best.value};
+    }
+  }
+  result.seconds = timer.Seconds();
+  RecordIndexJoinRun(result, queries.rows());
+  return result;
+}
+
 }  // namespace
 
 Status ValidateJoinSpec(const JoinSpec& spec) {
@@ -69,25 +132,7 @@ JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
   WallTimer timer;
   std::atomic<std::size_t> inner_products{0};
   ParallelFor(pool, queries.rows(), [&](std::size_t begin, std::size_t end) {
-    std::size_t local_products = 0;
-    for (std::size_t qi = begin; qi < end; ++qi) {
-      const std::span<const double> q = queries.Row(qi);
-      SearchMatch best;
-      best.value = -std::numeric_limits<double>::infinity();
-      for (std::size_t di = 0; di < data.rows(); ++di) {
-        const double raw = kernels::Dot(data.Row(di), q);
-        const double score = spec.is_signed ? raw : std::abs(raw);
-        ++local_products;
-        if (score > best.value) {
-          best.value = score;
-          best.index = di;
-        }
-      }
-      if (best.value >= spec.s) {
-        result.per_query[qi] = JoinMatch{qi, best.index, best.value};
-      }
-    }
-    inner_products += local_products;
+    inner_products += ExactJoinChunk(data, queries, spec, begin, end, &result);
   });
   result.seconds = timer.Seconds();
   result.inner_products = inner_products.load();
@@ -97,20 +142,9 @@ JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
 
 JoinResult IndexJoin(const MipsIndex& index, const Matrix& queries,
                      const JoinSpec& spec) {
-  JoinResult result;
-  result.per_query.resize(queries.rows());
-  WallTimer timer;
-  const std::size_t products_before = index.InnerProductsEvaluated();
-  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-    const auto match = index.Search(queries.Row(qi), spec);
-    if (match.has_value()) {
-      result.per_query[qi] = JoinMatch{qi, match->index, match->value};
-    }
-  }
-  result.seconds = timer.Seconds();
-  result.inner_products = index.InnerProductsEvaluated() - products_before;
-  RecordIndexJoinRun(result, queries.rows());
-  return result;
+  auto result = RunIndexJoin(index, queries, spec);
+  IPS_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
@@ -133,25 +167,8 @@ StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
       pool, queries.rows(),
       [&](std::size_t begin, std::size_t end) -> Status {
         IPS_FAILPOINT("core/exact-join-chunk");
-        std::size_t local_products = 0;
-        for (std::size_t qi = begin; qi < end; ++qi) {
-          const std::span<const double> q = queries.Row(qi);
-          SearchMatch best;
-          best.value = -std::numeric_limits<double>::infinity();
-          for (std::size_t di = 0; di < data.rows(); ++di) {
-            const double raw = kernels::Dot(data.Row(di), q);
-            const double score = spec.is_signed ? raw : std::abs(raw);
-            ++local_products;
-            if (score > best.value) {
-              best.value = score;
-              best.index = di;
-            }
-          }
-          if (best.value >= spec.s) {
-            result.per_query[qi] = JoinMatch{qi, best.index, best.value};
-          }
-        }
-        inner_products += local_products;
+        inner_products +=
+            ExactJoinChunk(data, queries, spec, begin, end, &result);
         return Status::Ok();
       });
   IPS_RETURN_IF_ERROR(status);
@@ -168,7 +185,7 @@ StatusOr<JoinResult> IndexJoinChecked(const MipsIndex& index,
   IPS_RETURN_IF_ERROR(ValidateNonEmpty(queries, "queries"));
   IPS_RETURN_IF_ERROR(ValidateFinite(queries, "queries"));
   IPS_RETURN_IF_ERROR(ValidateDims(queries, index.dim(), "queries"));
-  return IndexJoin(index, queries, spec);
+  return RunIndexJoin(index, queries, spec);
 }
 
 std::size_t VerifyJoinContract(const JoinResult& result,

@@ -29,7 +29,10 @@ Status ValidateJoinSpec(const JoinSpec& spec);
 JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
                      const JoinSpec& spec, ThreadPool* pool = nullptr);
 
-/// Approximate join driven by any MipsIndex: one Search per query.
+/// Approximate join driven by any MipsIndex: one k = 1 Query per query
+/// row, matched iff its top-1 scores >= spec.cs(); inner_products sums
+/// the per-query QueryStats::dot_products. IPS_CHECKs that the index
+/// accepts the request (use IndexJoinChecked to get a Status instead).
 JoinResult IndexJoin(const MipsIndex& index, const Matrix& queries,
                      const JoinSpec& spec);
 
@@ -44,7 +47,9 @@ StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
                                       ThreadPool* pool = nullptr);
 
 /// Validated flavor of IndexJoin: rejects an invalid spec and queries
-/// that are empty, non-finite, or of the wrong dimension for `index`.
+/// that are empty, non-finite, or of the wrong dimension for `index`,
+/// and returns the index's Status when it cannot answer the request
+/// (e.g. an unsigned spec on the signed-only norm-range index).
 StatusOr<JoinResult> IndexJoinChecked(const MipsIndex& index,
                                       const Matrix& queries,
                                       const JoinSpec& spec);

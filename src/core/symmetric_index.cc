@@ -67,26 +67,6 @@ bool SymmetricMipsIndex::LookupExact(std::span<const double> q,
   return false;
 }
 
-std::optional<SearchMatch> SymmetricMipsIndex::Search(
-    std::span<const double> q, const JoinSpec& spec) const {
-  // Section 4.2's initial step: if q is itself a data vector, the LSH
-  // guarantee does not cover the (q, q) pair; answer it exactly.
-  std::size_t exact_index = 0;
-  if (LookupExact(q, &exact_index)) {
-    const double raw = kernels::Dot(q, q);
-    const double score = spec.is_signed ? raw : std::abs(raw);
-    if (score >= spec.cs()) {
-      return SearchMatch{exact_index, score};
-    }
-    // q^T q below threshold: fall through to the LSH for other matches.
-  }
-  return lsh_.Search(q, spec);
-}
-
-std::size_t SymmetricMipsIndex::InnerProductsEvaluated() const {
-  return lsh_.InnerProductsEvaluated();
-}
-
 StatusOr<std::vector<SearchMatch>> SymmetricMipsIndex::Query(
     std::span<const double> q, const QueryOptions& options, QueryStats* stats,
     Trace* trace) const {

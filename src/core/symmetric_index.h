@@ -42,9 +42,6 @@ class SymmetricMipsIndex : public MipsIndex {
 
   std::string Name() const override { return "symmetric-incoherent-lsh"; }
   std::size_t dim() const override { return data_->cols(); }
-  std::optional<SearchMatch> Search(std::span<const double> q,
-                                    const JoinSpec& spec) const override;
-  std::size_t InnerProductsEvaluated() const override;
   /// Membership check (a "membership" span) followed by the inner LSH
   /// pipeline; an exact self-match the tables missed is spliced into
   /// the top-k.

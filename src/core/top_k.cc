@@ -10,16 +10,36 @@
 namespace ips {
 namespace {
 
-std::vector<SearchMatch> KBest(std::vector<SearchMatch> scored,
-                               std::size_t k) {
-  // Score descending, then index ascending: equal scores always rank in
-  // the same order, so results are stable across engines, thread counts,
-  // and planner A/B comparisons.
-  std::sort(scored.begin(), scored.end(),
-            [](const SearchMatch& a, const SearchMatch& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.index < b.index;
-            });
+// The k best rows by score: row rows[j] scores scores[j] (row j itself
+// when `rows` is empty), as absolute values unless `is_signed`. Score
+// descending, then index ascending: equal scores always rank in the
+// same order, so results are stable across engines, thread counts, and
+// planner A/B comparisons. k = 1 (the (cs, s)-search behind IndexJoin)
+// is one pass; deeper k sorts the scored candidates.
+std::vector<SearchMatch> KBest(std::span<const double> scores,
+                               std::span<const std::size_t> rows,
+                               std::size_t k, bool is_signed) {
+  const auto order = [](const SearchMatch& a, const SearchMatch& b) {
+    if (a.value != b.value) return a.value > b.value;
+    return a.index < b.index;
+  };
+  const auto match = [&](std::size_t j) {
+    return SearchMatch{rows.empty() ? j : rows[j],
+                       is_signed ? scores[j] : std::abs(scores[j])};
+  };
+  if (k == 1) {
+    if (scores.empty()) return {};
+    SearchMatch best = match(0);
+    for (std::size_t j = 1; j < scores.size(); ++j) {
+      const SearchMatch candidate = match(j);
+      if (order(candidate, best)) best = candidate;
+    }
+    return {best};
+  }
+  std::vector<SearchMatch> scored;
+  scored.reserve(scores.size());
+  for (std::size_t j = 0; j < scores.size(); ++j) scored.push_back(match(j));
+  std::sort(scored.begin(), scored.end(), order);
   if (scored.size() > k) scored.resize(k);
   return scored;
 }
@@ -32,24 +52,7 @@ std::vector<SearchMatch> TopKBruteForce(const Matrix& data,
   IPS_CHECK_GE(k, 1u);
   std::vector<double> raw(data.rows());
   kernels::MatVec(data, q, raw);
-  std::vector<SearchMatch> scored;
-  scored.reserve(data.rows());
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    scored.push_back({i, is_signed ? raw[i] : std::abs(raw[i])});
-  }
-  return KBest(std::move(scored), k);
-}
-
-std::vector<SearchMatch> TopKBallTree(const MipsBallTree& tree,
-                                      const Matrix& data,
-                                      std::span<const double> q,
-                                      std::size_t k) {
-  (void)data;
-  std::vector<SearchMatch> result;
-  for (const auto& [index, value] : tree.QueryTopK(q, k)) {
-    result.push_back({index, value});
-  }
-  return result;
+  return KBest(raw, {}, k, is_signed);
 }
 
 std::vector<SearchMatch> TopKFromCandidates(
@@ -59,12 +62,7 @@ std::vector<SearchMatch> TopKFromCandidates(
   IPS_CHECK_GE(k, 1u);
   std::vector<double> raw(candidates.size());
   kernels::GatherScores(data, candidates, q, raw);
-  std::vector<SearchMatch> scored;
-  scored.reserve(candidates.size());
-  for (std::size_t j = 0; j < candidates.size(); ++j) {
-    scored.push_back({candidates[j], is_signed ? raw[j] : std::abs(raw[j])});
-  }
-  return KBest(std::move(scored), k);
+  return KBest(raw, candidates, k, is_signed);
 }
 
 std::vector<SearchMatch> QueryBruteForce(const Matrix& data,
@@ -99,22 +97,16 @@ std::vector<SearchMatch> QueryFromCandidates(
     QueryStats* stats, Trace* trace) {
   static Counter* const verified =
       MetricsRegistry::Global().GetCounter("core.candidates_verified");
-  std::vector<SearchMatch> scored;
+  std::vector<double> raw(candidates.size());
   {
     TraceSpan span(trace, "verify");
-    std::vector<double> raw(candidates.size());
     kernels::GatherScores(data, candidates, q, raw);
-    scored.reserve(candidates.size());
-    for (std::size_t j = 0; j < candidates.size(); ++j) {
-      scored.push_back(
-          {candidates[j], options.is_signed ? raw[j] : std::abs(raw[j])});
-    }
     span.AddCount("candidates", candidates.size());
   }
   std::vector<SearchMatch> matches;
   {
     TraceSpan span(trace, "top-k");
-    matches = KBest(std::move(scored), options.k);
+    matches = KBest(raw, candidates, options.k, options.is_signed);
     span.AddCount("k", options.k);
   }
   verified->Add(candidates.size());

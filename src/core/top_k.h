@@ -28,7 +28,6 @@
 #include "linalg/quantized.h"
 #include "obs/trace.h"
 #include "sketch/filter.h"
-#include "tree/mips_tree.h"
 
 namespace ips {
 
@@ -38,14 +37,6 @@ namespace ips {
 std::vector<SearchMatch> TopKBruteForce(const Matrix& data,
                                         std::span<const double> q,
                                         std::size_t k, bool is_signed);
-
-/// Exact top-k via the ball tree: branch-and-bound against the k-th
-/// best score so far. Signed scores only (the tree's unsigned bound is
-/// looser; use TopKBruteForce for unsigned top-k).
-std::vector<SearchMatch> TopKBallTree(const MipsBallTree& tree,
-                                      const Matrix& data,
-                                      std::span<const double> q,
-                                      std::size_t k);
 
 /// Approximate top-k from an LshMipsIndex's candidate set: the k best
 /// verified candidates (may return fewer than k).

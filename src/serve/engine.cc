@@ -389,9 +389,12 @@ StatusOr<PlanDecision> Engine::MakePlan(const QueryOptions& options,
   if (options.force_algorithm.has_value()) {
     IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
     const QueryAlgo forced = *options.force_algorithm;
+    // The serve layer routes only signed requests to the tree, forced
+    // or planned alike: its cost model is calibrated on signed descents
+    // (the index itself also answers unsigned ones).
     if (forced == QueryAlgo::kBallTree && !options.is_signed) {
       return Status::InvalidArgument(
-          "ball-tree top-k answers signed queries only");
+          "the serving engine routes only signed queries to the ball tree");
     }
     plan.algorithm = forced;
     // A forced path keeps the request's precision verbatim (kAuto runs

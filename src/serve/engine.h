@@ -122,8 +122,9 @@ class Engine : public QueryEngine {
   /// the planner). An index build failure surfaces as the build's
   /// Status; the engine is not poisoned and the next request retries
   /// the build. request.options.force_algorithm bypasses the planner;
-  /// the forced path must be able to answer the request (e.g. tree is
-  /// signed-only) or Query returns kInvalidArgument. deadline_met is
+  /// the forced path must be able to answer the request (e.g. the engine
+  /// routes only signed requests to the tree) or Query returns
+  /// kInvalidArgument. deadline_met is
   /// judged against request.context.deadline_seconds; tenant and
   /// priority are scheduler-level and ignored here. With feedback
   /// enabled, planner-chosen approximate answers are periodically

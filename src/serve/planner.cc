@@ -126,7 +126,9 @@ double Planner::ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
       }
       return 1.0;
     case QueryAlgo::kBallTree:
-      // The tree's top-k branch-and-bound is exact but signed-only.
+      // Exact either way, but only signed descents are planned: the
+      // unsigned bound is looser and the tree's cost is calibrated on
+      // signed probes.
       return request.is_signed ? 1.0 : 0.0;
     case QueryAlgo::kLsh: {
       if (!calibrated) return 0.0;

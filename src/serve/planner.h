@@ -11,7 +11,8 @@
 //
 //   brute+exact   : recall 1, cost n
 //   brute+quant   : measured rerank recall, cost n * quant ratio + survivors
-//   tree+exact    : recall 1 (signed only), cost n * pruning fraction
+//   tree+exact    : recall 1 (planned for signed requests), cost n *
+//                   pruning fraction
 //   lsh+exact     : measured probe recall, cost n * candidate fraction
 //   lsh+quant     : compounded recall, quantized verification of candidates
 //   sketch (§4.3) : measured argmax recall (unsigned k=1), cost ~ sketch rows

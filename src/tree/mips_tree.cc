@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <optional>
 
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
@@ -162,71 +162,8 @@ double MipsBallTree::UnsignedBound(const Node& node,
   return std::abs(kernels::Dot(node.center, q)) + q_norm * node.radius;
 }
 
-void MipsBallTree::SearchSigned(int node_index, std::span<const double> q,
-                                double q_norm, MipsResult* best) const {
-  const Node& node = nodes_[node_index];
-  if (SignedBound(node, q, q_norm) <= best->value) return;
-  if (node.IsLeaf()) {
-    for (std::size_t t = node.begin; t < node.end; ++t) {
-      const std::size_t point = point_order_[t];
-      const double value = kernels::Dot(data_->Row(point), q);
-      ++best->evaluated;
-      if (value > best->value) {
-        best->value = value;
-        best->index = point;
-      }
-    }
-    return;
-  }
-  // Visit the more promising child first for better pruning.
-  const double left_bound = SignedBound(nodes_[node.left], q, q_norm);
-  const double right_bound = SignedBound(nodes_[node.right], q, q_norm);
-  if (left_bound >= right_bound) {
-    SearchSigned(node.left, q, q_norm, best);
-    SearchSigned(node.right, q, q_norm, best);
-  } else {
-    SearchSigned(node.right, q, q_norm, best);
-    SearchSigned(node.left, q, q_norm, best);
-  }
-}
-
-void MipsBallTree::SearchUnsigned(int node_index, std::span<const double> q,
-                                  double q_norm, MipsResult* best) const {
-  const Node& node = nodes_[node_index];
-  if (UnsignedBound(node, q, q_norm) <= best->value) return;
-  if (node.IsLeaf()) {
-    for (std::size_t t = node.begin; t < node.end; ++t) {
-      const std::size_t point = point_order_[t];
-      const double value = std::abs(kernels::Dot(data_->Row(point), q));
-      ++best->evaluated;
-      if (value > best->value) {
-        best->value = value;
-        best->index = point;
-      }
-    }
-    return;
-  }
-  const double left_bound = UnsignedBound(nodes_[node.left], q, q_norm);
-  const double right_bound = UnsignedBound(nodes_[node.right], q, q_norm);
-  if (left_bound >= right_bound) {
-    SearchUnsigned(node.left, q, q_norm, best);
-    SearchUnsigned(node.right, q, q_norm, best);
-  } else {
-    SearchUnsigned(node.right, q, q_norm, best);
-    SearchUnsigned(node.left, q, q_norm, best);
-  }
-}
-
 std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
-    std::span<const double> q, std::size_t k, std::size_t* evaluated) const {
-  TreeQueryInfo info;
-  auto result = QueryTopK(q, k, nullptr, &info);
-  if (evaluated != nullptr) *evaluated = info.points_scored;
-  return result;
-}
-
-std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
-    std::span<const double> q, std::size_t k, Trace* trace,
+    std::span<const double> q, std::size_t k, bool is_signed, Trace* trace,
     TreeQueryInfo* info) const {
   IPS_CHECK_EQ(q.size(), data_->cols());
   IPS_CHECK_GE(k, 1u);
@@ -239,7 +176,9 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
   static Counter* const points_scored =
       MetricsRegistry::Global().GetCounter("tree.points_scored");
 
-  WallTimer total_timer;
+  // Only a traced descent reads the clock (the descent/leaf_scan split).
+  std::optional<WallTimer> total_timer;
+  if (trace != nullptr) total_timer.emplace();
   double leaf_seconds = 0.0;
   TreeQueryInfo local;
   const double q_norm = kernels::Norm(q);
@@ -259,6 +198,11 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
                               const std::pair<double, std::size_t>& b) {
     return worse(b, a);
   };
+  // Upper bound on the node's best score under the requested sign.
+  auto bound = [&](const Node& node) {
+    return is_signed ? SignedBound(node, q, q_norm)
+                     : UnsignedBound(node, q, q_norm);
+  };
   // Iterative DFS with best-first child ordering.
   std::vector<int> stack = {root_};
   while (!stack.empty()) {
@@ -266,15 +210,13 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
     stack.pop_back();
     const Node& node = nodes_[node_index];
     ++local.nodes_visited;
-    if (heap.size() == k && SignedBound(node, q, q_norm) < heap.front().first) {
+    if (heap.size() == k && bound(node) < heap.front().first) {
       ++local.nodes_pruned;
       continue;
     }
     if (node.IsLeaf()) {
-      // One clock read per leaf visited, amortized over the leaf's
-      // points; the descent/leaf_scan split is recorded only when
-      // tracing.
-      WallTimer leaf_timer;
+      std::optional<WallTimer> leaf_timer;
+      if (trace != nullptr) leaf_timer.emplace();
       // Score the whole leaf block through the dispatched gather
       // kernel, then feed the heap from the scratch scores.
       const std::size_t count = node.end - node.begin;
@@ -286,7 +228,8 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
           q, leaf_scores);
       for (std::size_t t = 0; t < count; ++t) {
         const std::size_t point = point_order_[node.begin + t];
-        const double value = leaf_scores[t];
+        const double value =
+            is_signed ? leaf_scores[t] : std::abs(leaf_scores[t]);
         ++leaf_points_scored;
         if (heap.size() < k) {
           heap.emplace_back(value, point);
@@ -297,12 +240,12 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
           std::push_heap(heap.begin(), heap.end(), heap_greater);
         }
       }
-      if (trace != nullptr) leaf_seconds += leaf_timer.Seconds();
+      if (leaf_timer.has_value()) leaf_seconds += leaf_timer->Seconds();
       continue;
     }
     // Push the less promising child first so the better one pops first.
-    const double left_bound = SignedBound(nodes_[node.left], q, q_norm);
-    const double right_bound = SignedBound(nodes_[node.right], q, q_norm);
+    const double left_bound = bound(nodes_[node.left]);
+    const double right_bound = bound(nodes_[node.right]);
     if (left_bound >= right_bound) {
       stack.push_back(node.right);
       stack.push_back(node.left);
@@ -322,7 +265,7 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
 
   local.points_scored = leaf_points_scored;
   if (trace != nullptr) {
-    const double total = total_timer.Seconds();
+    const double total = total_timer->Seconds();
     const std::size_t descent = trace->RecordSpan(
         "descent", std::max(0.0, total - leaf_seconds));
     trace->AddCount(descent, "nodes_visited", local.nodes_visited);
@@ -336,22 +279,6 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
   points_scored->Add(local.points_scored);
   if (info != nullptr) *info = local;
   return result;
-}
-
-MipsResult MipsBallTree::QueryMax(std::span<const double> q) const {
-  IPS_CHECK_EQ(q.size(), data_->cols());
-  MipsResult best;
-  best.value = -std::numeric_limits<double>::infinity();
-  SearchSigned(root_, q, kernels::Norm(q), &best);
-  return best;
-}
-
-MipsResult MipsBallTree::QueryMaxAbs(std::span<const double> q) const {
-  IPS_CHECK_EQ(q.size(), data_->cols());
-  MipsResult best;
-  best.value = -1.0;
-  SearchUnsigned(root_, q, kernels::Norm(q), &best);
-  return best;
 }
 
 }  // namespace ips

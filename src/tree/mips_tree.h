@@ -28,15 +28,6 @@
 
 namespace ips {
 
-/// Result of an exact MIPS query.
-struct MipsResult {
-  std::size_t index = 0;
-  double value = 0.0;
-  /// Number of leaf points whose inner product was evaluated (pruning
-  /// diagnostic; equals n when nothing could be pruned).
-  std::size_t evaluated = 0;
-};
-
 /// Per-query accounting of one branch-and-bound descent, for callers
 /// that fold the numbers into a core::QueryStats.
 struct TreeQueryInfo {
@@ -80,29 +71,19 @@ class MipsBallTree {
 
   std::size_t num_points() const { return data_->rows(); }
 
-  /// argmax_p q^T p (signed maximum), exact.
-  MipsResult QueryMax(std::span<const double> q) const;
-
-  /// argmax_p |q^T p| (unsigned maximum), exact.
-  MipsResult QueryMaxAbs(std::span<const double> q) const;
-
-  /// Exact top-k by signed inner product, descending; branch-and-bound
-  /// against the current k-th best. Ties break toward the smaller data
-  /// index, so the returned ordering is deterministic. Returns min(k, n)
-  /// entries. When `evaluated` is non-null it receives the number of
-  /// leaf points scored (pruning diagnostic, used by the serve planner).
+  /// Exact top-k by inner product, descending; branch-and-bound against
+  /// the current k-th best. Signed queries score q^T p and prune on the
+  /// signed bound; unsigned queries score |q^T p| and prune on the
+  /// unsigned bound. Ties break toward the smaller data index, so the
+  /// returned ordering is deterministic. Returns min(k, n) entries.
+  /// When `trace` is non-null, records "descent" and "leaf_scan" child
+  /// spans (leaf-scan time is accumulated across all leaves visited,
+  /// descent is the remainder) under the trace's open span; when `info`
+  /// is non-null, fills the per-query accounting. Every call bumps the
+  /// "tree.*" registry counters.
   std::vector<std::pair<std::size_t, double>> QueryTopK(
-      std::span<const double> q, std::size_t k,
-      std::size_t* evaluated = nullptr) const;
-
-  /// Instrumented flavor: when `trace` is non-null, records "descent"
-  /// and "leaf_scan" child spans (leaf-scan time is accumulated across
-  /// all leaves visited, descent is the remainder) under the trace's
-  /// open span; when `info` is non-null, fills the per-query
-  /// accounting. Every call bumps the "tree.*" registry counters.
-  std::vector<std::pair<std::size_t, double>> QueryTopK(
-      std::span<const double> q, std::size_t k, Trace* trace,
-      TreeQueryInfo* info) const;
+      std::span<const double> q, std::size_t k, bool is_signed,
+      Trace* trace = nullptr, TreeQueryInfo* info = nullptr) const;
 
   std::size_t num_nodes() const { return nodes_.size(); }
 
@@ -124,11 +105,6 @@ class MipsBallTree {
   /// Upper bound on |q^T p| over the node's ball.
   double UnsignedBound(const Node& node, std::span<const double> q,
                        double q_norm) const;
-
-  void SearchSigned(int node_index, std::span<const double> q, double q_norm,
-                    MipsResult* best) const;
-  void SearchUnsigned(int node_index, std::span<const double> q,
-                      double q_norm, MipsResult* best) const;
 
   const Matrix* data_;
   std::vector<Node> nodes_;

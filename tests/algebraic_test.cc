@@ -154,15 +154,23 @@ TEST(NormRangeIndexTest, ExactOnSkewedData) {
   spec.s = 0.0;
   spec.c = 1.0 - 1e-9;
   spec.is_signed = true;
+  const QueryOptions top1;  // k = 1, signed
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> q(kDim);
     for (double& v : q) v = rng.NextGaussian();
-    const auto got = index.Search(q, spec);
-    const auto want = brute.Search(q, spec);
-    ASSERT_EQ(got.has_value(), want.has_value());
-    if (want.has_value()) {
-      EXPECT_NEAR(got->value, want->value, 1e-9);
+    const auto got = index.QueryAbove(q, top1, spec.cs());
+    const auto want = brute.Query(q, top1);
+    ASSERT_TRUE(got.ok() && want.ok());
+    const bool want_match = (*want)[0].value >= spec.cs();
+    ASSERT_EQ(!got->empty(), want_match);
+    if (want_match) {
+      EXPECT_NEAR((*got)[0].value, (*want)[0].value, 1e-9);
     }
+    // Without a floor the norm-range top-1 is the exact top-1 itself.
+    const auto unfloored = index.Query(q, top1);
+    ASSERT_TRUE(unfloored.ok());
+    ASSERT_EQ(unfloored->size(), 1u);
+    EXPECT_NEAR((*unfloored)[0].value, (*want)[0].value, 1e-9);
   }
 }
 
@@ -179,16 +187,21 @@ TEST(NormRangeIndexTest, PrunesLowNormBuckets) {
   spec.s = 0.2;
   spec.c = 0.9;
   spec.is_signed = true;
+  std::size_t buckets_pruned = 0;
+  std::size_t dot_products = 0;
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> q(kDim);
     for (double& v : q) v = rng.NextGaussian();
     kernels::NormalizeInPlace(q);
-    (void)index.Search(q, spec);
+    QueryStats stats;
+    ASSERT_TRUE(index.QueryAbove(q, QueryOptions{}, spec.cs(), &stats).ok());
+    buckets_pruned += stats.metrics.Get("normrange.buckets_pruned");
+    dot_products += stats.dot_products;
   }
   // At skew 1.0, item norms fall below 0.2 after rank ~5, so nearly all
   // buckets get pruned on every query.
-  EXPECT_GT(index.BucketsPruned(), 0u);
-  EXPECT_LT(index.InnerProductsEvaluated(), 10u * 1000u / 2);
+  EXPECT_GT(buckets_pruned, 0u);
+  EXPECT_LT(dot_products, 10u * 1000u / 2);
 }
 
 TEST(NormRangeIndexTest, ContractOnPlantedData) {
@@ -218,10 +231,27 @@ TEST(NormRangeIndexTest, RejectsUnsignedQueries) {
   Rng rng(31);
   const Matrix items = MakeUnitBallGaussian(50, 8, 0.5, &rng);
   const NormRangeIndex index(items, NormRangeParams{}, &rng);
-  JoinSpec spec;
-  spec.is_signed = false;
+  QueryOptions options;
+  options.is_signed = false;
   std::vector<double> q(8, 0.5);
-  EXPECT_DEATH(index.Search(q, spec), "signed");
+  const auto result = index.Query(q, options);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(NormRangeIndexTest, UnsignedJoinReturnsAStatus) {
+  // The validated join driver must surface the index's refusal as a
+  // Status instead of aborting.
+  Rng rng(37);
+  const Matrix items = MakeUnitBallGaussian(50, 8, 0.5, &rng);
+  const Matrix queries = MakeUnitBallGaussian(4, 8, 0.5, &rng);
+  const NormRangeIndex index(items, NormRangeParams{}, &rng);
+  JoinSpec spec;
+  spec.s = 0.5;
+  spec.is_signed = false;
+  const auto result = IndexJoinChecked(index, queries, spec);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -210,9 +210,26 @@ TEST_F(BatchEquivalenceTest, PathRestrictionsMatchPerQueryBehavior) {
   const TreeMipsIndex tree(data_, 8, &rng);
   QueryOptions unsigned_options;
   unsigned_options.is_signed = false;
-  auto tree_result = tree.BatchQuery(queries_, unsigned_options);
-  ASSERT_FALSE(tree_result.ok());  // tree is signed-only
-  EXPECT_EQ(tree_result.status().code(), StatusCode::kInvalidArgument);
+  unsigned_options.k = 3;
+  // The tree answers unsigned top-k with the unsigned bound.
+  ExpectBatchEqualsPerQuery(tree, queries_, unsigned_options);
+
+  // The norm-range index scans exactly; it rejects the two-stage
+  // precisions per query and per batch alike.
+  NormRangeParams norm_range_params;
+  norm_range_params.bucket_size = 64;
+  const NormRangeIndex norm_range(data_, norm_range_params, &rng);
+  for (const QueryPrecision precision :
+       {QueryPrecision::kQuantizedRerank, QueryPrecision::kSketchFilter}) {
+    QueryOptions options;
+    options.precision = precision;
+    const auto single = norm_range.Query(queries_.Row(0), options);
+    ASSERT_FALSE(single.ok());
+    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+    const auto batch = norm_range.BatchQuery(queries_, options);
+    ASSERT_FALSE(batch.ok());
+    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
+  }
 
   SketchMipsParams params;
   const SketchIndex sketch(data_, SketchConfig{params, {}}, &rng);

@@ -15,6 +15,7 @@
 #include "core/norm_range_index.h"
 #include "core/similarity_join.h"
 #include "core/symmetric_index.h"
+#include "core/top_k.h"
 #include "lsh/simhash.h"
 #include "lsh/transforms.h"
 #include "rng/random.h"
@@ -97,6 +98,40 @@ INSTANTIATE_TEST_SUITE_P(
                       Workload{400, 32, 0.85, 0.75, 0.8, 3},
                       Workload{800, 24, 0.9, 0.85, 0.7, 4},
                       Workload{200, 48, 0.95, 0.9, 0.9, 5}));
+
+TEST(ContractEdgeTest, TreeJoinKeepsExactTieOrder) {
+  // 0/1 sets give integer inner products, so most queries tie at the
+  // top. The tree's k = 1 join must pick the same row as the exact join:
+  // score descending, then the smaller data index.
+  Rng rng(13);
+  const Matrix data = MakeBinarySets(300, 32, 6, &rng);
+  Matrix queries = MakeBinarySets(40, 32, 6, &rng);
+  // A few negated queries make the unsigned join differ from the signed.
+  for (std::size_t qi = 0; qi < queries.rows(); qi += 4) {
+    for (double& v : queries.Row(qi)) v = -v;
+  }
+  const TreeMipsIndex tree(data, 8, &rng);
+  std::size_t tied = 0;
+  for (const bool is_signed : {true, false}) {
+    JoinSpec spec;
+    spec.s = 1.0;
+    spec.c = 1.0;
+    spec.is_signed = is_signed;
+    const JoinResult exact = ExactJoin(data, queries, spec, nullptr);
+    const JoinResult via_tree = IndexJoin(tree, queries, spec);
+    for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+      const auto& want = exact.per_query[qi];
+      const auto& got = via_tree.per_query[qi];
+      ASSERT_EQ(got.has_value(), want.has_value()) << "query " << qi;
+      if (!want.has_value()) continue;
+      EXPECT_EQ(got->data, want->data) << "query " << qi;
+      EXPECT_EQ(got->value, want->value) << "query " << qi;
+      const auto top2 = TopKBruteForce(data, queries.Row(qi), 2, is_signed);
+      if (top2[0].value == top2[1].value) ++tied;
+    }
+  }
+  EXPECT_GT(tied, 10u);  // the corpus really is tie-heavy
+}
 
 TEST(ContractEdgeTest, NoPromisedQueriesMeansVacuousSuccess) {
   // Thresholds above every inner product: the contract holds trivially

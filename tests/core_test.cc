@@ -8,11 +8,13 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dataset.h"
 #include "core/mips_index.h"
 #include "core/similarity_join.h"
+#include "core/symmetric_index.h"
 #include "core/top_k.h"
 #include "linalg/kernels.h"
 #include "lsh/simhash.h"
@@ -78,21 +80,21 @@ class IndexAgreementTest : public ::testing::Test {
 
 TEST_F(IndexAgreementTest, BruteForceFindsTrueMax) {
   const BruteForceIndex index(data_);
-  JoinSpec spec;
-  spec.s = 0.0;
-  spec.c = 0.5;
-  spec.is_signed = true;
+  const QueryOptions top1;  // k = 1, signed
+  std::size_t dot_products = 0;
   for (std::size_t qi = 0; qi < queries_.rows(); ++qi) {
-    const auto match = index.Search(queries_.Row(qi), spec);
-    ASSERT_TRUE(match.has_value());
+    QueryStats stats;
+    const auto top = index.Query(queries_.Row(qi), top1, &stats);
+    ASSERT_TRUE(top.ok());
+    ASSERT_EQ(top->size(), 1u);
+    dot_products += stats.dot_products;
     double truth = -1e300;
     for (std::size_t i = 0; i < data_.rows(); ++i) {
       truth = std::max(truth, kernels::Dot(data_.Row(i), queries_.Row(qi)));
     }
-    EXPECT_NEAR(match->value, truth, 1e-9);
+    EXPECT_NEAR((*top)[0].value, truth, 1e-9);
   }
-  EXPECT_EQ(index.InnerProductsEvaluated(),
-            queries_.rows() * data_.rows());
+  EXPECT_EQ(dot_products, queries_.rows() * data_.rows());
 }
 
 TEST_F(IndexAgreementTest, TreeAgreesWithBruteForce) {
@@ -104,9 +106,11 @@ TEST_F(IndexAgreementTest, TreeAgreesWithBruteForce) {
     spec.s = 0.0;
     spec.c = 0.9;
     spec.is_signed = is_signed;
+    const JoinResult via_brute = IndexJoin(brute, queries_, spec);
+    const JoinResult via_tree = IndexJoin(tree, queries_, spec);
     for (std::size_t qi = 0; qi < queries_.rows(); ++qi) {
-      const auto brute_match = brute.Search(queries_.Row(qi), spec);
-      const auto tree_match = tree.Search(queries_.Row(qi), spec);
+      const auto& brute_match = via_brute.per_query[qi];
+      const auto& tree_match = via_tree.per_query[qi];
       ASSERT_EQ(brute_match.has_value(), tree_match.has_value());
       if (brute_match.has_value()) {
         EXPECT_NEAR(brute_match->value, tree_match->value, 1e-9);
@@ -130,26 +134,45 @@ TEST_F(IndexAgreementTest, LshIndexFindsPlantedMatches) {
   spec.c = 0.7;
   spec.is_signed = true;
   std::size_t found = 0;
+  std::size_t candidates = 0;
   for (std::size_t qi = 0; qi < planted.queries.rows(); ++qi) {
-    const auto match = index.Search(planted.queries.Row(qi), spec);
-    if (match.has_value() && match->value >= spec.cs()) ++found;
+    QueryStats stats;
+    const auto top =
+        index.Query(planted.queries.Row(qi), QueryOptions{}, &stats);
+    ASSERT_TRUE(top.ok());
+    candidates += stats.metrics.Get("lsh.tables.candidates_unique");
+    EXPECT_EQ(stats.dot_products,
+              stats.metrics.Get("lsh.tables.candidates_unique"));
+    if (!top->empty() && (*top)[0].value >= spec.cs()) ++found;
   }
   // High recall expected on near-duplicate planted pairs.
   EXPECT_GE(found, 22u);
-  EXPECT_GT(index.MeanCandidates(), 0.0);
-  EXPECT_LT(index.MeanCandidates(), 250.0);  // prunes most of the data
+  const double mean_candidates =
+      static_cast<double>(candidates) / planted.queries.rows();
+  EXPECT_GT(mean_candidates, 0.0);
+  EXPECT_LT(mean_candidates, 250.0);  // prunes most of the data
 }
 
-TEST_F(IndexAgreementTest, SketchIndexAnswersUnsignedOnly) {
+TEST_F(IndexAgreementTest, SketchIndexDescendsOnlyForUnsignedTopOne) {
   Rng rng(23);
   SketchMipsParams params;
   params.copies = 5;
   const SketchIndex index(data_, SketchConfig{params, {}}, &rng);
-  JoinSpec spec;
-  spec.s = 0.1;
-  spec.c = 0.5;
-  spec.is_signed = true;
-  EXPECT_DEATH(index.Search(queries_.Row(0), spec), "unsigned");
+  // Unsigned top-1 is the Section 4.3 argmax descent.
+  QueryOptions options;
+  options.is_signed = false;
+  QueryStats stats;
+  ASSERT_TRUE(index.Query(queries_.Row(0), options, &stats).ok());
+  EXPECT_TRUE(stats.metrics.Has("sketch.levels"));
+  // Signed top-1 runs the filtered scan instead of the descent.
+  options.is_signed = true;
+  ASSERT_TRUE(index.Query(queries_.Row(0), options, &stats).ok());
+  EXPECT_FALSE(stats.metrics.Has("sketch.levels"));
+  // Exact precision is never honored: the index scores by estimates.
+  options.precision = QueryPrecision::kExact;
+  const auto exact = index.Query(queries_.Row(0), options);
+  ASSERT_FALSE(exact.ok());
+  EXPECT_EQ(exact.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ExactJoinTest, ThresholdRespected) {
@@ -293,6 +316,9 @@ TEST(IndexJoinPinTest, AnswersScoresAndWorkArePinned) {
   const DualBallTransform transform(16, 1.0);
   const SimHashFamily base(transform.output_dim());
   const LshMipsIndex lsh(data, &transform, base, {.k = 8, .l = 32}, &rng);
+  // No query is a data row, so the symmetric index's membership step
+  // never fires and its join is its LSH tables' join.
+  const SymmetricMipsIndex symmetric(data, 0.1, {.k = 8, .l = 32}, &rng);
 
   // Every path finds each planted row (the planted scores are positive,
   // so signed and unsigned agree) and no noise query clears cs = 0.72;
@@ -310,9 +336,47 @@ TEST(IndexJoinPinTest, AnswersScoresAndWorkArePinned) {
   ExpectJoinPinned(IndexJoin(brute, queries, spec), 4800, pins);
   ExpectJoinPinned(IndexJoin(tree, queries, spec), 1058, pins);
   ExpectJoinPinned(IndexJoin(lsh, queries, spec), 447, pins);
+  ExpectJoinPinned(IndexJoin(symmetric, queries, spec), 706, pins);
   spec.is_signed = false;
   ExpectJoinPinned(IndexJoin(brute, queries, spec), 4800, pins);
   ExpectJoinPinned(IndexJoin(tree, queries, spec), 1705, pins);
+}
+
+TEST(IndexJoinTest, ConcurrentJoinsOnOneIndexMatchSequential) {
+  // IndexJoin only reads the index, so two joins may share it.
+  Rng rng(43);
+  const PlantedInstance planted =
+      MakePlantedInstance(400, 40, 16, 0.9, 1.0, &rng);
+  const DualBallTransform transform(16, 1.0);
+  const SimHashFamily base(transform.output_dim());
+  const LshMipsIndex index(planted.data, &transform, base, {.k = 8, .l = 24},
+                           &rng);
+  JoinSpec spec;
+  spec.s = 0.8;
+  spec.c = 0.8;
+  const JoinResult sequential = IndexJoin(index, planted.queries, spec);
+  JoinResult concurrent[2];
+  {
+    std::thread first(
+        [&] { concurrent[0] = IndexJoin(index, planted.queries, spec); });
+    std::thread second(
+        [&] { concurrent[1] = IndexJoin(index, planted.queries, spec); });
+    first.join();
+    second.join();
+  }
+  for (const JoinResult& result : concurrent) {
+    EXPECT_EQ(result.inner_products, sequential.inner_products);
+    ASSERT_EQ(result.per_query.size(), sequential.per_query.size());
+    for (std::size_t qi = 0; qi < result.per_query.size(); ++qi) {
+      const auto& got = result.per_query[qi];
+      const auto& want = sequential.per_query[qi];
+      ASSERT_EQ(got.has_value(), want.has_value()) << "query " << qi;
+      if (want.has_value()) {
+        EXPECT_EQ(got->data, want->data);
+        EXPECT_EQ(got->value, want->value);
+      }
+    }
+  }
 }
 
 TEST(VerifyJoinContractTest, CountsViolations) {

@@ -8,6 +8,7 @@
 #include <cmath>
 
 #include "core/dataset.h"
+#include "core/similarity_join.h"
 #include "core/symmetric_index.h"
 #include "embed/sign_reduction.h"
 #include "linalg/kernels.h"
@@ -257,20 +258,29 @@ TEST(SymmetricIndexTest, AnswersSelfQueriesExactly) {
   params.k = 6;
   params.l = 16;
   const SymmetricMipsIndex index(data, 0.15, params, &rng);
-  JoinSpec spec;
-  spec.s = 0.2;
-  spec.c = 0.9;
-  spec.is_signed = true;
+  QueryOptions options;
+  options.k = data.rows();  // room for every candidate plus the self-match
   for (std::size_t i = 0; i < 10; ++i) {
     // Query a data vector verbatim: the membership step must fire and
-    // return the vector itself with score ||q||^2.
+    // splice in the vector itself with score ||q||^2, so the top-1
+    // scores at least that.
     std::size_t exact = 0;
     ASSERT_TRUE(index.LookupExact(data.Row(i), &exact));
     EXPECT_EQ(exact, i);
-    const auto match = index.Search(data.Row(i), spec);
-    ASSERT_TRUE(match.has_value());
-    EXPECT_EQ(match->index, i);
-    EXPECT_NEAR(match->value, kernels::SquaredNorm(data.Row(i)), 1e-12);
+    QueryStats stats;
+    const auto matches = index.Query(data.Row(i), options, &stats);
+    ASSERT_TRUE(matches.ok()) << matches.status().ToString();
+    EXPECT_EQ(stats.metrics.Get("symmetric.membership_hit"), 1u);
+    const double self_score = kernels::SquaredNorm(data.Row(i));
+    ASSERT_FALSE(matches->empty());
+    EXPECT_GE((*matches)[0].value, self_score - 1e-12);
+    bool self_found = false;
+    for (const SearchMatch& m : *matches) {
+      if (m.index != i) continue;
+      self_found = true;
+      EXPECT_NEAR(m.value, self_score, 1e-12);
+    }
+    EXPECT_TRUE(self_found);
   }
 }
 
@@ -291,7 +301,12 @@ TEST(SymmetricIndexTest, NonMemberQueriesUseLsh) {
   std::size_t found = 0;
   for (std::size_t qi = 0; qi < planted.queries.rows(); ++qi) {
     EXPECT_FALSE(index.LookupExact(planted.queries.Row(qi), &exact));
-    if (index.Search(planted.queries.Row(qi), spec).has_value()) ++found;
+    QueryStats stats;
+    const auto top = index.Query(planted.queries.Row(qi), QueryOptions{},
+                                 &stats);
+    ASSERT_TRUE(top.ok());
+    EXPECT_FALSE(stats.metrics.Has("symmetric.membership_hit"));
+    if (!top->empty() && (*top)[0].value >= spec.cs()) ++found;
   }
   EXPECT_GE(found, 12u);
 }
@@ -311,13 +326,13 @@ TEST(SymmetricIndexTest, SelfQueryBelowThresholdFallsThrough) {
   spec.s = 0.5;
   spec.c = 0.8;
   spec.is_signed = true;
-  // Query = row 0: q^T q = 1e-4 < cs, so the membership shortcut must
-  // not return it; any answer must score >= cs or be empty.
-  const auto match = index.Search(data.Row(0), spec);
-  if (match.has_value()) {
-    EXPECT_GE(match->value, spec.cs());
-    EXPECT_NE(match->index, 0u);
-  }
+  // Query = row 0: q^T q = 1e-4 < cs and every other row is orthogonal
+  // to it, so the join must report nothing for it.
+  Matrix queries(0, 4);
+  queries.AppendRow(data.Row(0));
+  const JoinResult result = IndexJoin(index, queries, spec);
+  ASSERT_EQ(result.per_query.size(), 1u);
+  EXPECT_FALSE(result.per_query[0].has_value());
 }
 
 }  // namespace

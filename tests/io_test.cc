@@ -206,11 +206,19 @@ TEST(EdgeCaseTest, SinglePointIndexes) {
   spec.is_signed = true;
   std::vector<double> q = {1.0, 0.0, 0.0};
 
+  const QueryOptions top1;  // k = 1, signed
+
   const BruteForceIndex brute(data);
-  EXPECT_TRUE(brute.Search(q, spec).has_value());
+  const auto brute_top = brute.Query(q, top1);
+  ASSERT_TRUE(brute_top.ok());
+  ASSERT_EQ(brute_top->size(), 1u);
+  EXPECT_GE((*brute_top)[0].value, spec.cs());
 
   const TreeMipsIndex tree(data, 4, &rng);
-  EXPECT_TRUE(tree.Search(q, spec).has_value());
+  const auto tree_top = tree.Query(q, top1);
+  ASSERT_TRUE(tree_top.ok());
+  ASSERT_EQ(tree_top->size(), 1u);
+  EXPECT_GE((*tree_top)[0].value, spec.cs());
 
   SketchMipsParams sketch_params;
   const SketchMipsIndex sketch(data, sketch_params, &rng);
@@ -225,8 +233,9 @@ TEST(EdgeCaseTest, OneDimensionalVectors) {
   }
   const MipsBallTree tree(data, 2, &rng);
   std::vector<double> q = {1.0};
-  EXPECT_DOUBLE_EQ(tree.QueryMax(q).value, 0.5);
-  EXPECT_DOUBLE_EQ(tree.QueryMaxAbs(q).value, 0.5);  // |-0.4| < 0.5
+  EXPECT_DOUBLE_EQ(tree.QueryTopK(q, 1, /*is_signed=*/true)[0].second, 0.5);
+  // |-0.4| < 0.5
+  EXPECT_DOUBLE_EQ(tree.QueryTopK(q, 1, /*is_signed=*/false)[0].second, 0.5);
 }
 
 TEST(EdgeCaseTest, ZeroQueryVector) {
@@ -239,7 +248,10 @@ TEST(EdgeCaseTest, ZeroQueryVector) {
   spec.is_signed = true;
   const std::vector<double> zero(4, 0.0);
   // Every inner product is 0 < cs: no match.
-  EXPECT_FALSE(brute.Search(zero, spec).has_value());
+  const auto top = brute.Query(zero, QueryOptions{});
+  ASSERT_TRUE(top.ok());
+  ASSERT_EQ(top->size(), 1u);
+  EXPECT_LT((*top)[0].value, spec.cs());
 }
 
 TEST(EdgeCaseTest, LshTablesWithSingleFunctionAndTable) {

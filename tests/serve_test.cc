@@ -107,7 +107,8 @@ TEST_F(PlannerTest, UnsignedTopOnePrefersSketchWhenCheapest) {
   request.is_signed = false;
   const auto decision = planner.Plan(request);
   ASSERT_TRUE(decision.ok());
-  // Tree is signed-only and LSH misses the target; sketch (500 dots)
+  // The planner keeps unsigned requests off the tree and LSH misses the
+  // target; sketch (500 dots)
   // beats brute (10000 dots).
   EXPECT_EQ(decision->algorithm, QueryAlgo::kSketch);
 }
@@ -175,7 +176,8 @@ TEST(EngineTest, ForcedAlgorithmRespectsCapabilities) {
   request.k = 3;
   request.is_signed = false;
   request.force_algorithm = QueryAlgo::kBallTree;
-  EXPECT_FALSE((*engine)->Query({q, request}).ok());  // tree is signed-only
+  // The engine routes only signed requests to the tree, even forced.
+  EXPECT_FALSE((*engine)->Query({q, request}).ok());
   request.force_algorithm = QueryAlgo::kSketch;
   // k=3 unsigned now runs the sketch index's filtered scan; what the
   // sketch path cannot honor is exact (or quantized) precision.

@@ -35,12 +35,14 @@ TEST_P(TopKSweep, BallTreeMatchesBruteForce) {
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> q(dim);
     for (double& v : q) v = rng.NextGaussian();
-    const auto brute = TopKBruteForce(data, q, k, /*is_signed=*/true);
-    const auto via_tree = TopKBallTree(tree, data, q, k);
-    ASSERT_EQ(brute.size(), via_tree.size());
-    for (std::size_t t = 0; t < brute.size(); ++t) {
-      EXPECT_NEAR(brute[t].value, via_tree[t].value, 1e-9)
-          << "rank " << t;
+    for (const bool is_signed : {true, false}) {
+      const auto brute = TopKBruteForce(data, q, k, is_signed);
+      const auto via_tree = tree.QueryTopK(q, k, is_signed);
+      ASSERT_EQ(brute.size(), via_tree.size());
+      for (std::size_t t = 0; t < brute.size(); ++t) {
+        EXPECT_NEAR(brute[t].value, via_tree[t].second, 1e-9)
+            << "rank " << t << " signed " << is_signed;
+      }
     }
   }
 }
@@ -150,7 +152,7 @@ TEST(TopKTest, TreeTieOrderMatchesBruteForce) {
     std::vector<double> q(6);
     for (double& v : q) v = rng.NextGaussian();
     const auto exact = TopKBruteForce(data, q, 7, /*is_signed=*/true);
-    const auto via_tree = tree.QueryTopK(q, 7);
+    const auto via_tree = tree.QueryTopK(q, 7, /*is_signed=*/true);
     ASSERT_EQ(via_tree.size(), exact.size());
     for (std::size_t t = 0; t < exact.size(); ++t) {
       EXPECT_EQ(via_tree[t].first, exact[t].index) << "rank " << t;
@@ -159,18 +161,22 @@ TEST(TopKTest, TreeTieOrderMatchesBruteForce) {
   }
 }
 
-TEST(TopKTest, TreeTopOneMatchesQueryMax) {
+TEST(TopKTest, TreeTopOneMatchesBruteForceBitwise) {
+  // Leaf scans and the brute-force mat-vec both score through the
+  // dispatched dot kernel, so the exact top-1 agrees to the bit.
   Rng rng(17);
   const Matrix data = MakeUnitBallGaussian(300, 10, 0.2, &rng);
   const MipsBallTree tree(data, 16, &rng);
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<double> q(10);
     for (double& v : q) v = rng.NextGaussian();
-    const auto top1 = tree.QueryTopK(q, 1);
-    const MipsResult max = tree.QueryMax(q);
-    ASSERT_EQ(top1.size(), 1u);
-    EXPECT_EQ(top1[0].first, max.index);
-    EXPECT_NEAR(top1[0].second, max.value, 1e-12);
+    for (const bool is_signed : {true, false}) {
+      const auto top1 = tree.QueryTopK(q, 1, is_signed);
+      const auto brute = TopKBruteForce(data, q, 1, is_signed);
+      ASSERT_EQ(top1.size(), 1u);
+      EXPECT_EQ(top1[0].first, brute[0].index);
+      EXPECT_EQ(top1[0].second, brute[0].value);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include "linalg/kernels.h"
 #include "rng/random.h"
 #include "tree/mips_tree.h"
+#include "util/check.h"
 
 namespace ips {
 namespace {
@@ -34,6 +35,15 @@ std::pair<std::size_t, double> BruteMax(const Matrix& data,
   return {best_index, best};
 }
 
+// The tree's exact top-1 as (index, score).
+std::pair<std::size_t, double> TreeTop1(const MipsBallTree& tree,
+                                        std::span<const double> q,
+                                        bool is_signed) {
+  const auto top = tree.QueryTopK(q, 1, is_signed);
+  IPS_CHECK_EQ(top.size(), 1u);
+  return top[0];
+}
+
 struct TreeCase {
   std::size_t n;
   std::size_t d;
@@ -50,10 +60,10 @@ TEST_P(BallTreeSweep, SignedQueryMatchesBruteForce) {
   for (int trial = 0; trial < 25; ++trial) {
     std::vector<double> q(d);
     for (double& v : q) v = rng.NextGaussian();
-    const MipsResult result = tree.QueryMax(q);
+    const auto [index, value] = TreeTop1(tree, q, /*is_signed=*/true);
     const auto [truth_index, truth_value] = BruteMax(data, q, false);
-    EXPECT_NEAR(result.value, truth_value, 1e-9);
-    EXPECT_EQ(result.index, truth_index);
+    EXPECT_NEAR(value, truth_value, 1e-9);
+    EXPECT_EQ(index, truth_index);
   }
 }
 
@@ -65,9 +75,9 @@ TEST_P(BallTreeSweep, UnsignedQueryMatchesBruteForce) {
   for (int trial = 0; trial < 25; ++trial) {
     std::vector<double> q(d);
     for (double& v : q) v = rng.NextGaussian();
-    const MipsResult result = tree.QueryMaxAbs(q);
-    const auto [truth_index, truth_value] = BruteMax(data, q, true);
-    EXPECT_NEAR(result.value, truth_value, 1e-9);
+    const double value = TreeTop1(tree, q, /*is_signed=*/false).second;
+    const double truth_value = BruteMax(data, q, true).second;
+    EXPECT_NEAR(value, truth_value, 1e-9);
   }
 }
 
@@ -89,7 +99,9 @@ TEST(BallTreeTest, PrunesInLowDimension) {
   std::size_t total_evaluated = 0;
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> q = {rng.NextGaussian(), rng.NextGaussian()};
-    total_evaluated += tree.QueryMax(q).evaluated;
+    TreeQueryInfo info;
+    tree.QueryTopK(q, 1, /*is_signed=*/true, nullptr, &info);
+    total_evaluated += info.points_scored;
   }
   // Far fewer than 20 * 2000 full evaluations.
   EXPECT_LT(total_evaluated, 20 * kN / 2);
@@ -104,8 +116,7 @@ TEST(BallTreeTest, HandlesDuplicatePoints) {
   }
   const MipsBallTree tree(data, 4, &rng);
   std::vector<double> q = {1.0, 0.0, 0.0, 0.0};
-  const MipsResult result = tree.QueryMax(q);
-  EXPECT_NEAR(result.value, 1.0, 1e-12);
+  EXPECT_NEAR(TreeTop1(tree, q, /*is_signed=*/true).second, 1.0, 1e-12);
 }
 
 TEST(BallTreeTest, NegativeInnerProductsHandled) {
@@ -116,12 +127,11 @@ TEST(BallTreeTest, NegativeInnerProductsHandled) {
   for (std::size_t j = 0; j < 6; ++j) data.At(31, j) = -1.0;
   const MipsBallTree tree(data, 4, &rng);
   std::vector<double> q(6, 1.0);
-  const MipsResult unsigned_result = tree.QueryMaxAbs(q);
-  EXPECT_EQ(unsigned_result.index, 31u);
-  EXPECT_NEAR(unsigned_result.value, 6.0, 1e-9);
+  const auto unsigned_result = TreeTop1(tree, q, /*is_signed=*/false);
+  EXPECT_EQ(unsigned_result.first, 31u);
+  EXPECT_NEAR(unsigned_result.second, 6.0, 1e-9);
   // The signed maximum is some noise vector, not row 31.
-  const MipsResult signed_result = tree.QueryMax(q);
-  EXPECT_NE(signed_result.index, 31u);
+  EXPECT_NE(TreeTop1(tree, q, /*is_signed=*/true).first, 31u);
 }
 
 }  // namespace
