@@ -10,12 +10,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "lsh/bucket_join.h"
 #include "lsh/simhash.h"
@@ -316,6 +319,109 @@ TEST_F(StorageTest, EngineSnapshotRoundTripServesIdenticalAnswers) {
       EXPECT_EQ(ForcedAnswers(**cold, algo), ForcedAnswers(**warm, algo))
           << "algo " << QueryAlgoName(algo)
           << (use_mmap ? " (mmap)" : " (heap)");
+    }
+  }
+}
+
+constexpr QueryAlgo kAllAlgos[] = {QueryAlgo::kBruteForce,
+                                   QueryAlgo::kBallTree, QueryAlgo::kLsh,
+                                   QueryAlgo::kSketch};
+
+// The 128x12 engine every engine-snapshot pin below is taken on, with
+// all four indexes built.
+std::unique_ptr<Engine> PinnedEngine() {
+  auto engine =
+      Engine::Create(RandomMatrix(128, 12, 9), SmallEngineOptions());
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  if (!engine.ok()) return nullptr;
+  for (QueryAlgo algo : kAllAlgos) {
+    EXPECT_TRUE((*engine)->EnsureIndex(algo).ok()) << QueryAlgoName(algo);
+  }
+  return std::move(engine).value();
+}
+
+// Section fourcc -> payload CRC32 of the engine snapshot in `dir`.
+std::map<std::string, std::uint32_t> SectionCrcs(const std::string& dir) {
+  std::map<std::string, std::uint32_t> crcs;
+  auto reader = storage::SnapshotReader::Open(dir + "/snapshot.ips");
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  if (!reader.ok()) return crcs;
+  for (const storage::SectionEntry& entry : reader->sections()) {
+    crcs[storage::SectionName(entry.id)] = entry.crc32;
+  }
+  return crcs;
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+// One pinned top-1 answer. The scores differ in the last place between
+// the AVX2 and the scalar kernel tables (different summation order), so
+// each dispatch has its own bits; the indices agree.
+struct PinnedAnswer {
+  std::size_t index;
+  std::uint64_t avx2_bits;
+  std::uint64_t scalar_bits;
+};
+
+TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
+  // Regression pin for the engine's index table and snapshot writer:
+  // the CRC32 of every section of a snapshot holding all four indexes,
+  // and each forced path's top-1 answer (index and score bits) for 8
+  // fixed queries. The CRCs are the same under both kernel tables.
+  const std::unique_ptr<Engine> engine = PinnedEngine();
+  ASSERT_NE(engine, nullptr);
+  const std::string dir = TempPath("engine_pin_snap");
+  ASSERT_TRUE(engine->SaveSnapshot(dir).ok());
+  const std::map<std::string, std::uint32_t> expected_crcs = {
+      {"META", 0x0B305D6Bu}, {"DSET", 0x120DDA2Cu}, {"PROF", 0x8BF5D5C6u},
+      {"CALB", 0xCE72BF65u}, {"TREE", 0xCCBD3720u}, {"LSHT", 0x0CBBF841u},
+      {"SKCH", 0xDFF944F5u}};
+  EXPECT_EQ(SectionCrcs(dir), expected_crcs);
+
+  const std::vector<PinnedAnswer> brute = {
+      {76, 0x4021F1C0A5F0C1E7ull, 0x4021F1C0A5F0C1E7ull},
+      {82, 0x401FD5C255F1131Eull, 0x401FD5C255F1131Dull},
+      {23, 0x4027737B7BEA6B90ull, 0x4027737B7BEA6B90ull},
+      {56, 0x401EA61090766877ull, 0x401EA61090766878ull},
+      {89, 0x4030410B04523D86ull, 0x4030410B04523D85ull},
+      {84, 0x4018803228C03531ull, 0x4018803228C03530ull},
+      {78, 0x4024A066E456D1BEull, 0x4024A066E456D1BEull},
+      {77, 0x40159A9AB671DCD6ull, 0x40159A9AB671DCD6ull}};
+  // The tree is exact: the same answers as brute force.
+  const std::vector<PinnedAnswer>& tree = brute;
+  std::vector<PinnedAnswer> lsh = brute;
+  lsh[5] = {38, 0x4011FB2CF3B786C6ull, 0x4011FB2CF3B786C6ull};
+  lsh[7] = {15, 0x40109FFA61963015ull, 0x40109FFA61963016ull};
+  const std::vector<PinnedAnswer> sketch = {
+      {84, 0x40212E7758F5245Cull, 0x40212E7758F5245Cull},
+      {95, 0x40218F236AF251D6ull, 0x40218F236AF251D6ull},
+      {37, 0x4020D39C57749D22ull, 0x4020D39C57749D22ull},
+      {105, 0x4017A80843239646ull, 0x4017A80843239647ull},
+      brute[4], brute[5], brute[6],
+      {16, 0x40152C730A479AABull, 0x40152C730A479AABull}};
+  const std::vector<PinnedAnswer>* pinned[] = {&brute, &tree, &lsh, &sketch};
+
+  const bool scalar = std::string(kernels::ActiveOps().name) == "scalar";
+  const Matrix queries = RandomMatrix(8, 12, 77);
+  for (QueryAlgo algo : kAllAlgos) {
+    QueryOptions options;
+    options.force_algorithm = algo;
+    options.is_signed = algo != QueryAlgo::kSketch;
+    const std::vector<PinnedAnswer>& want =
+        *pinned[static_cast<std::size_t>(algo)];
+    for (std::size_t i = 0; i < queries.rows(); ++i) {
+      auto result = engine->Query({queries.Row(i), options});
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      ASSERT_EQ(result->matches.size(), 1u);
+      EXPECT_EQ(result->matches[0].index, want[i].index)
+          << QueryAlgoName(algo) << " query " << i;
+      EXPECT_EQ(Bits(result->matches[0].value),
+                scalar ? want[i].scalar_bits : want[i].avx2_bits)
+          << QueryAlgoName(algo) << " query " << i;
     }
   }
 }
