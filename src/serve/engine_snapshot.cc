@@ -10,6 +10,7 @@
 // state, and the sketch by deterministically re-running its build from
 // its own pinned state.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -288,8 +289,16 @@ std::vector<unsigned char> EncodeLshTables(const Rng::State& prebuild_state,
   w.PutU64(tables.params().l);
   for (std::size_t t = 0; t < tables.num_tables(); ++t) {
     const auto& buckets = tables.table_buckets(t);
-    w.PutU64(buckets.size());
-    for (const auto& [key, bucket] : buckets) {
+    // Buckets go out in ascending key order, not hash-map iteration
+    // order, so re-saving a loaded engine reproduces the file byte for
+    // byte. The decoder accepts any order.
+    std::vector<std::uint64_t> keys;
+    keys.reserve(buckets.size());
+    for (const auto& entry : buckets) keys.push_back(entry.first);
+    std::sort(keys.begin(), keys.end());
+    w.PutU64(keys.size());
+    for (std::uint64_t key : keys) {
+      const std::vector<std::uint32_t>& bucket = buckets.at(key);
       w.PutU64(key);
       w.PutU64(bucket.size());
       for (std::uint32_t i : bucket) w.PutU32(i);
