@@ -75,14 +75,7 @@ double MeanRecall(const std::vector<std::vector<SearchMatch>>& truth,
   std::size_t total = 0;
   for (std::size_t qi = 0; qi < truth.size(); ++qi) {
     total += truth[qi].size();
-    for (const auto& t : truth[qi]) {
-      for (const auto& match : got[qi]) {
-        if (match.index == t.index) {
-          ++hits;
-          break;
-        }
-      }
-    }
+    hits += TopKHits(truth[qi], got[qi]);
   }
   return total > 0 ? static_cast<double>(hits) / static_cast<double>(total)
                    : 0.0;

@@ -127,17 +127,9 @@ PolicyResult ScoreStream(const Engine& engine, const Matrix& data,
     ++result.answered;
     result.dot_products_total += response->stats.dot_products;
     ++result.selection[static_cast<std::size_t>(response->stats.algorithm)];
-    std::size_t hits = 0;
-    for (const auto& truth : exact) {
-      for (const auto& match : response->matches) {
-        if (match.index == truth.index) {
-          ++hits;
-          break;
-        }
-      }
-    }
     const double recall =
-        static_cast<double>(hits) / static_cast<double>(exact.size());
+        static_cast<double>(TopKHits(exact, response->matches)) /
+        static_cast<double>(exact.size());
     recall_sum += recall;
     auto& group = by_target[request.recall_target];
     group.first += recall;

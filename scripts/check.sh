@@ -4,10 +4,11 @@
 # serve path runs sanitized end to end), and (4) under TSan for the
 # concurrency-heavy targets (util_test exercises the exception-safe
 # ThreadPool/ParallelFor, obs_test the sharded metrics registry,
-# chaos_test the failpoint and cancellation machinery). The plain pass
-# also smoke-tests the metrics export pipeline: serve_quickstart writes
-# the registry as JSON and tools/metrics_json_check validates its
-# structure.
+# chaos_test the failpoint and cancellation machinery, storage_test an
+# engine snapshot saved while another thread serves and builds). The
+# plain pass also smoke-tests the metrics export pipeline:
+# serve_quickstart writes the registry as JSON and
+# tools/metrics_json_check validates its structure.
 #
 # The `static` mode is the compile-time leg (DESIGN.md §9): the project
 # linter/analyzer (tools/ipslint — table rules plus the layering,
@@ -76,8 +77,8 @@ run_tsan() {
     -DIPS_BUILD_BENCHMARKS=OFF -DIPS_BUILD_EXAMPLES=ON >/dev/null
   cmake --build build-tsan -j"$JOBS" \
     --target util_test obs_test core_test chaos_test serve_test sharded_test \
-    serve_quickstart
-  (cd build-tsan && ctest --output-on-failure -R 'util_test|obs_test|core_test|chaos_test|serve_test|sharded_test')
+    storage_test serve_quickstart
+  (cd build-tsan && ctest --output-on-failure -R 'util_test|obs_test|core_test|chaos_test|serve_test|sharded_test|storage_test')
   echo "=== TSan serve quickstart ==="
   ./build-tsan/examples/serve_quickstart
 }

@@ -65,6 +65,17 @@ std::vector<SearchMatch> TopKFromCandidates(
   return KBest(raw, candidates, k, is_signed);
 }
 
+std::size_t TopKHits(std::span<const SearchMatch> truth,
+                     std::span<const SearchMatch> got) {
+  std::size_t hits = 0;
+  for (const SearchMatch& t : truth) {
+    hits += std::any_of(got.begin(), got.end(), [&](const SearchMatch& g) {
+      return g.index == t.index;
+    });
+  }
+  return hits;
+}
+
 std::vector<SearchMatch> QueryBruteForce(const Matrix& data,
                                          std::span<const double> q,
                                          const QueryOptions& options,

@@ -45,6 +45,13 @@ std::vector<SearchMatch> TopKFromCandidates(
     const std::vector<std::size_t>& candidates, std::size_t k,
     bool is_signed);
 
+/// The overlap count behind recall@k: how many entries of `truth` have
+/// their index somewhere in `got` (order and scores ignored). Divide by
+/// truth.size() for recall. Quadratic in k, which stays small wherever
+/// recall is measured.
+std::size_t TopKHits(std::span<const SearchMatch> truth,
+                     std::span<const SearchMatch> got);
+
 /// Instrumented flavor of TopKBruteForce behind the unified query API:
 /// fills `stats` (candidates, dot products, "core.brute.*" registry
 /// counters) and records a "brute" span when `trace` is non-null. The

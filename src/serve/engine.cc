@@ -55,6 +55,36 @@ bool PlanCanMiss(const PlanDecision& plan) {
          plan.algorithm == QueryAlgo::kSketch;
 }
 
+// Counts a served answer under serve.engine.selected.<algo>.
+void CountSelected(QueryAlgo algo) {
+  static Counter* const selected[kNumQueryAlgos] = {
+      MetricsRegistry::Global().GetCounter("serve.engine.selected.brute"),
+      MetricsRegistry::Global().GetCounter("serve.engine.selected.tree"),
+      MetricsRegistry::Global().GetCounter("serve.engine.selected.lsh"),
+      MetricsRegistry::Global().GetCounter("serve.engine.selected.sketch")};
+  selected[static_cast<std::size_t>(algo)]->Increment();
+}
+
+// Publishes a request's finished engine-level trace to the TraceRing,
+// counted under serve.engine.traced.
+std::shared_ptr<const Trace> PublishTrace(std::unique_ptr<Trace> trace) {
+  static Counter* const traced =
+      MetricsRegistry::Global().GetCounter("serve.engine.traced");
+  traced->Increment();
+  std::shared_ptr<const Trace> shared(std::move(trace));
+  TraceRing::Global().Record(shared);
+  return shared;
+}
+
+// StatusOr has no converting constructor: unwraps a typed build into
+// the index table's slot type.
+template <typename T>
+StatusOr<std::unique_ptr<MipsIndex>> AsIndex(
+    StatusOr<std::unique_ptr<T>> built) {
+  IPS_RETURN_IF_ERROR(built.status());
+  return std::unique_ptr<MipsIndex>(std::move(built).value());
+}
+
 Matrix GatherRows(const Matrix& data, const std::vector<std::size_t>& rows) {
   Matrix out(rows.size(), data.cols());
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -81,7 +111,14 @@ Engine::Engine(Matrix data, EngineOptions options, DatasetProfile profile)
     : data_(std::move(data)),
       options_(options),
       profile_(profile),
-      build_rng_(options.seed) {}
+      build_rng_(options.seed) {
+  if (profile_.max_norm > 0.0) {
+    lsh_transform_ =
+        std::make_unique<SimpleMipsTransform>(profile_.dim, profile_.max_norm);
+    lsh_family_ =
+        std::make_unique<SimHashFamily>(lsh_transform_->output_dim());
+  }
+}
 
 StatusOr<std::unique_ptr<Engine>> Engine::Create(Matrix data,
                                                  EngineOptions options) {
@@ -181,8 +218,6 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
     std::size_t rerank_total = 0;
     for (std::size_t row : query_rows) {
       const auto q = data_.Row(row);
-      const auto exact_signed =
-          TopKBruteForce(sample, q, 1, /*is_signed=*/true);
       const auto exact_unsigned =
           TopKBruteForce(sample, q, 1, /*is_signed=*/false);
       const auto exact_topk =
@@ -191,49 +226,29 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
       // the k=1 answer (recall@1), and its overlap with the exact top-5
       // is the recall@5 that governs k > 1 eligibility. The candidate
       // set LSH retrieves is independent of k, so one call suffices.
+      // exact_topk[0] is the exact k=1 answer: both depths rank by the
+      // same total order (score desc, index asc).
       QueryStats lsh_stats;
       auto lsh_top = (*probe_lsh)->Query(q, rerank_probe, &lsh_stats);
       IPS_RETURN_IF_ERROR(lsh_top.status());
       candidate_total += static_cast<double>(lsh_stats.candidates);
-      if (!(*lsh_top).empty() && !exact_signed.empty() &&
-          (*lsh_top)[0].index == exact_signed[0].index) {
+      if (!(*lsh_top).empty() && !exact_topk.empty() &&
+          (*lsh_top)[0].index == exact_topk[0].index) {
         ++lsh_hits;
       }
-      for (const SearchMatch& truth : exact_topk) {
-        for (const SearchMatch& got : *lsh_top) {
-          if (got.index == truth.index) {
-            ++lsh_topk_hits;
-            break;
-          }
-        }
-      }
+      lsh_topk_hits += TopKHits(exact_topk, *lsh_top);
       QueryStats sketch_stats;
       auto sketch_top =
           (*probe_sketch)->Query(q, unsigned_probe, &sketch_stats);
       IPS_RETURN_IF_ERROR(sketch_top.status());
-      if (!(*sketch_top).empty() && !exact_unsigned.empty() &&
-          (*sketch_top)[0].index == exact_unsigned[0].index) {
-        ++sketch_hits;
-      }
+      sketch_hits += TopKHits(exact_unsigned, *sketch_top);
       const auto quant_topk =
           QueryQuantizedRerank(sample, probe_quant, q, rerank_probe);
       const auto filter_topk =
           QueryFilteredRerank(sample, probe_filter, q, rerank_probe);
       rerank_total += exact_topk.size();
-      for (const SearchMatch& truth : exact_topk) {
-        for (const SearchMatch& got : quant_topk) {
-          if (got.index == truth.index) {
-            ++quant_hits;
-            break;
-          }
-        }
-        for (const SearchMatch& got : filter_topk) {
-          if (got.index == truth.index) {
-            ++filter_hits;
-            break;
-          }
-        }
-      }
+      quant_hits += TopKHits(exact_topk, quant_topk);
+      filter_hits += TopKHits(exact_topk, filter_topk);
     }
     calib.lsh_candidate_fraction = candidate_total /
                                    static_cast<double>(probes) /
@@ -257,75 +272,52 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
 }
 
 Status Engine::EnsureIndex(QueryAlgo algo) const {
+  return Pin(algo).status();
+}
+
+StatusOr<const MipsIndex*> Engine::Pin(QueryAlgo algo) const {
+  const auto a = static_cast<std::size_t>(algo);
+  if (a >= kNumQueryAlgos) {
+    return Status::InvalidArgument("unknown serve algorithm");
+  }
   MutexLock lock(build_mutex_);
+  IndexSlot& slot = slots_[a];
+  if (slot.index == nullptr) {
+    slot.prebuild = build_rng_.SaveState();
+    auto built = BuildIndex(algo);
+    IPS_RETURN_IF_ERROR(built.status());
+    slot.index = std::move(built).value();
+  }
+  return slot.index.get();
+}
+
+StatusOr<std::unique_ptr<MipsIndex>> Engine::BuildIndex(
+    QueryAlgo algo) const {
   switch (algo) {
-    case QueryAlgo::kBruteForce: {
-      if (brute_index_ != nullptr) return Status::Ok();
-      auto built = BruteForceIndex::Create(data_);
-      IPS_RETURN_IF_ERROR(built.status());
-      brute_index_ = std::move(built).value();
-      return Status::Ok();
-    }
-    case QueryAlgo::kBallTree: {
-      if (tree_index_ != nullptr) return Status::Ok();
-      auto built =
-          TreeMipsIndex::Create(data_, options_.tree_leaf_size, &build_rng_);
-      IPS_RETURN_IF_ERROR(built.status());
-      tree_index_ = std::move(built).value();
-      return Status::Ok();
-    }
-    case QueryAlgo::kLsh: {
-      if (lsh_index_ != nullptr) return Status::Ok();
-      if (profile_.max_norm <= 0.0) {
+    case QueryAlgo::kBruteForce:
+      return AsIndex(BruteForceIndex::Create(data_));
+    case QueryAlgo::kBallTree:
+      return AsIndex(
+          TreeMipsIndex::Create(data_, options_.tree_leaf_size, &build_rng_));
+    case QueryAlgo::kLsh:
+      if (lsh_family_ == nullptr) {
         return Status::FailedPrecondition(
             "lsh path unavailable: all data vectors are zero");
       }
-      if (lsh_transform_ == nullptr) {
-        lsh_transform_ = std::make_unique<SimpleMipsTransform>(
-            profile_.dim, profile_.max_norm);
-        lsh_family_ =
-            std::make_unique<SimHashFamily>(lsh_transform_->output_dim());
-      }
-      // Pin the rng state the build starts from: snapshots persist it
-      // so a load can replay the hash-function draws bit-identically
-      // instead of re-hashing the dataset.
-      lsh_prebuild_state_ = build_rng_.SaveState();
-      lsh_prebuild_valid_ = true;
-      auto built =
-          LshMipsIndex::Create(data_, lsh_transform_.get(), *lsh_family_,
-                               options_.lsh_params, &build_rng_);
-      IPS_RETURN_IF_ERROR(built.status());
-      lsh_index_ = std::move(built).value();
-      return Status::Ok();
-    }
-    case QueryAlgo::kSketch: {
-      if (sketch_index_ != nullptr) return Status::Ok();
-      // Pinned for snapshots: a load re-runs this build from the same
-      // state, which reproduces the index deterministically.
-      sketch_prebuild_state_ = build_rng_.SaveState();
-      sketch_prebuild_valid_ = true;
-      auto built = SketchIndex::Create(
-          data_,
-          SketchConfig{options_.sketch_params, options_.sketch_filter},
-          &build_rng_);
-      IPS_RETURN_IF_ERROR(built.status());
-      sketch_index_ = std::move(built).value();
-      return Status::Ok();
-    }
+      return AsIndex(LshMipsIndex::Create(data_, lsh_transform_.get(),
+                                          *lsh_family_, options_.lsh_params,
+                                          &build_rng_));
+    case QueryAlgo::kSketch:
+      break;
   }
-  return Status::InvalidArgument("unknown serve algorithm");
+  return AsIndex(SketchIndex::Create(
+      data_, SketchConfig{options_.sketch_params, options_.sketch_filter},
+      &build_rng_));
 }
 
 StatusOr<QueryResult> Engine::Query(const Request& request) const {
   static Counter* const requests =
       MetricsRegistry::Global().GetCounter("serve.engine.requests");
-  static Counter* const traced =
-      MetricsRegistry::Global().GetCounter("serve.engine.traced");
-  static Counter* const selected[kNumQueryAlgos] = {
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.brute"),
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.tree"),
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.lsh"),
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.sketch")};
   static Histogram* const exec_seconds =
       MetricsRegistry::Global().GetHistogram("serve.engine.exec_seconds");
 
@@ -342,16 +334,19 @@ StatusOr<QueryResult> Engine::Query(const Request& request) const {
 
   WallTimer timer;
   // The span scope: serve/query -> serve/plan, then the algorithm's own
-  // spans nested by Execute. The lambda closes the root span before the
-  // trace is published below.
+  // spans. The lambda closes the root span before the trace is
+  // published below.
   StatusOr<QueryResult> outcome = [&]() -> StatusOr<QueryResult> {
     TraceSpan root(trace.get(), "serve/query");
-    auto planned = MakePlan(options, trace.get());
+    auto planned = PlanAndPin(options, trace.get());
     IPS_RETURN_IF_ERROR(planned.status());
-    PlanDecision plan = std::move(planned).value();
-    IPS_RETURN_IF_ERROR(EnsureIndex(plan.algorithm));
-    return Execute(plan.algorithm, query, options, std::move(plan),
-                   trace.get());
+    QueryResult response;
+    auto matches = planned->index->Query(query, planned->options,
+                                         &response.stats, trace.get());
+    IPS_RETURN_IF_ERROR(matches.status());
+    response.matches = std::move(matches).value();
+    response.plan = std::move(planned->plan);
+    return response;
   }();
   IPS_RETURN_IF_ERROR(outcome.status());
   QueryResult result = std::move(outcome).value();
@@ -371,44 +366,51 @@ StatusOr<QueryResult> Engine::Query(const Request& request) const {
   result.stats.exec_seconds = timer.Seconds();
   result.stats.deadline_met =
       result.stats.exec_seconds <= request.context.deadline_seconds;
-  selected[static_cast<std::size_t>(result.stats.algorithm)]->Increment();
+  CountSelected(result.stats.algorithm);
   exec_seconds->Observe(result.stats.exec_seconds);
-  if (trace != nullptr) {
-    traced->Increment();
-    std::shared_ptr<const Trace> shared(std::move(trace));
-    TraceRing::Global().Record(shared);
-    result.stats.trace = std::move(shared);
-  }
+  if (trace != nullptr) result.stats.trace = PublishTrace(std::move(trace));
   return result;
 }
 
-StatusOr<PlanDecision> Engine::MakePlan(const QueryOptions& options,
-                                        Trace* trace) const {
-  TraceSpan plan_span(trace, "serve/plan");
-  PlanDecision plan;
-  if (options.force_algorithm.has_value()) {
-    IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-    const QueryAlgo forced = *options.force_algorithm;
-    // The serve layer routes only signed requests to the tree, forced
-    // or planned alike: its cost model is calibrated on signed descents
-    // (the index itself also answers unsigned ones).
-    if (forced == QueryAlgo::kBallTree && !options.is_signed) {
-      return Status::InvalidArgument(
-          "the serving engine routes only signed queries to the ball tree");
+StatusOr<Engine::PlannedRequest> Engine::PlanAndPin(
+    const QueryOptions& options, Trace* trace) const {
+  PlannedRequest planned{{}, nullptr, options};
+  PlanDecision& plan = planned.plan;
+  {
+    TraceSpan plan_span(trace, "serve/plan");
+    if (!options.force_algorithm.has_value()) {
+      auto decided = planner_->Plan(options);
+      IPS_RETURN_IF_ERROR(decided.status());
+      plan = std::move(decided).value();
+    } else {
+      IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
+      const QueryAlgo forced = *options.force_algorithm;
+      // The serve layer routes only signed requests to the tree, forced
+      // or planned alike: its cost model is calibrated on signed
+      // descents (the index itself also answers unsigned ones).
+      if (forced == QueryAlgo::kBallTree && !options.is_signed) {
+        return Status::InvalidArgument(
+            "the serving engine routes only signed queries to the ball tree");
+      }
+      plan.algorithm = forced;
+      // A forced path keeps the request's precision verbatim (kAuto runs
+      // the path's native mode); the index rejects combinations it
+      // cannot honor.
+      plan.precision = options.precision;
+      plan.expected_dot_products =
+          planner_->ExpectedDotProducts(forced, options.precision, options);
+      plan.expected_recall = 0.0;
+      plan.reason =
+          std::string("forced ") + std::string(QueryAlgoName(forced));
     }
-    plan.algorithm = forced;
-    // A forced path keeps the request's precision verbatim (kAuto runs
-    // the path's native mode); the index rejects combinations it
-    // cannot honor.
-    plan.precision = options.precision;
-    plan.expected_dot_products =
-        planner_->ExpectedDotProducts(forced, options.precision, options);
-    plan.expected_recall = 0.0;
-    plan.reason =
-        std::string("forced ") + std::string(QueryAlgoName(forced));
-    return plan;
   }
-  return planner_->Plan(options);
+  auto index = Pin(plan.algorithm);
+  IPS_RETURN_IF_ERROR(index.status());
+  planned.index = *index;
+  // The plan committed to a precision (the request's own when explicit
+  // or forced); the index runs exactly what was planned.
+  planned.options.precision = plan.precision;
+  return planned;
 }
 
 void Engine::AuditResult(std::span<const double> query,
@@ -416,18 +418,9 @@ void Engine::AuditResult(std::span<const double> query,
                          QueryResult* result) const {
   const auto exact =
       TopKBruteForce(data_, query, options.k, options.is_signed);
-  std::size_t hits = 0;
-  for (const SearchMatch& truth : exact) {
-    for (const SearchMatch& got : result->matches) {
-      if (got.index == truth.index) {
-        ++hits;
-        break;
-      }
-    }
-  }
   const double observed_recall =
       exact.empty() ? 1.0
-                    : static_cast<double>(hits) /
+                    : static_cast<double>(TopKHits(exact, result->matches)) /
                           static_cast<double>(exact.size());
   // The served path's own cost is what the re-fit curves price; the
   // audit scan is accounted separately below.
@@ -450,21 +443,6 @@ void Engine::AuditResult(std::span<const double> query,
   }
 }
 
-const MipsIndex* Engine::PinIndex(QueryAlgo algo) const {
-  MutexLock lock(build_mutex_);
-  switch (algo) {
-    case QueryAlgo::kBruteForce:
-      return brute_index_.get();
-    case QueryAlgo::kBallTree:
-      return tree_index_.get();
-    case QueryAlgo::kLsh:
-      return lsh_index_.get();
-    case QueryAlgo::kSketch:
-      return sketch_index_.get();
-  }
-  return nullptr;
-}
-
 StatusOr<std::vector<QueryResult>> Engine::BatchQuery(
     const Matrix& queries, const QueryOptions& options,
     const RequestContext& context) const {
@@ -472,13 +450,6 @@ StatusOr<std::vector<QueryResult>> Engine::BatchQuery(
       MetricsRegistry::Global().GetCounter("serve.engine.batch.requests");
   static Counter* const batch_queries =
       MetricsRegistry::Global().GetCounter("serve.engine.batch.queries");
-  static Counter* const traced =
-      MetricsRegistry::Global().GetCounter("serve.engine.traced");
-  static Counter* const selected[kNumQueryAlgos] = {
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.brute"),
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.tree"),
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.lsh"),
-      MetricsRegistry::Global().GetCounter("serve.engine.selected.sketch")};
   static Histogram* const batch_exec = MetricsRegistry::Global().GetHistogram(
       "serve.engine.batch.exec_seconds");
 
@@ -500,22 +471,12 @@ StatusOr<std::vector<QueryResult>> Engine::BatchQuery(
       [&]() -> StatusOr<std::vector<QueryResult>> {
     TraceSpan root(trace.get(), "serve/batch_query");
     root.AddCount("batch_queries", m);
-    auto planned = MakePlan(options, trace.get());
+    auto planned = PlanAndPin(options, trace.get());
     IPS_RETURN_IF_ERROR(planned.status());
-    PlanDecision plan = std::move(planned).value();
-    IPS_RETURN_IF_ERROR(EnsureIndex(plan.algorithm));
-    const MipsIndex* index = PinIndex(plan.algorithm);
-    if (index == nullptr) {
-      return Status::Internal(
-          std::string("index not built for algorithm ") +
-          std::string(QueryAlgoName(plan.algorithm)));
-    }
-    QueryOptions planned_options = options;
-    planned_options.precision = plan.precision;
-    auto results = index->BatchQuery(queries, planned_options);
+    auto results = planned->index->BatchQuery(queries, planned->options);
     IPS_RETURN_IF_ERROR(results.status());
     std::vector<QueryResult> out = std::move(results).value();
-    for (QueryResult& result : out) result.plan = plan;
+    for (QueryResult& result : out) result.plan = planned->plan;
     return out;
   }();
   IPS_RETURN_IF_ERROR(outcome.status());
@@ -529,43 +490,13 @@ StatusOr<std::vector<QueryResult>> Engine::BatchQuery(
     // the scheduler replaces this with queue-aware wall clock for
     // scheduled traffic.
     result.stats.deadline_met = amortized <= context.deadline_seconds;
-    selected[static_cast<std::size_t>(result.stats.algorithm)]->Increment();
+    CountSelected(result.stats.algorithm);
   }
   batch_exec->Observe(total_seconds);
-  if (trace != nullptr) {
-    traced->Increment();
-    // The engine-level trace (plan + batch dispatch) goes to the ring;
-    // each result keeps the index-level batch trace in its stats.
-    TraceRing::Global().Record(
-        std::shared_ptr<const Trace>(std::move(trace)));
-  }
+  // The engine-level trace (plan + batch dispatch) goes to the ring;
+  // each result keeps the index-level batch trace in its stats.
+  if (trace != nullptr) PublishTrace(std::move(trace));
   return results;
-}
-
-StatusOr<QueryResult> Engine::Execute(QueryAlgo algo,
-                                      std::span<const double> query,
-                                      const QueryOptions& options,
-                                      PlanDecision plan, Trace* trace) const {
-  const MipsIndex* index = PinIndex(algo);
-  if (index == nullptr) {
-    // EnsureIndex ran before Execute, so a missing index is an internal
-    // invariant break; hot query paths report it as a Status, not a
-    // process abort (ipslint: check-in-query).
-    return Status::Internal(std::string("index not built for algorithm ") +
-                            std::string(QueryAlgoName(algo)));
-  }
-
-  QueryResult response;
-  // The plan committed to a precision (the request's own when explicit
-  // or forced); the index runs exactly what was planned.
-  QueryOptions planned_options = options;
-  planned_options.precision = plan.precision;
-  auto matches =
-      index->Query(query, planned_options, &response.stats, trace);
-  IPS_RETURN_IF_ERROR(matches.status());
-  response.matches = std::move(matches).value();
-  response.plan = std::move(plan);
-  return response;
 }
 
 }  // namespace ips

@@ -14,14 +14,16 @@
 // to the process-wide TraceRing. Engine-level traffic lands in the
 // MetricsRegistry under "serve.engine.*".
 //
-// Thread safety: Query may be called concurrently. Index construction is
-// serialized behind a mutex; queries go through the counter-free const
-// MipsIndex::Query primitives, so a built engine serves parallel traffic
-// without locking the hot path.
+// Thread safety: Query may be called concurrently. The indexes live in
+// one table with a slot per QueryAlgo; index construction is serialized
+// behind build_mutex_, and built indexes are immutable, so a request
+// takes one uncontended build_mutex_ acquisition (to pin its index) and
+// then runs through the counter-free const MipsIndex::Query primitives.
 
 #ifndef IPS_SERVE_ENGINE_H_
 #define IPS_SERVE_ENGINE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -81,11 +83,6 @@ struct SnapshotLoadOptions {
   /// instead of copying it onto the heap — the warm start never pays
   /// an O(n d) read before the first query.
   bool use_mmap = false;
-  /// Verify every section CRC32 up front. On the mmap path this
-  /// touches every page once; turning it off keeps the load O(1) and
-  /// lets pages fault in lazily (damage then surfaces only where it
-  /// is touched, without a kDataLoss diagnosis).
-  bool verify_checksums = true;
 };
 
 /// The serving engine. Create once, serve concurrently.
@@ -103,7 +100,8 @@ class Engine : public QueryEngine {
   /// (DESIGN.md §12). The write is atomic: a crash mid-save leaves any
   /// previous snapshot in the directory untouched. Indexes not yet
   /// built are simply absent from the snapshot and rebuild lazily
-  /// after a load.
+  /// after a load. The index table is copied under build_mutex_ and
+  /// the file is written without it, so serving is not stalled.
   [[nodiscard]] Status SaveSnapshot(const std::string& dir) const
       IPS_EXCLUDES(build_mutex_);
 
@@ -114,7 +112,8 @@ class Engine : public QueryEngine {
   /// replay of the hash-function draws, the sketch by deterministic
   /// rebuild from its pinned pre-build rng state. With
   /// `load.use_mmap` the dataset is served zero-copy from the mapped
-  /// file, which the engine keeps alive for its lifetime.
+  /// file, which the engine keeps alive for its lifetime. Every section
+  /// CRC32 is verified on both paths.
   [[nodiscard]] static StatusOr<std::unique_ptr<Engine>> CreateFromSnapshot(
       const std::string& dir, const SnapshotLoadOptions& load = {});
 
@@ -134,7 +133,7 @@ class Engine : public QueryEngine {
       const override IPS_EXCLUDES(build_mutex_);
 
   /// Answers every row of `queries` under one shared `options` and
-  /// `context`: one planner decision (or forced path), one EnsureIndex,
+  /// `context`: one planner decision (or forced path), one index pin,
   /// and one MipsIndex::BatchQuery call for the whole batch — the
   /// coalesced fast path the BatchScheduler hands its compatible groups
   /// to. Results come back in row order; per-member exec_seconds is the
@@ -173,22 +172,30 @@ class Engine : public QueryEngine {
   /// all read off the unified QueryStats of probe-index Query calls.
   StatusOr<PlannerCalibration> Calibrate() IPS_EXCLUDES(build_mutex_);
 
-  /// Executes `options` on `algo` (indexes already built), filling the
-  /// result's stats through the index's Query and nesting its spans
-  /// under `trace` when non-null.
-  StatusOr<QueryResult> Execute(QueryAlgo algo, std::span<const double> query,
-                                const QueryOptions& options,
-                                PlanDecision plan, Trace* trace) const
+  /// A request after PlanAndPin: the plan, its index, and the options
+  /// that index runs.
+  struct PlannedRequest {
+    PlanDecision plan;
+    const MipsIndex* index = nullptr;
+    QueryOptions options;
+  };
+
+  /// The shared prefix of Query and BatchQuery: a validated forced path
+  /// or the planner's decision (recorded as a "serve/plan" span), the
+  /// pinned index, and the request options with the planned precision.
+  StatusOr<PlannedRequest> PlanAndPin(const QueryOptions& options,
+                                      Trace* trace) const
       IPS_EXCLUDES(build_mutex_);
 
-  /// The shared plan step of Query and BatchQuery: a validated forced
-  /// path, or the planner's decision. Records a "serve/plan" span.
-  StatusOr<PlanDecision> MakePlan(const QueryOptions& options,
-                                  Trace* trace) const;
+  /// The index behind `algo`, built on first use. Takes build_mutex_
+  /// once; the returned index is immutable and lives as long as the
+  /// engine.
+  StatusOr<const MipsIndex*> Pin(QueryAlgo algo) const
+      IPS_EXCLUDES(build_mutex_);
 
-  /// The (immutable once built) index behind `algo`, or null when
-  /// EnsureIndex has not built it.
-  const MipsIndex* PinIndex(QueryAlgo algo) const IPS_EXCLUDES(build_mutex_);
+  /// Builds the index of `algo` from build_rng_'s current state.
+  StatusOr<std::unique_ptr<MipsIndex>> BuildIndex(QueryAlgo algo) const
+      IPS_REQUIRES(build_mutex_);
 
   /// Runs the exact shadow audit for an approximate planner-chosen
   /// answer: measures observed recall against the brute-force truth,
@@ -205,31 +212,29 @@ class Engine : public QueryEngine {
   DatasetProfile profile_;
   std::unique_ptr<Planner> planner_;
 
-  // Lazily-built indexes (and the LSH path's transform + base family,
-  // which must outlive its index); guarded by build_mutex_, immutable
-  // once built.
+  // The Simple-LSH lift behind the lsh slot. It depends only on the
+  // profile and draws no rng, so the constructor builds it; both are
+  // null when max_norm <= 0 (all-zero data), where the lift is
+  // undefined. Declared before slots_, which must be destroyed first.
+  std::unique_ptr<const SimpleMipsTransform> lsh_transform_;
+  std::unique_ptr<const SimHashFamily> lsh_family_;
+
+  /// One slot of the index table. `prebuild` is the build_rng_ state
+  /// the build started from; snapshots persist it so a load can replay
+  /// the LSH hash draws and re-run the sketch build bit-identically.
+  struct IndexSlot {
+    std::unique_ptr<MipsIndex> index;
+    Rng::State prebuild;
+  };
+
+  // The index table, indexed by QueryAlgo. Slot a only ever holds the
+  // index type built for a (BuildIndex, CreateFromSnapshot), which is
+  // what lets SaveSnapshot static_cast the tree and LSH slots to their
+  // concrete types. A slot is filled once and never cleared.
   mutable Mutex build_mutex_;
-  mutable std::unique_ptr<VectorTransform> lsh_transform_
-      IPS_GUARDED_BY(build_mutex_);
-  mutable std::unique_ptr<SimHashFamily> lsh_family_
-      IPS_GUARDED_BY(build_mutex_);
-  mutable std::unique_ptr<BruteForceIndex> brute_index_
-      IPS_GUARDED_BY(build_mutex_);
-  mutable std::unique_ptr<TreeMipsIndex> tree_index_
-      IPS_GUARDED_BY(build_mutex_);
-  mutable std::unique_ptr<LshMipsIndex> lsh_index_
-      IPS_GUARDED_BY(build_mutex_);
-  mutable std::unique_ptr<SketchIndex> sketch_index_
+  mutable std::array<IndexSlot, kNumQueryAlgos> slots_
       IPS_GUARDED_BY(build_mutex_);
   mutable Rng build_rng_ IPS_GUARDED_BY(build_mutex_);
-  // Pre-build rng states of the replayable index builds, captured by
-  // EnsureIndex so SaveSnapshot can persist them (see the LSHT/SKCH
-  // sections in DESIGN.md §12). `valid` is false until the index has
-  // been built at least once.
-  mutable Rng::State lsh_prebuild_state_ IPS_GUARDED_BY(build_mutex_);
-  mutable bool lsh_prebuild_valid_ IPS_GUARDED_BY(build_mutex_) = false;
-  mutable Rng::State sketch_prebuild_state_ IPS_GUARDED_BY(build_mutex_);
-  mutable bool sketch_prebuild_valid_ IPS_GUARDED_BY(build_mutex_) = false;
 };
 
 }  // namespace ips

@@ -11,6 +11,7 @@
 // its own pinned state.
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -43,6 +44,13 @@ Status GetRngState(storage::PayloadReader* r, Rng::State* state) {
   for (std::uint64_t& word : state->words) IPS_RETURN_IF_ERROR(r->GetU64(&word));
   IPS_RETURN_IF_ERROR(r->GetU64(&state->has_spare_gaussian));
   return r->GetDouble(&state->spare_gaussian);
+}
+
+Status GetSize(storage::PayloadReader* r, std::size_t* size) {
+  std::uint64_t u = 0;
+  IPS_RETURN_IF_ERROR(r->GetU64(&u));
+  *size = static_cast<std::size_t>(u);
+  return Status::Ok();
 }
 
 Status ExpectAtEnd(const storage::PayloadReader& r, const char* section) {
@@ -92,40 +100,28 @@ Status DecodeMeta(std::span<const unsigned char> bytes,
                   EngineOptions* options) {
   storage::PayloadReader r(bytes, "META");
   std::uint64_t u = 0;
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->lsh_params.k = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->lsh_params.l = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->lsh_params.k));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->lsh_params.l));
   IPS_RETURN_IF_ERROR(r.GetDouble(&options->sketch_params.kappa));
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->sketch_params.copies = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_params.copies));
   IPS_RETURN_IF_ERROR(
       r.GetDouble(&options->sketch_params.bucket_multiplier));
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->sketch_params.leaf_size = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->sketch_filter.buckets = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->sketch_filter.copies = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_params.leaf_size));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_filter.buckets));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_filter.copies));
   IPS_RETURN_IF_ERROR(
       r.GetDouble(&options->sketch_filter.survivor_multiplier));
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->sketch_filter.survivor_floor = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->tree_leaf_size = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->probe_queries = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->probe_sample = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_filter.survivor_floor));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->tree_leaf_size));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->probe_queries));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->probe_sample));
   IPS_RETURN_IF_ERROR(r.GetDouble(&options->recall_margin));
   IPS_RETURN_IF_ERROR(r.GetU64(&options->seed));
   IPS_RETURN_IF_ERROR(r.GetU64(&u));
   options->feedback.enabled = u != 0;
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->feedback.audit_every = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->feedback.audit_every));
   IPS_RETURN_IF_ERROR(r.GetDouble(&options->feedback.decay));
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->feedback.min_observations = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->feedback.min_observations));
   return ExpectAtEnd(r, "META");
 }
 
@@ -142,11 +138,8 @@ std::vector<unsigned char> EncodeProfile(const DatasetProfile& profile) {
 Status DecodeProfile(std::span<const unsigned char> bytes,
                      DatasetProfile* profile) {
   storage::PayloadReader r(bytes, "PROF");
-  std::uint64_t u = 0;
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  profile->n = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  profile->dim = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &profile->n));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &profile->dim));
   IPS_RETURN_IF_ERROR(r.GetDouble(&profile->min_norm));
   IPS_RETURN_IF_ERROR(r.GetDouble(&profile->max_norm));
   IPS_RETURN_IF_ERROR(r.GetDouble(&profile->mean_norm));
@@ -189,11 +182,8 @@ Status DecodeCalibration(std::span<const unsigned char> bytes,
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->filter_recall));
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->filter_cost_ratio));
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->filter_survivor_multiplier));
-  std::uint64_t u = 0;
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  calib->filter_survivor_floor = static_cast<std::size_t>(u);
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  calib->probe_queries = static_cast<std::size_t>(u);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &calib->filter_survivor_floor));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &calib->probe_queries));
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->recall_margin));
   return ExpectAtEnd(r, "CALB");
 }
@@ -245,12 +235,8 @@ StatusOr<MipsBallTree> DecodeTree(std::span<const unsigned char> bytes,
   std::vector<MipsBallTree::Node> nodes(
       static_cast<std::size_t>(num_nodes));
   for (MipsBallTree::Node& node : nodes) {
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
-    IPS_RETURN_IF_ERROR(r.GetU64(&begin));
-    IPS_RETURN_IF_ERROR(r.GetU64(&end));
-    node.begin = static_cast<std::size_t>(begin);
-    node.end = static_cast<std::size_t>(end);
+    IPS_RETURN_IF_ERROR(GetSize(&r, &node.begin));
+    IPS_RETURN_IF_ERROR(GetSize(&r, &node.end));
     std::int32_t left = 0;
     std::int32_t right = 0;
     IPS_RETURN_IF_ERROR(r.GetI32(&left));
@@ -271,11 +257,7 @@ StatusOr<MipsBallTree> DecodeTree(std::span<const unsigned char> bytes,
   }
   std::vector<std::size_t> point_order(
       static_cast<std::size_t>(order_size));
-  for (std::size_t& p : point_order) {
-    std::uint64_t v = 0;
-    IPS_RETURN_IF_ERROR(r.GetU64(&v));
-    p = static_cast<std::size_t>(v);
-  }
+  for (std::size_t& p : point_order) IPS_RETURN_IF_ERROR(GetSize(&r, &p));
   IPS_RETURN_IF_ERROR(ExpectAtEnd(r, "TREE"));
   return MipsBallTree::Restore(data, std::move(nodes),
                                std::move(point_order), root);
@@ -292,16 +274,16 @@ std::vector<unsigned char> EncodeLshTables(const Rng::State& prebuild_state,
     // Buckets go out in ascending key order, not hash-map iteration
     // order, so re-saving a loaded engine reproduces the file byte for
     // byte. The decoder accepts any order.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(buckets.size());
-    for (const auto& entry : buckets) keys.push_back(entry.first);
-    std::sort(keys.begin(), keys.end());
-    w.PutU64(keys.size());
-    for (std::uint64_t key : keys) {
-      const std::vector<std::uint32_t>& bucket = buckets.at(key);
+    std::vector<std::pair<std::uint64_t, const std::vector<std::uint32_t>*>>
+        sorted;
+    sorted.reserve(buckets.size());
+    for (const auto& [key, bucket] : buckets) sorted.emplace_back(key, &bucket);
+    std::sort(sorted.begin(), sorted.end());
+    w.PutU64(sorted.size());
+    for (const auto& [key, bucket] : sorted) {
       w.PutU64(key);
-      w.PutU64(bucket.size());
-      for (std::uint32_t i : bucket) w.PutU32(i);
+      w.PutU64(bucket->size());
+      for (std::uint32_t i : *bucket) w.PutU32(i);
     }
   }
   return std::vector<unsigned char>(w.bytes().begin(), w.bytes().end());
@@ -319,18 +301,15 @@ StatusOr<DecodedLshTables> DecodeLshTables(
   storage::PayloadReader r(bytes, "LSHT");
   DecodedLshTables decoded;
   IPS_RETURN_IF_ERROR(GetRngState(&r, &decoded.prebuild_state));
-  std::uint64_t k = 0;
-  std::uint64_t l = 0;
-  IPS_RETURN_IF_ERROR(r.GetU64(&k));
-  IPS_RETURN_IF_ERROR(r.GetU64(&l));
-  decoded.params.k = static_cast<std::size_t>(k);
-  decoded.params.l = static_cast<std::size_t>(l);
+  IPS_RETURN_IF_ERROR(GetSize(&r, &decoded.params.k));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &decoded.params.l));
+  const std::size_t l = decoded.params.l;
   if (l > r.remaining() / 8 + 1) {
     return Status::DataLoss("LSHT section claims " + std::to_string(l) +
                             " tables but holds only " +
                             std::to_string(r.remaining()) + " bytes");
   }
-  decoded.buckets.resize(static_cast<std::size_t>(l));
+  decoded.buckets.resize(l);
   for (auto& table : decoded.buckets) {
     std::uint64_t num_buckets = 0;
     IPS_RETURN_IF_ERROR(r.GetU64(&num_buckets));
@@ -374,6 +353,16 @@ Status DecodeSketch(std::span<const unsigned char> bytes,
   return ExpectAtEnd(r, "SKCH");
 }
 
+// Reads section `id` through `read` and decodes it into `out`.
+template <typename Read, typename T>
+Status ReadDecoded(const Read& read, std::uint32_t id,
+                   Status (*decode)(std::span<const unsigned char>, T*),
+                   T* out) {
+  auto bytes = read(id);
+  IPS_RETURN_IF_ERROR(bytes.status());
+  return decode(*bytes, out);
+}
+
 }  // namespace
 
 Status Engine::SaveSnapshot(const std::string& dir) const {
@@ -385,7 +374,21 @@ Status Engine::SaveSnapshot(const std::string& dir) const {
   IPS_RETURN_IF_ERROR(created.status());
   storage::SnapshotWriter writer = std::move(created).value();
 
-  MutexLock lock(build_mutex_);
+  // Built indexes are immutable and never freed, so the table is copied
+  // under the lock and the file (including the O(n d) DSET stream) is
+  // written without it: concurrent requests and builds do not stall.
+  std::array<const MipsIndex*, kNumQueryAlgos> built{};
+  std::array<Rng::State, kNumQueryAlgos> prebuild{};
+  {
+    MutexLock lock(build_mutex_);
+    for (std::size_t a = 0; a < kNumQueryAlgos; ++a) {
+      built[a] = slots_[a].index.get();
+      prebuild[a] = slots_[a].prebuild;
+    }
+  }
+  constexpr auto kTree = static_cast<std::size_t>(QueryAlgo::kBallTree);
+  constexpr auto kLsh = static_cast<std::size_t>(QueryAlgo::kLsh);
+  constexpr auto kSketch = static_cast<std::size_t>(QueryAlgo::kSketch);
   {
     const auto meta = EncodeMeta(options_);
     IPS_RETURN_IF_ERROR(writer.WriteSection(storage::kSectionMeta, 3, meta));
@@ -415,20 +418,20 @@ Status Engine::SaveSnapshot(const std::string& dir) const {
     IPS_RETURN_IF_ERROR(
         writer.WriteSection(storage::kSectionCalibration, 3, calib));
   }
-  if (tree_index_ != nullptr) {
-    const auto tree = EncodeTree(tree_index_->tree(), data_.cols());
-    IPS_RETURN_IF_ERROR(writer.WriteSection(storage::kSectionTree, 1, tree));
+  // Slot a only ever holds the index type built for a, so the tree and
+  // LSH slots cast to their concrete types.
+  if (const auto* tree = static_cast<const TreeMipsIndex*>(built[kTree])) {
+    IPS_RETURN_IF_ERROR(writer.WriteSection(
+        storage::kSectionTree, 1, EncodeTree(tree->tree(), data_.cols())));
   }
-  if (lsh_index_ != nullptr && lsh_prebuild_valid_) {
-    const auto lsh =
-        EncodeLshTables(lsh_prebuild_state_, lsh_index_->tables());
+  if (const auto* lsh = static_cast<const LshMipsIndex*>(built[kLsh])) {
     IPS_RETURN_IF_ERROR(
-        writer.WriteSection(storage::kSectionLshTables, 1, lsh));
+        writer.WriteSection(storage::kSectionLshTables, 1,
+                            EncodeLshTables(prebuild[kLsh], lsh->tables())));
   }
-  if (sketch_index_ != nullptr && sketch_prebuild_valid_) {
-    const auto sketch = EncodeSketch(sketch_prebuild_state_);
-    IPS_RETURN_IF_ERROR(
-        writer.WriteSection(storage::kSectionSketch, 1, sketch));
+  if (built[kSketch] != nullptr) {
+    IPS_RETURN_IF_ERROR(writer.WriteSection(storage::kSectionSketch, 1,
+                                            EncodeSketch(prebuild[kSketch])));
   }
   IPS_RETURN_IF_ERROR(writer.Finish());
   saves->Increment();
@@ -443,8 +446,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
   const std::string path = dir + kSnapshotFile;
 
   // The structured sections are tiny; they are always copied out and
-  // (except on the unverified mmap path) CRC-checked. Only the bulk
-  // dataset differs between the heap and mmap paths.
+  // CRC-checked (by Map up front on the mmap path, by the reader
+  // otherwise). Only the bulk dataset differs between the two paths.
   std::shared_ptr<storage::MappedSnapshot> mapped;
   std::unique_ptr<storage::SnapshotReader> reader;
   auto has_section = [&](std::uint32_t id) {
@@ -467,7 +470,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
 
   Matrix data;
   if (load.use_mmap) {
-    auto snap = storage::MappedSnapshot::Map(path, load.verify_checksums);
+    auto snap = storage::MappedSnapshot::Map(path);
     IPS_RETURN_IF_ERROR(snap.status());
     mapped = std::move(snap).value();
     auto view = mapped->MapMatrixSection(storage::kSectionDataset);
@@ -484,11 +487,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
   }
 
   EngineOptions options;
-  {
-    auto meta = read_section(storage::kSectionMeta);
-    IPS_RETURN_IF_ERROR(meta.status());
-    IPS_RETURN_IF_ERROR(DecodeMeta(*meta, &options));
-  }
+  IPS_RETURN_IF_ERROR(
+      ReadDecoded(read_section, storage::kSectionMeta, DecodeMeta, &options));
   // A CRC-valid META can still carry options Create would reject (a
   // zero audit_every divides by zero at the first audit).
   if (const Status valid = ValidateEngineOptions(options); !valid.ok()) {
@@ -496,11 +496,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
                             valid.message());
   }
   DatasetProfile profile;
-  {
-    auto prof = read_section(storage::kSectionProfile);
-    IPS_RETURN_IF_ERROR(prof.status());
-    IPS_RETURN_IF_ERROR(DecodeProfile(*prof, &profile));
-  }
+  IPS_RETURN_IF_ERROR(ReadDecoded(read_section, storage::kSectionProfile,
+                                  DecodeProfile, &profile));
   if (profile.n != data.rows() || profile.dim != data.cols()) {
     return Status::DataLoss(
         path + ": PROF says " + std::to_string(profile.n) + "x" +
@@ -508,11 +505,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
         std::to_string(data.rows()) + "x" + std::to_string(data.cols()));
   }
   PlannerCalibration calibration;
-  {
-    auto calib = read_section(storage::kSectionCalibration);
-    IPS_RETURN_IF_ERROR(calib.status());
-    IPS_RETURN_IF_ERROR(DecodeCalibration(*calib, &calibration));
-  }
+  IPS_RETURN_IF_ERROR(ReadDecoded(read_section, storage::kSectionCalibration,
+                                  DecodeCalibration, &calibration));
 
   std::unique_ptr<Engine> engine(
       new Engine(std::move(data), options, profile));
@@ -521,8 +515,10 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
   engine->data_keepalive_ = mapped;
 
   // Install every persisted index eagerly: the warm start's first
-  // query must not pay a lazy build.
+  // query must not pay a lazy build. Each slot gets the index type
+  // BuildIndex would have built for it.
   MutexLock lock(engine->build_mutex_);
+  auto& slots = engine->slots_;
   if (has_section(storage::kSectionTree)) {
     auto bytes = read_section(storage::kSectionTree);
     IPS_RETURN_IF_ERROR(bytes.status());
@@ -531,7 +527,8 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     auto index =
         TreeMipsIndex::Restore(engine->data_, std::move(tree).value());
     IPS_RETURN_IF_ERROR(index.status());
-    engine->tree_index_ = std::move(index).value();
+    slots[static_cast<std::size_t>(QueryAlgo::kBallTree)].index =
+        std::move(index).value();
   }
   if (has_section(storage::kSectionLshTables)) {
     if (profile.max_norm <= 0.0) {
@@ -543,33 +540,23 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     IPS_RETURN_IF_ERROR(bytes.status());
     auto decoded = DecodeLshTables(*bytes);
     IPS_RETURN_IF_ERROR(decoded.status());
-    engine->lsh_transform_ = std::make_unique<SimpleMipsTransform>(
-        profile.dim, profile.max_norm);
-    engine->lsh_family_ = std::make_unique<SimHashFamily>(
-        engine->lsh_transform_->output_dim());
-    engine->lsh_prebuild_state_ = decoded->prebuild_state;
-    engine->lsh_prebuild_valid_ = true;
-    engine->build_rng_.RestoreState(decoded->prebuild_state);
+    IndexSlot& slot = slots[static_cast<std::size_t>(QueryAlgo::kLsh)];
+    slot.prebuild = decoded->prebuild_state;
+    engine->build_rng_.RestoreState(slot.prebuild);
     auto index = LshMipsIndex::CreateFromBuckets(
         engine->data_, engine->lsh_transform_.get(), *engine->lsh_family_,
         decoded->params, &engine->build_rng_, std::move(decoded->buckets));
     IPS_RETURN_IF_ERROR(index.status());
-    engine->lsh_index_ = std::move(index).value();
+    slot.index = std::move(index).value();
   }
   if (has_section(storage::kSectionSketch)) {
-    auto bytes = read_section(storage::kSectionSketch);
-    IPS_RETURN_IF_ERROR(bytes.status());
-    Rng::State prebuild_state;
-    IPS_RETURN_IF_ERROR(DecodeSketch(*bytes, &prebuild_state));
-    engine->sketch_prebuild_state_ = prebuild_state;
-    engine->sketch_prebuild_valid_ = true;
-    engine->build_rng_.RestoreState(prebuild_state);
-    auto index = SketchIndex::Create(
-        engine->data_,
-        SketchConfig{options.sketch_params, options.sketch_filter},
-        &engine->build_rng_);
+    IndexSlot& slot = slots[static_cast<std::size_t>(QueryAlgo::kSketch)];
+    IPS_RETURN_IF_ERROR(ReadDecoded(read_section, storage::kSectionSketch,
+                                    DecodeSketch, &slot.prebuild));
+    engine->build_rng_.RestoreState(slot.prebuild);
+    auto index = engine->BuildIndex(QueryAlgo::kSketch);
     IPS_RETURN_IF_ERROR(index.status());
-    engine->sketch_index_ = std::move(index).value();
+    slot.index = std::move(index).value();
   }
   loads->Increment();
   return engine;

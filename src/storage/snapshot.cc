@@ -272,7 +272,7 @@ StatusOr<MatrixSectionInfo> ParseMatrixSection(const SnapshotReader& reader,
 // ---------------------------------------------------------------------
 
 StatusOr<std::shared_ptr<MappedSnapshot>> MappedSnapshot::Map(
-    const std::string& path, bool verify_checksums) {
+    const std::string& path) {
   auto file = MappedFile::Map(path);
   IPS_RETURN_IF_ERROR(file.status());
   std::shared_ptr<MappedSnapshot> snapshot(
@@ -299,15 +299,13 @@ StatusOr<std::shared_ptr<MappedSnapshot>> MappedSnapshot::Map(
                     static_cast<std::size_t>(table_bytes)),
       bytes.size(), path, &snapshot->sections_));
 
-  if (verify_checksums) {
-    for (const SectionEntry& entry : snapshot->sections_) {
-      const std::uint32_t crc = Crc32(snapshot->SectionBytes(entry));
-      if (crc != entry.crc32) {
-        return Status::DataLoss(path + ": section " + SectionName(entry.id) +
-                                " failed its CRC32 check (stored " +
-                                std::to_string(entry.crc32) + ", computed " +
-                                std::to_string(crc) + ")");
-      }
+  for (const SectionEntry& entry : snapshot->sections_) {
+    const std::uint32_t crc = Crc32(snapshot->SectionBytes(entry));
+    if (crc != entry.crc32) {
+      return Status::DataLoss(path + ": section " + SectionName(entry.id) +
+                              " failed its CRC32 check (stored " +
+                              std::to_string(entry.crc32) + ", computed " +
+                              std::to_string(crc) + ")");
     }
   }
   return snapshot;
@@ -401,9 +399,8 @@ StatusOr<Matrix> LoadMatrixSnapshot(const std::string& path) {
   return matrix;
 }
 
-StatusOr<MappedMatrix> MapMatrixSnapshot(const std::string& path,
-                                         bool verify_checksums) {
-  auto snapshot = MappedSnapshot::Map(path, verify_checksums);
+StatusOr<MappedMatrix> MapMatrixSnapshot(const std::string& path) {
+  auto snapshot = MappedSnapshot::Map(path);
   IPS_RETURN_IF_ERROR(snapshot.status());
   auto matrix = (*snapshot)->MapMatrixSection(kSectionDataset);
   IPS_RETURN_IF_ERROR(matrix.status());

@@ -6,9 +6,8 @@
 //
 // Writing is atomic (FileWriter tmp + rename): a crash mid-save leaves
 // any previous snapshot untouched. Reading is checksummed: every load
-// path verifies the per-section CRC32 (optionally skippable on the mmap
-// path where the caller wants lazy page-in) and damaged bytes surface
-// as kDataLoss naming the section.
+// path verifies the per-section CRC32 (the out-of-core block reader may
+// skip it) and damaged bytes surface as kDataLoss naming the section.
 //
 // A Matrix lives in a DSET section as a 64-byte subheader holding the
 // column count followed by the row-major doubles; the row count is
@@ -135,12 +134,10 @@ struct MatrixSectionInfo {
 /// from it (hold the shared_ptr as long as any view lives).
 class MappedSnapshot {
  public:
-  /// Maps `path` and parses the header and section table. When
-  /// `verify_checksums` is set every section CRC is verified up front
-  /// (touching every page once); otherwise pages fault in lazily and
-  /// only the header and table are validated.
+  /// Maps `path`, parses the header and section table, and verifies
+  /// every section CRC up front (touching every page once).
   [[nodiscard]] static StatusOr<std::shared_ptr<MappedSnapshot>> Map(
-      const std::string& path, bool verify_checksums = true);
+      const std::string& path);
 
   const std::vector<SectionEntry>& sections() const { return sections_; }
   const SectionEntry* Find(std::uint32_t id) const;
@@ -182,7 +179,7 @@ struct MappedMatrix {
 
 /// Maps a matrix snapshot for zero-copy serving.
 [[nodiscard]] StatusOr<MappedMatrix> MapMatrixSnapshot(
-    const std::string& path, bool verify_checksums = true);
+    const std::string& path);
 
 /// Streams a matrix of unknown row count to a snapshot file in bounded
 /// memory — how the out-of-core join's inputs are generated without

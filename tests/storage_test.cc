@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -457,6 +458,54 @@ TEST_F(StorageTest, EngineSnapshotResaveIsByteIdentical) {
         << (use_mmap ? "mmap" : "heap");
     EXPECT_TRUE(FileBytes(resave_dir + "/snapshot.ips") == original)
         << (use_mmap ? "mmap" : "heap");
+  }
+}
+
+TEST_F(StorageTest, SaveSnapshotRunsConcurrentlyWithServingAndBuilds) {
+  // One thread saves repeatedly while another serves and builds the LSH
+  // index mid-way. Every saved snapshot must load and answer like the
+  // writer on each index it holds (the LSH one only once it was built).
+  auto engine =
+      Engine::Create(RandomMatrix(128, 12, 9), SmallEngineOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Engine& writer = **engine;
+  ASSERT_TRUE(writer.EnsureIndex(QueryAlgo::kBallTree).ok());
+  constexpr std::size_t kSaves = 8;
+  std::vector<Status> saves(kSaves);
+  std::thread saver([&] {
+    for (std::size_t i = 0; i < kSaves; ++i) {
+      saves[i] =
+          writer.SaveSnapshot(TempPath("concurrent_save_" + std::to_string(i)));
+    }
+  });
+  Status serving;
+  for (std::size_t i = 0; i < 64 && serving.ok(); ++i) {
+    if (i == 16) serving = writer.EnsureIndex(QueryAlgo::kLsh);
+    QueryOptions options;
+    options.force_algorithm = i < 16 ? QueryAlgo::kBallTree : QueryAlgo::kLsh;
+    auto result = writer.Query({writer.data().Row(i), options});
+    if (!result.ok()) serving = result.status();
+  }
+  saver.join();
+  ASSERT_TRUE(serving.ok()) << serving.ToString();
+
+  for (std::size_t i = 0; i < kSaves; ++i) {
+    ASSERT_TRUE(saves[i].ok()) << saves[i].ToString();
+    const std::string dir = TempPath("concurrent_save_" + std::to_string(i));
+    auto reader = storage::SnapshotReader::Open(dir + "/snapshot.ips");
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    const bool has_lsh = reader->Find(storage::kSectionLshTables) != nullptr;
+    auto warm = Engine::CreateFromSnapshot(dir);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    for (QueryAlgo algo : {QueryAlgo::kBruteForce, QueryAlgo::kBallTree}) {
+      EXPECT_EQ(ForcedAnswers(writer, algo), ForcedAnswers(**warm, algo))
+          << "save " << i << " algo " << QueryAlgoName(algo);
+    }
+    if (has_lsh) {
+      EXPECT_EQ(ForcedAnswers(writer, QueryAlgo::kLsh),
+                ForcedAnswers(**warm, QueryAlgo::kLsh))
+          << "save " << i;
+    }
   }
 }
 
