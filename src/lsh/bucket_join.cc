@@ -7,11 +7,23 @@
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
 #include "linalg/quantized.h"
+#include "lsh/transforms.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 
 namespace ips {
+
+const Matrix& MapToHashSpace(const LshFamily& family, const Matrix& rows,
+                             bool query_side, Matrix* mapped) {
+  const VectorTransform* transform = family.transform();
+  if (transform == nullptr) return rows;
+  // Free the previous copy first: one hash-space copy per side at a time.
+  *mapped = Matrix();
+  *mapped = query_side ? transform->TransformQueries(rows)
+                       : transform->TransformDataset(rows);
+  return *mapped;
+}
 
 BucketJoinResult LshBucketJoin(const LshFamily& family,
                                const Matrix& hash_data, const Matrix& data,
@@ -42,17 +54,26 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
     qqueries.push_back(QuantizeVector(queries.Row(qi)));
   }
+  // A composed family hashes its base's functions over rows mapped once
+  // here, not once per hash bit inside every sampled function.
+  Matrix mapped_data;
+  Matrix mapped_queries;
+  const Matrix& hashed_data =
+      MapToHashSpace(family, hash_data, /*query_side=*/false, &mapped_data);
+  const Matrix& hashed_queries = MapToHashSpace(
+      family, hash_queries, /*query_side=*/true, &mapped_queries);
   // Pairs already verified, keyed by query-major 64-bit id.
   std::unordered_set<std::uint64_t> verified;
   for (std::size_t table = 0; table < params.l; ++table) {
-    const ConcatenatedLshFunction function(family, params.k, rng);
+    const ConcatenatedLshFunction function(family.base(), params.k, rng);
     std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
-    for (std::size_t i = 0; i < hash_data.rows(); ++i) {
-      buckets[function.HashData(hash_data.Row(i))].push_back(
+    for (std::size_t i = 0; i < hashed_data.rows(); ++i) {
+      buckets[function.HashData(hashed_data.Row(i))].push_back(
           static_cast<std::uint32_t>(i));
     }
-    for (std::size_t qi = 0; qi < hash_queries.rows(); ++qi) {
-      const auto it = buckets.find(function.HashQuery(hash_queries.Row(qi)));
+    for (std::size_t qi = 0; qi < hashed_queries.rows(); ++qi) {
+      const auto it =
+          buckets.find(function.HashQuery(hashed_queries.Row(qi)));
       if (it == buckets.end()) continue;
       for (std::uint32_t di : it->second) {
         ++candidate_pairs;

@@ -50,15 +50,28 @@ struct BucketJoinResult {
   MetricSet metrics;
 };
 
-/// Runs the (cs, s) bucket join of `data` and `queries` under `family`
-/// (typically a TransformedLshFamily for IPS; pre-transform both sides
-/// and pass the base family for speed). Scores are signed or absolute
-/// inner products of the *original* rows per `is_signed`; hashing uses
-/// HashData on `data` rows and HashQuery on `queries` rows.
+/// Maps `rows` into the hash space of `family.base()`: when the family
+/// composes a transform (family.transform() set), its data map — or its
+/// query map when `query_side` — is applied to every row once, into
+/// `*mapped`, and the result refers to `*mapped`; otherwise the result is
+/// `rows` itself and `*mapped` is untouched. `rows` must have
+/// family.dim() columns.
+const Matrix& MapToHashSpace(const LshFamily& family, const Matrix& rows,
+                             bool query_side, Matrix* mapped);
+
+/// Runs the (cs, s) bucket join of `data` and `queries` under `family`.
+/// Scores are signed or absolute inner products of the *original* rows
+/// per `is_signed`; hashing uses HashData on `data` rows and HashQuery on
+/// `queries` rows.
 ///
 /// `hash_data` / `hash_queries` are the representations to hash (must
 /// have family.dim() columns); `data` / `queries` are the originals to
 /// verify on. Pass the same matrix twice when no transform is involved.
+/// For IPS, either pass a TransformedLshFamily with the originals as the
+/// hash-space rows, or pre-transform both sides and pass its base family:
+/// a composed family's rows are mapped once each (MapToHashSpace) and
+/// hashed with family.base(), so both forms draw the same functions from
+/// `rng`, cost the same, and return identical results and pair counts.
 BucketJoinResult LshBucketJoin(const LshFamily& family,
                                const Matrix& hash_data, const Matrix& data,
                                const Matrix& hash_queries,

@@ -23,6 +23,8 @@
 
 namespace ips {
 
+class VectorTransform;
+
 /// One sampled hash-function pair (h_p, h_q) from a family.
 class LshFunction {
  public:
@@ -51,6 +53,17 @@ class LshFamily {
 
   /// True when h_p == h_q by construction.
   virtual bool IsSymmetric() const { return false; }
+
+  /// The map this family applies to every vector before hashing it, or
+  /// nullptr when it hashes vectors as given. A pass over many rows maps
+  /// each row once with it and hashes the result with base(), instead of
+  /// re-running the map inside every sampled function.
+  virtual const VectorTransform* transform() const { return nullptr; }
+
+  /// The family that hashes transform()'s output; *this when there is no
+  /// transform. Samples exactly the functions Sample() would wrap, from
+  /// the same Rng draws.
+  virtual const LshFamily& base() const { return *this; }
 };
 
 /// Convenience base for symmetric families: implement HashData only.

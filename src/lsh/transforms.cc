@@ -1,5 +1,6 @@
 #include "lsh/transforms.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "linalg/kernels.h"
@@ -19,19 +20,21 @@ double SqrtComplement(double t) {
 }  // namespace
 
 Matrix VectorTransform::TransformDataset(const Matrix& points) const {
-  Matrix result;
+  Matrix result(points.rows(), output_dim());
   for (std::size_t i = 0; i < points.rows(); ++i) {
     const std::vector<double> transformed = TransformData(points.Row(i));
-    result.AppendRow(transformed);
+    IPS_CHECK_EQ(transformed.size(), output_dim());
+    std::copy(transformed.begin(), transformed.end(), result.Row(i).begin());
   }
   return result;
 }
 
 Matrix VectorTransform::TransformQueries(const Matrix& points) const {
-  Matrix result;
+  Matrix result(points.rows(), output_dim());
   for (std::size_t i = 0; i < points.rows(); ++i) {
     const std::vector<double> transformed = TransformQuery(points.Row(i));
-    result.AppendRow(transformed);
+    IPS_CHECK_EQ(transformed.size(), output_dim());
+    std::copy(transformed.begin(), transformed.end(), result.Row(i).begin());
   }
   return result;
 }

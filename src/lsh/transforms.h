@@ -202,6 +202,8 @@ class TransformedLshFamily : public LshFamily {
   bool IsSymmetric() const override {
     return transform_->IsSymmetric() && base_->IsSymmetric();
   }
+  const VectorTransform* transform() const override { return transform_; }
+  const LshFamily& base() const override { return *base_; }
 
  private:
   const VectorTransform* transform_;

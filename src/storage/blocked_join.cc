@@ -14,9 +14,11 @@ namespace storage {
 namespace {
 
 // Working-set multiple of one resident block: the data block, the query
-// block, and the per-pair hash tables (bucket maps hold ~4 bytes per
-// (row, table) entry plus map overhead, bounded by a few times the
-// block itself for the l values the library uses).
+// block, their two hash-space copies when the family composes a
+// transform (about one block each: the maps the library ships add a few
+// columns at most), and the per-pair hash tables (bucket maps hold ~4
+// bytes per (row, table) entry plus map overhead, bounded by about a
+// block for the l values the library uses).
 constexpr std::size_t kWorkingSetBlocks = 6;
 
 std::size_t ResolveBlockRows(const BlockedJoinOptions& options,
@@ -90,20 +92,29 @@ StatusOr<BucketJoinResult> BlockedBucketJoin(const LshFamily& family,
   std::size_t candidate_pairs = 0;
   std::size_t verified_pairs = 0;
   std::size_t duplicate_pairs = 0;
+  std::size_t prefiltered_pairs = 0;
 
   // Blocks are reused across iterations (ReadRows only reallocates on a
-  // shape change), so the steady-state footprint is the two blocks plus
-  // the per-pair tables LshBucketJoin builds and frees.
+  // shape change), so the steady-state footprint is the two blocks, their
+  // hash-space copies, and the per-pair tables LshBucketJoin builds and
+  // frees. Each block is mapped into hash space once per read, so the
+  // pair join hashes with the base family and never re-runs the map.
   Matrix query_block;
   Matrix data_block;
+  Matrix mapped_queries;
+  Matrix mapped_data;
   for (std::size_t q0 = 0; q0 < local.query_rows; q0 += block_rows) {
     const std::size_t qn = std::min(block_rows, local.query_rows - q0);
     IPS_RETURN_IF_ERROR(query_reader->ReadRows(q0, qn, &query_block));
     local.bytes_read += qn * query_reader->cols() * sizeof(double);
+    const Matrix& hash_queries = MapToHashSpace(
+        family, query_block, /*query_side=*/true, &mapped_queries);
     for (std::size_t d0 = 0; d0 < local.data_rows; d0 += block_rows) {
       const std::size_t dn = std::min(block_rows, local.data_rows - d0);
       IPS_RETURN_IF_ERROR(data_reader->ReadRows(d0, dn, &data_block));
       local.bytes_read += dn * data_reader->cols() * sizeof(double);
+      const Matrix& hash_data = MapToHashSpace(
+          family, data_block, /*query_side=*/false, &mapped_data);
       ++local.block_pairs;
 
       // Fresh Rng per pair: table t's hash function is identical in
@@ -111,7 +122,7 @@ StatusOr<BucketJoinResult> BlockedBucketJoin(const LshFamily& family,
       // the monolithic join (see header).
       Rng rng(options.seed);
       const BucketJoinResult pair = LshBucketJoin(
-          family, data_block, data_block, query_block, query_block,
+          family.base(), hash_data, data_block, hash_queries, query_block,
           options.s_threshold, options.cs_threshold, options.is_signed,
           options.params, &rng);
       candidate_pairs += static_cast<std::size_t>(
@@ -120,6 +131,8 @@ StatusOr<BucketJoinResult> BlockedBucketJoin(const LshFamily& family,
           pair.metrics.Get("lsh.join.verified_pairs"));
       duplicate_pairs += static_cast<std::size_t>(
           pair.metrics.Get("lsh.join.duplicate_pairs"));
+      prefiltered_pairs += static_cast<std::size_t>(
+          pair.metrics.Get("lsh.join.pairs_prefiltered"));
 
       for (std::size_t qi = 0; qi < qn; ++qi) {
         const auto& pair_best = pair.per_query[qi];
@@ -138,6 +151,7 @@ StatusOr<BucketJoinResult> BlockedBucketJoin(const LshFamily& family,
   result.metrics.Set("lsh.join.candidate_pairs", candidate_pairs);
   result.metrics.Set("lsh.join.verified_pairs", verified_pairs);
   result.metrics.Set("lsh.join.duplicate_pairs", duplicate_pairs);
+  result.metrics.Set("lsh.join.pairs_prefiltered", prefiltered_pairs);
   static Counter* const runs =
       MetricsRegistry::Global().GetCounter("storage.blocked_join.runs");
   static Counter* const pairs =

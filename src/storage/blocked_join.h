@@ -38,8 +38,8 @@ struct BlockedJoinOptions {
   /// process peak stays within this.
   std::size_t memory_budget_bytes = 64u << 20;
   /// Rows per block; 0 derives the largest block whose working set
-  /// (data block + query block + bucket tables, ~6x one block's bytes)
-  /// fits the budget.
+  /// (data block + query block, their hash-space copies under a composed
+  /// family, and bucket tables: ~6x one block's bytes) fits the budget.
   std::size_t block_rows = 0;
   /// (K, L) amplification of every block pair's tables.
   LshTableParams params;
@@ -67,10 +67,16 @@ struct BlockedJoinStats {
 };
 
 /// Joins the matrix snapshots at `data_path` and `queries_path` under
-/// `family` (which hashes original rows — pass a TransformedLshFamily
-/// for IPS). Scores are signed or absolute inner products per
+/// `family`, which hashes original rows: for IPS pass a
+/// TransformedLshFamily. A composed family's transform maps each block
+/// into hash space once as it is read (the query block once per query
+/// block, each data block once per read), and the block pairs hash those
+/// copies with family.base() — the same functions from the same draws,
+/// so the answers equal hashing through the composed family itself.
+/// Scores are signed or absolute inner products of the original rows per
 /// options.is_signed; the result indexes rows of the data snapshot
-/// globally. Failpoint: "storage/blocked-join".
+/// globally, and its metrics sum the four lsh.join.* pair counts over
+/// all block pairs. Failpoint: "storage/blocked-join".
 [[nodiscard]] StatusOr<BucketJoinResult> BlockedBucketJoin(
     const LshFamily& family, const std::string& data_path,
     const std::string& queries_path, const BlockedJoinOptions& options,

@@ -20,11 +20,13 @@
 #include <tuple>
 #include <vector>
 
+#include "core/dataset.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "lsh/bucket_join.h"
 #include "lsh/simhash.h"
 #include "lsh/tables.h"
+#include "lsh/transforms.h"
 #include "rng/random.h"
 #include "serve/engine.h"
 #include "serve/sharded_engine.h"
@@ -668,6 +670,14 @@ TEST_F(StorageTest, ShardedSnapshotRoundTripServesIdenticalAnswers) {
 
 // --- Out-of-core blocked join ---
 
+// The pair-count identity bucket_join.h promises for every join result.
+void ExpectPairCountIdentity(const MetricSet& metrics) {
+  EXPECT_EQ(metrics.Get("lsh.join.candidate_pairs"),
+            metrics.Get("lsh.join.verified_pairs") +
+                metrics.Get("lsh.join.duplicate_pairs") +
+                metrics.Get("lsh.join.pairs_prefiltered"));
+}
+
 TEST_F(StorageTest, BlockedJoinEqualsMonolithicJoin) {
   const std::size_t dim = 16;
   const Matrix data = RandomMatrix(512, dim, 13);
@@ -714,6 +724,88 @@ TEST_F(StorageTest, BlockedJoinEqualsMonolithicJoin) {
   }
   // The thresholds were chosen so the join actually joins something.
   EXPECT_GT(matched, 0u);
+  ExpectPairCountIdentity(blocked->metrics);
+}
+
+// The IPS path the out-of-core join runs in practice: a composed
+// DualBall + SimHash family over original rows. The blocked join must
+// equal the monolithic join over pre-transformed hash-space copies
+// hashed by the base family, and the monolithic join under the composed
+// family must equal that same run, pair counts included — both forms
+// draw the same hash functions from the same seed.
+TEST_F(StorageTest, BlockedJoinEqualsMonolithicJoinUnderTransform) {
+  const std::size_t dim = 16;
+  Rng planted_rng(21);
+  const PlantedInstance planted =
+      MakePlantedInstance(512, 256, dim, 0.9, 1.0, &planted_rng);
+  const std::string data_path = TempPath("ips_join_data.ips");
+  const std::string queries_path = TempPath("ips_join_queries.ips");
+  ASSERT_TRUE(storage::SaveMatrixSnapshot(planted.data, data_path).ok());
+  ASSERT_TRUE(
+      storage::SaveMatrixSnapshot(planted.queries, queries_path).ok());
+
+  const DualBallTransform transform(dim, 1.0);
+  const SimHashFamily base(transform.output_dim());
+  const TransformedLshFamily family(&transform, &base);
+  storage::BlockedJoinOptions options;
+  options.params = {.k = 6, .l = 16};
+  options.s_threshold = 0.8;
+  options.cs_threshold = 0.6;
+  options.is_signed = true;
+  options.seed = 101;
+  // 4 data blocks x 2 query blocks; a multiple of the int8 row-block
+  // size, so every block quantizes its rows exactly as the monolithic
+  // join does and even the prefilter count matches.
+  options.block_rows = 128;
+
+  storage::BlockedJoinStats stats;
+  auto blocked = storage::BlockedBucketJoin(family, data_path,
+                                            queries_path, options, &stats);
+  ASSERT_TRUE(blocked.ok()) << blocked.status().ToString();
+  EXPECT_EQ(stats.block_pairs, 8u);
+
+  const Matrix hash_data = transform.TransformDataset(planted.data);
+  const Matrix hash_queries = transform.TransformQueries(planted.queries);
+  Rng base_rng(options.seed);
+  const BucketJoinResult monolithic = LshBucketJoin(
+      base, hash_data, planted.data, hash_queries, planted.queries,
+      options.s_threshold, options.cs_threshold, options.is_signed,
+      options.params, &base_rng);
+  Rng composed_rng(options.seed);
+  const BucketJoinResult composed = LshBucketJoin(
+      family, planted.data, planted.data, planted.queries, planted.queries,
+      options.s_threshold, options.cs_threshold, options.is_signed,
+      options.params, &composed_rng);
+
+  const BucketJoinResult& blocked_result = *blocked;
+  ASSERT_EQ(blocked_result.per_query.size(), monolithic.per_query.size());
+  ASSERT_EQ(composed.per_query.size(), monolithic.per_query.size());
+  std::size_t matched = 0;
+  for (std::size_t q = 0; q < monolithic.per_query.size(); ++q) {
+    const auto& expected = monolithic.per_query[q];
+    for (const BucketJoinResult* run : {&blocked_result, &composed}) {
+      const auto& got = run->per_query[q];
+      ASSERT_EQ(got.has_value(), expected.has_value()) << "query " << q;
+      if (!expected.has_value()) continue;
+      EXPECT_EQ(got->first, expected->first) << "query " << q;
+      EXPECT_EQ(got->second, expected->second) << "query " << q;
+    }
+    if (expected.has_value()) ++matched;
+  }
+  // Planted near-duplicates: nearly every query finds its partner.
+  EXPECT_GT(matched, 200u);
+  for (const char* name :
+       {"lsh.join.candidate_pairs", "lsh.join.verified_pairs",
+        "lsh.join.duplicate_pairs", "lsh.join.pairs_prefiltered"}) {
+    EXPECT_EQ(composed.metrics.Get(name), monolithic.metrics.Get(name))
+        << name;
+    EXPECT_EQ(blocked_result.metrics.Get(name),
+              monolithic.metrics.Get(name))
+        << name;
+  }
+  EXPECT_GT(monolithic.metrics.Get("lsh.join.pairs_prefiltered"), 0u);
+  ExpectPairCountIdentity(blocked_result.metrics);
+  ExpectPairCountIdentity(composed.metrics);
 }
 
 TEST_F(StorageTest, BlockedJoinValidatesInputs) {
@@ -725,45 +817,40 @@ TEST_F(StorageTest, BlockedJoinValidatesInputs) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(StorageTest, BlockedJoinStaysWithinMemoryBudget) {
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  GTEST_SKIP() << "RSS accounting is not meaningful under sanitizers";
-#endif
-#if defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-  GTEST_SKIP() << "RSS accounting is not meaningful under sanitizers";
-#endif
-#endif
-  // A 64 MiB on-disk dataset joined under a 16 MiB budget: the join
-  // must complete and the process peak RSS must grow by no more than
-  // the budget plus a fixed slack — proof the dataset never became
-  // resident at once.
+// A 64 MiB on-disk dataset of Gaussian rows times `scale` joined under
+// a 16 MiB budget with `family` (over 64-dim rows): the join must
+// complete and the process peak RSS must grow by no more than the budget
+// plus a fixed slack — proof the dataset never became resident at once.
+void ExpectBlockedJoinWithinBudget(const LshFamily& family, double scale,
+                                   const std::string& prefix) {
   const std::size_t dim = 64;
   const std::size_t rows = 131072;  // x 64 cols x 8 B = 64 MiB
   const std::size_t budget = 16u << 20;
-  const std::string data_path = TempPath("oocore_data.ips");
+  ASSERT_EQ(family.dim(), dim);
+  const std::string data_path = TempPath(prefix + "_data.ips");
   {
     auto writer = storage::MatrixSnapshotWriter::Create(data_path, dim);
     ASSERT_TRUE(writer.ok());
     Rng rng(15);
     std::vector<double> chunk(4096 * dim);
     for (std::size_t written = 0; written < rows; written += 4096) {
-      for (double& v : chunk) v = rng.NextGaussian();
+      for (double& v : chunk) v = scale * rng.NextGaussian();
       ASSERT_TRUE(writer->AppendRows(chunk).ok());
     }
     ASSERT_TRUE(writer->Finish().ok());
   }
-  const std::string queries_path = TempPath("oocore_queries.ips");
-  ASSERT_TRUE(
-      storage::SaveMatrixSnapshot(RandomMatrix(256, dim, 16), queries_path)
-          .ok());
+  const std::string queries_path = TempPath(prefix + "_queries.ips");
+  Matrix queries = RandomMatrix(256, dim, 16);
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    for (double& v : queries.Row(i)) v *= scale;
+  }
+  ASSERT_TRUE(storage::SaveMatrixSnapshot(queries, queries_path).ok());
 
-  const SimHashFamily family(dim);
   storage::BlockedJoinOptions options;
   options.memory_budget_bytes = budget;
   options.params = {.k = 10, .l = 4};
-  options.s_threshold = 64.0;
-  options.cs_threshold = 48.0;
+  options.s_threshold = 64.0 * scale * scale;
+  options.cs_threshold = 48.0 * scale * scale;
   options.seed = 17;
 
   const std::size_t rss_before = storage::PeakRssBytes();
@@ -777,6 +864,7 @@ TEST_F(StorageTest, BlockedJoinStaysWithinMemoryBudget) {
   EXPECT_EQ(result->per_query.size(), 256u);
   ASSERT_GT(rows * dim * sizeof(double), 3 * budget)
       << "dataset must exceed the budget for this test to mean anything";
+  ExpectPairCountIdentity(result->metrics);
   // Slack covers the allocator, the result vector, and the per-pair
   // hash tables; it is far below the 64 MiB the dataset would cost
   // resident.
@@ -784,6 +872,39 @@ TEST_F(StorageTest, BlockedJoinStaysWithinMemoryBudget) {
   EXPECT_LE(rss_after - rss_before, budget + slack)
       << "peak RSS grew by " << (rss_after - rss_before) / (1 << 20)
       << " MiB during a " << budget / (1 << 20) << " MiB-budget join";
+}
+
+bool UnderSanitizer() {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return true;
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+  return true;
+#endif
+#endif
+  return false;
+}
+
+TEST_F(StorageTest, BlockedJoinStaysWithinMemoryBudget) {
+  if (UnderSanitizer()) {
+    GTEST_SKIP() << "RSS accounting is not meaningful under sanitizers";
+  }
+  const SimHashFamily family(64);
+  ExpectBlockedJoinWithinBudget(family, 1.0, "oocore");
+}
+
+// The composed IPS family: the blocked join also holds the two
+// hash-space copies (64 -> 66 columns) of the resident blocks. Rows are
+// scaled into the unit ball the dual-ball map requires (norms ~0.5).
+TEST_F(StorageTest, BlockedJoinUnderTransformStaysWithinMemoryBudget) {
+  if (UnderSanitizer()) {
+    GTEST_SKIP() << "RSS accounting is not meaningful under sanitizers";
+  }
+  const DualBallTransform transform(64, 1.0);
+  const SimHashFamily base(transform.output_dim());
+  const TransformedLshFamily family(&transform, &base);
+  ExpectBlockedJoinWithinBudget(family, 1.0 / 16, "oocore_ips");
 }
 
 }  // namespace
