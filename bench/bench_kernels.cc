@@ -23,6 +23,7 @@
 #include "linalg/matrix.h"
 #include "rng/random.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ips {
@@ -210,8 +211,9 @@ void WriteJson(const std::vector<KernelRate>& rates, double popcount_gbits,
   std::ofstream out(path);
   out << "{\n  \"bench\": \"kernels\",\n  \"active_isa\": \""
       << kernels::ActiveIsaName() << "\",\n  \"avx2_available\": "
-      << (kernels::Avx2Available() ? "true" : "false") << ",\n"
-      << "  \"rates\": [\n";
+      << (kernels::Avx2Available() ? "true" : "false")
+      << ",\n  \"hardware_threads\": " << ThreadPool::DefaultThreadCount()
+      << ",\n  \"rates\": [\n";
   for (std::size_t i = 0; i < rates.size(); ++i) {
     out << "    {\"kernel\": \"" << rates[i].kernel << "\", \"n\": "
         << rates[i].n << ", \"scalar_gflops\": " << rates[i].scalar_gflops

@@ -1,10 +1,9 @@
 // Quantized two-stage scoring benchmark (DESIGN.md §13): exact brute
-// force against the int8 quantized-rerank path and the CountSketch
-// filtered-rerank path on a small-norm-spread workload (unit-ball
-// Gaussian) and a large-norm-spread workload (Zipf latent factors, the
-// recommender shape where quantization shines). For each approximate
-// mode the survivor budget is swept, producing a throughput/recall
-// curve; results land in BENCH_quant.json.
+// force against the int8 quantized-rerank path on a small-norm-spread
+// workload (unit-ball Gaussian) and a large-norm-spread workload (Zipf
+// latent factors, the recommender shape where quantization shines).
+// The survivor budget is swept, producing a throughput/recall curve;
+// results land in BENCH_quant.json.
 //
 // Acceptance gate (ISSUE 8): on the large-norm-spread workload the
 // quantized path must reach >= 2x the exact brute-force throughput at
@@ -23,8 +22,8 @@
 #include "linalg/matrix.h"
 #include "linalg/quantized.h"
 #include "rng/random.h"
-#include "sketch/filter.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ips {
@@ -119,10 +118,6 @@ WorkloadResult RunWorkload(const std::string& name, const Matrix& data,
   const auto truth = GroundTruth(data, queries);
 
   const QuantizedMatrix qdata = QuantizedMatrix::Quantize(data);
-  SketchFilterParams filter_params;
-  filter_params.copies = 4;  // the variance that makes survivors recover
-  Rng build_rng(17);
-  const InnerProductFilter filter(data, filter_params, &build_rng);
 
   QueryOptions exact_options;
   exact_options.k = kK;
@@ -135,50 +130,45 @@ WorkloadResult RunWorkload(const std::string& name, const Matrix& data,
       &answers);
   std::cout << "exact: " << FormatFixed(result.exact_qps, 1) << " qps\n";
 
-  // Survivor-budget sweep: 0 = the mode's own default policy
-  // (multiplier/floor), then explicit caps through candidate_budget.
+  // Survivor-budget sweep: 0 = the default policy (multiplier/floor),
+  // then explicit caps through candidate_budget.
   const std::size_t budgets[] = {0, 20, 40, 80, 160, 320};
 
   TablePrinter table({"mode", "budget", "qps", "recall", "speedup",
                       "survivors"});
-  for (const bool quant : {true, false}) {
-    ModeResult mode;
-    mode.name = quant ? "quantized_rerank" : "sketch_filter";
-    for (const std::size_t budget : budgets) {
-      QueryOptions options;
-      options.k = kK;
-      options.candidate_budget = budget;
-      options.precision = quant ? QueryPrecision::kQuantizedRerank
-                                : QueryPrecision::kSketchFilter;
-      CurvePoint point;
-      point.budget = budget;
-      std::size_t survivor_sum = 0;
-      point.qps = TimeLoop(
-          queries,
-          [&](std::span<const double> q) {
-            QueryStats stats;
-            auto matches =
-                quant ? QueryQuantizedRerank(data, qdata, q, options, &stats)
-                      : QueryFilteredRerank(data, filter, q, options, &stats);
-            survivor_sum += stats.rerank_exact_dots;
-            return matches;
-          },
-          &answers);
-      point.recall = MeanRecall(truth, answers);
-      point.speedup =
-          result.exact_qps > 0.0 ? point.qps / result.exact_qps : 0.0;
-      point.mean_survivors = static_cast<double>(survivor_sum) /
-                             static_cast<double>(kReps * kQueries);
-      table.AddRow({mode.name,
-                    budget == 0 ? std::string("default")
-                                : std::to_string(budget),
-                    FormatFixed(point.qps, 1), FormatFixed(point.recall, 3),
-                    FormatFixed(point.speedup, 2),
-                    FormatFixed(point.mean_survivors, 1)});
-      mode.points.push_back(point);
-    }
-    result.modes.push_back(std::move(mode));
+  ModeResult mode;
+  mode.name = "quantized_rerank";
+  for (const std::size_t budget : budgets) {
+    QueryOptions options;
+    options.k = kK;
+    options.candidate_budget = budget;
+    options.precision = QueryPrecision::kQuantizedRerank;
+    CurvePoint point;
+    point.budget = budget;
+    std::size_t survivor_sum = 0;
+    point.qps = TimeLoop(
+        queries,
+        [&](std::span<const double> q) {
+          QueryStats stats;
+          auto matches = QueryQuantizedRerank(data, qdata, q, options, &stats);
+          survivor_sum += stats.rerank_exact_dots;
+          return matches;
+        },
+        &answers);
+    point.recall = MeanRecall(truth, answers);
+    point.speedup =
+        result.exact_qps > 0.0 ? point.qps / result.exact_qps : 0.0;
+    point.mean_survivors = static_cast<double>(survivor_sum) /
+                           static_cast<double>(kReps * kQueries);
+    table.AddRow({mode.name,
+                  budget == 0 ? std::string("default")
+                              : std::to_string(budget),
+                  FormatFixed(point.qps, 1), FormatFixed(point.recall, 3),
+                  FormatFixed(point.speedup, 2),
+                  FormatFixed(point.mean_survivors, 1)});
+    mode.points.push_back(point);
   }
+  result.modes.push_back(std::move(mode));
   table.PrintMarkdown(std::cout);
 
   if (gated) {
@@ -201,7 +191,8 @@ void WriteJson(const std::vector<WorkloadResult>& workloads,
   out << "{\n  \"bench\": \"quant\",\n  \"n\": " << kN
       << ",\n  \"dim\": " << kDim << ",\n  \"queries\": " << kQueries
       << ",\n  \"k\": " << kK << ",\n  \"isa\": \""
-      << kernels::ActiveIsaName() << "\",\n  \"workloads\": [\n";
+      << kernels::ActiveIsaName() << "\",\n  \"hardware_threads\": "
+      << ThreadPool::DefaultThreadCount() << ",\n  \"workloads\": [\n";
   for (std::size_t w = 0; w < workloads.size(); ++w) {
     const WorkloadResult& wl = workloads[w];
     out << "    {\n      \"name\": \"" << wl.name << "\",\n"

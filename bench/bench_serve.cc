@@ -825,7 +825,7 @@ QosSectionResult RunQosSection(Rng* rng) {
   result.feedback_hedged = feedback.hedged;
 
   // Every fixed (algo, precision) policy. Combinations an index
-  // rejects (tree on unsigned requests, sketch-filter off the sketch
+  // rejects (tree on unsigned requests, exact precision on the sketch
   // index, ...) answer fewer requests and are disqualified by the
   // answered == submitted requirement, which is the honest outcome
   // for a fixed policy that cannot serve the whole stream.
@@ -836,7 +836,6 @@ QosSectionResult RunQosSection(Rng* rng) {
       {QueryAlgo::kLsh, QueryPrecision::kExact},
       {QueryAlgo::kLsh, QueryPrecision::kQuantizedRerank},
       {QueryAlgo::kSketch, QueryPrecision::kExact},
-      {QueryAlgo::kSketch, QueryPrecision::kSketchFilter},
   };
   for (const auto& [algo, precision] : kFixed) {
     const std::string name = std::string(QueryAlgoName(algo)) + "/" +

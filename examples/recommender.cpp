@@ -115,8 +115,8 @@ int main() {
   ips::SketchMipsParams sketch_params;
   sketch_params.kappa = 4.0;
   sketch_params.copies = 9;
-  const auto sketch = OrDie(ips::SketchIndex::Create(
-      items, ips::SketchConfig{sketch_params, {}}, &rng));
+  const auto sketch =
+      OrDie(ips::SketchIndex::Create(items, sketch_params, &rng));
   evaluate(*sketch, true);  // the Section 4.3 structure is unsigned
 
   table.PrintMarkdown(std::cout);

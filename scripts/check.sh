@@ -28,6 +28,7 @@
 #                                 # benches/examples that leg skips)
 #   $ scripts/check.sh chaos      # failure-injection suites under TSan
 #   $ scripts/check.sh scalar     # full suite with IPS_FORCE_SCALAR=1
+#   $ scripts/check.sh release    # -O3 Release build + full suite
 #   $ scripts/check.sh storage    # snapshot suite under ASan + warm-start gate
 #   $ scripts/check.sh quant      # int8 parity suite (both dispatches) + bench gate
 #   $ scripts/check.sh serve      # serving bench gates (planner, QoS, hedging)
@@ -108,6 +109,17 @@ run_scalar() {
   cmake -B build -S . >/dev/null
   cmake --build build -j"$JOBS"
   (cd build && IPS_FORCE_SCALAR=1 ctest --output-on-failure -j"$JOBS")
+}
+
+run_release() {
+  # The default build type is RelWithDebInfo (-O2). -O3 inlines deeper,
+  # and GCC's flow-sensitive warnings (-Wstringop-overflow and friends)
+  # fire on code -O2 never inlines that far. Under -Werror a Release
+  # build is the only place such a warning shows.
+  echo "=== release leg: -O3 Release build + full test suite ==="
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+  cmake --build build-release -j"$JOBS"
+  (cd build-release && ctest --output-on-failure -j"$JOBS")
 }
 
 run_storage() {
@@ -228,12 +240,13 @@ case "$MODE" in
   ubsan)  run_ubsan ;;
   chaos)  run_chaos ;;
   scalar) run_scalar ;;
+  release) run_release ;;
   storage) run_storage ;;
   quant)  run_quant ;;
   serve)  run_serve ;;
   static) run_static ;;
-  all)    run_plain; run_scalar; run_asan; run_tsan; run_ubsan; run_storage; run_quant; run_serve; run_static ;;
-  *) echo "usage: $0 [plain|asan|tsan|ubsan|chaos|scalar|storage|quant|serve|static|all]" >&2; exit 2 ;;
+  all)    run_plain; run_scalar; run_release; run_asan; run_tsan; run_ubsan; run_storage; run_quant; run_serve; run_static ;;
+  *) echo "usage: $0 [plain|asan|tsan|ubsan|chaos|scalar|release|storage|quant|serve|static|all]" >&2; exit 2 ;;
 esac
 
 echo "all checks passed"

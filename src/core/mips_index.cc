@@ -151,11 +151,6 @@ StatusOr<std::vector<SearchMatch>> BruteForceIndex::Query(
     std::span<const double> q, const QueryOptions& options, QueryStats* stats,
     Trace* trace) const {
   IPS_RETURN_IF_ERROR(ValidateQueryInputs(q, dim(), options));
-  if (options.precision == QueryPrecision::kSketchFilter) {
-    return Status::InvalidArgument(
-        "brute force answers exact or quantized-rerank precision; "
-        "sketch-filtered scans run on the sketch index");
-  }
   std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
   Trace* t = trace != nullptr ? trace : owned.get();
   QueryStats local;
@@ -173,11 +168,6 @@ StatusOr<std::vector<SearchMatch>> BruteForceIndex::Query(
 StatusOr<std::vector<QueryResult>> BruteForceIndex::BatchQuery(
     const Matrix& queries, const QueryOptions& options) const {
   IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  if (options.precision == QueryPrecision::kSketchFilter) {
-    return Status::InvalidArgument(
-        "brute force answers exact or quantized-rerank precision; "
-        "sketch-filtered scans run on the sketch index");
-  }
   const std::size_t m = queries.rows();
   if (m == 0) return std::vector<QueryResult>();
   if (options.precision == QueryPrecision::kQuantizedRerank) {
@@ -259,8 +249,7 @@ StatusOr<std::vector<SearchMatch>> TreeMipsIndex::Query(
       options.precision != QueryPrecision::kExact) {
     return Status::InvalidArgument(
         "ball-tree top-k is exact only (its branch-and-bound prunes on "
-        "exact scores); use brute/lsh for quantized re-rank or the "
-        "sketch index for filtered scans");
+        "exact scores); use brute/lsh for quantized re-rank");
   }
   std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
   Trace* t = trace != nullptr ? trace : owned.get();
@@ -291,8 +280,7 @@ StatusOr<std::vector<QueryResult>> TreeMipsIndex::BatchQuery(
       options.precision != QueryPrecision::kExact) {
     return Status::InvalidArgument(
         "ball-tree top-k is exact only (its branch-and-bound prunes on "
-        "exact scores); use brute/lsh for quantized re-rank or the "
-        "sketch index for filtered scans");
+        "exact scores); use brute/lsh for quantized re-rank");
   }
   if (queries.rows() == 0) return std::vector<QueryResult>();
   // Descents stay per-query (each query prunes its own subtree); the
@@ -399,11 +387,6 @@ StatusOr<std::vector<SearchMatch>> LshMipsIndex::Query(
     std::span<const double> q, const QueryOptions& options, QueryStats* stats,
     Trace* trace) const {
   IPS_RETURN_IF_ERROR(ValidateQueryInputs(q, dim(), options));
-  if (options.precision == QueryPrecision::kSketchFilter) {
-    return Status::InvalidArgument(
-        "lsh verifies candidates exactly or via quantized re-rank; "
-        "sketch-filtered scans run on the sketch index");
-  }
   std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
   Trace* t = trace != nullptr ? trace : owned.get();
   QueryStats local;
@@ -439,11 +422,6 @@ StatusOr<std::vector<SearchMatch>> LshMipsIndex::Query(
 StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
     const Matrix& queries, const QueryOptions& options) const {
   IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  if (options.precision == QueryPrecision::kSketchFilter) {
-    return Status::InvalidArgument(
-        "lsh verifies candidates exactly or via quantized re-rank; "
-        "sketch-filtered scans run on the sketch index");
-  }
   const std::size_t m = queries.rows();
   if (m == 0) return std::vector<QueryResult>();
   if (options.precision == QueryPrecision::kQuantizedRerank) {
@@ -529,19 +507,17 @@ std::vector<std::size_t> LshMipsIndex::Candidates(
 namespace {
 
 // The §4.3 argmax tree answers exactly one query shape: unsigned
-// best-match. Everything else the sketch index serves goes through the
-// CountSketch filter scan.
+// best-match. Every other shape the sketch index serves runs the shared
+// exact scan.
 bool UsesArgmaxDescent(const QueryOptions& options) {
-  return !options.is_signed && options.k == 1 &&
-         options.precision == QueryPrecision::kAuto;
+  return !options.is_signed && options.k == 1;
 }
 
 Status RejectNonSketchPrecision(const QueryOptions& options) {
-  if (options.precision == QueryPrecision::kExact ||
-      options.precision == QueryPrecision::kQuantizedRerank) {
+  if (options.precision != QueryPrecision::kAuto) {
     return Status::InvalidArgument(
-        "sketch index scores via sketch estimates (argmax descent or "
-        "filtered scan); use brute/tree/lsh for exact or quantized "
+        "sketch index answers kAuto precision only (argmax descent or "
+        "exact fallback scan); use brute/tree/lsh for exact or quantized "
         "precision");
   }
   return Status::Ok();
@@ -549,19 +525,15 @@ Status RejectNonSketchPrecision(const QueryOptions& options) {
 
 }  // namespace
 
-SketchIndex::SketchIndex(const Matrix& data, const SketchConfig& config,
+SketchIndex::SketchIndex(const Matrix& data, const SketchMipsParams& params,
                          Rng* rng)
-    : data_(&data),
-      config_(config),
-      sketch_(data, config.argmax, rng),
-      filter_(data, config.filter, rng) {}
+    : data_(&data), sketch_(data, params, rng) {}
 
 StatusOr<std::unique_ptr<SketchIndex>> SketchIndex::Create(
-    const Matrix& data, const SketchConfig& config, Rng* rng) {
+    const Matrix& data, const SketchMipsParams& params, Rng* rng) {
   IPS_RETURN_IF_ERROR(ValidateIndexData(data));
-  IPS_RETURN_IF_ERROR(SketchMipsIndex::Validate(data, config.argmax, rng));
-  IPS_RETURN_IF_ERROR(ValidateFilterParams(config.filter));
-  return std::make_unique<SketchIndex>(data, config, rng);
+  IPS_RETURN_IF_ERROR(SketchMipsIndex::Validate(data, params, rng));
+  return std::make_unique<SketchIndex>(data, params, rng);
 }
 
 StatusOr<std::vector<SearchMatch>> SketchIndex::Query(
@@ -572,7 +544,6 @@ StatusOr<std::vector<SearchMatch>> SketchIndex::Query(
   std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
   Trace* t = trace != nullptr ? trace : owned.get();
   QueryStats local;
-  local.algorithm = QueryAlgo::kSketch;
   std::vector<SearchMatch> matches;
   if (UsesArgmaxDescent(options)) {
     SketchProbeInfo info;
@@ -590,8 +561,9 @@ StatusOr<std::vector<SearchMatch>> SketchIndex::Query(
     local.metrics.Set("sketch.leaf_points", info.leaf_points);
   } else {
     TraceSpan span(t, "sketch");
-    matches = QueryFilteredRerank(*data_, filter_, q, options, &local, t);
+    matches = QueryBruteForce(*data_, q, options, &local, t);
   }
+  local.algorithm = QueryAlgo::kSketch;
   PublishQuery(std::move(owned), std::move(local), stats);
   return matches;
 }
@@ -601,11 +573,9 @@ StatusOr<std::vector<QueryResult>> SketchIndex::BatchQuery(
   IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
   IPS_RETURN_IF_ERROR(RejectNonSketchPrecision(options));
   if (queries.rows() == 0) return std::vector<QueryResult>();
-  // Argmax recoveries and filtered scans both stay per-query; the batch
-  // win is the dispatched mat-vec estimate pass inside each.
-  return RunPerQueryBatch(*this, queries, options,
-                          UsesArgmaxDescent(options) ? "sketch.batch"
-                                                     : "sketch.filter.batch",
+  // Argmax recoveries stay per-query; so does the fallback scan, which
+  // keeps each answer identical to TopKBruteForce.
+  return RunPerQueryBatch(*this, queries, options, "sketch.batch",
                           /*fallback=*/false);
 }
 

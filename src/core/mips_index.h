@@ -9,11 +9,9 @@
 //   LshMipsIndex    -- any (A)LSH transform + base family through the
 //                      (K, L) table engine, candidates re-ranked
 //                      exactly or pruned first by int8 estimates;
-//   SketchIndex     -- the unified sketch path: the Section 4.3
-//                      linear-sketch argmax structure for unsigned k=1,
-//                      and the CountSketch inner-product filter
-//                      (two-stage estimate + exact re-rank) for
-//                      everything else. Configured by SketchConfig.
+//   SketchIndex     -- the Section 4.3 linear-sketch argmax structure
+//                      for unsigned k=1; every other request shape
+//                      runs the shared exact scan.
 // All implementations return the exact score of the candidate they
 // report, so the (cs, s) guarantee of Definition 1 is checkable — the
 // approximate precisions never return an estimated score, only an
@@ -42,7 +40,6 @@
 #include "lsh/transforms.h"
 #include "obs/trace.h"
 #include "rng/random.h"
-#include "sketch/filter.h"
 #include "sketch/sketch_mips.h"
 #include "tree/mips_tree.h"
 #include "util/status.h"
@@ -114,8 +111,7 @@ class BruteForceIndex : public MipsIndex {
   std::string Name() const override { return "brute-force"; }
   std::size_t dim() const override { return data_->cols(); }
   /// Precision: kAuto / kExact run the exact scan; kQuantizedRerank
-  /// runs the two-stage int8 estimate + exact re-rank; kSketchFilter is
-  /// rejected (filtered scans live on the sketch index).
+  /// runs the two-stage int8 estimate + exact re-rank.
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
       QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
@@ -210,8 +206,7 @@ class LshMipsIndex : public MipsIndex {
   /// The full hash -> bucket -> dedup -> verify -> top-k pipeline under
   /// one "lsh" span when traced. Precision: kAuto / kExact verify every
   /// candidate exactly; kQuantizedRerank prunes large candidate sets
-  /// with int8 estimates before the exact re-rank; kSketchFilter is
-  /// rejected.
+  /// with int8 estimates before the exact re-rank.
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
       QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
@@ -240,59 +235,36 @@ class LshMipsIndex : public MipsIndex {
   std::string name_;
 };
 
-/// One validated configuration for the whole sketch layer. This is the
-/// single serving entry point into src/sketch: the Section 4.3 argmax
-/// tree (sketch_mips.h), the CountSketch inner-product filter
-/// (filter.h), and the cmips-via-search scaling reduction are all
-/// reachable through a SketchIndex built from one SketchConfig, instead
-/// of three parallel construction paths.
-struct SketchConfig {
-  /// The Section 4.3 argmax machinery (answers unsigned k=1 descents).
-  SketchMipsParams argmax;
-  /// The inner-product filter (answers everything else via the
-  /// two-stage estimate + exact re-rank path).
-  SketchFilterParams filter;
-};
-
-/// The unified sketch index. Unsigned k=1 queries descend the Section
-/// 4.3 argmax tree; every other request (signed, k > 1) runs the
-/// CountSketch filter's two-stage scan, so the index fully implements
-/// the MipsIndex Query/BatchQuery contract.
+/// The sketch index. Unsigned k=1 queries descend the Section 4.3
+/// argmax tree (sketch_mips.h); every other request (signed, k > 1)
+/// runs the shared exact scan (QueryBruteForce), so the index fully
+/// implements the MipsIndex Query/BatchQuery contract.
 class SketchIndex : public MipsIndex {
  public:
-  SketchIndex(const Matrix& data, const SketchConfig& config, Rng* rng);
+  SketchIndex(const Matrix& data, const SketchMipsParams& params, Rng* rng);
 
   /// The one validated sketch factory: rejects empty or non-finite
   /// data, invalid argmax parameters (kappa < 2, copies == 0,
-  /// leaf_size == 0, non-positive bucket multiplier), invalid filter
-  /// parameters (zero copies, multiplier < 1), and a null rng.
+  /// leaf_size == 0, non-positive bucket multiplier), and a null rng.
   /// Failpoint: "core/index-build".
   [[nodiscard]] static StatusOr<std::unique_ptr<SketchIndex>> Create(
-      const Matrix& data, const SketchConfig& config, Rng* rng);
+      const Matrix& data, const SketchMipsParams& params, Rng* rng);
 
   std::string Name() const override { return "sketch-mips"; }
   std::size_t dim() const override { return data_->cols(); }
-  /// Unsigned k=1 with kAuto precision descends the argmax tree;
-  /// everything else (any sign, any k, or forced kSketchFilter) runs
-  /// the filter's estimate + exact re-rank. kExact and kQuantizedRerank
-  /// are rejected — this index scores by sketch estimate by design.
+  /// Unsigned k=1 descends the argmax tree; any other sign or k runs
+  /// the exact scan and returns TopKBruteForce's answer bit for bit.
+  /// Only kAuto precision is accepted.
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
       QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
-  /// Per-query recoveries / filter scans under one batch trace; the
-  /// estimate passes inside run through the dispatched kernels.
+  /// Per-query recoveries / fallback scans under one batch trace.
   [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options) const override;
 
-  const SketchMipsIndex& sketch() const { return sketch_; }
-  const InnerProductFilter& filter() const { return filter_; }
-  const SketchConfig& config() const { return config_; }
-
  private:
   const Matrix* data_;
-  SketchConfig config_;
   SketchMipsIndex sketch_;
-  InnerProductFilter filter_;
 };
 
 }  // namespace ips

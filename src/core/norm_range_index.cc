@@ -78,8 +78,7 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
       options.precision != QueryPrecision::kExact) {
     return Status::InvalidArgument(
         "norm-range top-k is exact only (its bucket prune bounds exact "
-        "scores); use brute/lsh for quantized re-rank or the sketch index "
-        "for filtered scans");
+        "scores); use brute/lsh for quantized re-rank");
   }
   std::unique_ptr<Trace> owned;
   if (options.trace && trace == nullptr) {

@@ -26,8 +26,6 @@ std::string_view QueryPrecisionName(QueryPrecision precision) {
       return "exact";
     case QueryPrecision::kQuantizedRerank:
       return "quant";
-    case QueryPrecision::kSketchFilter:
-      return "filter";
   }
   return "unknown";
 }
@@ -60,7 +58,6 @@ Status ValidateQueryOptions(const QueryOptions& options) {
     case QueryPrecision::kAuto:
     case QueryPrecision::kExact:
     case QueryPrecision::kQuantizedRerank:
-    case QueryPrecision::kSketchFilter:
       break;
     default:
       return Status::InvalidArgument(

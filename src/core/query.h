@@ -47,29 +47,26 @@ inline constexpr std::size_t kNumQueryAlgos = 4;
 /// the algorithm's span name and registry metric prefix segment.
 std::string_view QueryAlgoName(QueryAlgo algo);
 
-/// Scoring precision of the answer path (DESIGN.md §13). The two
-/// approximate modes run the two-stage scorer: a cheap estimate pass
-/// (int8 fixed-point dots / CountSketch filter estimates) ranks every
-/// candidate, an oversampled survivor set >= k is kept, and survivors
-/// are re-ranked with exact double-precision dots — returned scores are
-/// always exact; only the *selection* is approximate.
+/// Scoring precision of the answer path (DESIGN.md §13). The one
+/// approximate mode runs the two-stage scorer: an int8 estimate pass
+/// ranks every candidate, an oversampled survivor set >= k is kept, and
+/// survivors are re-ranked with exact double-precision dots — returned
+/// scores are always exact; only the *selection* is approximate.
 enum class QueryPrecision {
   /// Let the planner (or the path's natural default) decide: exact for
-  /// brute/tree/lsh, filter-estimated for sketch.
+  /// brute/tree/lsh, the §4.3 argmax descent for unsigned k = 1 on the
+  /// sketch index (other sketch shapes fall back to the exact scan).
   kAuto = 0,
   /// Exact double-precision scoring throughout.
   kExact = 1,
   /// int8 quantized estimate pass + exact re-rank (brute, lsh).
   kQuantizedRerank = 2,
-  /// CountSketch filter estimate pass + exact re-rank (sketch index
-  /// full scans, lsh candidate pruning, tree leaf pruning).
-  kSketchFilter = 3,
 };
 
-inline constexpr std::size_t kNumQueryPrecisions = 4;
+inline constexpr std::size_t kNumQueryPrecisions = 3;
 
-/// Short stable name of `precision` ("auto", "exact", "quant",
-/// "filter"); metric label segment and bench JSON key.
+/// Short stable name of `precision` ("auto", "exact", "quant"); metric
+/// label segment and bench JSON key.
 std::string_view QueryPrecisionName(QueryPrecision precision);
 
 /// One top-k query, uniform across the engine, the scheduler, and every
@@ -125,9 +122,9 @@ struct QueryStats {
   /// Candidate data points whose exact score was computed.
   std::size_t candidates = 0;
   /// Exact inner products evaluated (dot-product-equivalent work for the
-  /// sketch path, which spends its time on sketch-row products, and for
-  /// the two-stage paths, whose estimate pass is billed at its measured
-  /// fraction of an exact dot).
+  /// sketch descent, which spends its time on sketch-row products, and
+  /// for the two-stage path, whose int8 estimate pass is billed at a
+  /// fixed fraction of an exact dot).
   std::size_t dot_products = 0;
   /// Two-stage accounting: candidates ranked by the estimate pass but
   /// pruned before exact scoring, and exact dots spent on the survivor

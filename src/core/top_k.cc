@@ -133,12 +133,11 @@ std::vector<SearchMatch> QueryFromCandidates(
 // ---------------------------------------------------------------------
 
 std::size_t SurvivorCount(std::size_t k, std::size_t n,
-                          std::size_t candidate_budget, double multiplier,
-                          std::size_t floor) {
+                          std::size_t candidate_budget) {
   std::size_t m = std::max(
       static_cast<std::size_t>(
-          std::ceil(static_cast<double>(k) * multiplier)),
-      floor);
+          std::ceil(static_cast<double>(k) * kQuantSurvivorMultiplier)),
+      kQuantSurvivorFloor);
   if (candidate_budget > 0) m = std::min(m, std::max(candidate_budget, k));
   return std::min(std::max(m, k), n);
 }
@@ -168,26 +167,29 @@ std::vector<std::size_t> TopEstimateIndices(std::span<const double> estimates,
 
 namespace {
 
-// Shared tail of the four two-stage entry points: exact re-rank of the
+// Shared tail of the two quantized entry points: exact re-rank of the
 // survivor set plus the pruning/billing bookkeeping. `estimated` is the
-// size of the candidate pool the estimate pass ranked; `estimate_cost`
-// its dot-equivalent billing; `prefix` is "quant" or "filter".
+// size of the candidate pool the estimate pass ranked.
 std::vector<SearchMatch> RerankSurvivors(
     const Matrix& data, std::span<const double> q,
     const std::vector<std::size_t>& survivors, std::size_t estimated,
-    double estimate_cost_ratio, const char* prefix, Counter* queries,
-    Counter* pruned_counter, Counter* rerank_counter,
     const QueryOptions& options, QueryStats* stats, Trace* trace) {
+  static Counter* const queries =
+      MetricsRegistry::Global().GetCounter("core.quant.queries");
+  static Counter* const pruned_counter =
+      MetricsRegistry::Global().GetCounter("core.quant.candidates_pruned");
+  static Counter* const rerank_counter =
+      MetricsRegistry::Global().GetCounter("core.quant.rerank_dots");
   std::vector<SearchMatch> matches;
   {
-    TraceSpan span(trace, std::string(prefix) + ".rerank");
+    TraceSpan span(trace, "quant.rerank");
     matches = TopKFromCandidates(data, q, survivors, options.k,
                                  options.is_signed);
     span.AddCount("rerank_dots", survivors.size());
   }
   const std::size_t pruned = estimated - survivors.size();
   const std::size_t estimate_cost = static_cast<std::size_t>(std::ceil(
-      static_cast<double>(estimated) * estimate_cost_ratio));
+      static_cast<double>(estimated) * kQuantEstimateDotEquivalent));
   queries->Increment();
   pruned_counter->Add(pruned);
   rerank_counter->Add(survivors.size());
@@ -196,34 +198,10 @@ std::vector<SearchMatch> RerankSurvivors(
     stats->candidates_pruned += pruned;
     stats->rerank_exact_dots += survivors.size();
     stats->dot_products += survivors.size() + estimate_cost;
-    stats->metrics.Add(std::string("core.") + prefix + ".candidates_pruned",
-                       pruned);
-    stats->metrics.Add(std::string("core.") + prefix + ".rerank_dots",
-                       survivors.size());
+    stats->metrics.Add("core.quant.candidates_pruned", pruned);
+    stats->metrics.Add("core.quant.rerank_dots", survivors.size());
   }
   return matches;
-}
-
-struct QuantCounters {
-  Counter* queries;
-  Counter* pruned;
-  Counter* rerank;
-};
-
-const QuantCounters& QuantRegistryCounters() {
-  static const QuantCounters counters = {
-      MetricsRegistry::Global().GetCounter("core.quant.queries"),
-      MetricsRegistry::Global().GetCounter("core.quant.candidates_pruned"),
-      MetricsRegistry::Global().GetCounter("core.quant.rerank_dots")};
-  return counters;
-}
-
-const QuantCounters& FilterRegistryCounters() {
-  static const QuantCounters counters = {
-      MetricsRegistry::Global().GetCounter("core.filter.queries"),
-      MetricsRegistry::Global().GetCounter("core.filter.candidates_pruned"),
-      MetricsRegistry::Global().GetCounter("core.filter.rerank_dots")};
-  return counters;
 }
 
 }  // namespace
@@ -234,9 +212,7 @@ std::vector<SearchMatch> QueryQuantizedRerank(
     QueryStats* stats, Trace* trace) {
   IPS_CHECK_EQ(qdata.rows(), data.rows());
   const std::size_t n = data.rows();
-  const std::size_t m =
-      SurvivorCount(options.k, n, options.candidate_budget,
-                    kQuantSurvivorMultiplier, kQuantSurvivorFloor);
+  const std::size_t m = SurvivorCount(options.k, n, options.candidate_budget);
   std::vector<std::size_t> survivors;
   {
     TraceSpan span(trace, "quant.estimate");
@@ -247,36 +223,7 @@ std::vector<SearchMatch> QueryQuantizedRerank(
     span.AddCount("points_estimated", n);
     span.AddCount("survivors", survivors.size());
   }
-  const QuantCounters& counters = QuantRegistryCounters();
-  return RerankSurvivors(data, q, survivors, n, kQuantEstimateDotEquivalent,
-                         "quant", counters.queries, counters.pruned,
-                         counters.rerank, options, stats, trace);
-}
-
-std::vector<SearchMatch> QueryFilteredRerank(
-    const Matrix& data, const InnerProductFilter& filter,
-    std::span<const double> q, const QueryOptions& options,
-    QueryStats* stats, Trace* trace) {
-  IPS_CHECK_EQ(filter.rows(), data.rows());
-  const std::size_t n = data.rows();
-  const SketchFilterParams& params = filter.params();
-  const std::size_t m =
-      SurvivorCount(options.k, n, options.candidate_budget,
-                    params.survivor_multiplier, params.survivor_floor);
-  std::vector<std::size_t> survivors;
-  {
-    TraceSpan span(trace, "filter.estimate");
-    const std::vector<double> sq = filter.SketchQuery(q);
-    std::vector<double> estimates(n);
-    filter.EstimateAll(sq, estimates);
-    survivors = TopEstimateIndices(estimates, m, !options.is_signed);
-    span.AddCount("points_estimated", n);
-    span.AddCount("survivors", survivors.size());
-  }
-  const QuantCounters& counters = FilterRegistryCounters();
-  return RerankSurvivors(data, q, survivors, n, filter.CostRatio(),
-                         "filter", counters.queries, counters.pruned,
-                         counters.rerank, options, stats, trace);
+  return RerankSurvivors(data, q, survivors, n, options, stats, trace);
 }
 
 std::vector<SearchMatch> QueryFromCandidatesQuantized(
@@ -284,8 +231,7 @@ std::vector<SearchMatch> QueryFromCandidatesQuantized(
     std::span<const double> q, const std::vector<std::size_t>& candidates,
     const QueryOptions& options, QueryStats* stats, Trace* trace) {
   const std::size_t m =
-      SurvivorCount(options.k, candidates.size(), options.candidate_budget,
-                    kQuantSurvivorMultiplier, kQuantSurvivorFloor);
+      SurvivorCount(options.k, candidates.size(), options.candidate_budget);
   if (m >= candidates.size()) {
     // Nothing to prune: exact verification is no more expensive.
     return QueryFromCandidates(data, q, candidates, options, stats, trace);
@@ -303,42 +249,8 @@ std::vector<SearchMatch> QueryFromCandidatesQuantized(
     span.AddCount("points_estimated", candidates.size());
     span.AddCount("survivors", survivors.size());
   }
-  const QuantCounters& counters = QuantRegistryCounters();
-  return RerankSurvivors(data, q, survivors, candidates.size(),
-                         kQuantEstimateDotEquivalent, "quant",
-                         counters.queries, counters.pruned, counters.rerank,
-                         options, stats, trace);
-}
-
-std::vector<SearchMatch> QueryFromCandidatesFiltered(
-    const Matrix& data, const InnerProductFilter& filter,
-    std::span<const double> q, const std::vector<std::size_t>& candidates,
-    const QueryOptions& options, QueryStats* stats, Trace* trace) {
-  const SketchFilterParams& params = filter.params();
-  const std::size_t m =
-      SurvivorCount(options.k, candidates.size(), options.candidate_budget,
-                    params.survivor_multiplier, params.survivor_floor);
-  if (m >= candidates.size()) {
-    return QueryFromCandidates(data, q, candidates, options, stats, trace);
-  }
-  std::vector<std::size_t> survivors;
-  {
-    TraceSpan span(trace, "filter.estimate");
-    const std::vector<double> sq = filter.SketchQuery(q);
-    std::vector<double> estimates(candidates.size());
-    filter.EstimateGathered(sq, candidates, estimates);
-    const std::vector<std::size_t> kept =
-        TopEstimateIndices(estimates, m, !options.is_signed);
-    survivors.reserve(kept.size());
-    for (std::size_t j : kept) survivors.push_back(candidates[j]);
-    span.AddCount("points_estimated", candidates.size());
-    span.AddCount("survivors", survivors.size());
-  }
-  const QuantCounters& counters = FilterRegistryCounters();
-  return RerankSurvivors(data, q, survivors, candidates.size(),
-                         filter.CostRatio(), "filter", counters.queries,
-                         counters.pruned, counters.rerank, options, stats,
-                         trace);
+  return RerankSurvivors(data, q, survivors, candidates.size(), options,
+                         stats, trace);
 }
 
 }  // namespace ips

@@ -7,12 +7,12 @@
 // ball-tree branch-and-bound) return the true top-k; the LSH engine
 // returns the k best among its candidates.
 //
-// The Query*Rerank / QueryFromCandidates* families are the two-stage
-// scorer (DESIGN.md §13): a cheap estimate pass (int8 quantized dots or
-// CountSketch filter estimates) ranks the candidate set, an oversampled
-// survivor set >= k is kept, and survivors are re-ranked with exact
-// double-precision dots. Returned scores are always exact; recall is
-// governed by the oversampling factor and calibrated by the planner.
+// QueryQuantizedRerank / QueryFromCandidatesQuantized are the two-stage
+// scorer (DESIGN.md §13): an int8 estimate pass ranks the candidate
+// set, an oversampled survivor set >= k is kept, and survivors are
+// re-ranked with exact double-precision dots. Returned scores are
+// always exact; recall is governed by the oversampling factor and
+// calibrated by the planner.
 
 #ifndef IPS_CORE_TOP_K_H_
 #define IPS_CORE_TOP_K_H_
@@ -27,7 +27,6 @@
 #include "linalg/matrix.h"
 #include "linalg/quantized.h"
 #include "obs/trace.h"
-#include "sketch/filter.h"
 
 namespace ips {
 
@@ -88,11 +87,11 @@ inline constexpr std::size_t kQuantSurvivorFloor = 32;
 /// prices the real cost from its calibrated timing ratio.
 inline constexpr double kQuantEstimateDotEquivalent = 0.25;
 
-/// Survivor-set size: max(ceil(k * multiplier), floor), capped by the
-/// candidate budget when set (but never below k) and by `n`.
+/// Survivor-set size: max(ceil(k * kQuantSurvivorMultiplier),
+/// kQuantSurvivorFloor), capped by the candidate budget when set (but
+/// never below k) and by `n`.
 std::size_t SurvivorCount(std::size_t k, std::size_t n,
-                          std::size_t candidate_budget, double multiplier,
-                          std::size_t floor);
+                          std::size_t candidate_budget);
 
 /// Indices of the `m` largest estimates (value descending, index
 /// ascending — the project-wide deterministic order); absolute values
@@ -111,15 +110,6 @@ std::vector<SearchMatch> QueryQuantizedRerank(
     std::span<const double> q, const QueryOptions& options,
     QueryStats* stats = nullptr, Trace* trace = nullptr);
 
-/// Two-stage brute force, sketch-filter flavor: CountSketch estimates
-/// rank every row, survivors (policy from filter.params()) are
-/// re-ranked exactly. Records "filter.estimate" / "filter.rerank" spans
-/// and bumps "core.filter.*". `filter` must be built over `data`.
-std::vector<SearchMatch> QueryFilteredRerank(
-    const Matrix& data, const InnerProductFilter& filter,
-    std::span<const double> q, const QueryOptions& options,
-    QueryStats* stats = nullptr, Trace* trace = nullptr);
-
 /// Candidate-set flavor of the quantized two-stage path (LSH
 /// verification): estimates the gathered candidates, prunes to the
 /// survivor set, re-ranks exactly. Falls back to plain exact
@@ -127,13 +117,6 @@ std::vector<SearchMatch> QueryFilteredRerank(
 /// survivor set.
 std::vector<SearchMatch> QueryFromCandidatesQuantized(
     const Matrix& data, const QuantizedMatrix& qdata,
-    std::span<const double> q, const std::vector<std::size_t>& candidates,
-    const QueryOptions& options, QueryStats* stats = nullptr,
-    Trace* trace = nullptr);
-
-/// Candidate-set flavor of the sketch-filter two-stage path.
-std::vector<SearchMatch> QueryFromCandidatesFiltered(
-    const Matrix& data, const InnerProductFilter& filter,
     std::span<const double> q, const std::vector<std::size_t>& candidates,
     const QueryOptions& options, QueryStats* stats = nullptr,
     Trace* trace = nullptr);

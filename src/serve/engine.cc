@@ -103,7 +103,6 @@ Status ValidateEngineOptions(const EngineOptions& options) {
   if (options.lsh_params.k < 1 || options.lsh_params.l < 1) {
     return Status::InvalidArgument("engine lsh k and l must be >= 1");
   }
-  IPS_RETURN_IF_ERROR(ValidateFilterParams(options.sketch_filter));
   return ValidateFeedbackOptions(options.feedback);
 }
 
@@ -146,9 +145,6 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
   calib.lsh_probe_overhead = static_cast<double>(options_.lsh_params.k) *
                              static_cast<double>(options_.lsh_params.l);
   calib.quant_cost_ratio = kQuantEstimateDotEquivalent;
-  calib.filter_survivor_multiplier =
-      options_.sketch_filter.survivor_multiplier;
-  calib.filter_survivor_floor = options_.sketch_filter.survivor_floor;
 
   const std::size_t probes =
       std::min(options_.probe_queries, profile_.n);
@@ -200,21 +196,16 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
     std::size_t lsh_hits = 0;
     std::size_t lsh_topk_hits = 0;
     std::size_t sketch_hits = 0;
-    auto probe_sketch = SketchIndex::Create(
-        sample, SketchConfig{options_.sketch_params, options_.sketch_filter},
-        &build_rng_);
+    auto probe_sketch =
+        SketchIndex::Create(sample, options_.sketch_params, &build_rng_);
     IPS_RETURN_IF_ERROR(probe_sketch.status());
-    // Two-stage probes: recall@5 of the quantized and filtered scans
-    // against the exact top-5, measured through the same top_k.cc
-    // entry points serving traffic takes.
+    // Two-stage probe: recall@5 of the quantized scan against the exact
+    // top-5, measured through the same top_k.cc entry point serving
+    // traffic takes.
     const QuantizedMatrix probe_quant = QuantizedMatrix::Quantize(sample);
-    const InnerProductFilter probe_filter(sample, options_.sketch_filter,
-                                          &build_rng_);
-    calib.filter_cost_ratio = probe_filter.CostRatio();
     QueryOptions rerank_probe;
     rerank_probe.k = std::min<std::size_t>(5, sample.rows());
     std::size_t quant_hits = 0;
-    std::size_t filter_hits = 0;
     std::size_t rerank_total = 0;
     for (std::size_t row : query_rows) {
       const auto q = data_.Row(row);
@@ -244,11 +235,8 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
       sketch_hits += TopKHits(exact_unsigned, *sketch_top);
       const auto quant_topk =
           QueryQuantizedRerank(sample, probe_quant, q, rerank_probe);
-      const auto filter_topk =
-          QueryFilteredRerank(sample, probe_filter, q, rerank_probe);
       rerank_total += exact_topk.size();
       quant_hits += TopKHits(exact_topk, quant_topk);
-      filter_hits += TopKHits(exact_topk, filter_topk);
     }
     calib.lsh_candidate_fraction = candidate_total /
                                    static_cast<double>(probes) /
@@ -262,8 +250,6 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
                               static_cast<double>(rerank_total);
       calib.quant_recall = static_cast<double>(quant_hits) /
                            static_cast<double>(rerank_total);
-      calib.filter_recall = static_cast<double>(filter_hits) /
-                            static_cast<double>(rerank_total);
     }
   }
 
@@ -310,9 +296,8 @@ StatusOr<std::unique_ptr<MipsIndex>> Engine::BuildIndex(
     case QueryAlgo::kSketch:
       break;
   }
-  return AsIndex(SketchIndex::Create(
-      data_, SketchConfig{options_.sketch_params, options_.sketch_filter},
-      &build_rng_));
+  return AsIndex(
+      SketchIndex::Create(data_, options_.sketch_params, &build_rng_));
 }
 
 StatusOr<QueryResult> Engine::Query(const Request& request) const {

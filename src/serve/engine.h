@@ -41,7 +41,6 @@
 #include "serve/planner.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
-#include "sketch/filter.h"
 #include "sketch/sketch_mips.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -54,9 +53,6 @@ struct EngineOptions {
   LshTableParams lsh_params{.k = 8, .l = 32};
   /// Parameters of the lazily-built Section 4.3 sketch index.
   SketchMipsParams sketch_params;
-  /// Parameters of the sketch index's CountSketch prefilter (the
-  /// kSketchFilter two-stage path; DESIGN.md §13).
-  SketchFilterParams sketch_filter;
   /// Leaf size of the lazily-built ball tree.
   std::size_t tree_leaf_size = 16;
   /// Warmup micro-probes: queries sampled from the data itself.
@@ -74,7 +70,7 @@ struct EngineOptions {
 };
 
 /// Validates the option fields a build or a warm start depends on (tree
-/// leaf size, LSH (K, L), sketch filter, feedback loop).
+/// leaf size, LSH (K, L), feedback loop).
 Status ValidateEngineOptions(const EngineOptions& options);
 
 /// How Engine::CreateFromSnapshot materializes the dataset.

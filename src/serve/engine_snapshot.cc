@@ -64,13 +64,46 @@ Status ExpectAtEnd(const storage::PayloadReader& r, const char* section) {
 
 // ---------------------------------------------------------------------
 // Section payloads (bump the per-section version on any layout change).
-// META and CALB are at version 3: META grew the feedback-loop options
-// and CALB the k>1 LSH recall curve (lsh_topk_recall, DESIGN.md §14),
-// on top of the version-2 sketch-filter params and two-stage
-// calibration fields (DESIGN.md §13). This build reads only the
-// current layout — older snapshots fail to decode with a
-// DataLoss/truncation status rather than silently misparse.
+// META and CALB are at version 4: both shrank when the CountSketch
+// filter precision was deleted (its four META options and four CALB
+// fields are gone). Version 3 had added the feedback-loop options to
+// META and the k>1 LSH recall curve to CALB (DESIGN.md §14). This build
+// reads only the versions it writes: a load rejects any other section
+// version with kDataLoss naming the section, before decoding it.
 // ---------------------------------------------------------------------
+
+struct SectionVersion {
+  std::uint32_t id;
+  std::uint32_t version;
+};
+
+constexpr SectionVersion kSectionVersions[] = {
+    {storage::kSectionMeta, 4},        {storage::kSectionDataset, 1},
+    {storage::kSectionProfile, 1},     {storage::kSectionCalibration, 4},
+    {storage::kSectionTree, 1},        {storage::kSectionLshTables, 1},
+    {storage::kSectionSketch, 1},
+};
+
+constexpr std::uint32_t VersionOf(std::uint32_t id) {
+  for (const SectionVersion& entry : kSectionVersions) {
+    if (entry.id == id) return entry.version;
+  }
+  return 0;
+}
+
+Status CheckSectionVersions(const std::vector<storage::SectionEntry>& sections,
+                            const std::string& path) {
+  for (const storage::SectionEntry& entry : sections) {
+    const std::uint32_t expected = VersionOf(entry.id);
+    if (expected != 0 && entry.version != expected) {
+      return Status::DataLoss(
+          path + ": section " + storage::SectionName(entry.id) +
+          " is at version " + std::to_string(entry.version) +
+          " but this build reads version " + std::to_string(expected));
+    }
+  }
+  return Status::Ok();
+}
 
 std::vector<unsigned char> EncodeMeta(const EngineOptions& options) {
   storage::PayloadWriter w;
@@ -80,10 +113,6 @@ std::vector<unsigned char> EncodeMeta(const EngineOptions& options) {
   w.PutU64(options.sketch_params.copies);
   w.PutDouble(options.sketch_params.bucket_multiplier);
   w.PutU64(options.sketch_params.leaf_size);
-  w.PutU64(options.sketch_filter.buckets);
-  w.PutU64(options.sketch_filter.copies);
-  w.PutDouble(options.sketch_filter.survivor_multiplier);
-  w.PutU64(options.sketch_filter.survivor_floor);
   w.PutU64(options.tree_leaf_size);
   w.PutU64(options.probe_queries);
   w.PutU64(options.probe_sample);
@@ -107,11 +136,6 @@ Status DecodeMeta(std::span<const unsigned char> bytes,
   IPS_RETURN_IF_ERROR(
       r.GetDouble(&options->sketch_params.bucket_multiplier));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_params.leaf_size));
-  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_filter.buckets));
-  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_filter.copies));
-  IPS_RETURN_IF_ERROR(
-      r.GetDouble(&options->sketch_filter.survivor_multiplier));
-  IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_filter.survivor_floor));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->tree_leaf_size));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->probe_queries));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->probe_sample));
@@ -158,10 +182,6 @@ std::vector<unsigned char> EncodeCalibration(
   w.PutDouble(calib.sketch_cost);
   w.PutDouble(calib.quant_recall);
   w.PutDouble(calib.quant_cost_ratio);
-  w.PutDouble(calib.filter_recall);
-  w.PutDouble(calib.filter_cost_ratio);
-  w.PutDouble(calib.filter_survivor_multiplier);
-  w.PutU64(calib.filter_survivor_floor);
   w.PutU64(calib.probe_queries);
   w.PutDouble(calib.recall_margin);
   return std::vector<unsigned char>(w.bytes().begin(), w.bytes().end());
@@ -179,10 +199,6 @@ Status DecodeCalibration(std::span<const unsigned char> bytes,
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->sketch_cost));
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->quant_recall));
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->quant_cost_ratio));
-  IPS_RETURN_IF_ERROR(r.GetDouble(&calib->filter_recall));
-  IPS_RETURN_IF_ERROR(r.GetDouble(&calib->filter_cost_ratio));
-  IPS_RETURN_IF_ERROR(r.GetDouble(&calib->filter_survivor_multiplier));
-  IPS_RETURN_IF_ERROR(GetSize(&r, &calib->filter_survivor_floor));
   IPS_RETURN_IF_ERROR(GetSize(&r, &calib->probe_queries));
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->recall_margin));
   return ExpectAtEnd(r, "CALB");
@@ -391,14 +407,17 @@ Status Engine::SaveSnapshot(const std::string& dir) const {
   constexpr auto kSketch = static_cast<std::size_t>(QueryAlgo::kSketch);
   {
     const auto meta = EncodeMeta(options_);
-    IPS_RETURN_IF_ERROR(writer.WriteSection(storage::kSectionMeta, 3, meta));
+    IPS_RETURN_IF_ERROR(writer.WriteSection(storage::kSectionMeta,
+                                            VersionOf(storage::kSectionMeta),
+                                            meta));
   }
   {
     // The dataset streams through the section writer exactly like
     // MatrixSnapshotWriter lays it out, so every matrix reader in the
     // storage layer (heap load, mmap view, block reader) understands
     // the engine snapshot's DSET section too.
-    IPS_RETURN_IF_ERROR(writer.BeginSection(storage::kSectionDataset, 1));
+    IPS_RETURN_IF_ERROR(writer.BeginSection(
+        storage::kSectionDataset, VersionOf(storage::kSectionDataset)));
     unsigned char subheader[storage::kMatrixSubheaderBytes] = {};
     const std::uint64_t cols64 = data_.cols();
     std::memcpy(subheader, &cols64, sizeof(cols64));
@@ -411,27 +430,32 @@ Status Engine::SaveSnapshot(const std::string& dir) const {
   {
     const auto prof = EncodeProfile(profile_);
     IPS_RETURN_IF_ERROR(
-        writer.WriteSection(storage::kSectionProfile, 1, prof));
+        writer.WriteSection(storage::kSectionProfile,
+                            VersionOf(storage::kSectionProfile), prof));
   }
   {
     const auto calib = EncodeCalibration(planner_->calibration());
     IPS_RETURN_IF_ERROR(
-        writer.WriteSection(storage::kSectionCalibration, 3, calib));
+        writer.WriteSection(storage::kSectionCalibration,
+                            VersionOf(storage::kSectionCalibration), calib));
   }
   // Slot a only ever holds the index type built for a, so the tree and
   // LSH slots cast to their concrete types.
   if (const auto* tree = static_cast<const TreeMipsIndex*>(built[kTree])) {
     IPS_RETURN_IF_ERROR(writer.WriteSection(
-        storage::kSectionTree, 1, EncodeTree(tree->tree(), data_.cols())));
+        storage::kSectionTree, VersionOf(storage::kSectionTree),
+        EncodeTree(tree->tree(), data_.cols())));
   }
   if (const auto* lsh = static_cast<const LshMipsIndex*>(built[kLsh])) {
     IPS_RETURN_IF_ERROR(
-        writer.WriteSection(storage::kSectionLshTables, 1,
+        writer.WriteSection(storage::kSectionLshTables,
+                            VersionOf(storage::kSectionLshTables),
                             EncodeLshTables(prebuild[kLsh], lsh->tables())));
   }
   if (built[kSketch] != nullptr) {
-    IPS_RETURN_IF_ERROR(writer.WriteSection(storage::kSectionSketch, 1,
-                                            EncodeSketch(prebuild[kSketch])));
+    IPS_RETURN_IF_ERROR(writer.WriteSection(
+        storage::kSectionSketch, VersionOf(storage::kSectionSketch),
+        EncodeSketch(prebuild[kSketch])));
   }
   IPS_RETURN_IF_ERROR(writer.Finish());
   saves->Increment();
@@ -473,6 +497,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     auto snap = storage::MappedSnapshot::Map(path);
     IPS_RETURN_IF_ERROR(snap.status());
     mapped = std::move(snap).value();
+    IPS_RETURN_IF_ERROR(CheckSectionVersions(mapped->sections(), path));
     auto view = mapped->MapMatrixSection(storage::kSectionDataset);
     IPS_RETURN_IF_ERROR(view.status());
     data = std::move(view).value();
@@ -481,6 +506,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     IPS_RETURN_IF_ERROR(opened.status());
     reader = std::make_unique<storage::SnapshotReader>(
         std::move(opened).value());
+    IPS_RETURN_IF_ERROR(CheckSectionVersions(reader->sections(), path));
     auto loaded = storage::LoadMatrixSnapshot(path);
     IPS_RETURN_IF_ERROR(loaded.status());
     data = std::move(loaded).value();

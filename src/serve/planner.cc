@@ -28,7 +28,6 @@ constexpr PlanVariant kVariants[] = {
     {QueryAlgo::kLsh, QueryPrecision::kExact},
     {QueryAlgo::kLsh, QueryPrecision::kQuantizedRerank},
     {QueryAlgo::kSketch, QueryPrecision::kAuto},
-    {QueryAlgo::kSketch, QueryPrecision::kSketchFilter},
 };
 
 bool MatchesRequestedPrecision(QueryPrecision variant,
@@ -147,10 +146,8 @@ double Planner::ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
       return base;
     }
     case QueryAlgo::kSketch:
-      if (precision == QueryPrecision::kSketchFilter) {
-        return calibrated ? calibration_.filter_recall : 0.0;
-      }
-      // The Section 4.3 argmax descent recovers a single unsigned best.
+      // The Section 4.3 argmax descent recovers a single unsigned best;
+      // the index's exact fallback for other shapes is never planned.
       if (request.is_signed || request.k != 1) return 0.0;
       return calibrated ? calibration_.sketch_recall : 0.0;
   }
@@ -164,8 +161,7 @@ double Planner::ExpectedDotProducts(QueryAlgo algo, QueryPrecision precision,
     case QueryAlgo::kBruteForce: {
       if (precision == QueryPrecision::kQuantizedRerank) {
         const double survivors = static_cast<double>(
-            SurvivorCount(request.k, profile_.n, request.candidate_budget,
-                          kQuantSurvivorMultiplier, kQuantSurvivorFloor));
+            SurvivorCount(request.k, profile_.n, request.candidate_budget));
         return n * calibration_.quant_cost_ratio + survivors;
       }
       return n;
@@ -179,26 +175,17 @@ double Planner::ExpectedDotProducts(QueryAlgo algo, QueryPrecision precision,
           std::min(n, n * calibration_.lsh_candidate_fraction);
       if (precision == QueryPrecision::kQuantizedRerank) {
         const double survivors = static_cast<double>(
-            SurvivorCount(request.k, profile_.n, request.candidate_budget,
-                          kQuantSurvivorMultiplier, kQuantSurvivorFloor));
+            SurvivorCount(request.k, profile_.n, request.candidate_budget));
         return candidates * calibration_.quant_cost_ratio +
                std::min(candidates, survivors) +
                calibration_.lsh_probe_overhead;
       }
       return candidates + calibration_.lsh_probe_overhead;
     }
-    case QueryAlgo::kSketch: {
-      if (precision == QueryPrecision::kSketchFilter ||
-          (precision == QueryPrecision::kAuto &&
-           (request.is_signed || request.k != 1))) {
-        const double survivors = static_cast<double>(SurvivorCount(
-            request.k, profile_.n, request.candidate_budget,
-            calibration_.filter_survivor_multiplier,
-            calibration_.filter_survivor_floor));
-        return n * calibration_.filter_cost_ratio + survivors;
-      }
+    case QueryAlgo::kSketch:
+      // Shapes the argmax descent cannot answer run the exact scan.
+      if (request.is_signed || request.k != 1) return n;
       return calibration_.sketch_cost;
-    }
   }
   return n;
 }

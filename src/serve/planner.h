@@ -16,7 +16,8 @@
 //   lsh+exact     : measured probe recall, cost n * candidate fraction
 //   lsh+quant     : compounded recall, quantized verification of candidates
 //   sketch (§4.3) : measured argmax recall (unsigned k=1), cost ~ sketch rows
-//   sketch+filter : measured filter recall, cost n * filter ratio + survivors
+//                   (other shapes run the index's exact scan, priced at
+//                   n and never planned)
 //
 // Eligible variants are those whose calibrated recall clears the
 // request's target plus a safety margin (exact paths need no margin);
@@ -94,16 +95,6 @@ struct PlannerCalibration {
   /// (kQuantEstimateDotEquivalent; kept in the calibration so snapshots
   /// pin the prices a warm start serves with).
   double quant_cost_ratio = 0.25;
-  /// Measured recall@5 of the sketch-filtered scan on the probe queries.
-  double filter_recall = 0.0;
-  /// Cost of one CountSketch row estimate in exact-dot equivalents
-  /// (sketch_dim / d of the engine's filter).
-  double filter_cost_ratio = 1.0;
-  /// Survivor policy of the filtered scan, copied from the engine's
-  /// SketchFilterParams so expected costs price the same oversampling
-  /// the index actually runs.
-  double filter_survivor_multiplier = 16.0;
-  std::size_t filter_survivor_floor = 64;
   /// Probe queries the calibration averaged over (0 = uncalibrated:
   /// approximate paths are considered recall-0 and never selected).
   std::size_t probe_queries = 0;
@@ -188,7 +179,7 @@ class Planner {
   /// Expected dot-equivalents if (`algo`, `precision`) answered
   /// `request`; used for A/B accounting by benches. kAuto prices the
   /// algorithm's native mode (exact for brute/tree/lsh, the argmax
-  /// descent or filtered scan for sketch).
+  /// descent or the exact fallback scan for sketch).
   double ExpectedDotProducts(QueryAlgo algo, QueryPrecision precision,
                              const QueryOptions& request) const;
   double ExpectedDotProducts(QueryAlgo algo,

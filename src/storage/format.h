@@ -133,8 +133,10 @@ class PayloadWriter {
 
  private:
   void PutBytes(const void* p, std::size_t n) {
-    const auto* b = static_cast<const unsigned char*>(p);
-    buffer_.insert(buffer_.end(), b, b + n);
+    if (n == 0) return;
+    const std::size_t at = buffer_.size();
+    buffer_.resize(at + n);
+    std::memcpy(buffer_.data() + at, p, n);
   }
 
   std::vector<unsigned char> buffer_;

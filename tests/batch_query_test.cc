@@ -144,7 +144,7 @@ TEST_F(BatchEquivalenceTest, Lsh) {
 TEST_F(BatchEquivalenceTest, Sketch) {
   Rng rng(59);
   SketchMipsParams params;
-  const SketchIndex index(data_, SketchConfig{params, {}}, &rng);
+  const SketchIndex index(data_, params, &rng);
   QueryOptions options;
   options.k = 1;
   options.is_signed = false;  // the Section 4.3 argmax path is unsigned
@@ -215,25 +215,22 @@ TEST_F(BatchEquivalenceTest, PathRestrictionsMatchPerQueryBehavior) {
   ExpectBatchEqualsPerQuery(tree, queries_, unsigned_options);
 
   // The norm-range index scans exactly; it rejects the two-stage
-  // precisions per query and per batch alike.
+  // precision per query and per batch alike.
   NormRangeParams norm_range_params;
   norm_range_params.bucket_size = 64;
   const NormRangeIndex norm_range(data_, norm_range_params, &rng);
-  for (const QueryPrecision precision :
-       {QueryPrecision::kQuantizedRerank, QueryPrecision::kSketchFilter}) {
-    QueryOptions options;
-    options.precision = precision;
-    const auto single = norm_range.Query(queries_.Row(0), options);
-    ASSERT_FALSE(single.ok());
-    EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
-    const auto batch = norm_range.BatchQuery(queries_, options);
-    ASSERT_FALSE(batch.ok());
-    EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-  }
+  QueryOptions quantized;
+  quantized.precision = QueryPrecision::kQuantizedRerank;
+  const auto single = norm_range.Query(queries_.Row(0), quantized);
+  ASSERT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
+  const auto batch = norm_range.BatchQuery(queries_, quantized);
+  ASSERT_FALSE(batch.ok());
+  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
 
   SketchMipsParams params;
-  const SketchIndex sketch(data_, SketchConfig{params, {}}, &rng);
-  // Signed and k>1 shapes now run the filtered scan; what the sketch
+  const SketchIndex sketch(data_, params, &rng);
+  // Signed and k>1 shapes run the exact fallback scan; what the sketch
   // index rejects are the precisions it cannot honor.
   QueryOptions exact;
   exact.precision = QueryPrecision::kExact;

@@ -176,7 +176,7 @@ TEST_F(ChaosTest, IndexCreateRejectsEmptyDataset) {
   EXPECT_FALSE(BruteForceIndex::Create(empty).ok());
   Rng rng(1);
   EXPECT_FALSE(TreeMipsIndex::Create(empty, 8, &rng).ok());
-  EXPECT_FALSE(SketchIndex::Create(empty, SketchConfig{}, &rng).ok());
+  EXPECT_FALSE(SketchIndex::Create(empty, SketchMipsParams{}, &rng).ok());
 }
 
 TEST_F(ChaosTest, TreeCreateRejectsBadParameters) {
@@ -218,22 +218,15 @@ TEST_F(ChaosTest, LshCreateRejectsZeroAmplification) {
 TEST_F(ChaosTest, SketchCreateRejectsBadKappa) {
   Rng rng(5);
   const Matrix data = MakeUnitBallGaussian(10, 4, 0.5, &rng);
-  SketchConfig config;
-  config.argmax.kappa = 1.5;
-  const auto index = SketchIndex::Create(data, config, &rng);
+  SketchMipsParams params;
+  params.kappa = 1.5;
+  const auto index = SketchIndex::Create(data, params, &rng);
   ASSERT_FALSE(index.ok());
   EXPECT_NE(index.status().message().find("kappa"), std::string::npos);
-  config.argmax.kappa = std::numeric_limits<double>::infinity();
-  EXPECT_FALSE(SketchIndex::Create(data, config, &rng).ok());
-  // The one validated factory also vets the filter stage's params.
-  config.argmax.kappa = 4.0;
-  config.filter.copies = 0;
-  EXPECT_FALSE(SketchIndex::Create(data, config, &rng).ok());
-  config.filter.copies = 1;
-  config.filter.survivor_multiplier = 0.0;
-  EXPECT_FALSE(SketchIndex::Create(data, config, &rng).ok());
-  config.filter.survivor_multiplier = 16.0;
-  EXPECT_TRUE(SketchIndex::Create(data, config, &rng).ok());
+  params.kappa = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(SketchIndex::Create(data, params, &rng).ok());
+  params.kappa = 4.0;
+  EXPECT_TRUE(SketchIndex::Create(data, params, &rng).ok());
 }
 
 TEST_F(ChaosTest, SymmetricCreateRejectsBadEpsilonAndNorms) {
@@ -342,8 +335,8 @@ TEST_F(ChaosTest, EveryBuildFailpointFailsOnceThenRecovers) {
   }
   {
     ScopedFailpoint fp("sketch/build");
-    EXPECT_FALSE(SketchIndex::Create(data, SketchConfig{}, &rng).ok());
-    EXPECT_TRUE(SketchIndex::Create(data, SketchConfig{}, &rng).ok());
+    EXPECT_FALSE(SketchIndex::Create(data, SketchMipsParams{}, &rng).ok());
+    EXPECT_TRUE(SketchIndex::Create(data, SketchMipsParams{}, &rng).ok());
   }
   {
     ScopedFailpoint fp("core/symmetric-build");

@@ -157,14 +157,14 @@ TEST_F(IndexAgreementTest, SketchIndexDescendsOnlyForUnsignedTopOne) {
   Rng rng(23);
   SketchMipsParams params;
   params.copies = 5;
-  const SketchIndex index(data_, SketchConfig{params, {}}, &rng);
+  const SketchIndex index(data_, params, &rng);
   // Unsigned top-1 is the Section 4.3 argmax descent.
   QueryOptions options;
   options.is_signed = false;
   QueryStats stats;
   ASSERT_TRUE(index.Query(queries_.Row(0), options, &stats).ok());
   EXPECT_TRUE(stats.metrics.Has("sketch.levels"));
-  // Signed top-1 runs the filtered scan instead of the descent.
+  // Signed top-1 runs the exact fallback scan instead of the descent.
   options.is_signed = true;
   ASSERT_TRUE(index.Query(queries_.Row(0), options, &stats).ok());
   EXPECT_FALSE(stats.metrics.Has("sketch.levels"));

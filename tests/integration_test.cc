@@ -158,8 +158,7 @@ TEST(IntegrationTest, AllIndexesHonorJoinContractOnPlantedData) {
   SketchMipsParams sketch_params;
   sketch_params.copies = 11;
   sketch_params.bucket_multiplier = 6.0;
-  const SketchIndex sketch(planted.data, SketchConfig{sketch_params, {}},
-                           &rng);
+  const SketchIndex sketch(planted.data, sketch_params, &rng);
   const DualBallTransform transform(kDim, 1.0);
   const SimHashFamily base(transform.output_dim());
   LshTableParams lsh_params;

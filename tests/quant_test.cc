@@ -3,9 +3,9 @@
 // of kernels.h — EXPECT_EQ, no tolerance), the QuantizedMatrix /
 // QuantizeVector code contract, the rigorous ErrorBound (which is what
 // makes the LSH bucket-join prefilter lossless), quantized-rerank
-// top-k against exact ground truth, the filter recall sweep over
-// survivor oversampling, the precision support matrix of all four
-// indexes, and the two-stage accounting fields.
+// top-k against exact ground truth, the precision support matrix of all
+// four indexes (retired precision values included), the sketch index's
+// exact fallback, and the two-stage accounting fields.
 //
 // The CI quant leg runs this same binary twice: once dispatched and
 // once under IPS_FORCE_SCALAR=1 (quant_test_scalar in
@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -28,7 +29,6 @@
 #include "lsh/simhash.h"
 #include "lsh/transforms.h"
 #include "rng/random.h"
-#include "sketch/filter.h"
 
 namespace ips {
 namespace {
@@ -258,66 +258,10 @@ TEST(TwoStageTest, QuantizedRerankMatchesExactOnSeparatedData) {
   }
 }
 
-// Mean top-k recall of QueryFilteredRerank over `queries` random
-// queries at the given survivor policy.
-double FilterRecall(const Matrix& data, const SketchFilterParams& params,
-                    std::size_t queries, Rng* rng) {
-  Rng build_rng(77);
-  const InnerProductFilter filter(data, params, &build_rng);
-  QueryOptions options;
-  options.k = 5;
-  options.precision = QueryPrecision::kSketchFilter;
-  std::size_t hits = 0;
-  for (std::size_t qi = 0; qi < queries; ++qi) {
-    std::vector<double> query(data.cols());
-    for (double& v : query) v = rng->NextGaussian();
-    const auto exact = TopKBruteForce(data, query, options.k, true);
-    const auto approx = QueryFilteredRerank(data, filter, query, options);
-    for (const auto& truth : exact) {
-      for (const auto& match : approx) {
-        if (match.index == truth.index) {
-          ++hits;
-          break;
-        }
-      }
-    }
-  }
-  return static_cast<double>(hits) /
-         static_cast<double>(queries * options.k);
-}
-
-TEST(TwoStageTest, FilterRecallSweepImprovesWithSurvivors) {
-  Rng rng(32);
-  const Matrix data = MakeLatentFactorVectors(800, 24, 1.0, &rng);
-  // Same estimator (16 buckets x 4 copies) at both ends so the sweep
-  // isolates the survivor oversampling knob. The copy count matters:
-  // estimate noise scales with the candidate row's own norm, so on
-  // skewed data a high-norm true winner can rank arbitrarily badly
-  // under a noisy estimator no matter how many survivors are kept —
-  // oversampling only buys recall once the estimator variance is low
-  // enough that winners land inside the survivor window.
-  SketchFilterParams tight;
-  tight.buckets = 16;
-  tight.copies = 4;
-  tight.survivor_multiplier = 1.0;
-  tight.survivor_floor = 5;
-  SketchFilterParams wide = tight;
-  wide.survivor_multiplier = 16.0;
-  wide.survivor_floor = 64;
-  const double tight_recall = FilterRecall(data, tight, 40, &rng);
-  const double wide_recall = FilterRecall(data, wide, 40, &rng);
-  // Oversampling the survivor set is what buys recall back from the
-  // noisy CountSketch estimate.
-  EXPECT_GE(wide_recall, tight_recall);
-  EXPECT_GE(wide_recall, 0.9);
-}
-
 TEST(TwoStageTest, TwoStageStatsAndMetricsArePopulated) {
   Rng rng(33);
   const Matrix data = MakeUnitBallGaussian(500, 20, 0.3, &rng);
   const QuantizedMatrix qdata = QuantizedMatrix::Quantize(data);
-  Rng build_rng(78);
-  const InnerProductFilter filter(data, {}, &build_rng);
   std::vector<double> query(data.cols());
   for (double& v : query) v = rng.NextGaussian();
 
@@ -336,26 +280,15 @@ TEST(TwoStageTest, TwoStageStatsAndMetricsArePopulated) {
             quant_stats.candidates_pruned);
   EXPECT_EQ(quant_stats.metrics.Get("core.quant.rerank_dots"),
             quant_stats.rerank_exact_dots);
-
-  QueryStats filter_stats;
-  (void)QueryFilteredRerank(data, filter, query, options, &filter_stats);
-  EXPECT_GT(filter_stats.candidates_pruned, 0U);
-  EXPECT_EQ(filter_stats.candidates_pruned + filter_stats.rerank_exact_dots,
-            data.rows());
-  EXPECT_EQ(filter_stats.metrics.Get("core.filter.candidates_pruned"),
-            filter_stats.candidates_pruned);
-  EXPECT_EQ(filter_stats.metrics.Get("core.filter.rerank_dots"),
-            filter_stats.rerank_exact_dots);
 }
 
 TEST(TwoStageTest, SurvivorCountPolicy) {
-  // max(ceil(k * multiplier), floor), capped by budget (never below k)
-  // and by n.
-  EXPECT_EQ(SurvivorCount(3, 1000, 0, 4.0, 32), 32U);
-  EXPECT_EQ(SurvivorCount(20, 1000, 0, 4.0, 32), 80U);
-  EXPECT_EQ(SurvivorCount(20, 50, 0, 4.0, 32), 50U);    // capped by n
-  EXPECT_EQ(SurvivorCount(20, 1000, 40, 4.0, 32), 40U); // capped by budget
-  EXPECT_EQ(SurvivorCount(20, 1000, 5, 4.0, 32), 20U);  // never below k
+  // max(ceil(k * 4), 32), capped by budget (never below k) and by n.
+  EXPECT_EQ(SurvivorCount(3, 1000, 0), 32U);
+  EXPECT_EQ(SurvivorCount(20, 1000, 0), 80U);
+  EXPECT_EQ(SurvivorCount(20, 50, 0), 50U);    // capped by n
+  EXPECT_EQ(SurvivorCount(20, 1000, 40), 40U); // capped by budget
+  EXPECT_EQ(SurvivorCount(20, 1000, 5), 20U);  // never below k
 }
 
 // ---------------------------------------------------------------------
@@ -384,18 +317,13 @@ class PrecisionMatrixTest : public ::testing::Test {
   std::vector<double> query_;
 };
 
-TEST_F(PrecisionMatrixTest, BruteAnswersExactAndQuantNotFilter) {
+TEST_F(PrecisionMatrixTest, BruteAnswersExactAndQuant) {
   const auto index = BruteForceIndex::Create(data_);
   ASSERT_TRUE(index.ok());
   EXPECT_TRUE((*index)->Query(query_, With(QueryPrecision::kAuto)).ok());
   EXPECT_TRUE((*index)->Query(query_, With(QueryPrecision::kExact)).ok());
-  const auto quant =
-      (*index)->Query(query_, With(QueryPrecision::kQuantizedRerank));
-  EXPECT_TRUE(quant.ok());
-  const auto filtered =
-      (*index)->Query(query_, With(QueryPrecision::kSketchFilter));
-  ASSERT_FALSE(filtered.ok());
-  EXPECT_EQ(filtered.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(
+      (*index)->Query(query_, With(QueryPrecision::kQuantizedRerank)).ok());
 }
 
 TEST_F(PrecisionMatrixTest, BruteQuantRerankEqualsExactScores) {
@@ -419,15 +347,13 @@ TEST_F(PrecisionMatrixTest, TreeIsExactOnly) {
   ASSERT_TRUE(index.ok());
   EXPECT_TRUE((*index)->Query(query_, With(QueryPrecision::kAuto)).ok());
   EXPECT_TRUE((*index)->Query(query_, With(QueryPrecision::kExact)).ok());
-  for (const QueryPrecision rejected :
-       {QueryPrecision::kQuantizedRerank, QueryPrecision::kSketchFilter}) {
-    const auto result = (*index)->Query(query_, With(rejected));
-    ASSERT_FALSE(result.ok());
-    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  }
+  const auto result =
+      (*index)->Query(query_, With(QueryPrecision::kQuantizedRerank));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(PrecisionMatrixTest, LshAnswersExactAndQuantNotFilter) {
+TEST_F(PrecisionMatrixTest, LshAnswersExactAndQuant) {
   Rng rng(43);
   const SimpleMipsTransform transform(data_.cols(), 1.0);
   const SimHashFamily family(transform.output_dim());
@@ -441,30 +367,125 @@ TEST_F(PrecisionMatrixTest, LshAnswersExactAndQuantNotFilter) {
   EXPECT_TRUE((*index)->Query(query_, With(QueryPrecision::kExact)).ok());
   EXPECT_TRUE(
       (*index)->Query(query_, With(QueryPrecision::kQuantizedRerank)).ok());
-  const auto filtered =
-      (*index)->Query(query_, With(QueryPrecision::kSketchFilter));
-  ASSERT_FALSE(filtered.ok());
-  EXPECT_EQ(filtered.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST_F(PrecisionMatrixTest, SketchAnswersFilterAndAutoNotExactOrQuant) {
+TEST_F(PrecisionMatrixTest, SketchAnswersAutoNotExactOrQuant) {
   Rng rng(44);
-  const auto index = SketchIndex::Create(data_, SketchConfig{}, &rng);
+  const auto index = SketchIndex::Create(data_, SketchMipsParams{}, &rng);
   ASSERT_TRUE(index.ok());
-  // kAuto: signed k=3 runs the filtered scan; unsigned k=1 descends the
-  // argmax tree. Both must answer.
+  // kAuto: signed k=3 runs the exact fallback scan; unsigned k=1
+  // descends the argmax tree. Both must answer.
   EXPECT_TRUE((*index)->Query(query_, With(QueryPrecision::kAuto)).ok());
   EXPECT_TRUE(
       (*index)
           ->Query(query_, With(QueryPrecision::kAuto, 1, /*is_signed=*/false))
           .ok());
-  EXPECT_TRUE(
-      (*index)->Query(query_, With(QueryPrecision::kSketchFilter)).ok());
   for (const QueryPrecision rejected :
        {QueryPrecision::kExact, QueryPrecision::kQuantizedRerank}) {
     const auto result = (*index)->Query(query_, With(rejected));
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+// Bitwise equality of two answers: indices, score bits, and order.
+void ExpectBitwiseEqual(const std::vector<SearchMatch>& got,
+                        const std::vector<SearchMatch>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    EXPECT_EQ(got[j].index, want[j].index) << "rank " << j;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j].value),
+              std::bit_cast<std::uint64_t>(want[j].value))
+        << "rank " << j;
+  }
+}
+
+TEST_F(PrecisionMatrixTest, SketchFallbackEqualsBruteForceBitwise) {
+  // Duplicated and negated rows put exact ties into every top-k, so the
+  // tie order (index ascending) is checked along with the scores.
+  Matrix data = data_;
+  for (const std::size_t dup : {40, 120, 250}) {
+    for (std::size_t j = 0; j < data.cols(); ++j) {
+      data.At(dup, j) = data.At(7, j);
+      data.At(dup + 1, j) = -data.At(7, j);
+    }
+  }
+  Rng rng(46);
+  Matrix queries(5, data.cols());
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    for (std::size_t j = 0; j < queries.cols(); ++j) {
+      queries.At(qi, j) = qi == 0 ? data.At(7, j) : rng.NextGaussian();
+    }
+  }
+  const auto index = SketchIndex::Create(data, SketchMipsParams{}, &rng);
+  ASSERT_TRUE(index.ok());
+  struct Shape {
+    std::size_t k;
+    bool is_signed;
+  };
+  for (const Shape shape : {Shape{1, true}, Shape{5, true}, Shape{5, false}}) {
+    SCOPED_TRACE(testing::Message() << "k=" << shape.k
+                                    << " signed=" << shape.is_signed);
+    const QueryOptions options =
+        With(QueryPrecision::kAuto, shape.k, shape.is_signed);
+    const auto batch = (*index)->BatchQuery(queries, options);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ASSERT_EQ(batch->size(), queries.rows());
+    for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+      const auto want =
+          TopKBruteForce(data, queries.Row(qi), shape.k, shape.is_signed);
+      QueryStats stats;
+      const auto single = (*index)->Query(queries.Row(qi), options, &stats);
+      ASSERT_TRUE(single.ok()) << single.status().ToString();
+      ExpectBitwiseEqual(*single, want);
+      ExpectBitwiseEqual((*batch)[qi].matches, want);
+      EXPECT_EQ(stats.algorithm, QueryAlgo::kSketch);
+      EXPECT_EQ(stats.dot_products, data.rows());
+      EXPECT_FALSE(stats.metrics.Has("sketch.levels"));
+    }
+  }
+}
+
+TEST_F(PrecisionMatrixTest, RetiredPrecisionValuesAreRejected) {
+  Rng rng(47);
+  Matrix queries(2, data_.cols());
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    for (std::size_t j = 0; j < queries.cols(); ++j) {
+      queries.At(qi, j) = rng.NextGaussian();
+    }
+  }
+  const auto brute = BruteForceIndex::Create(data_);
+  ASSERT_TRUE(brute.ok());
+  const auto tree = TreeMipsIndex::Create(data_, 16, &rng);
+  ASSERT_TRUE(tree.ok());
+  const SimpleMipsTransform transform(data_.cols(), 1.0);
+  const SimHashFamily family(transform.output_dim());
+  LshTableParams params;
+  params.k = 6;
+  params.l = 24;
+  const auto lsh =
+      LshMipsIndex::Create(data_, &transform, family, params, &rng);
+  ASSERT_TRUE(lsh.ok());
+  const auto sketch = SketchIndex::Create(data_, SketchMipsParams{}, &rng);
+  ASSERT_TRUE(sketch.ok());
+  const MipsIndex* const indexes[] = {brute->get(), tree->get(), lsh->get(),
+                                      sketch->get()};
+  // 3 was the deleted sketch-filter precision; 7 was never a value.
+  for (const int raw : {3, 7}) {
+    SCOPED_TRACE(testing::Message() << "precision " << raw);
+    const QueryPrecision retired = static_cast<QueryPrecision>(raw);
+    for (const bool is_signed : {true, false}) {
+      const QueryOptions options = With(retired, 1, is_signed);
+      EXPECT_EQ(ValidateQueryOptions(options).code(),
+                StatusCode::kInvalidArgument);
+      for (const MipsIndex* index : indexes) {
+        SCOPED_TRACE(index->Name());
+        EXPECT_EQ(index->Query(query_, options).status().code(),
+                  StatusCode::kInvalidArgument);
+        EXPECT_EQ(index->BatchQuery(queries, options).status().code(),
+                  StatusCode::kInvalidArgument);
+      }
+    }
   }
 }
 
@@ -481,21 +502,17 @@ TEST_F(PrecisionMatrixTest, BatchQueryEnforcesTheSameMatrix) {
   EXPECT_TRUE(
       (*brute)->BatchQuery(queries, With(QueryPrecision::kQuantizedRerank))
           .ok());
-  EXPECT_FALSE(
-      (*brute)->BatchQuery(queries, With(QueryPrecision::kSketchFilter))
-          .ok());
   const auto tree = TreeMipsIndex::Create(data_, 16, &rng);
   ASSERT_TRUE(tree.ok());
   EXPECT_FALSE(
       (*tree)->BatchQuery(queries, With(QueryPrecision::kQuantizedRerank))
           .ok());
-  const auto sketch = SketchIndex::Create(data_, SketchConfig{}, &rng);
+  const auto sketch = SketchIndex::Create(data_, SketchMipsParams{}, &rng);
   ASSERT_TRUE(sketch.ok());
   EXPECT_FALSE(
       (*sketch)->BatchQuery(queries, With(QueryPrecision::kExact)).ok());
   EXPECT_TRUE(
-      (*sketch)->BatchQuery(queries, With(QueryPrecision::kSketchFilter))
-          .ok());
+      (*sketch)->BatchQuery(queries, With(QueryPrecision::kAuto)).ok());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -167,6 +168,44 @@ TEST(EngineTest, RejectsBadQueriesAndRequests) {
   EXPECT_TRUE((*engine)->Query({good, request}).ok());
 }
 
+TEST(EngineTest, RetiredPrecisionValuesAreRejected) {
+  Rng rng(24);
+  const Matrix data = SmallSpreadData(200, 8, &rng);
+  const auto engine = Engine::Create(data);
+  ASSERT_TRUE(engine.ok());
+  Matrix queries(3, 8);
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    for (std::size_t j = 0; j < queries.cols(); ++j) {
+      queries.At(i, j) = rng.NextGaussian();
+    }
+  }
+  // The planner's live table has kNumQueryPrecisions columns; a value
+  // past its end must be turned away before any lookup, planned or
+  // forced. 3 was the deleted sketch-filter precision.
+  const std::optional<QueryAlgo> paths[] = {
+      std::nullopt, QueryAlgo::kBruteForce, QueryAlgo::kBallTree,
+      QueryAlgo::kLsh, QueryAlgo::kSketch};
+  for (const int raw : {3, 7}) {
+    for (const std::optional<QueryAlgo>& path : paths) {
+      for (const bool is_signed : {true, false}) {
+        QueryOptions request;
+        request.precision = static_cast<QueryPrecision>(raw);
+        request.force_algorithm = path;
+        request.is_signed = is_signed;
+        SCOPED_TRACE(testing::Message()
+                     << "precision " << raw << " path "
+                     << (path ? QueryAlgoName(*path) : "planned")
+                     << " signed " << is_signed);
+        EXPECT_EQ((*engine)->Query({queries.Row(0), request}).status().code(),
+                  StatusCode::kInvalidArgument);
+        EXPECT_EQ(
+            (*engine)->BatchQuery(queries, request, {}).status().code(),
+            StatusCode::kInvalidArgument);
+      }
+    }
+  }
+}
+
 TEST(EngineTest, ForcedAlgorithmRespectsCapabilities) {
   Rng rng(22);
   const auto engine = Engine::Create(SmallSpreadData(200, 8, &rng));
@@ -179,12 +218,22 @@ TEST(EngineTest, ForcedAlgorithmRespectsCapabilities) {
   // The engine routes only signed requests to the tree, even forced.
   EXPECT_FALSE((*engine)->Query({q, request}).ok());
   request.force_algorithm = QueryAlgo::kSketch;
-  // k=3 unsigned now runs the sketch index's filtered scan; what the
-  // sketch path cannot honor is exact (or quantized) precision.
-  const auto filtered = (*engine)->Query({q, request});
-  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
-  EXPECT_EQ(filtered->stats.algorithm, QueryAlgo::kSketch);
-  EXPECT_GT(filtered->stats.candidates_pruned, 0u);
+  // k=3 unsigned runs the sketch index's exact fallback scan, so it
+  // returns the forced brute-force answer; what the sketch path cannot
+  // honor is an explicit exact (or quantized) precision.
+  const auto fallback = (*engine)->Query({q, request});
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  EXPECT_EQ(fallback->stats.algorithm, QueryAlgo::kSketch);
+  EXPECT_EQ(fallback->stats.candidates_pruned, 0u);
+  QueryOptions brute_request = request;
+  brute_request.force_algorithm = QueryAlgo::kBruteForce;
+  const auto brute = (*engine)->Query({q, brute_request});
+  ASSERT_TRUE(brute.ok());
+  ASSERT_EQ(fallback->matches.size(), brute->matches.size());
+  for (std::size_t j = 0; j < brute->matches.size(); ++j) {
+    EXPECT_EQ(fallback->matches[j].index, brute->matches[j].index);
+    EXPECT_EQ(fallback->matches[j].value, brute->matches[j].value);
+  }
   request.precision = QueryPrecision::kExact;
   EXPECT_FALSE((*engine)->Query({q, request}).ok());
   request.precision = QueryPrecision::kAuto;

@@ -301,6 +301,27 @@ TEST_F(ShardedTest, CoordinatorValidatesRequestBeforeFanOut) {
   EXPECT_FALSE((*engine)->Query({std::vector<double>(6, 0.1), zero_k}).ok());
 }
 
+TEST_F(ShardedTest, RetiredPrecisionValuesAreRejected) {
+  Rng rng(31);
+  const Matrix data = MakeUnitBallGaussian(32, 6, 0.9, &rng);
+  ShardedEngineOptions options;
+  options.num_shards = 2;
+  const auto engine = ShardedEngine::Create(data, options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Matrix queries = MakeUnitBallGaussian(3, 6, 0.9, &rng);
+  // 3 was the deleted sketch-filter precision; 7 was never a value.
+  for (const int raw : {3, 7}) {
+    QueryOptions request;
+    request.precision = static_cast<QueryPrecision>(raw);
+    EXPECT_EQ((*engine)->Query({queries.Row(0), request}).status().code(),
+              StatusCode::kInvalidArgument)
+        << raw;
+    EXPECT_EQ((*engine)->BatchQuery(queries, request, {}).status().code(),
+              StatusCode::kInvalidArgument)
+        << raw;
+  }
+}
+
 TEST_F(ShardedTest, CreateRejectsInvalidOptions) {
   Rng rng(30);
   const Matrix data = MakeUnitBallGaussian(16, 4, 0.9, &rng);

@@ -551,11 +551,11 @@ TEST_F(StorageTest, EngineSnapshotCorruptTreeSectionIsDataLoss) {
       << warm.status().ToString();
 }
 
-// Rewrites the engine snapshot in `dir` through SnapshotWriter, copying
-// every section verbatim except META, whose feedback audit_every (bytes
-// 128-135) is zeroed. Every CRC stays valid; only the decoded options
-// are ones Engine::Create would reject.
-void ZeroMetaAuditEvery(const std::string& dir) {
+// Rewrites the engine snapshot in `dir` through SnapshotWriter, passing
+// every section's version and payload through `edit(id, &version,
+// &bytes)` first. Every CRC stays valid, so a load sees only the edit.
+template <typename Edit>
+void RewriteSections(const std::string& dir, Edit edit) {
   const std::string path = dir + "/snapshot.ips";
   std::vector<std::tuple<std::uint32_t, std::uint32_t,
                          std::vector<unsigned char>>>
@@ -572,13 +572,64 @@ void ZeroMetaAuditEvery(const std::string& dir) {
   auto writer = storage::SnapshotWriter::Create(path);
   ASSERT_TRUE(writer.ok()) << writer.status().ToString();
   for (auto& [id, version, bytes] : sections) {
-    if (id == storage::kSectionMeta) {
-      ASSERT_GE(bytes.size(), 136u);
-      std::fill(bytes.begin() + 128, bytes.begin() + 136, 0);
-    }
+    ASSERT_NO_FATAL_FAILURE(edit(id, &version, &bytes));
     ASSERT_TRUE(writer->WriteSection(id, version, bytes).ok());
   }
   ASSERT_TRUE(writer->Finish().ok());
+}
+
+// Zeroes META's feedback audit_every (bytes 96-103): the decoded
+// options are ones Engine::Create would reject.
+void ZeroMetaAuditEvery(const std::string& dir) {
+  RewriteSections(dir, [](std::uint32_t id, std::uint32_t*,
+                          std::vector<unsigned char>* bytes) {
+    if (id != storage::kSectionMeta) return;
+    ASSERT_GE(bytes->size(), 104u);
+    std::fill(bytes->begin() + 96, bytes->begin() + 104, 0);
+  });
+}
+
+TEST_F(StorageTest, EngineSnapshotSectionVersionMismatchIsDataLoss) {
+  // A section whose stored version differs from the one this build
+  // writes is rejected before it is decoded, naming the section and
+  // both versions. META at version 3 is the layout that still carried
+  // the sketch-filter options.
+  auto cold = Engine::Create(RandomMatrix(64, 8, 15), SmallEngineOptions());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kBallTree).ok());
+  struct Skew {
+    std::uint32_t id;
+    std::uint32_t stored;
+    const char* name;
+    const char* current;
+  };
+  for (const Skew skew : {Skew{storage::kSectionMeta, 3, "META", "4"},
+                          Skew{storage::kSectionCalibration, 3, "CALB", "4"},
+                          Skew{storage::kSectionTree, 2, "TREE", "1"}}) {
+    const std::string dir = TempPath(std::string("engine_skew_") + skew.name);
+    ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
+    ASSERT_NO_FATAL_FAILURE(RewriteSections(
+        dir, [&](std::uint32_t id, std::uint32_t* version,
+                 std::vector<unsigned char>*) {
+          if (id == skew.id) *version = skew.stored;
+        }));
+    for (const bool use_mmap : {false, true}) {
+      SCOPED_TRACE(std::string(skew.name) + (use_mmap ? " mmap" : " heap"));
+      SnapshotLoadOptions load;
+      load.use_mmap = use_mmap;
+      auto warm = Engine::CreateFromSnapshot(dir, load);
+      ASSERT_FALSE(warm.ok());
+      EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
+      const std::string& message = warm.status().message();
+      EXPECT_NE(message.find(skew.name), std::string::npos) << message;
+      EXPECT_NE(message.find("version " + std::to_string(skew.stored)),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::string("version ") + skew.current),
+                std::string::npos)
+          << message;
+    }
+  }
 }
 
 TEST_F(StorageTest, EngineSnapshotWithInvalidMetaOptionsIsDataLoss) {
