@@ -381,9 +381,9 @@ TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
   const std::string dir = TempPath("engine_pin_snap");
   ASSERT_TRUE(engine->SaveSnapshot(dir).ok());
   const std::map<std::string, std::uint32_t> expected_crcs = {
-      {"META", 0x0B305D6Bu}, {"DSET", 0x120DDA2Cu}, {"PROF", 0x8BF5D5C6u},
-      {"CALB", 0xCE72BF65u}, {"TREE", 0xCCBD3720u}, {"LSHT", 0x590CE9A0u},
-      {"SKCH", 0xDFF944F5u}};
+      {"META", 0x5E926A10u}, {"DSET", 0x120DDA2Cu}, {"PROF", 0x8BF5D5C6u},
+      {"CALB", 0x20DF93C8u}, {"TREE", 0x945AAB79u}, {"LSHT", 0x14411C2Eu},
+      {"SKCH", 0x7D4A1DD7u}};
   EXPECT_EQ(SectionCrcs(dir), expected_crcs);
 
   const std::vector<PinnedAnswer> brute = {
@@ -398,15 +398,13 @@ TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
   // The tree is exact: the same answers as brute force.
   const std::vector<PinnedAnswer>& tree = brute;
   std::vector<PinnedAnswer> lsh = brute;
-  lsh[5] = {38, 0x4011FB2CF3B786C6ull, 0x4011FB2CF3B786C6ull};
-  lsh[7] = {15, 0x40109FFA61963015ull, 0x40109FFA61963016ull};
+  lsh[7] = {10, 0x40122FECC2A23FDEull, 0x40122FECC2A23FDDull};
   const std::vector<PinnedAnswer> sketch = {
-      {84, 0x40212E7758F5245Cull, 0x40212E7758F5245Cull},
+      {46, 0x401BFB947BAB69D3ull, 0x401BFB947BAB69D3ull},
       {95, 0x40218F236AF251D6ull, 0x40218F236AF251D6ull},
-      {37, 0x4020D39C57749D22ull, 0x4020D39C57749D22ull},
-      {105, 0x4017A80843239646ull, 0x4017A80843239647ull},
-      brute[4], brute[5], brute[6],
-      {16, 0x40152C730A479AABull, 0x40152C730A479AABull}};
+      brute[2], brute[3], brute[4], brute[5],
+      {50, 0x4025E76ADC31E689ull, 0x4025E76ADC31E689ull},
+      lsh[7]};
   const std::vector<PinnedAnswer>* pinned[] = {&brute, &tree, &lsh, &sketch};
 
   const bool scalar = std::string(kernels::ActiveOps().name) == "scalar";
