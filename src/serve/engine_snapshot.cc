@@ -78,9 +78,12 @@ struct SectionVersion {
 };
 
 constexpr SectionVersion kSectionVersions[] = {
-    {storage::kSectionMeta, 4},        {storage::kSectionDataset, 1},
-    {storage::kSectionProfile, 1},     {storage::kSectionCalibration, 4},
-    {storage::kSectionTree, 1},        {storage::kSectionLshTables, 1},
+    {storage::kSectionMeta, 4},
+    {storage::kSectionDataset, 1},
+    {storage::kSectionProfile, 1},
+    {storage::kSectionCalibration, 4},
+    {storage::kSectionTree, 1},
+    {storage::kSectionLshTables, 1},
     {storage::kSectionSketch, 1},
 };
 
