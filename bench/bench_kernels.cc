@@ -6,24 +6,24 @@
 // (row, query) pair, per-query partial sort — the pre-batching shape).
 // Writes BENCH_kernels.json.
 //
-// Gate: with the AVX2 table active, the tiled batched path must be at
-// least 4x the per-query scalar baseline (ISSUE 5 acceptance). Under
-// IPS_FORCE_SCALAR (or off x86) the speedup is reported but not gated —
-// there the win is cache reuse alone, not cache reuse plus SIMD.
+// Gates: the tiled and baseline answers agree, and with the AVX2 table
+// active the tiled batched path is at least 4x the per-query scalar
+// baseline. Under IPS_FORCE_SCALAR (or off x86) the speedup row is
+// reported but not enforced: there the win is cache reuse alone, not
+// cache reuse plus SIMD.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "rng/random.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ips {
@@ -137,13 +137,6 @@ double PopcountRate(Rng* rng) {
   return static_cast<double>(kRows * kWords * 64 * kIters) / seconds * 1e-9;
 }
 
-struct HeadlineResult {
-  double baseline_ms = 0.0;  // per-query scalar dots + partial sort
-  double tiled_ms = 0.0;     // BlockTopK with the active table
-  double speedup = 0.0;
-  bool results_agree = false;
-};
-
 // The pre-batching per-query shape: for every query, one scalar dot per
 // data row into a materialized score vector, then a top-k partial sort
 // with the project ordering (score desc, index asc).
@@ -169,7 +162,9 @@ std::vector<std::vector<kernels::ScoredIndex>> PerQueryScalarBaseline(
   return out;
 }
 
-HeadlineResult MeasureHeadline(Rng* rng) {
+// The headline: BlockTopK with the active table against the per-query
+// scalar baseline.
+void MeasureHeadline(Rng* rng, BenchReport& report) {
   std::cout << "headline: " << kHeadlineRows << " rows x "
             << kHeadlineQueries << " queries, dim " << kHeadlineDim
             << ", k=" << kHeadlineK << " (active ISA: "
@@ -177,11 +172,10 @@ HeadlineResult MeasureHeadline(Rng* rng) {
   const Matrix data = RandomMatrix(kHeadlineRows, kHeadlineDim, rng);
   const Matrix queries = RandomMatrix(kHeadlineQueries, kHeadlineDim, rng);
 
-  HeadlineResult result;
   WallTimer timer;
   const auto baseline =
       PerQueryScalarBaseline(data, queries, kHeadlineK);
-  result.baseline_ms = timer.Millis();
+  const double baseline_ms = timer.Millis();
 
   timer.Restart();
   std::vector<kernels::TopKHeap> heaps(kHeadlineQueries,
@@ -191,50 +185,38 @@ HeadlineResult MeasureHeadline(Rng* rng) {
   for (std::size_t qi = 0; qi < kHeadlineQueries; ++qi) {
     tiled[qi] = heaps[qi].TakeSorted();
   }
-  result.tiled_ms = timer.Millis();
+  const double tiled_ms = timer.Millis();
 
-  result.speedup =
-      result.tiled_ms > 0.0 ? result.baseline_ms / result.tiled_ms : 0.0;
-  result.results_agree = true;
+  const double speedup = tiled_ms > 0.0 ? baseline_ms / tiled_ms : 0.0;
+  bool agree = true;
   for (std::size_t qi = 0; qi < kHeadlineQueries; ++qi) {
     for (std::size_t j = 0; j < kHeadlineK; ++j) {
-      if (tiled[qi][j].index != baseline[qi][j].index) {
-        result.results_agree = false;
-      }
+      if (tiled[qi][j].index != baseline[qi][j].index) agree = false;
     }
   }
-  return result;
-}
-
-void WriteJson(const std::vector<KernelRate>& rates, double popcount_gbits,
-               const HeadlineResult& headline, const std::string& path) {
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"kernels\",\n  \"active_isa\": \""
-      << kernels::ActiveIsaName() << "\",\n  \"avx2_available\": "
-      << (kernels::Avx2Available() ? "true" : "false")
-      << ",\n  \"hardware_threads\": " << ThreadPool::DefaultThreadCount()
-      << ",\n  \"rates\": [\n";
-  for (std::size_t i = 0; i < rates.size(); ++i) {
-    out << "    {\"kernel\": \"" << rates[i].kernel << "\", \"n\": "
-        << rates[i].n << ", \"scalar_gflops\": " << rates[i].scalar_gflops
-        << ", \"avx2_gflops\": " << rates[i].avx2_gflops << "}"
-        << (i + 1 < rates.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"popcount_gbits_per_s\": " << popcount_gbits << ",\n"
-      << "  \"batched_topk\": {\"rows\": " << kHeadlineRows
-      << ", \"queries\": " << kHeadlineQueries << ", \"dim\": "
-      << kHeadlineDim << ", \"k\": " << kHeadlineK
-      << ", \"per_query_scalar_ms\": " << headline.baseline_ms
-      << ", \"tiled_ms\": " << headline.tiled_ms << ", \"speedup\": "
-      << headline.speedup << ", \"results_agree\": "
-      << (headline.results_agree ? "true" : "false") << "}\n}\n";
+  std::cout << "per-query scalar baseline: " << FormatFixed(baseline_ms, 1)
+            << "ms, tiled BlockTopK: " << FormatFixed(tiled_ms, 1)
+            << "ms, speedup " << FormatFixed(speedup, 2) << "x, results "
+            << (agree ? "agree" : "DISAGREE") << "\n";
+  JsonWriter& json = report.json();
+  json.Key("batched_topk").BeginObject();
+  json.Key("rows").Uint(kHeadlineRows);
+  json.Key("queries").Uint(kHeadlineQueries);
+  json.Key("dim").Uint(kHeadlineDim);
+  json.Key("k").Uint(kHeadlineK);
+  json.Key("per_query_scalar_ms").Double(baseline_ms);
+  json.Key("tiled_ms").Double(tiled_ms);
+  json.Key("speedup").Double(speedup);
+  json.Key("results_agree").Bool(agree);
+  json.EndObject();
+  report.Holds("batched_topk.results_agree", agree);
+  report.AtLeast("batched_topk.speedup", speedup, 4.0,
+                 /*enforced=*/std::string(kernels::ActiveIsaName()) == "avx2");
 }
 
 int Run() {
+  BenchReport report("kernels");
   Rng rng(2026);
-  std::cout << "kernels bench (active ISA: " << kernels::ActiveIsaName()
-            << ", AVX2 " << (kernels::Avx2Available() ? "available" : "absent")
-            << ")\n\n";
 
   std::vector<KernelRate> rates;
   rates.push_back(MeasureKernel("dot", 128, &rng, DotRate));
@@ -247,42 +229,28 @@ int Run() {
   rates.push_back(MeasureKernel("score_block", 128, &rng, ScoreBlockRate));
 
   TablePrinter table({"kernel", "n", "scalar GFLOP/s", "avx2 GFLOP/s"});
+  JsonWriter& json = report.json();
+  json.Key("rates").BeginArray();
   for (const KernelRate& rate : rates) {
     table.AddRow({rate.kernel, Format(rate.n),
                   FormatFixed(rate.scalar_gflops, 2),
                   rate.avx2_gflops > 0.0 ? FormatFixed(rate.avx2_gflops, 2)
                                          : std::string("-")});
+    json.BeginObject().Key("kernel").String(rate.kernel);
+    json.Key("n").Uint(rate.n);
+    json.Key("scalar_gflops").Double(rate.scalar_gflops);
+    json.Key("avx2_gflops").Double(rate.avx2_gflops);
+    json.EndObject();
   }
   table.PrintMarkdown(std::cout);
 
   const double popcount_gbits = PopcountRate(&rng);
   std::cout << "popcount: " << FormatFixed(popcount_gbits, 1)
             << " Gbit-products/s\n\n";
+  json.EndArray().Key("popcount_gbits_per_s").Double(popcount_gbits);
 
-  const HeadlineResult headline = MeasureHeadline(&rng);
-  std::cout << "per-query scalar baseline: "
-            << FormatFixed(headline.baseline_ms, 1) << "ms, tiled BlockTopK: "
-            << FormatFixed(headline.tiled_ms, 1) << "ms, speedup "
-            << FormatFixed(headline.speedup, 2) << "x, results "
-            << (headline.results_agree ? "agree" : "DISAGREE") << "\n";
-
-  WriteJson(rates, popcount_gbits, headline, "BENCH_kernels.json");
-  std::cout << "wrote BENCH_kernels.json\n";
-
-  if (!headline.results_agree) {
-    std::cerr << "FAIL: tiled and baseline top-k disagree\n";
-    return 1;
-  }
-  const bool gated = std::string(kernels::ActiveIsaName()) == "avx2";
-  if (gated && headline.speedup < 4.0) {
-    std::cerr << "FAIL: batched speedup " << headline.speedup
-              << "x below the 4x acceptance bar\n";
-    return 1;
-  }
-  if (!gated) {
-    std::cout << "scalar table active: speedup reported, 4x bar not gated\n";
-  }
-  return 0;
+  MeasureHeadline(&rng, report);
+  return report.Finish();
 }
 
 }  // namespace

@@ -3,24 +3,22 @@
 // + index builds), heap snapshot load, and mmap zero-copy warm start —
 // plus the out-of-core blocked join's block-size sweep under a raw
 // SimHash family and one row under the composed DualBall + SimHash
-// family the IPS join hashes with. Writes BENCH_storage.json, with the
-// machine's kernel ISA and hardware thread count.
+// family the IPS join hashes with. Writes BENCH_storage.json.
 //
-// Acceptance gate (ISSUE 7): the mmap warm start must reach its first
-// answer >= 10x faster than the cold rebuild; a miss exits nonzero so
-// CI fails loudly instead of shipping a regressed startup path.
+// Acceptance gate: the mmap warm start must reach its first answer
+// >= 10x faster than the cold rebuild; a miss exits nonzero so CI fails
+// loudly instead of shipping a regressed startup path.
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "bench_report.h"
 #include "core/dataset.h"
 #include "core/query.h"
-#include "linalg/kernels.h"
 #include "lsh/simhash.h"
 #include "lsh/transforms.h"
 #include "rng/random.h"
@@ -28,7 +26,6 @@
 #include "storage/blocked_join.h"
 #include "storage/snapshot.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ips {
@@ -37,23 +34,6 @@ namespace {
 constexpr std::size_t kN = 20000;
 constexpr std::size_t kDim = 48;
 constexpr int kReps = 5;
-
-struct WarmStartResult {
-  double cold_ms = 0.0;
-  double heap_ms = 0.0;
-  double mmap_ms = 0.0;
-  double speedup_heap = 0.0;
-  double speedup_mmap = 0.0;
-  bool gate_pass = false;
-};
-
-struct SweepPoint {
-  std::string family;
-  std::size_t block_rows = 0;
-  std::size_t block_pairs = 0;
-  double ms = 0.0;
-  double mb_per_s = 0.0;
-};
 
 [[noreturn]] void Die(const std::string& what, const Status& status) {
   std::cerr << what << ": " << status.ToString() << "\n";
@@ -92,7 +72,7 @@ double WarmStartMs(const std::string& dir, bool use_mmap) {
   return timer.Millis();
 }
 
-WarmStartResult RunWarmStartSection(Rng* rng) {
+void RunWarmStartSection(Rng* rng, BenchReport& report) {
   std::cout << "=== warm start (n=" << kN << ", dim=" << kDim << ", "
             << kReps << " reps, best-of) ===\n";
   const Matrix data = MakeUnitBallGaussian(kN, kDim, /*min_norm=*/0.3, rng);
@@ -110,30 +90,34 @@ WarmStartResult RunWarmStartSection(Rng* rng) {
     if (!saved.ok()) Die("snapshot save", saved);
   }
 
-  WarmStartResult result;
-  result.cold_ms = std::numeric_limits<double>::infinity();
-  result.heap_ms = std::numeric_limits<double>::infinity();
-  result.mmap_ms = std::numeric_limits<double>::infinity();
+  double cold_ms = std::numeric_limits<double>::infinity();
+  double heap_ms = std::numeric_limits<double>::infinity();
+  double mmap_ms = std::numeric_limits<double>::infinity();
   for (int rep = 0; rep < kReps; ++rep) {
-    result.cold_ms = std::min(result.cold_ms, ColdStartMs(data));
-    result.heap_ms = std::min(result.heap_ms, WarmStartMs(dir, false));
-    result.mmap_ms = std::min(result.mmap_ms, WarmStartMs(dir, true));
+    cold_ms = std::min(cold_ms, ColdStartMs(data));
+    heap_ms = std::min(heap_ms, WarmStartMs(dir, false));
+    mmap_ms = std::min(mmap_ms, WarmStartMs(dir, true));
   }
-  result.speedup_heap =
-      result.heap_ms > 0.0 ? result.cold_ms / result.heap_ms : 0.0;
-  result.speedup_mmap =
-      result.mmap_ms > 0.0 ? result.cold_ms / result.mmap_ms : 0.0;
-  result.gate_pass = result.speedup_mmap >= 10.0;
+  const double speedup_heap = heap_ms > 0.0 ? cold_ms / heap_ms : 0.0;
+  const double speedup_mmap = mmap_ms > 0.0 ? cold_ms / mmap_ms : 0.0;
 
   TablePrinter table({"path", "first answer (ms)", "vs cold"});
-  table.AddRow({"cold rebuild", FormatFixed(result.cold_ms, 2), "1.00x"});
-  table.AddRow({"snapshot (heap)", FormatFixed(result.heap_ms, 2),
-                FormatFixed(result.speedup_heap, 2) + "x"});
-  table.AddRow({"snapshot (mmap)", FormatFixed(result.mmap_ms, 2),
-                FormatFixed(result.speedup_mmap, 2) + "x"});
+  table.AddRow({"cold rebuild", FormatFixed(cold_ms, 2), "1.00x"});
+  table.AddRow({"snapshot (heap)", FormatFixed(heap_ms, 2),
+                FormatFixed(speedup_heap, 2) + "x"});
+  table.AddRow({"snapshot (mmap)", FormatFixed(mmap_ms, 2),
+                FormatFixed(speedup_mmap, 2) + "x"});
   table.PrintMarkdown(std::cout);
   std::cout << "\n";
-  return result;
+  JsonWriter& json = report.json();
+  json.Key("warm_start").BeginObject();
+  json.Key("cold_ms").Double(cold_ms);
+  json.Key("heap_load_ms").Double(heap_ms);
+  json.Key("mmap_load_ms").Double(mmap_ms);
+  json.Key("speedup_heap").Double(speedup_heap);
+  json.Key("speedup_mmap").Double(speedup_mmap);
+  json.EndObject();
+  report.AtLeast("warm_start.speedup_mmap", speedup_mmap, 10.0);
 }
 
 constexpr std::size_t kSweepRows = 32768;
@@ -174,7 +158,7 @@ void WriteSweepInputs(double scale, const std::string& data_path,
 // row joins a unit-ball copy of the same rows (scaled by kIpsScale, the
 // thresholds by its square) under DualBall + SimHash, the composed
 // family the IPS join hashes with, at the raw sweep's 4096-row block.
-std::vector<SweepPoint> RunBlockSweep() {
+void RunBlockSweep(JsonWriter& json) {
   // Norms of 32-dim Gaussian rows stay far below 16, so the scaled copy
   // lies inside the unit ball the dual-ball map requires.
   constexpr double kIpsScale = 1.0 / 16;
@@ -188,8 +172,8 @@ std::vector<SweepPoint> RunBlockSweep() {
   WriteSweepInputs(1.0, data_path, queries_path);
   WriteSweepInputs(kIpsScale, ips_data_path, ips_queries_path);
 
-  std::vector<SweepPoint> points;
   TablePrinter table({"family", "block rows", "pairs", "ms", "MB/s"});
+  json.Key("block_sweep").BeginArray();
   auto run = [&](const LshFamily& family, const std::string& data,
                  const std::string& queries, std::size_t block_rows,
                  double scale) {
@@ -213,83 +197,47 @@ std::vector<SweepPoint> RunBlockSweep() {
     const double ms = timer.Millis();
     if (!result.ok()) Die("sweep join", result.status());
 
-    SweepPoint point;
-    point.family = family.Name();
-    point.block_rows = block_rows;
-    point.block_pairs = stats.block_pairs;
-    point.ms = ms;
-    point.mb_per_s =
+    const double mb_per_s =
         ms > 0.0 ? static_cast<double>(stats.bytes_read) / 1e6 / (ms / 1e3)
                  : 0.0;
-    points.push_back(point);
-    table.AddRow({point.family, Format(point.block_rows),
-                  Format(point.block_pairs), FormatFixed(point.ms, 1),
-                  FormatFixed(point.mb_per_s, 1)});
+    table.AddRow({family.Name(), Format(block_rows), Format(stats.block_pairs),
+                  FormatFixed(ms, 1), FormatFixed(mb_per_s, 1)});
+    json.BeginObject().Key("family").String(family.Name());
+    json.Key("block_rows").Uint(block_rows);
+    json.Key("block_pairs").Uint(stats.block_pairs);
+    json.Key("ms").Double(ms);
+    json.Key("mb_per_s").Double(mb_per_s);
+    json.EndObject();
+    return ms;
   };
+  // The sweet spot is a block geometry: only the raw family's rows count.
   const SimHashFamily family(kSweepDim);
+  std::size_t sweet_spot = 0;
+  double sweet_spot_ms = std::numeric_limits<double>::infinity();
   for (std::size_t block_rows : {1024u, 4096u, 16384u, 32768u}) {
-    run(family, data_path, queries_path, block_rows, 1.0);
+    const double ms = run(family, data_path, queries_path, block_rows, 1.0);
+    if (ms < sweet_spot_ms) {
+      sweet_spot = block_rows;
+      sweet_spot_ms = ms;
+    }
   }
   const DualBallTransform transform(kSweepDim, 1.0);
   const SimHashFamily base(transform.output_dim());
   const TransformedLshFamily composed(&transform, &base);
   run(composed, ips_data_path, ips_queries_path, 4096, kIpsScale);
+  json.EndArray().Key("sweet_spot_block_rows").Uint(sweet_spot);
   table.PrintMarkdown(std::cout);
   std::cout << "\n";
-  return points;
-}
-
-void WriteJson(const WarmStartResult& warm,
-               const std::vector<SweepPoint>& sweep,
-               const std::string& path) {
-  // The sweet spot is a block geometry: only the raw family's rows count.
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < sweep.size(); ++i) {
-    if (sweep[i].family == sweep[0].family && sweep[i].ms < sweep[best].ms) {
-      best = i;
-    }
-  }
-  std::ofstream out(path);
-  out << "{\n  \"bench\": \"storage\",\n  \"isa\": \""
-      << kernels::ActiveIsaName() << "\",\n  \"hardware_threads\": "
-      << ThreadPool::DefaultThreadCount() << ",\n  \"n\": " << kN
-      << ",\n  \"dim\": " << kDim << ",\n  \"warm_start\": {"
-      << "\"cold_ms\": " << warm.cold_ms
-      << ", \"heap_load_ms\": " << warm.heap_ms
-      << ", \"mmap_load_ms\": " << warm.mmap_ms
-      << ", \"speedup_heap\": " << warm.speedup_heap
-      << ", \"speedup_mmap\": " << warm.speedup_mmap
-      << ", \"gate_threshold\": 10.0"
-      << ", \"gate_pass\": " << (warm.gate_pass ? "true" : "false")
-      << "},\n  \"block_sweep\": [\n";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    out << "    {\"family\": \"" << sweep[i].family
-        << "\", \"block_rows\": " << sweep[i].block_rows
-        << ", \"block_pairs\": " << sweep[i].block_pairs
-        << ", \"ms\": " << sweep[i].ms
-        << ", \"mb_per_s\": " << sweep[i].mb_per_s << "}"
-        << (i + 1 < sweep.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n  \"sweet_spot_block_rows\": "
-      << (sweep.empty() ? 0 : sweep[best].block_rows) << "\n}\n";
 }
 
 int Run() {
+  BenchReport report("storage");
   Rng rng(2026);
-  const WarmStartResult warm = RunWarmStartSection(&rng);
-  const std::vector<SweepPoint> sweep = RunBlockSweep();
-  WriteJson(warm, sweep, "BENCH_storage.json");
-  std::cout << "wrote BENCH_storage.json\n";
-
-  if (!warm.gate_pass) {
-    std::cerr << "FAIL: mmap warm start " << warm.speedup_mmap
-              << "x over cold rebuild, below the 10x acceptance bar\n";
-    return 1;
-  }
-  std::cout << "OK: mmap warm start reaches its first answer "
-            << FormatFixed(warm.speedup_mmap, 1)
-            << "x faster than a cold rebuild\n";
-  return 0;
+  report.json().Key("n").Uint(kN);
+  report.json().Key("dim").Uint(kDim);
+  RunWarmStartSection(&rng, report);
+  RunBlockSweep(report.json());
+  return report.Finish();
 }
 
 }  // namespace

@@ -169,10 +169,12 @@ run_serve() {
   # clears 2x over sequential at equal recall, (3) sharded
   # scatter-gather passes its overhead gate, (4) hedging cuts the
   # straggler p99, (5) the planner with its feedback loop beats every fixed
-  # (algo, precision) policy across a mid-run workload shift, and
+  # (algo, precision) policy across a mid-run workload shift,
   # (6) a victim tenant's p99 holds its bound under 10x overload from
-  # an aggressor tenant (QoS admission + token buckets + lanes). The
-  # JSON snapshot it writes is the checked-in BENCH_serve.json.
+  # an aggressor tenant (QoS admission + token buckets + lanes), and
+  # (7) the instrumented query path stays within 3% of the plain scan.
+  # Every gate is evaluated and listed in the gates[] table of the JSON
+  # snapshot it writes, the checked-in BENCH_serve.json.
   echo "=== serve: planner/QoS/hedging bench gates (bench_serve) ==="
   cmake -B build -S . >/dev/null
   cmake --build build -j"$JOBS" --target bench_serve

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <unordered_map>
 
 #include "util/failpoint.h"
+#include "util/json.h"
 
 namespace ips {
 namespace {
@@ -50,28 +50,6 @@ void AtomicMaxDouble(std::atomic<double>* target, double value) {
          !target->compare_exchange_weak(current, value,
                                         std::memory_order_relaxed)) {
   }
-}
-
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  std::ostringstream out;
-  out << value;
-  return out.str();
 }
 
 }  // namespace
@@ -318,39 +296,31 @@ Histogram* MetricsRegistry::GetHistogram(std::string_view name) {
 
 StatusOr<std::string> MetricsRegistry::ExportJson() const {
   IPS_FAILPOINT("obs/export");
-  std::ostringstream out;
-  out << "{\n  \"counters\": {";
-  {
-    MutexLock lock(mutex_);
-    bool first = true;
-    for (const auto& [name, counter] : counters_) {
-      out << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-          << "\": " << counter->Value();
-      first = false;
-    }
-    out << (counters_.empty() ? "" : "\n  ") << "},\n  \"gauges\": {";
-    first = true;
-    for (const auto& [name, gauge] : gauges_) {
-      out << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-          << "\": {\"value\": " << JsonNumber(gauge->Value())
-          << ", \"max\": " << JsonNumber(gauge->Max()) << "}";
-      first = false;
-    }
-    out << (gauges_.empty() ? "" : "\n  ") << "},\n  \"histograms\": {";
-    first = true;
-    for (const auto& [name, histogram] : histograms_) {
-      out << (first ? "" : ",") << "\n    \"" << JsonEscape(name)
-          << "\": {\"count\": " << histogram->Count()
-          << ", \"sum\": " << JsonNumber(histogram->Sum())
-          << ", \"mean\": " << JsonNumber(histogram->Mean())
-          << ", \"p50\": " << JsonNumber(histogram->ApproxQuantile(0.5))
-          << ", \"p99\": " << JsonNumber(histogram->ApproxQuantile(0.99))
-          << "}";
-      first = false;
-    }
-    out << (histograms_.empty() ? "" : "\n  ") << "}\n}\n";
+  JsonWriter json;
+  MutexLock lock(mutex_);
+  json.BeginObject().Key("counters").BeginObject();
+  for (const auto& [name, counter] : counters_) {
+    json.Key(name).Uint(counter->Value());
   }
-  return out.str();
+  json.EndObject().Key("gauges").BeginObject();
+  for (const auto& [name, gauge] : gauges_) {
+    json.Key(name).BeginObject();
+    json.Key("value").Double(gauge->Value());
+    json.Key("max").Double(gauge->Max());
+    json.EndObject();
+  }
+  json.EndObject().Key("histograms").BeginObject();
+  for (const auto& [name, histogram] : histograms_) {
+    json.Key(name).BeginObject();
+    json.Key("count").Uint(histogram->Count());
+    json.Key("sum").Double(histogram->Sum());
+    json.Key("mean").Double(histogram->Mean());
+    json.Key("p50").Double(histogram->ApproxQuantile(0.5));
+    json.Key("p99").Double(histogram->ApproxQuantile(0.99));
+    json.EndObject();
+  }
+  json.EndObject().EndObject();
+  return json.Take();
 }
 
 TablePrinter MetricsRegistry::ToTable() const {

@@ -1,25 +1,33 @@
 #include "obs/trace.h"
 
-#include <sstream>
-
 #include "util/failpoint.h"
+#include "util/json.h"
 
 namespace ips {
 namespace {
 
-std::string JsonEscape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
+// Writes `trace` as {"label", "spans": [{"name", "seconds", "counts",
+// "children": [...]}]}. Spans are in pre-order (parents precede
+// children), so one forward pass nests them with a stack of the spans
+// whose children array is open.
+void WriteTrace(const Trace& trace, JsonWriter& json) {
+  json.BeginObject().Key("label").String(trace.label());
+  json.Key("spans").BeginArray();
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < trace.spans().size(); ++i) {
+    const Trace::Span& span = trace.spans()[i];
+    for (; !open.empty() && span.parent != open.back(); open.pop_back()) {
+      json.EndArray().EndObject();
     }
+    json.BeginObject().Key("name").String(span.name);
+    json.Key("seconds").Double(span.seconds);
+    json.Key("counts").BeginObject();
+    for (const auto& [key, value] : span.counts) json.Key(key).Uint(value);
+    json.EndObject().Key("children").BeginArray();
+    open.push_back(i);
   }
-  return out;
+  for (; !open.empty(); open.pop_back()) json.EndArray().EndObject();
+  json.EndArray().EndObject();
 }
 
 }  // namespace
@@ -100,42 +108,9 @@ std::uint64_t Trace::TotalCount(std::string_view key) const {
 }
 
 std::string Trace::ToJson() const {
-  // spans_ is in pre-order (parents precede children), so a single
-  // forward pass can emit the nested structure with an explicit stack.
-  std::ostringstream out;
-  out << "{\"label\": \"" << JsonEscape(label_) << "\", \"spans\": [";
-  std::vector<std::size_t> stack;  // indices of spans whose array is open
-  for (std::size_t i = 0; i < spans_.size(); ++i) {
-    const Span& span = spans_[i];
-    bool popped = false;
-    while (!stack.empty() && span.parent != stack.back()) {
-      out << "]}";
-      stack.pop_back();
-      popped = true;
-    }
-    // A span emitted right after another without pops is its first
-    // child (spans_ is pre-order); pops mean a sibling follows a closed
-    // subtree and needs a separator.
-    if (popped || (stack.empty() && i > 0)) {
-      out << ", ";
-    }
-    out << "{\"name\": \"" << JsonEscape(span.name)
-        << "\", \"seconds\": " << span.seconds << ", \"counts\": {";
-    bool first = true;
-    for (const auto& [key, value] : span.counts) {
-      out << (first ? "" : ", ") << "\"" << JsonEscape(key)
-          << "\": " << value;
-      first = false;
-    }
-    out << "}, \"children\": [";
-    stack.push_back(i);
-  }
-  while (!stack.empty()) {
-    out << "]}";
-    stack.pop_back();
-  }
-  out << "]}";
-  return out.str();
+  JsonWriter json;
+  WriteTrace(*this, json);
+  return json.Take();
 }
 
 TablePrinter Trace::ToTable() const {
@@ -204,16 +179,11 @@ void TraceRing::Clear() {
 
 StatusOr<std::string> TraceRing::ExportJson(std::size_t limit) const {
   IPS_FAILPOINT("obs/export");
-  const auto traces = Recent(limit);
-  std::ostringstream out;
-  out << "[";
-  bool first = true;
-  for (const auto& trace : traces) {
-    out << (first ? "" : ",") << "\n" << trace->ToJson();
-    first = false;
-  }
-  out << (traces.empty() ? "" : "\n") << "]\n";
-  return out.str();
+  JsonWriter json;
+  json.BeginArray();
+  for (const auto& trace : Recent(limit)) WriteTrace(*trace, json);
+  json.EndArray();
+  return json.Take();
 }
 
 }  // namespace ips

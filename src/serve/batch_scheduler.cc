@@ -393,15 +393,9 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
   std::vector<double> latency(batch.size(), 0.0);
 
   // Coalesced execution plan: compatible members share one
-  // Engine::BatchQuery call; with batching off (or nothing compatible)
-  // every group is a singleton on the per-query path.
-  std::vector<std::vector<std::size_t>> groups;
-  if (options_.use_batch_execution) {
-    groups = GroupCompatible(batch);
-  } else {
-    groups.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) groups.push_back({i});
-  }
+  // Engine::BatchQuery call; a member with no compatible peer is a
+  // singleton on the per-query path.
+  const std::vector<std::vector<std::size_t>> groups = GroupCompatible(batch);
 
   std::atomic<std::size_t> batch_groups{0};
   std::atomic<std::size_t> batched_queries{0};

@@ -113,12 +113,6 @@ struct BatchSchedulerOptions {
   std::size_t max_queue = 1024;
   /// Requests coalesced into one batch (one ParallelForStatus fan-out).
   std::size_t max_batch = 64;
-  /// Hand compatible members of a coalesced batch (identical
-  /// QueryOptions; the RequestContext stays per-member) to one
-  /// Engine::BatchQuery call instead of one Engine::Query each. Off
-  /// reproduces the sequential per-request execution (the bench A/B
-  /// baseline).
-  bool use_batch_execution = true;
   /// Multi-tenant QoS: token buckets, priority lanes, admission control.
   QosOptions qos;
 };

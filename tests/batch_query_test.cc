@@ -420,45 +420,30 @@ TEST_F(ServeBatchTest, SchedulerBatchedExecutionMatchesSequential) {
   options.force_algorithm = QueryAlgo::kBruteForce;
   ASSERT_TRUE(engine_->EnsureIndex(QueryAlgo::kBruteForce).ok());
 
-  BatchSchedulerOptions batched;
-  batched.use_batch_execution = true;
-  BatchSchedulerOptions sequential;
-  sequential.use_batch_execution = false;
+  SchedulerCounters counters;
+  const auto results =
+      RunThroughScheduler(*engine_, queries_, options, {}, &counters);
 
-  SchedulerCounters batched_counters, sequential_counters;
-  const auto batched_results = RunThroughScheduler(
-      *engine_, queries_, options, batched, &batched_counters);
-  const auto sequential_results = RunThroughScheduler(
-      *engine_, queries_, options, sequential, &sequential_counters);
-
-  // Both modes must agree with direct per-query engine answers.
+  // Coalesced answers agree with direct per-query engine answers.
   for (std::size_t i = 0; i < queries_.rows(); ++i) {
     SCOPED_TRACE("query " + std::to_string(i));
     auto truth = engine_->Query({queries_.Row(i), options});
     ASSERT_TRUE(truth.ok());
-    for (const auto* results : {&batched_results, &sequential_results}) {
-      ASSERT_TRUE((*results)[i].ok()) << (*results)[i].status().ToString();
-      const QueryResult& got = (*results)[i].value();
-      ASSERT_EQ(got.matches.size(), truth->matches.size());
-      for (std::size_t j = 0; j < got.matches.size(); ++j) {
-        EXPECT_EQ(got.matches[j].index, truth->matches[j].index);
-        EXPECT_NEAR(got.matches[j].value, truth->matches[j].value, 1e-9);
-      }
-      EXPECT_TRUE(got.stats.deadline_met);
-      EXPECT_GE(got.stats.queue_seconds, 0.0);
+    ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
+    const QueryResult& got = results[i].value();
+    ASSERT_EQ(got.matches.size(), truth->matches.size());
+    for (std::size_t j = 0; j < got.matches.size(); ++j) {
+      EXPECT_EQ(got.matches[j].index, truth->matches[j].index);
+      EXPECT_NEAR(got.matches[j].value, truth->matches[j].value, 1e-9);
     }
+    EXPECT_TRUE(got.stats.deadline_met);
+    EXPECT_GE(got.stats.queue_seconds, 0.0);
   }
 
-  // Partition invariant holds in both modes; the sequential mode never
-  // issues a batched call.
-  for (const auto* counters : {&batched_counters, &sequential_counters}) {
-    EXPECT_EQ(counters->submitted, queries_.rows());
-    EXPECT_EQ(counters->completed + counters->shed + counters->expired,
-              counters->submitted);
-  }
-  EXPECT_EQ(sequential_counters.batch_groups, 0u);
-  EXPECT_EQ(sequential_counters.batched_queries, 0u);
-  EXPECT_LE(batched_counters.batched_queries, batched_counters.completed);
+  EXPECT_EQ(counters.submitted, queries_.rows());
+  EXPECT_EQ(counters.completed + counters.shed + counters.expired,
+            counters.submitted);
+  EXPECT_LE(counters.batched_queries, counters.completed);
 }
 
 TEST_F(ServeBatchTest, SchedulerCoalescesCompatibleRequests) {

@@ -519,7 +519,6 @@ TEST_F(ChaosTest, ServePlanFailpointFailsScheduledBatchGroupThenRecovers) {
   BatchSchedulerOptions options;
   options.num_threads = 2;
   options.max_batch = 8;
-  options.use_batch_execution = true;
   BatchScheduler scheduler(engine->get(), options);
   {
     // Repeating: every grouped Engine::BatchQuery's plan step fails, so
@@ -545,22 +544,23 @@ TEST_F(ChaosTest, ServePlanFailpointFailsScheduledBatchGroupThenRecovers) {
 
 TEST_F(ChaosTest, ServeDeadlineFailpointFailsPerQueryPathToo) {
   // Same injection as ServeDeadlineFailpointFailsBatchWithoutLeakingWork
-  // but with batched execution explicitly OFF: the sequential
-  // per-request path must cancel just as cleanly.
+  // but every request asks for a distinct k, so no two share a batched
+  // call: the per-request path must cancel just as cleanly.
   Rng rng(17);
   const auto engine = Engine::Create(MakeUnitBallGaussian(64, 6, 0.9, &rng));
   ASSERT_TRUE(engine.ok());
   BatchSchedulerOptions options;
   options.num_threads = 2;
   options.max_batch = 16;
-  options.use_batch_execution = false;
   BatchScheduler scheduler(engine->get(), options);
   std::vector<std::future<BatchScheduler::Result>> futures;
   {
     ScopedFailpoint fp("serve/deadline");
-    for (int i = 0; i < 16; ++i) {
+    for (std::size_t k = 1; k <= 16; ++k) {
+      QueryOptions request;
+      request.k = k;
       futures.push_back(
-          scheduler.Submit({std::vector<double>(6, 0.1), {}}));
+          scheduler.Submit({std::vector<double>(6, 0.1), request}));
     }
     std::size_t failed = 0;
     for (auto& future : futures) {
@@ -762,7 +762,6 @@ TEST_F(ChaosTest, ShardFailpointUnderScheduledBatchExecution) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   BatchSchedulerOptions scheduler_options;
   scheduler_options.num_threads = 2;
-  scheduler_options.use_batch_execution = true;
   BatchScheduler scheduler(engine->get(), scheduler_options);
   {
     Failpoints::Arm("serve/shard/query/1",

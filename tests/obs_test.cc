@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -127,6 +128,38 @@ TEST(MetricsRegistryTest, ExportFailpointLeavesMetricsIntact) {
   }
   EXPECT_EQ(registry.GetCounter("kept.count")->Value(), 3u);
   EXPECT_TRUE(registry.ExportJson().ok());
+}
+
+// Bytes below 0x20 that are not layout newlines: each one makes the
+// document invalid JSON.
+std::size_t RawControlBytes(const std::string& json) {
+  return std::count_if(json.begin(), json.end(), [](char c) {
+    return static_cast<unsigned char>(c) < 0x20 && c != '\n';
+  });
+}
+
+// Tenant ids arrive from outside and become metric names
+// ("serve.qos.<tenant>.*"); span names and labels come from callers.
+// Neither export may pass a control byte through raw, and a non-finite
+// span time prints as null, not a bare nan.
+TEST(MetricsRegistryTest, ExportsEscapeEveryControlByte) {
+  const std::string name = "serve.qos.t\x01\r.submitted";
+  MetricsRegistry registry;
+  registry.GetCounter(name)->Add(1);
+  registry.GetGauge(name)->Set(1.0);
+  registry.GetHistogram(name)->Observe(1.0);
+  const auto metrics = registry.ExportJson();
+  ASSERT_TRUE(metrics.ok());
+  Trace trace(name);
+  trace.AddCount(trace.RecordSpan(name, std::nan("")), name, 1);
+  const std::string spans = trace.ToJson();
+  for (const std::string& json : {*metrics, spans}) {
+    EXPECT_EQ(RawControlBytes(json), 0u) << json;
+    EXPECT_NE(json.find("serve.qos.t\\u0001\\r.submitted"),
+              std::string::npos);
+  }
+  EXPECT_EQ(spans.find("nan"), std::string::npos) << spans;
+  EXPECT_NE(spans.find("null"), std::string::npos) << spans;
 }
 
 // The per-thread sharded fast path: many writers, zero lost updates,

@@ -923,6 +923,12 @@ class RecordingEngine : public QueryEngine {
   StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options,
       const RequestContext& context) const override {
+    {
+      MutexLock lock(mutex_);
+      for (std::size_t i = 0; i < queries.rows(); ++i) {
+        order_.push_back(static_cast<int>(queries.At(i, 0) * 100.0 + 0.5));
+      }
+    }
     return inner_->BatchQuery(queries, options, context);
   }
   std::vector<int> order() const {
@@ -999,11 +1005,10 @@ TEST(QosTest, InteractiveLaneOvertakesEarlierBatchTraffic) {
   ASSERT_TRUE(engine.ok());
   RecordingEngine recorder(engine->get());
   BatchSchedulerOptions options;
-  // Inline pool + singleton groups: the recorded order IS the dispatch
-  // order, deterministically.
+  // Inline pool: the recorded order (batched calls record their rows
+  // in row order) IS the dispatch order, deterministically.
   options.num_threads = 0;
   options.max_batch = 2;
-  options.use_batch_execution = false;
   BatchScheduler scheduler(&recorder, options);
 
   scheduler.Pause();

@@ -374,7 +374,6 @@ TEST_F(ShardedTest, BatchSchedulerDrivesShardedEngine) {
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   BatchSchedulerOptions scheduler_options;
   scheduler_options.num_threads = 2;
-  scheduler_options.use_batch_execution = true;
   // The scheduler drives the sharded fleet through the same QueryEngine
   // interface as a single-node engine.
   BatchScheduler scheduler(engine->get(), scheduler_options);

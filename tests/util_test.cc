@@ -1,4 +1,5 @@
-// Tests for src/util: status, stats, table printing, thread pool.
+// Tests for src/util: status, stats, table printing, the JSON writer,
+// thread pool.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +11,14 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "util/failpoint.h"
+#include "util/json.h"
 #include "util/stats.h"
 #include "util/status.h"
 #include "util/table.h"
@@ -258,6 +261,63 @@ TEST(FormatTest, FixedAndScientific) {
   EXPECT_EQ(FormatFixed(3.14159, 2), "3.14");
   EXPECT_EQ(FormatSci(12345.0, 2), "1.23e+04");
   EXPECT_EQ(Format(7), "7");
+}
+
+// --- JsonWriter ---
+
+TEST(JsonWriterTest, NestsWithSeparatorsAndEmptyContainers) {
+  JsonWriter json;
+  json.BeginObject();
+  json.Key("n").Uint(3);
+  json.Key("list").BeginArray().Double(0.5).Bool(false).String("x").EndArray();
+  json.Key("empty_object").BeginObject().EndObject();
+  json.Key("empty_array").BeginArray().EndArray();
+  json.Key("nested").BeginArray().BeginObject().Key("a").Bool(true);
+  json.EndObject().EndArray();
+  json.EndObject();
+  EXPECT_EQ(json.Take(),
+            "{\n"
+            "  \"n\": 3,\n"
+            "  \"list\": [\n"
+            "    0.5,\n"
+            "    false,\n"
+            "    \"x\"\n"
+            "  ],\n"
+            "  \"empty_object\": {},\n"
+            "  \"empty_array\": [],\n"
+            "  \"nested\": [\n"
+            "    {\n"
+            "      \"a\": true\n"
+            "    }\n"
+            "  ]\n"
+            "}\n");
+}
+
+TEST(JsonWriterTest, EscapesEveryControlByteAndNullsNonFiniteDoubles) {
+  JsonWriter json;
+  json.BeginArray();
+  json.String(std::string("q\"b\\n\nr\rt\t\x01\x1f\0.", 14));
+  json.Double(std::numeric_limits<double>::quiet_NaN());
+  json.Double(-std::numeric_limits<double>::infinity());
+  json.Double(1.0 / 3.0);
+  json.Uint(std::numeric_limits<std::uint64_t>::max());
+  json.EndArray();
+  EXPECT_EQ(json.Take(),
+            "[\n"
+            "  \"q\\\"b\\\\n\\nr\\rt\\t\\u0001\\u001f\\u0000.\",\n"
+            "  null,\n"
+            "  null,\n"
+            "  0.333333,\n"
+            "  18446744073709551615\n"
+            "]\n");
+}
+
+TEST(JsonWriterTest, MisnestingAborts) {
+  EXPECT_DEATH(JsonWriter().BeginObject().Uint(1), "needs a Key");
+  EXPECT_DEATH(JsonWriter().BeginArray().Key("k"), "inside an object");
+  EXPECT_DEATH(JsonWriter().BeginArray().EndObject(), "unbalanced");
+  EXPECT_DEATH((void)JsonWriter().BeginArray().Take(), "unfinished");
+  EXPECT_DEATH(JsonWriter().Uint(1).Uint(2), "one root value");
 }
 
 TEST(ThreadPoolTest, RunsAllTasks) {
