@@ -447,9 +447,9 @@ void RunShardedSection(Rng* rng, BenchReport& report) {
 }
 
 // One timed pass of the hedging A/B: shard 0's primary path stalls
-// chaos_slow_seconds on every call; with hedging enabled the latency
-// tracker predicts the budget miss after the warmup and detours through
-// the forced-brute fallback.
+// 0.02 s (the "serve/shard/slow" failpoint) on every call; with hedging
+// enabled the latency tracker predicts the budget miss after the warmup
+// and detours through the forced-brute fallback.
 void RunHedgeSection(Rng* rng, BenchReport& report) {
   constexpr std::size_t kHedgeN = 2048;
   constexpr std::size_t kHedgeDim = 32;
@@ -477,12 +477,7 @@ void RunHedgeSection(Rng* rng, BenchReport& report) {
                        std::size_t* partial) {
     ShardedEngineOptions options;
     options.num_shards = 4;
-    options.hedge.enabled = hedging;
-    options.hedge.min_samples = 4;
-    options.hedge.chaos_slow_seconds = 0.02;
-    // The stall makes shard 0 slow, not broken: keep the breaker out of
-    // the measurement so the A/B isolates hedging.
-    options.breaker.failure_threshold = 1000000;
+    options.hedge = hedging;
     auto engine = ShardedEngine::Create(data, options);
     if (!engine.ok() || !(*engine)->EnsureIndex(QueryAlgo::kBruteForce).ok()) {
       std::cerr << "hedge bench engine build failed\n";
@@ -621,7 +616,7 @@ void RunQosOverload(const Engine& engine, const Matrix& queries,
   TenantQuota aggressor_quota;
   aggressor_quota.tokens_per_second = 25.0;
   aggressor_quota.burst = 50.0;
-  options.qos.tenant_quotas["reports"] = aggressor_quota;
+  options.tenant_quotas["reports"] = aggressor_quota;
   BatchScheduler scheduler(&engine, options);
 
   QueryOptions request;
@@ -686,38 +681,33 @@ void RunQosSection(Rng* rng, BenchReport& report) {
             << " queries, shift at " << kQosShift << ") ===\n";
   const Matrix data = MakeQosCorpus(rng);
 
-  const auto make_engine = [&](bool feedback_enabled) {
-    EngineOptions options;
-    options.seed = 31;
-    options.sketch_params.kappa = 3.0;
-    // More warmup probes than the default 16: the corpus's near-tie
-    // rows are a 6% minority, and the calibration must sample a few of
-    // them so quantized re-rank starts with an honest (sub-1.0) recall
-    // estimate instead of a lucky perfect score.
-    options.probe_queries = 64;
-    options.feedback.enabled = feedback_enabled;
-    // Serving-tuned audit cadence: every 2nd planner-routed can-miss
-    // answer is shadow-audited, so the loop adapts within a few
-    // requests of the shift. The audit scans are billed to the
-    // adaptive policy's dot products below -- the win is net of them.
-    options.feedback.audit_every = 2;
-    auto engine = Engine::Create(data, options);
-    if (!engine.ok()) {
-      std::cerr << "qos engine: " << engine.status().ToString() << "\n";
+  EngineOptions options;
+  options.seed = 31;
+  options.sketch_params.kappa = 3.0;
+  // More warmup probes than the default 16: the corpus's near-tie
+  // rows are a 6% minority, and the calibration must sample a few of
+  // them so quantized re-rank starts with an honest (sub-1.0) recall
+  // estimate instead of a lucky perfect score.
+  options.probe_queries = 64;
+  // Serving-tuned audit cadence: every 2nd planner-routed can-miss
+  // answer is shadow-audited, so the loop adapts within a few
+  // requests of the shift. The audit scans are billed to the
+  // adaptive policy's dot products below -- the win is net of them.
+  options.audit_every = 2;
+  auto created = Engine::Create(data, options);
+  if (!created.ok()) {
+    std::cerr << "qos engine: " << created.status().ToString() << "\n";
+    std::exit(1);
+  }
+  const std::unique_ptr<Engine> engine = std::move(created).value();
+  for (QueryAlgo algo :
+       {QueryAlgo::kBallTree, QueryAlgo::kLsh, QueryAlgo::kSketch}) {
+    const Status built = engine->EnsureIndex(algo);
+    if (!built.ok()) {
+      std::cerr << "qos build: " << built.ToString() << "\n";
       std::exit(1);
     }
-    for (QueryAlgo algo :
-         {QueryAlgo::kBallTree, QueryAlgo::kLsh, QueryAlgo::kSketch}) {
-      const Status built = (*engine)->EnsureIndex(algo);
-      if (!built.ok()) {
-        std::cerr << "qos build: " << built.ToString() << "\n";
-        std::exit(1);
-      }
-    }
-    return std::move(engine).value();
-  };
-  const auto adaptive_engine = make_engine(/*feedback_enabled=*/true);
-  const auto static_engine = make_engine(/*feedback_enabled=*/false);
+  }
 
   // The shifting stream: first half in-distribution (catalog rows --
   // the same distribution Calibrate probed, where the approximate
@@ -737,14 +727,14 @@ void RunQosSection(Rng* rng, BenchReport& report) {
     }
   }
 
-  std::vector<PolicyResult> policies;  // [0]=adaptive, [1]=static planner
-  policies.push_back(ScoreStream(*adaptive_engine, data, queries, "adaptive",
+  std::vector<PolicyResult> policies;  // [0] = adaptive planner
+  policies.push_back(ScoreStream(*engine, data, queries, "adaptive",
                                  std::nullopt, QueryPrecision::kAuto));
-  policies.push_back(ScoreStream(*static_engine, data, queries, "static",
-                                 std::nullopt, QueryPrecision::kAuto));
-  const FeedbackCounters feedback = adaptive_engine->planner().counters();
+  const FeedbackCounters feedback = engine->planner().counters();
 
-  // Every fixed (algo, precision) policy. Combinations an index
+  // Every fixed (algo, precision) policy, on the same engine: forced
+  // requests never plan or audit, so they leave the planner's live
+  // state as the adaptive stream left it. Combinations an index
   // rejects (tree on unsigned requests, exact precision on the sketch
   // index, ...) answer fewer requests and are disqualified by the
   // answered == submitted requirement, which is the honest outcome
@@ -761,17 +751,16 @@ void RunQosSection(Rng* rng, BenchReport& report) {
     const std::string name = std::string(QueryAlgoName(algo)) + "/" +
                              std::string(QueryPrecisionName(precision));
     policies.push_back(
-        ScoreStream(*static_engine, data, queries, name, algo, precision));
+        ScoreStream(*engine, data, queries, name, algo, precision));
   }
 
   // Gate (a): the adaptive planner meets every target group across the
   // shift and spends fewer exact dots (audit scans included) than every
   // fixed policy that also meets them. brute/exact always qualifies, so
-  // the comparison set is never empty. The static planner is reported
-  // for the narrative but is not a fixed policy.
+  // the comparison set is never empty.
   const PolicyResult& adaptive = policies.front();
   bool adaptive_wins = adaptive.meets_all_targets;
-  for (std::size_t p = 2; p < policies.size(); ++p) {
+  for (std::size_t p = 1; p < policies.size(); ++p) {
     if (policies[p].meets_all_targets &&
         policies[p].dot_products_total <= adaptive.dot_products_total) {
       adaptive_wins = false;
@@ -792,7 +781,7 @@ void RunQosSection(Rng* rng, BenchReport& report) {
   json.Key("hedged").Uint(feedback.hedged);
   json.EndObject().Key("adaptive_wins").Bool(adaptive_wins);
   report.Holds("qos.adaptive_wins", adaptive_wins);
-  RunQosOverload(*adaptive_engine, queries, report);
+  RunQosOverload(*engine, queries, report);
   json.EndObject();
 }
 

@@ -71,10 +71,10 @@ int main() {
   constexpr std::size_t kRequests = 1000;
   constexpr double kDeadlineSeconds = 5.0;
   // Provision the queue for the burst: fill-level admission control
-  // sheds kBatch submissions once the queue passes
-  // qos.batch_shed_fill (0.5) of max_queue, so a server expecting a
-  // 1000-request burst needs max_queue > 2x that or its batch tenants
-  // get kResourceExhausted instead of answers.
+  // sheds kBatch submissions once the queue holds half of max_queue,
+  // so a server expecting a 1000-request burst needs max_queue > 2x
+  // that or its batch tenants get kResourceExhausted instead of
+  // answers.
   ips::BatchSchedulerOptions sched_options;
   sched_options.max_queue = 4096;
   ips::BatchScheduler scheduler(engine.get(), sched_options);

@@ -19,6 +19,17 @@ using Clock = std::chrono::steady_clock;
 // Completions per tenant whose latency feeds the rolling p99.
 constexpr std::size_t kTenantLatencyWindow = 128;
 
+// Dispatch slots per lane per batch, indexed by RequestPriority: each
+// lane is capped at weight/total of max_batch.
+constexpr std::array<std::size_t, kNumRequestPriorities> kLaneWeights = {
+    1, 4, 16};
+constexpr std::size_t kTotalLaneWeight =
+    kLaneWeights[0] + kLaneWeights[1] + kLaneWeights[2];
+// Queue-fill fractions from which kBatch and kStandard submissions are
+// shed.
+constexpr double kBatchShedFill = 0.5;
+constexpr double kStandardShedFill = 0.85;
+
 Clock::duration SecondsToDuration(double seconds) {
   return std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(seconds));
@@ -125,10 +136,10 @@ BatchScheduler::TenantState& BatchScheduler::Tenant(
   if (it != tenants_.end()) return *it->second;
 
   auto state = std::make_unique<TenantState>();
-  auto quota_it = options_.qos.tenant_quotas.find(std::string(id));
-  state->quota = quota_it != options_.qos.tenant_quotas.end()
-                     ? quota_it->second
-                     : options_.qos.default_quota;
+  auto quota_it = options_.tenant_quotas.find(std::string(id));
+  if (quota_it != options_.tenant_quotas.end()) {
+    state->quota = quota_it->second;
+  }
   if (state->quota.burst <= 0.0) {
     state->quota.burst = state->quota.tokens_per_second;
   }
@@ -173,9 +184,9 @@ bool BatchScheduler::AdmitFill(RequestPriority priority) const {
       static_cast<double>(queued) / static_cast<double>(options_.max_queue);
   switch (priority) {
     case RequestPriority::kBatch:
-      return fill < options_.qos.batch_shed_fill;
+      return fill < kBatchShedFill;
     case RequestPriority::kStandard:
-      return fill < options_.qos.standard_shed_fill;
+      return fill < kStandardShedFill;
     case RequestPriority::kInteractive:
       return true;
   }
@@ -325,9 +336,6 @@ void BatchScheduler::DispatchLoop() {
 std::vector<BatchScheduler::Pending> BatchScheduler::TakeBatch() {
   std::vector<Pending> batch;
   batch.reserve(std::min(options_.max_batch, QueuedTotal()));
-  std::size_t total_weight = 0;
-  for (std::size_t w : options_.qos.lane_weights) total_weight += w;
-  if (total_weight == 0) total_weight = 1;
 
   // First pass: each lane gets its weighted share of the batch,
   // highest priority first.
@@ -335,7 +343,7 @@ std::vector<BatchScheduler::Pending> BatchScheduler::TakeBatch() {
     std::deque<Pending>& lane = lanes_[p];
     if (lane.empty()) continue;
     const std::size_t share = std::max<std::size_t>(
-        1, options_.max_batch * options_.qos.lane_weights[p] / total_weight);
+        1, options_.max_batch * kLaneWeights[p] / kTotalLaneWeight);
     std::size_t take = std::min(share, lane.size());
     take = std::min(take, options_.max_batch - batch.size());
     for (std::size_t i = 0; i < take; ++i) {

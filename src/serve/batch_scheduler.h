@@ -15,13 +15,15 @@
 //    kResourceExhausted while other tenants are untouched — a 10x
 //    overload from one tenant cannot queue ahead of anyone else.
 //  * Priority lanes: requests queue into one lane per RequestPriority.
-//    The dispatcher drains lanes by weight (qos.lane_weights),
-//    highest-priority first, so interactive traffic overtakes batch
-//    traffic that arrived earlier.
+//    The dispatcher fills each batch highest-priority first, each lane
+//    capped at its weight's share of max_batch (batch 1, standard 4,
+//    interactive 16 of 21; slots a lane leaves unused fall through to
+//    lower lanes), so interactive traffic overtakes batch traffic that
+//    arrived earlier.
 //  * Admission control sheds low-priority load BEFORE deadlines blow:
-//    above qos.batch_shed_fill of max_queue, kBatch submissions are
-//    shed; above qos.standard_shed_fill, kStandard too. kInteractive is
-//    only shed by a completely full queue.
+//    from half of max_queue on, kBatch submissions are shed; from 0.85
+//    of it, kStandard too. kInteractive is only shed by a completely
+//    full queue.
 //  * Shedding is deliberate back-pressure, NOT a transient fault:
 //    kResourceExhausted from this scheduler must not be retried
 //    blindly (retrying amplifies the overload that caused it).
@@ -86,24 +88,6 @@ struct TenantQuota {
   double burst = 0.0;
 };
 
-/// Multi-tenant QoS policy of the scheduler.
-struct QosOptions {
-  /// Quota applied to tenants without an explicit entry. Default:
-  /// unlimited (single-tenant deployments see no behavior change).
-  TenantQuota default_quota;
-  /// Per-tenant overrides, keyed by tenant id ("" = "default").
-  std::map<std::string, TenantQuota> tenant_quotas;
-  /// Dispatch slots per lane per batch, indexed by RequestPriority.
-  /// The dispatcher fills the batch highest-priority-first, each lane
-  /// capped at weight/total of max_batch (unused slots fall through to
-  /// lower lanes, so an idle high lane costs nothing).
-  std::array<std::size_t, kNumRequestPriorities> lane_weights = {1, 4, 16};
-  /// Queue-fill fraction above which kBatch submissions are shed.
-  double batch_shed_fill = 0.5;
-  /// Queue-fill fraction above which kStandard submissions are shed.
-  double standard_shed_fill = 0.85;
-};
-
 /// Scheduler tuning.
 struct BatchSchedulerOptions {
   /// Worker threads executing batches (0 = inline execution).
@@ -113,8 +97,9 @@ struct BatchSchedulerOptions {
   std::size_t max_queue = 1024;
   /// Requests coalesced into one batch (one ParallelForStatus fan-out).
   std::size_t max_batch = 64;
-  /// Multi-tenant QoS: token buckets, priority lanes, admission control.
-  QosOptions qos;
+  /// Per-tenant token buckets, keyed by tenant id ("" = "default"). A
+  /// tenant without an entry is unlimited.
+  std::map<std::string, TenantQuota> tenant_quotas;
 };
 
 /// Monotonic counters of a scheduler's lifetime (snapshot). Partition

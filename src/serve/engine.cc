@@ -15,6 +15,9 @@
 namespace ips {
 namespace {
 
+// Leaf size of the ball tree, on the warmup subsample and the full data.
+constexpr std::size_t kTreeLeafSize = 16;
+
 // Sketch descent touches two node sketches per level, a geometric sum
 // dominated by the root, plus the exact rescan of one leaf.
 double SketchCostModel(std::size_t n, const SketchMipsParams& params) {
@@ -97,13 +100,13 @@ Matrix GatherRows(const Matrix& data, const std::vector<std::size_t>& rows) {
 }  // namespace
 
 Status ValidateEngineOptions(const EngineOptions& options) {
-  if (options.tree_leaf_size < 1) {
-    return Status::InvalidArgument("engine tree_leaf_size must be >= 1");
-  }
   if (options.lsh_params.k < 1 || options.lsh_params.l < 1) {
     return Status::InvalidArgument("engine lsh k and l must be >= 1");
   }
-  return ValidateFeedbackOptions(options.feedback);
+  if (options.audit_every < 1) {
+    return Status::InvalidArgument("engine audit_every must be >= 1");
+  }
+  return Status::Ok();
 }
 
 Engine::Engine(Matrix data, EngineOptions options, DatasetProfile profile)
@@ -130,7 +133,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::Create(Matrix data,
   auto calibration = engine->Calibrate();
   IPS_RETURN_IF_ERROR(calibration.status());
   engine->planner_ =
-      std::make_unique<Planner>(profile, *calibration, options.feedback);
+      std::make_unique<Planner>(profile, *calibration, options.audit_every);
   return engine;
 }
 
@@ -140,7 +143,6 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
   // other index-building path.
   MutexLock lock(build_mutex_);
   PlannerCalibration calib;
-  calib.recall_margin = options_.recall_margin;
   calib.sketch_cost = SketchCostModel(profile_.n, options_.sketch_params);
   calib.lsh_probe_overhead = static_cast<double>(options_.lsh_params.k) *
                              static_cast<double>(options_.lsh_params.l);
@@ -169,7 +171,7 @@ StatusOr<PlannerCalibration> Engine::Calibrate() {
 
   // Tree probe: pruning fraction of the subsample tree.
   auto probe_tree =
-      TreeMipsIndex::Create(sample, options_.tree_leaf_size, &build_rng_);
+      TreeMipsIndex::Create(sample, kTreeLeafSize, &build_rng_);
   IPS_RETURN_IF_ERROR(probe_tree.status());
   double tree_evaluated = 0.0;
   for (std::size_t row : query_rows) {
@@ -284,7 +286,7 @@ StatusOr<std::unique_ptr<MipsIndex>> Engine::BuildIndex(
       return AsIndex(BruteForceIndex::Create(data_));
     case QueryAlgo::kBallTree:
       return AsIndex(
-          TreeMipsIndex::Create(data_, options_.tree_leaf_size, &build_rng_));
+          TreeMipsIndex::Create(data_, kTreeLeafSize, &build_rng_));
     case QueryAlgo::kLsh:
       if (lsh_family_ == nullptr) {
         return Status::FailedPrecondition(
@@ -335,19 +337,8 @@ StatusOr<QueryResult> Engine::Query(const Request& request) const {
   }();
   IPS_RETURN_IF_ERROR(outcome.status());
   QueryResult result = std::move(outcome).value();
-  // Shadow audit (feedback loop): planner-chosen paths that can miss —
-  // forced paths are A/B probes and explicit precisions pin the
-  // caller's mode, and a truly exact plan has nothing to learn. Note
-  // the gate is PlanCanMiss, not expected_recall < 1.0: a path whose
-  // warmup recall calibrated to exactly 1.0 must still be audited or
-  // the feedback loop is blind to it degrading under shift. The
-  // audit's brute scan is billed to this request (it ran here) and its
-  // wall time lands in exec_seconds below.
-  if (!options.force_algorithm.has_value() &&
-      options.precision == QueryPrecision::kAuto &&
-      PlanCanMiss(result.plan) && planner_->BeginAudit(options)) {
-    AuditResult(query, options, &result);
-  }
+  // The audit's wall time lands in exec_seconds below.
+  MaybeAudit(query, options, &result);
   result.stats.exec_seconds = timer.Seconds();
   result.stats.deadline_met =
       result.stats.exec_seconds <= request.context.deadline_seconds;
@@ -398,9 +389,21 @@ StatusOr<Engine::PlannedRequest> Engine::PlanAndPin(
   return planned;
 }
 
-void Engine::AuditResult(std::span<const double> query,
-                         const QueryOptions& options,
-                         QueryResult* result) const {
+void Engine::MaybeAudit(std::span<const double> query,
+                        const QueryOptions& options,
+                        QueryResult* result) const {
+  // Shadow audit (feedback loop): planner-chosen paths that can miss —
+  // forced paths are A/B probes and explicit precisions pin the
+  // caller's mode, and a truly exact plan has nothing to learn. Note
+  // the gate is PlanCanMiss, not expected_recall < 1.0: a path whose
+  // warmup recall calibrated to exactly 1.0 must still be audited or
+  // the feedback loop is blind to it degrading under shift. The
+  // audit's brute scan is billed to this request (it ran here).
+  if (options.force_algorithm.has_value() ||
+      options.precision != QueryPrecision::kAuto ||
+      !PlanCanMiss(result->plan) || !planner_->BeginAudit(options)) {
+    return;
+  }
   const auto exact =
       TopKBruteForce(data_, query, options.k, options.is_signed);
   const double observed_recall =
@@ -461,7 +464,10 @@ StatusOr<std::vector<QueryResult>> Engine::BatchQuery(
     auto results = planned->index->BatchQuery(queries, planned->options);
     IPS_RETURN_IF_ERROR(results.status());
     std::vector<QueryResult> out = std::move(results).value();
-    for (QueryResult& result : out) result.plan = planned->plan;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i].plan = planned->plan;
+      MaybeAudit(queries.Row(i), options, &out[i]);
+    }
     return out;
   }();
   IPS_RETURN_IF_ERROR(outcome.status());

@@ -53,24 +53,21 @@ struct EngineOptions {
   LshTableParams lsh_params{.k = 8, .l = 32};
   /// Parameters of the lazily-built Section 4.3 sketch index.
   SketchMipsParams sketch_params;
-  /// Leaf size of the lazily-built ball tree.
-  std::size_t tree_leaf_size = 16;
   /// Warmup micro-probes: queries sampled from the data itself.
   std::size_t probe_queries = 16;
   /// Warmup subsample size the probe indexes are built on (clamped to n).
   std::size_t probe_sample = 512;
-  /// Safety margin the planner adds to approximate-path recall targets.
-  double recall_margin = 0.05;
   /// Seed of the engine's private Rng (index builds, warmup).
   std::uint64_t seed = 2026;
-  /// The planner's online re-fit loop over the warmup calibration
-  /// (serve/planner.h): shadow audits, per-segment live curves,
-  /// eviction, and predicted-miss hedging.
-  FeedbackOptions feedback;
+  /// The planner's online re-fit loop (serve/planner.h): one exact
+  /// shadow audit per this many planner-routed can-miss answers per
+  /// workload segment (>= 1). Each audit costs one brute-force scan, so
+  /// the loop adds ~n/audit_every dots per such answer on average.
+  std::size_t audit_every = 16;
 };
 
-/// Validates the option fields a build or a warm start depends on (tree
-/// leaf size, LSH (K, L), feedback loop).
+/// Validates the option fields a build or a warm start depends on (LSH
+/// (K, L), audit_every).
 Status ValidateEngineOptions(const EngineOptions& options);
 
 /// How Engine::CreateFromSnapshot materializes the dataset.
@@ -121,10 +118,10 @@ class Engine : public QueryEngine {
   /// routes only signed requests to the tree) or Query returns
   /// kInvalidArgument. deadline_met is
   /// judged against request.context.deadline_seconds; tenant and
-  /// priority are scheduler-level and ignored here. With feedback
-  /// enabled, planner-chosen approximate answers are periodically
-  /// shadow-audited against the exact answer, and an audited miss is
-  /// hedged: the exact answer (already computed) is returned instead.
+  /// priority are scheduler-level and ignored here. Planner-chosen
+  /// answers that can miss are periodically shadow-audited against the
+  /// exact answer, and an audited miss is hedged: the exact answer
+  /// (already computed) is returned instead.
   [[nodiscard]] StatusOr<QueryResult> Query(const Request& request)
       const override IPS_EXCLUDES(build_mutex_);
 
@@ -132,12 +129,14 @@ class Engine : public QueryEngine {
   /// `context`: one planner decision (or forced path), one index pin,
   /// and one MipsIndex::BatchQuery call for the whole batch — the
   /// coalesced fast path the BatchScheduler hands its compatible groups
-  /// to. Results come back in row order; per-member exec_seconds is the
-  /// batch's wall time amortized over its members, and each member's
-  /// deadline_met is judged against that amortized time (the scheduler
-  /// overrides it with real queue-aware wall clock). Engine-level
-  /// traffic lands under "serve.engine.batch.*". An empty batch returns
-  /// an empty vector without planning.
+  /// to. Each member is shadow-audited (and hedged) under the same gate
+  /// and per-segment cadence as Query. Results come back in row order;
+  /// per-member exec_seconds is the batch's wall time (audits included)
+  /// amortized over its members, and each member's deadline_met is
+  /// judged against that amortized time (the scheduler overrides it
+  /// with real queue-aware wall clock). Engine-level traffic lands
+  /// under "serve.engine.batch.*". An empty batch returns an empty
+  /// vector without planning.
   [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options,
       const RequestContext& context) const override
@@ -151,7 +150,7 @@ class Engine : public QueryEngine {
   std::size_t dim() const override { return profile_.dim; }
 
   /// The planner, including its live estimate table and feedback
-  /// counters (inert when options().feedback.enabled is false).
+  /// counters.
   const Planner& planner() const { return *planner_; }
   const DatasetProfile& profile() const { return profile_; }
   const Matrix& data() const { return data_; }
@@ -193,12 +192,13 @@ class Engine : public QueryEngine {
   StatusOr<std::unique_ptr<MipsIndex>> BuildIndex(QueryAlgo algo) const
       IPS_REQUIRES(build_mutex_);
 
-  /// Runs the exact shadow audit for an approximate planner-chosen
-  /// answer: measures observed recall against the brute-force truth,
-  /// trains the planner's live estimates, and hedges an audited miss by
-  /// replacing the matches with the exact answer.
-  void AuditResult(std::span<const double> query, const QueryOptions& options,
-                   QueryResult* result) const;
+  /// When the answer is planner-routed, can miss, and is due for audit
+  /// under its segment's cadence: runs the exact shadow audit, measures
+  /// observed recall against the brute-force truth, trains the
+  /// planner's live estimates, and hedges an audited miss by replacing
+  /// the matches with the exact answer.
+  void MaybeAudit(std::span<const double> query, const QueryOptions& options,
+                  QueryResult* result) const;
 
   Matrix data_;
   /// Keeps the mmap backing of a zero-copy data_ view alive for the

@@ -64,12 +64,10 @@ Status ExpectAtEnd(const storage::PayloadReader& r, const char* section) {
 
 // ---------------------------------------------------------------------
 // Section payloads (bump the per-section version on any layout change).
-// META and CALB are at version 4: both shrank when the CountSketch
-// filter precision was deleted (its four META options and four CALB
-// fields are gone). Version 3 had added the feedback-loop options to
-// META and the k>1 LSH recall curve to CALB (DESIGN.md §14). This build
-// reads only the versions it writes: a load rejects any other section
-// version with kDataLoss naming the section, before decoding it.
+// META (the settable engine options) and CALB (the warmup measurements)
+// are at version 5, every other section at 1. This build reads only the
+// versions it writes: a load rejects any other section version with
+// kDataLoss naming the section, before decoding it.
 // ---------------------------------------------------------------------
 
 struct SectionVersion {
@@ -78,10 +76,10 @@ struct SectionVersion {
 };
 
 constexpr SectionVersion kSectionVersions[] = {
-    {storage::kSectionMeta, 4},
+    {storage::kSectionMeta, 5},
     {storage::kSectionDataset, 1},
     {storage::kSectionProfile, 1},
-    {storage::kSectionCalibration, 4},
+    {storage::kSectionCalibration, 5},
     {storage::kSectionTree, 1},
     {storage::kSectionLshTables, 1},
     {storage::kSectionSketch, 1},
@@ -116,22 +114,16 @@ std::vector<unsigned char> EncodeMeta(const EngineOptions& options) {
   w.PutU64(options.sketch_params.copies);
   w.PutDouble(options.sketch_params.bucket_multiplier);
   w.PutU64(options.sketch_params.leaf_size);
-  w.PutU64(options.tree_leaf_size);
   w.PutU64(options.probe_queries);
   w.PutU64(options.probe_sample);
-  w.PutDouble(options.recall_margin);
   w.PutU64(options.seed);
-  w.PutU64(options.feedback.enabled ? 1 : 0);
-  w.PutU64(options.feedback.audit_every);
-  w.PutDouble(options.feedback.decay);
-  w.PutU64(options.feedback.min_observations);
+  w.PutU64(options.audit_every);
   return std::vector<unsigned char>(w.bytes().begin(), w.bytes().end());
 }
 
 Status DecodeMeta(std::span<const unsigned char> bytes,
                   EngineOptions* options) {
   storage::PayloadReader r(bytes, "META");
-  std::uint64_t u = 0;
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->lsh_params.k));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->lsh_params.l));
   IPS_RETURN_IF_ERROR(r.GetDouble(&options->sketch_params.kappa));
@@ -139,16 +131,10 @@ Status DecodeMeta(std::span<const unsigned char> bytes,
   IPS_RETURN_IF_ERROR(
       r.GetDouble(&options->sketch_params.bucket_multiplier));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->sketch_params.leaf_size));
-  IPS_RETURN_IF_ERROR(GetSize(&r, &options->tree_leaf_size));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->probe_queries));
   IPS_RETURN_IF_ERROR(GetSize(&r, &options->probe_sample));
-  IPS_RETURN_IF_ERROR(r.GetDouble(&options->recall_margin));
   IPS_RETURN_IF_ERROR(r.GetU64(&options->seed));
-  IPS_RETURN_IF_ERROR(r.GetU64(&u));
-  options->feedback.enabled = u != 0;
-  IPS_RETURN_IF_ERROR(GetSize(&r, &options->feedback.audit_every));
-  IPS_RETURN_IF_ERROR(r.GetDouble(&options->feedback.decay));
-  IPS_RETURN_IF_ERROR(GetSize(&r, &options->feedback.min_observations));
+  IPS_RETURN_IF_ERROR(GetSize(&r, &options->audit_every));
   return ExpectAtEnd(r, "META");
 }
 
@@ -186,7 +172,6 @@ std::vector<unsigned char> EncodeCalibration(
   w.PutDouble(calib.quant_recall);
   w.PutDouble(calib.quant_cost_ratio);
   w.PutU64(calib.probe_queries);
-  w.PutDouble(calib.recall_margin);
   return std::vector<unsigned char>(w.bytes().begin(), w.bytes().end());
 }
 
@@ -203,7 +188,6 @@ Status DecodeCalibration(std::span<const unsigned char> bytes,
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->quant_recall));
   IPS_RETURN_IF_ERROR(r.GetDouble(&calib->quant_cost_ratio));
   IPS_RETURN_IF_ERROR(GetSize(&r, &calib->probe_queries));
-  IPS_RETURN_IF_ERROR(r.GetDouble(&calib->recall_margin));
   return ExpectAtEnd(r, "CALB");
 }
 
@@ -510,7 +494,10 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     reader = std::make_unique<storage::SnapshotReader>(
         std::move(opened).value());
     IPS_RETURN_IF_ERROR(CheckSectionVersions(reader->sections(), path));
-    auto loaded = storage::LoadMatrixSnapshot(path);
+    // DSET comes through the reader that serves every other section:
+    // reopening the path could pick up a snapshot a concurrent save
+    // renamed into place in between.
+    auto loaded = storage::ReadMatrixSection(*reader);
     IPS_RETURN_IF_ERROR(loaded.status());
     data = std::move(loaded).value();
   }
@@ -540,7 +527,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
   std::unique_ptr<Engine> engine(
       new Engine(std::move(data), options, profile));
   engine->planner_ =
-      std::make_unique<Planner>(profile, calibration, options.feedback);
+      std::make_unique<Planner>(profile, calibration, options.audit_every);
   engine->data_keepalive_ = mapped;
 
   // Install every persisted index eagerly: the warm start's first

@@ -30,6 +30,16 @@ constexpr PlanVariant kVariants[] = {
     {QueryAlgo::kSketch, QueryPrecision::kAuto},
 };
 
+// Safety margin an approximate path's recall must clear above the
+// request's target (exact paths need none).
+constexpr double kRecallMargin = 0.05;
+// Weight the previous live estimate keeps at each audit; 1 - kDecay is
+// the step toward the new observation.
+constexpr double kDecay = 0.9;
+// Audits a (segment, variant) estimate needs before it overrides the
+// warmup calibration.
+constexpr std::size_t kMinObservations = 4;
+
 bool MatchesRequestedPrecision(QueryPrecision variant,
                                QueryPrecision requested) {
   if (requested == QueryPrecision::kAuto) return true;
@@ -63,20 +73,6 @@ struct FeedbackMetrics {
 
 }  // namespace
 
-Status ValidateFeedbackOptions(const FeedbackOptions& options) {
-  if (options.audit_every < 1) {
-    return Status::InvalidArgument("feedback audit_every must be >= 1");
-  }
-  if (!(options.decay >= 0.0) || options.decay >= 1.0) {
-    return Status::InvalidArgument("feedback decay must lie in [0, 1)");
-  }
-  if (options.min_observations < 1) {
-    return Status::InvalidArgument(
-        "feedback min_observations must be >= 1");
-  }
-  return Status::Ok();
-}
-
 double DatasetProfile::NormSpread() const {
   if (min_norm <= 0.0) return std::numeric_limits<double>::infinity();
   return max_norm / min_norm;
@@ -100,10 +96,11 @@ DatasetProfile DatasetProfile::FromData(const Matrix& data) {
 }
 
 Planner::Planner(DatasetProfile profile, PlannerCalibration calibration,
-                 FeedbackOptions feedback)
-    : profile_(profile), calibration_(calibration), feedback_(feedback) {
-  // Construction-time precondition, not a query path.
-  IPS_CHECK_GT(profile_.n, 0u);  // ipslint:allow(check-in-query)
+                 std::size_t audit_every)
+    : profile_(profile), calibration_(calibration), audit_every_(audit_every) {
+  // Construction-time preconditions, not a query path.
+  IPS_CHECK_GT(profile_.n, 0u);    // ipslint:allow(check-in-query)
+  IPS_CHECK_GE(audit_every_, 1u);  // ipslint:allow(check-in-query)
 }
 
 std::size_t Planner::SegmentOf(const QueryOptions& request) {
@@ -195,10 +192,9 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
   IPS_RETURN_IF_ERROR(ValidateQueryOptions(request));
 
   // One lock, one copy: the variant loop below prices from the copy and
-  // never touches the mutex. With feedback off the copy stays empty and
-  // every variant keeps its warmup numbers.
+  // never touches the mutex.
   SegmentState live;
-  if (feedback_.enabled) {
+  {
     MutexLock lock(mutex_);
     live = segments_[SegmentOf(request)];
   }
@@ -229,11 +225,10 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
         live.variants[static_cast<std::size_t>(variant.algo)]
                      [static_cast<std::size_t>(variant.precision)];
     // Live re-fit numbers replace the warmup calibration once they have
-    // min_observations audits, but only for variants the warmup deemed
+    // kMinObservations audits, but only for variants the warmup deemed
     // answerable at all (recall 0 means "cannot answer this request
     // shape", not "bad recall").
-    if (feedback_.enabled && recall > 0.0 &&
-        state.observations >= feedback_.min_observations) {
+    if (recall > 0.0 && state.observations >= kMinObservations) {
       recall = state.recall_ewma;
       cost = state.cost_ewma;
     }
@@ -247,7 +242,7 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
     }
     const double required =
         recall >= 1.0 ? request.recall_target
-                      : request.recall_target + calibration_.recall_margin;
+                      : request.recall_target + kRecallMargin;
     if (recall < required) continue;
     const bool in_budget = cost <= budget;
     const bool better =
@@ -301,10 +296,9 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
 }
 
 bool Planner::BeginAudit(const QueryOptions& request) const {
-  if (!feedback_.enabled) return false;
   MutexLock lock(mutex_);
   SegmentState& segment = segments_[SegmentOf(request)];
-  const bool audit = segment.planned % feedback_.audit_every == 0;
+  const bool audit = segment.planned % audit_every_ == 0;
   ++segment.planned;
   return audit;
 }
@@ -328,20 +322,19 @@ void Planner::RecordAudit(const QueryOptions& request, QueryAlgo algo,
       state.recall_ewma = ExpectedRecall(algo, precision, request);
       state.cost_ewma = ExpectedDotProducts(algo, precision, request);
     }
-    const double step = 1.0 - feedback_.decay;
-    state.recall_ewma =
-        feedback_.decay * state.recall_ewma + step * observed_recall;
-    state.cost_ewma = feedback_.decay * state.cost_ewma + step * observed_cost;
+    const double step = 1.0 - kDecay;
+    state.recall_ewma = kDecay * state.recall_ewma + step * observed_recall;
+    state.cost_ewma = kDecay * state.cost_ewma + step * observed_cost;
     ++state.observations;
     // Eviction = the live estimate crossing below the eligibility bar
     // this segment's traffic is asking for (target + margin, the same
     // bar Plan applies to approximate paths). Eligibility commits only
-    // once the estimate is live (>= min_observations) — the same
+    // once the estimate is live (>= kMinObservations) — the same
     // threshold at which Plan starts trusting it — so the first live
     // audit of a failing path counts as the flip instead of silently
     // pre-marking the variant ineligible during the warmup samples.
-    const double bar = request.recall_target + calibration_.recall_margin;
-    const bool live = state.observations >= feedback_.min_observations;
+    const double bar = request.recall_target + kRecallMargin;
+    const bool live = state.observations >= kMinObservations;
     const bool eligible = state.recall_ewma >= bar;
     if (live && state.eligible && !eligible) evicted = true;
     if (live) state.eligible = eligible;
@@ -373,7 +366,7 @@ double Planner::LiveRecall(const QueryOptions& request, QueryAlgo algo,
         segments_[SegmentOf(request)]
             .variants[static_cast<std::size_t>(algo)]
                      [static_cast<std::size_t>(precision)];
-    if (state.observations >= feedback_.min_observations) {
+    if (state.observations >= kMinObservations) {
       return state.recall_ewma;
     }
   }

@@ -20,7 +20,7 @@
 //                   n and never planned)
 //
 // Eligible variants are those whose calibrated recall clears the
-// request's target plus a safety margin (exact paths need no margin);
+// request's target plus a 0.05 safety margin (exact paths need none);
 // among the eligible, the planner returns the one with the fewest
 // expected dot-equivalents (preferring ones inside the request's
 // candidate budget when it is set). An explicit request precision
@@ -30,12 +30,13 @@
 // bucketed into workload segments keyed by (k bucket, signedness); the
 // engine shadow-audits every audit_every-th can-miss answer per segment
 // against the exact answer and feeds the observed (recall, cost) into a
-// per-(segment, algo, precision) live estimate table. The first audit
-// seeds each estimate from the warmup prior; from min_observations
-// audits on, the live numbers replace the prior in Plan, so a variant
-// whose observed recall falls under target + margin is evicted for that
-// segment and costs re-rank on measured work. Counters land in the
-// registry as "serve.feedback.{audits, evictions, hedged}".
+// per-(segment, algo, precision) live estimate table (each audit moves
+// it 0.1 of the way). The first audit seeds each estimate from the
+// warmup prior; from the fourth audit on, the live numbers replace the
+// prior in Plan, so a variant whose observed recall falls under target
+// + margin is evicted for that segment and costs re-rank on measured
+// work. Counters land in the registry as
+// "serve.feedback.{audits, evictions, hedged}".
 
 #ifndef IPS_SERVE_PLANNER_H_
 #define IPS_SERVE_PLANNER_H_
@@ -98,28 +99,7 @@ struct PlannerCalibration {
   /// Probe queries the calibration averaged over (0 = uncalibrated:
   /// approximate paths are considered recall-0 and never selected).
   std::size_t probe_queries = 0;
-  /// Safety margin: an approximate path is eligible only when its
-  /// calibrated recall >= target + margin.
-  double recall_margin = 0.05;
 };
-
-/// Tuning of the online re-fit loop.
-struct FeedbackOptions {
-  /// Master switch: off reproduces the static warmup-calibrated planner.
-  bool enabled = true;
-  /// One exact shadow audit per this many planned queries per segment
-  /// (>= 1). Audits cost one brute-force scan each, so the loop's
-  /// overhead is ~n/audit_every extra dots per query on average.
-  std::size_t audit_every = 16;
-  /// Weight the previous estimate keeps at each audit, in [0, 1);
-  /// 1 - decay is the step toward the new observation.
-  double decay = 0.9;
-  /// Audits required before a (segment, variant) live estimate
-  /// overrides the warmup calibration.
-  std::size_t min_observations = 4;
-};
-
-Status ValidateFeedbackOptions(const FeedbackOptions& options);
 
 /// Lifetime counters of the loop (snapshot; mirrored in the registry).
 struct FeedbackCounters {
@@ -140,12 +120,14 @@ struct FeedbackCounters {
 /// once and prices without the lock.
 class Planner {
  public:
+  /// `audit_every` (>= 1): one exact shadow audit per this many
+  /// planned can-miss queries per segment (EngineOptions::audit_every).
   Planner(DatasetProfile profile, PlannerCalibration calibration,
-          FeedbackOptions feedback = {});
+          std::size_t audit_every);
 
   /// Picks an (algorithm, precision) variant for `request`, pricing
-  /// from the segment's live estimates where they have
-  /// min_observations audits and from the warmup calibration elsewhere.
+  /// from the segment's live estimates where they have 4 audits and
+  /// from the warmup calibration elsewhere.
   /// Failpoint: "serve/plan". When `request.precision` is explicit the
   /// enumeration is restricted to that mode and the recall bar becomes
   /// advisory — the cheapest matching variant is returned with the
@@ -155,13 +137,13 @@ class Planner {
 
   /// True when this request should run an exact shadow audit (bumps
   /// the segment's query counter; first query of a segment audits, then
-  /// every audit_every-th). Always false with feedback disabled.
+  /// every audit_every-th).
   bool BeginAudit(const QueryOptions& request) const IPS_EXCLUDES(mutex_);
 
   /// Feeds one audit observation into the (segment of `request`,
   /// `algo`, `precision`) estimate: recall in [0, 1], cost in
   /// dot-equivalents. Detects eligibility flips against the request's
-  /// target + the calibration margin.
+  /// target + the 0.05 margin.
   void RecordAudit(const QueryOptions& request, QueryAlgo algo,
                    QueryPrecision precision, double observed_recall,
                    double observed_cost) const IPS_EXCLUDES(mutex_);
@@ -172,7 +154,7 @@ class Planner {
   FeedbackCounters counters() const IPS_EXCLUDES(mutex_);
 
   /// Live recall estimate of (segment of `request`, algo, precision),
-  /// or the warmup expectation while under min_observations.
+  /// or the warmup expectation while it has fewer than 4 audits.
   double LiveRecall(const QueryOptions& request, QueryAlgo algo,
                     QueryPrecision precision) const IPS_EXCLUDES(mutex_);
 
@@ -219,7 +201,7 @@ class Planner {
 
   DatasetProfile profile_;
   PlannerCalibration calibration_;
-  FeedbackOptions feedback_;
+  std::size_t audit_every_;
 
   mutable Mutex mutex_;
   mutable std::array<SegmentState, kNumSegments> segments_

@@ -27,7 +27,7 @@ namespace ips {
 
 /// Scheduling lanes, lowest to highest. Under pressure the scheduler
 /// sheds lower lanes first (admission control) and drains higher lanes
-/// first (weighted dispatch); see BatchSchedulerOptions::qos.
+/// first (weighted dispatch); see serve/batch_scheduler.h.
 enum class RequestPriority {
   /// Offline / best-effort traffic: first to be shed, last to drain.
   kBatch = 0,

@@ -16,6 +16,25 @@
 namespace ips {
 namespace {
 
+// Share of the request's deadline each shard call gets as its budget.
+constexpr double kShardBudgetFraction = 0.9;
+// Retry policy: attempts per shard call (the first included), and the
+// sleep before the first retry, which doubles after each.
+constexpr std::size_t kMaxAttempts = 3;
+constexpr double kFirstBackoffSeconds = 0.0002;
+constexpr double kBackoffMultiplier = 2.0;
+// Consecutive failed calls that trip a shard's circuit breaker, and
+// its cooldown before one half-open probe is admitted.
+constexpr std::size_t kBreakerFailureThreshold = 3;
+constexpr std::chrono::duration<double> kBreakerOpen{0.1};
+// Primary-path latency samples a shard needs before the hedge predicts,
+// and the share of the shard budget its tracked p99 must exceed.
+constexpr std::size_t kHedgeMinSamples = 8;
+constexpr double kHedgeLatencyFactor = 0.5;
+// Stall the "serve/shard/slow" failpoint injects (a simulated
+// straggler for chaos tests, not a serving control).
+constexpr double kChaosSlowSeconds = 0.02;
+
 void SleepSeconds(double seconds) {
   if (seconds <= 0.0) return;
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
@@ -127,41 +146,11 @@ bool IsRetryableShardStatus(StatusCode code) {
 }
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options, std::size_t dim)
-    : options_(options),
-      dim_(dim),
-      pool_(options.num_threads != 0 ? options.num_threads
-                                     : options.num_shards) {}
+    : options_(options), dim_(dim), pool_(options.num_shards) {}
 
 Status ShardedEngine::ValidateOptions(const ShardedEngineOptions& options) {
   if (options.num_shards < 1) {
     return Status::InvalidArgument("sharded engine num_shards must be >= 1");
-  }
-  if (!(options.shard_budget_fraction > 0.0) ||
-      options.shard_budget_fraction > 1.0) {
-    return Status::InvalidArgument(
-        "sharded engine shard_budget_fraction must be in (0, 1]");
-  }
-  if (options.retry.max_attempts < 1) {
-    return Status::InvalidArgument(
-        "sharded engine retry.max_attempts must be >= 1");
-  }
-  if (options.retry.backoff_seconds < 0.0 ||
-      options.retry.backoff_multiplier < 1.0) {
-    return Status::InvalidArgument(
-        "sharded engine retry backoff_seconds must be >= 0 with "
-        "backoff_multiplier >= 1");
-  }
-  if (options.breaker.failure_threshold < 1 ||
-      options.breaker.open_seconds < 0.0) {
-    return Status::InvalidArgument(
-        "sharded engine breaker needs failure_threshold >= 1 and "
-        "open_seconds >= 0");
-  }
-  if (options.hedge.latency_factor <= 0.0 ||
-      options.hedge.chaos_slow_seconds < 0.0) {
-    return Status::InvalidArgument(
-        "sharded engine hedge needs latency_factor > 0 and "
-        "chaos_slow_seconds >= 0");
   }
   return Status::Ok();
 }
@@ -408,9 +397,7 @@ ShardedEngine::BreakerState ShardedEngine::breaker_state(
   Shard& shard = *shards_.at(i);
   MutexLock lock(shard.mutex);
   if (!shard.open) return BreakerState::kClosed;
-  if (shard.probing ||
-      Clock::now() - shard.opened_at >=
-          std::chrono::duration<double>(options_.breaker.open_seconds)) {
+  if (shard.probing || Clock::now() - shard.opened_at >= kBreakerOpen) {
     return BreakerState::kHalfOpen;
   }
   return BreakerState::kOpen;
@@ -485,7 +472,7 @@ ShardedEngine::Outcome<T> ShardedEngine::CallShardImpl(
   RequestContext shard_context = context;
   double budget = std::numeric_limits<double>::infinity();
   if (std::isfinite(context.deadline_seconds)) {
-    budget = context.deadline_seconds * options_.shard_budget_fraction;
+    budget = context.deadline_seconds * kShardBudgetFraction;
     shard_context.deadline_seconds = budget;
   }
 
@@ -493,9 +480,9 @@ ShardedEngine::Outcome<T> ShardedEngine::CallShardImpl(
   // exercise the primary path it is probing), only under a finite
   // budget, and never against an explicitly forced path.
   bool hedge = false;
-  if (admission == Admission::kServe && options_.hedge.enabled &&
+  if (admission == Admission::kServe && options_.hedge &&
       std::isfinite(budget) && !options.force_algorithm.has_value()) {
-    hedge = TrackedP99(shard) > options_.hedge.latency_factor * budget;
+    hedge = TrackedP99(shard) > kHedgeLatencyFactor * budget;
   }
   if (hedge) {
     outcome.hedged = true;
@@ -503,14 +490,13 @@ ShardedEngine::Outcome<T> ShardedEngine::CallShardImpl(
     shard_options.force_algorithm = QueryAlgo::kBruteForce;
   }
 
-  const std::size_t max_attempts = hedge ? 1 : options_.retry.max_attempts;
+  const std::size_t max_attempts = hedge ? 1 : kMaxAttempts;
   Status error = Status::Ok();
   for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
       const double backoff =
-          options_.retry.backoff_seconds *
-          std::pow(options_.retry.backoff_multiplier,
-                   static_cast<double>(attempt - 1));
+          kFirstBackoffSeconds *
+          std::pow(kBackoffMultiplier, static_cast<double>(attempt - 1));
       // Never sleep past the shard's deadline budget.
       if (timer.Seconds() + backoff >= budget) break;
       SleepSeconds(backoff);
@@ -524,7 +510,7 @@ ShardedEngine::Outcome<T> ShardedEngine::CallShardImpl(
         // The injected straggler stalls the primary path only — the
         // hedge fallback is the detour around exactly this stall.
         const Status slow = HitShardSite("serve/shard/slow", shard_index);
-        if (!slow.ok()) SleepSeconds(options_.hedge.chaos_slow_seconds);
+        if (!slow.ok()) SleepSeconds(kChaosSlowSeconds);
       }
     }
     if (injected.ok()) {
@@ -557,9 +543,7 @@ ShardedEngine::Outcome<T> ShardedEngine::CallShardImpl(
 ShardedEngine::Admission ShardedEngine::Admit(Shard& shard) const {
   MutexLock lock(shard.mutex);
   if (!shard.open) return Admission::kServe;
-  if (!shard.probing &&
-      Clock::now() - shard.opened_at >=
-          std::chrono::duration<double>(options_.breaker.open_seconds)) {
+  if (!shard.probing && Clock::now() - shard.opened_at >= kBreakerOpen) {
     shard.probing = true;
     return Admission::kProbe;
   }
@@ -602,8 +586,7 @@ void ShardedEngine::OnShardFailure(Shard& shard) const {
     if (shard.open) {
       // A failed half-open probe restarts the cooldown.
       shard.opened_at = Clock::now();
-    } else if (shard.consecutive_failures >=
-               options_.breaker.failure_threshold) {
+    } else if (shard.consecutive_failures >= kBreakerFailureThreshold) {
       shard.open = true;
       shard.opened_at = Clock::now();
       tripped = true;
@@ -617,10 +600,7 @@ double ShardedEngine::TrackedP99(const Shard& shard) const {
   std::size_t n = 0;
   {
     MutexLock lock(shard.mutex);
-    if (shard.latency_count <
-        std::max<std::size_t>(1, options_.hedge.min_samples)) {
-      return 0.0;
-    }
+    if (shard.latency_count < kHedgeMinSamples) return 0.0;
     n = std::min(shard.latency_count, kLatencyWindow);
     std::copy(shard.latency.begin(), shard.latency.begin() + n,
               window.begin());

@@ -11,21 +11,21 @@
 // The robustness layer is the point — one slow or failing shard must
 // not take down the query:
 //
-//  * Per-shard deadline budgets: each shard call gets
-//    `deadline * shard_budget_fraction` of the request's deadline; the
-//    retry loop never sleeps past its budget.
-//  * Bounded retry with exponential backoff on *transient* failures.
-//    Only kUnavailable is retryable (IsRetryableShardStatus);
+//  * Per-shard deadline budgets: each shard call gets 0.9 of the
+//    request's deadline; the retry loop never sleeps past its budget.
+//  * Bounded retry with exponential backoff on *transient* failures:
+//    3 attempts, sleeping 0.2 ms before the first retry and doubling
+//    after. Only kUnavailable is retryable (IsRetryableShardStatus);
 //    kResourceExhausted is deliberate shedding and is never retried.
 //  * Hedged requests: every shard tracks a ring of recent primary-path
-//    latencies. When the tracked p99 predicts a deadline-budget miss,
-//    the coordinator skips the planner path and fires the cheap
-//    fallback (a forced brute scan of the shard slice — fixed,
+//    latencies. When the tracked p99 exceeds half the shard's deadline
+//    budget, the coordinator skips the planner path and fires the
+//    cheap fallback (a forced brute scan of the shard slice — fixed,
 //    predictable cost, no index build or planner variance) and the
 //    result is counted in the "serve.shard.hedged" label.
-//  * Per-shard circuit breaker: `failure_threshold` consecutive
-//    failures trip the breaker and eject the shard from the scatter
-//    set; after `open_seconds` one half-open probe is let through —
+//  * Per-shard circuit breaker: 3 consecutive failed calls trip the
+//    breaker and eject the shard from the scatter
+//    set; after a 0.1 s cooldown one half-open probe is let through —
 //    success closes the breaker, failure re-opens it.
 //  * Graceful degradation: a query that loses shards still returns the
 //    merged top-k of the survivors, flagged QueryResult::partial with
@@ -38,8 +38,8 @@
 // "serve/sharded_query" root, annotated with ok/hedged/retries.
 //
 // Failpoints: "serve/shard/build" (Create), "serve/shard/query"
-// (shard call, fails it), "serve/shard/slow" (shard call, stalls it by
-// hedge.chaos_slow_seconds). Each also has a per-shard variant
+// (shard call, fails it), "serve/shard/slow" (shard call, stalls it
+// 0.02 s — a simulated straggler). Each also has a per-shard variant
 // "<site>/<shard index>" so chaos tests can target one shard
 // deterministically.
 
@@ -70,50 +70,16 @@ namespace ips {
 /// kDeadlineExceeded is already late — neither is retried.
 bool IsRetryableShardStatus(StatusCode code);
 
-/// Bounded retry-with-backoff for transient shard failures.
-struct ShardRetryPolicy {
-  /// Total attempts per shard call, including the first (>= 1).
-  std::size_t max_attempts = 3;
-  /// Sleep before the first retry; doubles (backoff_multiplier) after.
-  double backoff_seconds = 0.0002;
-  double backoff_multiplier = 2.0;
-};
-
-/// Consecutive-failure circuit breaker, one per shard.
-struct ShardBreakerOptions {
-  /// Consecutive shard-call failures that trip the breaker (>= 1).
-  std::size_t failure_threshold = 3;
-  /// Cooldown after tripping before one half-open probe is admitted.
-  double open_seconds = 0.1;
-};
-
-/// Straggler hedging: predict a deadline-budget miss from tracked
-/// latency and answer through the cheap fallback instead.
-struct ShardHedgeOptions {
-  bool enabled = true;
-  /// Primary-path latency samples required before predicting.
-  std::size_t min_samples = 8;
-  /// Hedge when tracked p99 > latency_factor * shard deadline budget.
-  double latency_factor = 0.5;
-  /// Stall injected when the "serve/shard/slow" failpoint fires — a
-  /// chaos-testing knob (simulated straggler), not a serving control.
-  double chaos_slow_seconds = 0.02;
-};
-
-/// ShardedEngine construction knobs.
+/// ShardedEngine construction knobs. The fan-out pool has one thread
+/// per shard.
 struct ShardedEngineOptions {
   /// Shards the dataset is partitioned into (1 <= S <= rows).
   std::size_t num_shards = 4;
-  /// Fan-out pool threads (0 = one per shard).
-  std::size_t num_threads = 0;
   /// Per-shard engine knobs; each shard's seed is offset by its index.
   EngineOptions engine;
-  /// Fraction of the request's RequestContext::deadline_seconds each
-  /// shard call gets as its own budget, in (0, 1].
-  double shard_budget_fraction = 0.9;
-  ShardRetryPolicy retry;
-  ShardBreakerOptions breaker;
-  ShardHedgeOptions hedge;
+  /// Straggler hedging: predict a deadline-budget miss from tracked
+  /// latency and answer through the cheap fallback instead.
+  bool hedge = true;
 };
 
 /// Scatter-gather engine over S shard Engines. Create once, serve
@@ -137,9 +103,8 @@ class ShardedEngine : public QueryEngine {
 
   /// Warm start from a SaveSnapshot directory. The partition geometry
   /// and per-shard engine configuration come from the snapshot
-  /// (`options.num_shards` and `options.engine` are ignored); the
-  /// serving policy — pool size, deadline budgets, retry, breaker,
-  /// hedging — comes from `options`, so a reload can change how the
+  /// (`options.num_shards` and `options.engine` are ignored); whether
+  /// to hedge comes from `options`, so a reload can change how the
   /// shards are driven without rebuilding them.
   [[nodiscard]] static StatusOr<std::unique_ptr<ShardedEngine>>
   CreateFromSnapshot(const std::string& dir,
@@ -151,7 +116,7 @@ class ShardedEngine : public QueryEngine {
   /// deterministically, and degrades gracefully (partial = true) when
   /// shards are lost. Fails only when every shard fails. Each shard
   /// call inherits request.context with its deadline scaled to
-  /// `deadline * shard_budget_fraction`.
+  /// `deadline * 0.9`.
   [[nodiscard]] StatusOr<QueryResult> Query(
       const Request& request) const override;
 
@@ -248,7 +213,7 @@ class ShardedEngine : public QueryEngine {
                       bool hedged) const IPS_EXCLUDES(shard.mutex);
   void OnShardFailure(Shard& shard) const IPS_EXCLUDES(shard.mutex);
   /// Tracked p99 of the shard's primary-path latency ring, or 0 with
-  /// fewer than hedge.min_samples samples.
+  /// fewer than 8 samples.
   double TrackedP99(const Shard& shard) const IPS_EXCLUDES(shard.mutex);
   /// Count of currently-open breakers (mirrors the
   /// "serve.shard.open_breakers" gauge).

@@ -362,21 +362,20 @@ Status SaveMatrixSnapshot(const Matrix& matrix, const std::string& path) {
   return writer->Finish();
 }
 
-StatusOr<Matrix> LoadMatrixSnapshot(const std::string& path) {
-  auto reader = SnapshotReader::Open(path);
-  IPS_RETURN_IF_ERROR(reader.status());
-  const SectionEntry* entry = reader->Find(kSectionDataset);
+StatusOr<Matrix> ReadMatrixSection(const SnapshotReader& reader) {
+  const std::string& path = reader.path();
+  const SectionEntry* entry = reader.Find(kSectionDataset);
   if (entry == nullptr) {
     return Status::NotFound(path + " has no DSET section");
   }
-  auto info = ParseMatrixSection(*reader, *entry);
+  auto info = ParseMatrixSection(reader, *entry);
   IPS_RETURN_IF_ERROR(info.status());
 
   // Read the doubles straight into the matrix storage, folding them
   // into the CRC in place — the dataset is never held twice.
   unsigned char subheader[kMatrixSubheaderBytes];
   IPS_RETURN_IF_ERROR(
-      reader->file().ReadAt(entry->offset, {subheader, sizeof(subheader)}));
+      reader.file().ReadAt(entry->offset, {subheader, sizeof(subheader)}));
   std::uint32_t crc = Crc32({subheader, sizeof(subheader)});
 
   Matrix matrix(static_cast<std::size_t>(info->rows),
@@ -386,8 +385,7 @@ StatusOr<Matrix> LoadMatrixSnapshot(const std::string& path) {
   if (double_bytes > 0) {
     const std::span<unsigned char> storage(
         reinterpret_cast<unsigned char*>(matrix.data().data()), double_bytes);
-    IPS_RETURN_IF_ERROR(
-        reader->file().ReadAt(info->doubles_offset, storage));
+    IPS_RETURN_IF_ERROR(reader.file().ReadAt(info->doubles_offset, storage));
     crc = Crc32(storage, crc);
   }
   if (crc != entry->crc32) {
@@ -397,6 +395,12 @@ StatusOr<Matrix> LoadMatrixSnapshot(const std::string& path) {
                             std::to_string(crc) + ")");
   }
   return matrix;
+}
+
+StatusOr<Matrix> LoadMatrixSnapshot(const std::string& path) {
+  auto reader = SnapshotReader::Open(path);
+  IPS_RETURN_IF_ERROR(reader.status());
+  return ReadMatrixSection(*reader);
 }
 
 StatusOr<MappedMatrix> MapMatrixSnapshot(const std::string& path) {

@@ -166,9 +166,12 @@ class MappedSnapshot {
 [[nodiscard]] Status SaveMatrixSnapshot(const Matrix& matrix,
                                         const std::string& path);
 
-/// Loads a matrix snapshot into an owning Matrix, verifying the CRC.
-/// The doubles are read straight into the matrix storage (no transient
-/// second copy of the dataset).
+/// Reads the DSET section of an open snapshot into an owning Matrix,
+/// verifying the CRC. The doubles are read straight into the matrix
+/// storage (no transient second copy of the dataset).
+[[nodiscard]] StatusOr<Matrix> ReadMatrixSection(const SnapshotReader& reader);
+
+/// Opens `path` and reads its DSET section (ReadMatrixSection).
 [[nodiscard]] StatusOr<Matrix> LoadMatrixSnapshot(const std::string& path);
 
 /// A zero-copy matrix view plus the mapping that keeps it alive.

@@ -538,6 +538,10 @@ TEST_F(ChaosTest, ServePlanFailpointFailsScheduledBatchGroupThenRecovers) {
     }
     Failpoints::DisarmAll();
   }
+  // The repeated fault may have tripped shard 1's breaker; once its
+  // 0.1 s cooldown has elapsed the next call is the half-open probe,
+  // which succeeds and closes it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   auto good = scheduler.Submit({std::vector<double>(6, 0.1), {}});
   EXPECT_TRUE(good.get().ok());
 }
@@ -609,9 +613,7 @@ TEST_F(ChaosTest, ShardQueryFailpointYieldsPartialResult) {
 
 TEST_F(ChaosTest, AllShardsDownSurfacesUniformStatusThenRecovers) {
   Rng rng(19);
-  ShardedEngineOptions options;
-  options.retry.backoff_seconds = 1e-4;
-  const auto engine = MakeShardedFixture(&rng, options);
+  const auto engine = MakeShardedFixture(&rng);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const std::vector<double> q(6, 0.1);
   {
@@ -638,33 +640,34 @@ TEST_F(ChaosTest, CircuitBreakerTripsSkipsAndRecovers) {
   Rng rng(20);
   ShardedEngineOptions options;
   options.num_shards = 2;
-  options.retry.max_attempts = 1;
-  options.breaker.failure_threshold = 2;
-  options.breaker.open_seconds = 0.05;
   const auto engine = MakeShardedFixture(&rng, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const std::vector<double> q(6, 0.1);
   Failpoints::Arm("serve/shard/query/1",
                   Status::Unavailable("shard 1 flapping"), FireEvery{1});
-  // Two consecutive failures trip shard 1's breaker.
-  for (int i = 0; i < 2; ++i) {
+  // Three consecutive failed calls trip shard 1's breaker. Each call
+  // spends its 3 attempts on the retryable kUnavailable first.
+  for (int i = 0; i < 3; ++i) {
     const auto result = (*engine)->Query({q, {}});
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(result->partial);
+    EXPECT_EQ(result->stats.metrics.Get("serve.shard.retries"), 2u);
   }
   EXPECT_EQ((*engine)->breaker_state(1), ShardedEngine::BreakerState::kOpen);
   const std::size_t hits_when_tripped =
       Failpoints::HitCount("serve/shard/query/1");
+  EXPECT_EQ(hits_when_tripped, 9u);
   // While open, shard 1 is ejected from the scatter set: still partial
   // answers, but the shard is never called (hit count stays flat).
   const auto skipped = (*engine)->Query({q, {}});
   ASSERT_TRUE(skipped.ok());
   EXPECT_TRUE(skipped->partial);
   EXPECT_EQ(Failpoints::HitCount("serve/shard/query/1"), hits_when_tripped);
-  // Fault cleared + cooldown elapsed: the half-open probe succeeds and
-  // closes the breaker; the fleet serves whole answers again.
+  // Fault cleared + the 0.1 s cooldown elapsed: the half-open probe
+  // succeeds and closes the breaker; the fleet serves whole answers
+  // again.
   Failpoints::DisarmAll();
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_EQ((*engine)->breaker_state(1),
             ShardedEngine::BreakerState::kHalfOpen);
   const auto probe = (*engine)->Query({q, {}});
@@ -678,9 +681,6 @@ TEST_F(ChaosTest, SlowShardStragglerIsHedgedAroundNotFailed) {
   Rng rng(37);
   ShardedEngineOptions options;
   options.num_shards = 2;
-  options.hedge.min_samples = 1;
-  options.hedge.latency_factor = 0.5;
-  options.hedge.chaos_slow_seconds = 0.05;
   const auto engine = MakeShardedFixture(&rng, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   QueryOptions request;
@@ -688,17 +688,25 @@ TEST_F(ChaosTest, SlowShardStragglerIsHedgedAroundNotFailed) {
   RequestContext context;
   context.deadline_seconds = 0.01;
   const std::vector<double> q(6, 0.1);
-  // A straggling shard is a *slowness* fault, not a failure: the 50 ms
-  // injected stall blows the 5 ms shard budget, so after one observed
-  // stall the predictor routes shard 0 through the hedge fallback —
-  // answers stay whole, nothing is marked failed, no breaker trips.
+  // A straggling shard is a *slowness* fault, not a failure: the 20 ms
+  // injected stall blows the 9 ms shard budget, so after the 8 observed
+  // stalls it needs the predictor routes the shards through the hedge
+  // fallback — answers stay whole, nothing is marked failed, no breaker
+  // trips.
   Failpoints::Arm("serve/shard/slow", Status::Internal("straggler"),
                   FireEvery{1});
-  const auto first = (*engine)->Query({q, request, context});
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  for (int i = 0; i < 8; ++i) {
+    const auto warmup = (*engine)->Query({q, request, context});
+    ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
+  }
+  const std::size_t stalls = Failpoints::HitCount("serve/shard/slow");
   const auto hedged = (*engine)->Query({q, request, context});
   ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
-  EXPECT_GE(hedged->stats.metrics.Get("serve.shard.hedged"), 1u);
+  EXPECT_EQ(hedged->stats.metrics.Get("serve.shard.hedged"), 2u);
+  // No shard reached the stall site on the hedged query, so none slept
+  // the 20 ms stall.
+  EXPECT_EQ(Failpoints::HitCount("serve/shard/slow"), stalls);
+  EXPECT_LT(hedged->stats.exec_seconds, 0.02);
   EXPECT_FALSE(hedged->partial);
   EXPECT_EQ(hedged->stats.metrics.Get("serve.shard.failed"), 0u);
   Failpoints::DisarmAll();
@@ -754,10 +762,6 @@ TEST_F(ChaosTest, ShardFailpointUnderScheduledBatchExecution) {
   Rng rng(23);
   ShardedEngineOptions options;
   options.num_shards = 2;
-  // The injected fault repeats across scheduled batches; keep the
-  // breaker out of the picture so the clean query after DisarmAll is
-  // served immediately (no cooldown to wait out).
-  options.breaker.failure_threshold = 100;
   const auto engine = MakeShardedFixture(&rng, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   BatchSchedulerOptions scheduler_options;
@@ -780,6 +784,10 @@ TEST_F(ChaosTest, ShardFailpointUnderScheduledBatchExecution) {
     }
     Failpoints::DisarmAll();
   }
+  // The repeated fault may have tripped shard 1's breaker; once its
+  // 0.1 s cooldown has elapsed the next call is the half-open probe,
+  // which succeeds and closes it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   auto good = scheduler.Submit({std::vector<double>(6, 0.1), {}});
   const auto clean = good.get();
   ASSERT_TRUE(clean.ok());

@@ -62,7 +62,7 @@ class PlannerTest : public ::testing::Test {
     calib.sketch_recall = 0.6;
     calib.sketch_cost = 500.0;
     calib.probe_queries = 16;
-    return Planner(profile, calib);
+    return Planner(profile, calib, /*audit_every=*/16);
   }
 };
 
@@ -617,7 +617,7 @@ TEST_F(PlannerTest, TopKRequestsPriceLshOffTopKRecall) {
   calib.lsh_recall = 0.9;
   calib.lsh_topk_recall = 0.2;
   calib.probe_queries = 16;
-  const Planner planner(profile, calib);
+  const Planner planner(profile, calib, /*audit_every=*/16);
 
   QueryOptions topk;
   topk.k = 5;
@@ -652,7 +652,7 @@ TEST(EngineCalibrationTest, MeasuresTopKLshRecallSeparately) {
 
 class FeedbackTest : public ::testing::Test {
  protected:
-  static Planner MakePlanner(FeedbackOptions options = {}) {
+  static Planner MakePlanner(std::size_t audit_every = 16) {
     DatasetProfile profile;
     profile.n = 10000;
     profile.dim = 32;
@@ -665,7 +665,7 @@ class FeedbackTest : public ::testing::Test {
     calib.lsh_recall = 0.95;
     calib.lsh_topk_recall = 0.95;
     calib.probe_queries = 16;
-    return Planner(profile, calib, options);
+    return Planner(profile, calib, audit_every);
   }
 };
 
@@ -688,9 +688,7 @@ TEST_F(FeedbackTest, SegmentBucketsPinKAndSignedness) {
 }
 
 TEST_F(FeedbackTest, AuditCadenceFollowsAuditEvery) {
-  FeedbackOptions options;
-  options.audit_every = 4;
-  const Planner planner = MakePlanner(options);
+  const Planner planner = MakePlanner(/*audit_every=*/4);
   QueryOptions request;
   request.k = 3;
   // First query of a segment audits, then every fourth.
@@ -706,10 +704,7 @@ TEST_F(FeedbackTest, AuditCadenceFollowsAuditEvery) {
 }
 
 TEST_F(FeedbackTest, ObservedMissesEvictThePathForThatSegment) {
-  FeedbackOptions options;
-  options.min_observations = 2;
-  options.decay = 0.5;
-  const Planner planner = MakePlanner(options);
+  const Planner planner = MakePlanner();
 
   QueryOptions request;
   request.k = 5;
@@ -719,17 +714,26 @@ TEST_F(FeedbackTest, ObservedMissesEvictThePathForThatSegment) {
   ASSERT_EQ(before->algorithm, QueryAlgo::kLsh)
       << "warmup calibration was supposed to make LSH the cheap winner";
 
-  // Two audits observe recall far below the 0.8 target: the live curve
-  // replaces the warmup prior and the path is evicted for this segment.
-  planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact,
-                      /*observed_recall=*/0.1, /*observed_cost=*/600.0);
+  // Audits observe recall far below the 0.8 target. Each moves the live
+  // curve 0.1 of the way from the 0.95 warmup prior (0.865, 0.789,
+  // 0.720, 0.658), but the prior keeps pricing the path until the
+  // fourth audit makes the curve live: that audit evicts it, since
+  // 0.658 is under the 0.85 bar (target + margin).
+  for (int audit = 1; audit <= 3; ++audit) {
+    planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact,
+                        /*observed_recall=*/0.1, /*observed_cost=*/600.0);
+    EXPECT_EQ(planner.counters().evictions, 0u) << "audit " << audit;
+    const auto still = planner.Plan(request);
+    ASSERT_TRUE(still.ok());
+    EXPECT_EQ(still->algorithm, QueryAlgo::kLsh) << "audit " << audit;
+  }
   planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact,
                       /*observed_recall=*/0.1, /*observed_cost=*/600.0);
   const auto after = planner.Plan(request);
   ASSERT_TRUE(after.ok());
   EXPECT_NE(after->algorithm, QueryAlgo::kLsh);
-  EXPECT_GE(planner.counters().evictions, 1u);
-  EXPECT_EQ(planner.counters().audits, 2u);
+  EXPECT_EQ(planner.counters().evictions, 1u);
+  EXPECT_EQ(planner.counters().audits, 4u);
   EXPECT_LT(planner.LiveRecall(request, QueryAlgo::kLsh,
                                QueryPrecision::kExact),
             0.8);
@@ -744,20 +748,32 @@ TEST_F(FeedbackTest, ObservedMissesEvictThePathForThatSegment) {
   EXPECT_EQ(other->algorithm, QueryAlgo::kLsh);
 }
 
-TEST_F(FeedbackTest, DisabledLoopPlansFromWarmupCalibration) {
-  FeedbackOptions options;
-  options.enabled = false;
-  const Planner planner = MakePlanner(options);
+TEST(FeedbackEngineTest, BatchQueryAuditsEveryCoalescedMember) {
+  // Engine::BatchQuery (the scheduler's coalesced path, and every
+  // sharded batch's shard call) audits each member under the same gate
+  // and per-segment cadence as Query: with audit_every = 1, every
+  // planner-routed can-miss member is audited.
+  Rng rng(44);
+  EngineOptions options;
+  options.audit_every = 1;
+  const auto engine = Engine::Create(SmallSpreadData(600, 8, &rng), options);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   QueryOptions request;
-  request.k = 5;
-  request.recall_target = 0.8;
-  planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact, 0.0,
-                      1.0);
-  planner.RecordAudit(request, QueryAlgo::kLsh, QueryPrecision::kExact, 0.0,
-                      1.0);
-  const auto decision = planner.Plan(request);
-  ASSERT_TRUE(decision.ok());
-  EXPECT_EQ(decision->algorithm, QueryAlgo::kLsh);
+  request.k = 1;
+  request.is_signed = false;
+  request.recall_target = 0.5;
+  const Matrix queries = SmallSpreadData(6, 8, &rng);
+  const auto results = (*engine)->BatchQuery(queries, request, {});
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->size(), queries.rows());
+  const PlanDecision& plan = results->front().plan;
+  ASSERT_FALSE(plan.algorithm == QueryAlgo::kBruteForce &&
+               plan.precision == QueryPrecision::kExact)
+      << "expected a plan that can miss, got " << plan.reason;
+  EXPECT_EQ((*engine)->planner().counters().audits, queries.rows());
+  for (const QueryResult& member : *results) {
+    EXPECT_TRUE(member.stats.metrics.Has("serve.feedback.audit_dots"));
+  }
 }
 
 // --- Decision pin: the feedback loop's routing, request by request ---
@@ -818,7 +834,7 @@ TEST(FeedbackPinTest, RoutingAcrossAShiftIsPinned) {
   // Every fifth descent is audited. The live cost re-fit prices the
   // descent above brute force after five audits, so this cadence is
   // what spreads them across the shift.
-  options.feedback.audit_every = 5;
+  options.audit_every = 5;
   const auto engine = Engine::Create(data, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   for (QueryAlgo algo : {QueryAlgo::kBruteForce, QueryAlgo::kBallTree,
@@ -890,19 +906,11 @@ TEST(FeedbackPinTest, RoutingAcrossAShiftIsPinned) {
   EXPECT_EQ(counters.hedged, 2u);
 }
 
-TEST(FeedbackOptionsTest, ValidationRejectsBadKnobs) {
-  FeedbackOptions options;
-  EXPECT_TRUE(ValidateFeedbackOptions(options).ok());
+TEST(EngineOptionsTest, ValidationRejectsZeroAuditEvery) {
+  EngineOptions options;
+  EXPECT_TRUE(ValidateEngineOptions(options).ok());
   options.audit_every = 0;
-  EXPECT_FALSE(ValidateFeedbackOptions(options).ok());
-  options.audit_every = 16;
-  options.decay = 1.0;
-  EXPECT_FALSE(ValidateFeedbackOptions(options).ok());
-  options.decay = -0.1;
-  EXPECT_FALSE(ValidateFeedbackOptions(options).ok());
-  options.decay = 0.9;
-  options.min_observations = 0;
-  EXPECT_FALSE(ValidateFeedbackOptions(options).ok());
+  EXPECT_FALSE(ValidateEngineOptions(options).ok());
 }
 
 // --- QoS: token buckets, priority lanes, per-tenant partition ---
@@ -950,7 +958,7 @@ TEST(QosTest, TokenBucketShedsOnlyTheOverloadedTenant) {
   options.num_threads = 2;
   // The aggressor gets a 5-token bucket refilling at 1/s: a burst of
   // 100 sheds ~95 of them. The victim has no quota.
-  options.qos.tenant_quotas["aggressor"] =
+  options.tenant_quotas["aggressor"] =
       TenantQuota{/*tokens_per_second=*/1.0, /*burst=*/5.0};
   BatchScheduler scheduler(engine->get(), options);
 
@@ -1055,8 +1063,7 @@ TEST(QosTest, FillLevelAdmissionShedsLowPriorityFirst) {
   ASSERT_TRUE(engine.ok());
   BatchSchedulerOptions options;
   options.num_threads = 0;
-  options.max_queue = 10;
-  options.qos.batch_shed_fill = 0.3;  // kBatch sheds above 3 queued
+  options.max_queue = 12;  // kBatch sheds from 6 queued (half the queue)
   BatchScheduler scheduler(engine->get(), options);
 
   scheduler.Pause();  // everything queues; fill level climbs
@@ -1066,7 +1073,7 @@ TEST(QosTest, FillLevelAdmissionShedsLowPriorityFirst) {
   interactive_ctx.priority = RequestPriority::kInteractive;
   std::vector<std::future<BatchScheduler::Result>> batch_futures;
   std::vector<std::future<BatchScheduler::Result>> interactive_futures;
-  for (int i = 0; i < 8; ++i) {
+  for (int i = 0; i < 10; ++i) {
     batch_futures.push_back(
         scheduler.Submit({std::vector<double>(8, 0.1), {}, batch_ctx}));
   }
@@ -1083,7 +1090,7 @@ TEST(QosTest, FillLevelAdmissionShedsLowPriorityFirst) {
       ++batch_shed;
     }
   }
-  // The batch lane overflowed its fill bound (3 of 10) while every
+  // The batch lane overflowed its fill bound (6 of 12) while every
   // interactive submission was admitted and served.
   EXPECT_GE(batch_shed, 4u);
   for (auto& future : interactive_futures) {

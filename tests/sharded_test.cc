@@ -213,9 +213,6 @@ TEST_F(ShardedTest, PredictedStragglerIsHedged) {
   const Matrix data = MakeUnitBallGaussian(48, 6, 0.9, &rng);
   ShardedEngineOptions options;
   options.num_shards = 2;
-  options.hedge.min_samples = 1;
-  options.hedge.latency_factor = 0.5;
-  options.hedge.chaos_slow_seconds = 0.05;
   const auto engine = ShardedEngine::Create(data, options);
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   QueryOptions request;
@@ -223,21 +220,28 @@ TEST_F(ShardedTest, PredictedStragglerIsHedged) {
   RequestContext context;
   context.deadline_seconds = 0.01;
   const std::vector<double> q(6, 0.1);
-  // Shard 0's primary path stalls 50 ms on every call; the 9 ms shard
-  // budget cannot absorb that, so once the latency tracker has seen one
-  // stalled call it predicts the miss and answers through the hedge.
+  // Shard 0's primary path stalls 20 ms on every call; the 9 ms shard
+  // budget cannot absorb that, so once the latency tracker has seen the
+  // 8 stalled calls it needs it predicts the miss and answers through
+  // the hedge.
   Failpoints::Arm("serve/shard/slow/0", Status::Internal("straggler"),
                   FireEvery{1});
-  const auto first = (*engine)->Query({q, request, context});
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->stats.metrics.Get("serve.shard.hedged"), 0u);
-  const auto second = (*engine)->Query({q, request, context});
-  ASSERT_TRUE(second.ok()) << second.status().ToString();
-  EXPECT_EQ(second->stats.metrics.Get("serve.shard.hedged"), 1u);
-  EXPECT_FALSE(second->partial);
-  EXPECT_EQ(second->stats.metrics.Get("serve.shard.ok"), 2u);
-  // The hedge detoured around the stall: no 50 ms sleep on its path.
-  EXPECT_LT(second->stats.exec_seconds, 0.05);
+  for (int i = 0; i < 8; ++i) {
+    const auto warmup = (*engine)->Query({q, request, context});
+    ASSERT_TRUE(warmup.ok()) << warmup.status().ToString();
+    EXPECT_EQ(warmup->stats.metrics.Get("serve.shard.hedged"), 0u);
+  }
+  const std::size_t stalls = Failpoints::HitCount("serve/shard/slow/0");
+  EXPECT_EQ(stalls, 8u);
+  const auto hedged = (*engine)->Query({q, request, context});
+  ASSERT_TRUE(hedged.ok()) << hedged.status().ToString();
+  EXPECT_EQ(hedged->stats.metrics.Get("serve.shard.hedged"), 1u);
+  EXPECT_FALSE(hedged->partial);
+  EXPECT_EQ(hedged->stats.metrics.Get("serve.shard.ok"), 2u);
+  // The hedge detoured around the stall: its path never reached the
+  // stall site, and so slept no 20 ms.
+  EXPECT_EQ(Failpoints::HitCount("serve/shard/slow/0"), stalls);
+  EXPECT_LT(hedged->stats.exec_seconds, 0.02);
 }
 
 TEST_F(ShardedTest, TraceRecordsOneChildSpanPerShard) {
@@ -333,33 +337,6 @@ TEST_F(ShardedTest, CreateRejectsInvalidOptions) {
   {
     ShardedEngineOptions options;
     options.num_shards = 17;  // more shards than rows
-    EXPECT_FALSE(ShardedEngine::Create(data, options).ok());
-  }
-  {
-    ShardedEngineOptions options;
-    options.shard_budget_fraction = 0.0;
-    EXPECT_FALSE(ShardedEngine::Create(data, options).ok());
-    options.shard_budget_fraction = 1.5;
-    EXPECT_FALSE(ShardedEngine::Create(data, options).ok());
-  }
-  {
-    ShardedEngineOptions options;
-    options.retry.max_attempts = 0;
-    EXPECT_FALSE(ShardedEngine::Create(data, options).ok());
-  }
-  {
-    ShardedEngineOptions options;
-    options.retry.backoff_multiplier = 0.5;
-    EXPECT_FALSE(ShardedEngine::Create(data, options).ok());
-  }
-  {
-    ShardedEngineOptions options;
-    options.breaker.failure_threshold = 0;
-    EXPECT_FALSE(ShardedEngine::Create(data, options).ok());
-  }
-  {
-    ShardedEngineOptions options;
-    options.hedge.latency_factor = 0.0;
     EXPECT_FALSE(ShardedEngine::Create(data, options).ok());
   }
   EXPECT_FALSE(ShardedEngine::Create(Matrix(), ShardedEngineOptions{}).ok());

@@ -381,8 +381,8 @@ TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
   const std::string dir = TempPath("engine_pin_snap");
   ASSERT_TRUE(engine->SaveSnapshot(dir).ok());
   const std::map<std::string, std::uint32_t> expected_crcs = {
-      {"META", 0x5E926A10u}, {"DSET", 0x120DDA2Cu}, {"PROF", 0x8BF5D5C6u},
-      {"CALB", 0x20DF93C8u}, {"TREE", 0x945AAB79u}, {"LSHT", 0x14411C2Eu},
+      {"META", 0x249DF856u}, {"DSET", 0x120DDA2Cu}, {"PROF", 0x8BF5D5C6u},
+      {"CALB", 0x7B2794DEu}, {"TREE", 0x945AAB79u}, {"LSHT", 0x14411C2Eu},
       {"SKCH", 0x7D4A1DD7u}};
   EXPECT_EQ(SectionCrcs(dir), expected_crcs);
 
@@ -576,22 +576,23 @@ void RewriteSections(const std::string& dir, Edit edit) {
   ASSERT_TRUE(writer->Finish().ok());
 }
 
-// Zeroes META's feedback audit_every (bytes 96-103): the decoded
-// options are ones Engine::Create would reject.
+// Zeroes META's audit_every (bytes 72-79, its tenth and last field):
+// the decoded options are ones Engine::Create would reject.
 void ZeroMetaAuditEvery(const std::string& dir) {
   RewriteSections(dir, [](std::uint32_t id, std::uint32_t*,
                           std::vector<unsigned char>* bytes) {
     if (id != storage::kSectionMeta) return;
-    ASSERT_GE(bytes->size(), 104u);
-    std::fill(bytes->begin() + 96, bytes->begin() + 104, 0);
+    ASSERT_EQ(bytes->size(), 80u);
+    std::fill(bytes->begin() + 72, bytes->begin() + 80, 0);
   });
 }
 
 TEST_F(StorageTest, EngineSnapshotSectionVersionMismatchIsDataLoss) {
   // A section whose stored version differs from the one this build
   // writes is rejected before it is decoded, naming the section and
-  // both versions. META at version 3 is the layout that still carried
-  // the sketch-filter options.
+  // both versions. META and CALB at version 4 are the layouts that
+  // still carried the recall margin (and, in META, the tree leaf size
+  // and the feedback switch, decay and min-observations).
   auto cold = Engine::Create(RandomMatrix(64, 8, 15), SmallEngineOptions());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kBallTree).ok());
@@ -601,8 +602,8 @@ TEST_F(StorageTest, EngineSnapshotSectionVersionMismatchIsDataLoss) {
     const char* name;
     const char* current;
   };
-  for (const Skew skew : {Skew{storage::kSectionMeta, 3, "META", "4"},
-                          Skew{storage::kSectionCalibration, 3, "CALB", "4"},
+  for (const Skew skew : {Skew{storage::kSectionMeta, 4, "META", "5"},
+                          Skew{storage::kSectionCalibration, 4, "CALB", "5"},
                           Skew{storage::kSectionTree, 2, "TREE", "1"}}) {
     const std::string dir = TempPath(std::string("engine_skew_") + skew.name);
     ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
@@ -692,11 +693,11 @@ TEST_F(StorageTest, ShardedSnapshotRoundTripServesIdenticalAnswers) {
   // the snapshot, the policy from the caller.
   ShardedEngineOptions policy;
   policy.num_shards = 999;  // ignored: the manifest dictates 3
-  policy.hedge.enabled = false;
+  policy.hedge = false;
   auto warm = ShardedEngine::CreateFromSnapshot(dir, policy);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ((*warm)->num_shards(), 3u);
-  EXPECT_FALSE((*warm)->options().hedge.enabled);
+  EXPECT_FALSE((*warm)->options().hedge);
   for (std::size_t i = 0; i < 3; ++i) {
     EXPECT_EQ((*warm)->shard_offset(i), (*cold)->shard_offset(i));
   }
