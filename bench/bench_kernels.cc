@@ -140,11 +140,11 @@ double PopcountRate(Rng* rng) {
 // The pre-batching per-query shape: for every query, one scalar dot per
 // data row into a materialized score vector, then a top-k partial sort
 // with the project ordering (score desc, index asc).
-std::vector<std::vector<kernels::ScoredIndex>> PerQueryScalarBaseline(
+std::vector<std::vector<SearchMatch>> PerQueryScalarBaseline(
     const Matrix& data, const Matrix& queries, std::size_t k) {
   const kernels::KernelOps& ops = kernels::ScalarOps();
-  std::vector<std::vector<kernels::ScoredIndex>> out(queries.rows());
-  std::vector<kernels::ScoredIndex> scored(data.rows());
+  std::vector<std::vector<SearchMatch>> out(queries.rows());
+  std::vector<SearchMatch> scored(data.rows());
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
     const double* q = queries.Row(qi).data();
     for (std::size_t r = 0; r < data.rows(); ++r) {
@@ -152,11 +152,7 @@ std::vector<std::vector<kernels::ScoredIndex>> PerQueryScalarBaseline(
       scored[r].value = ops.dot(data.Row(r).data(), q, data.cols());
     }
     std::partial_sort(scored.begin(), scored.begin() + k, scored.end(),
-                      [](const kernels::ScoredIndex& a,
-                         const kernels::ScoredIndex& b) {
-                        if (a.value != b.value) return a.value > b.value;
-                        return a.index < b.index;
-                      });
+                      RanksBefore);
     out[qi].assign(scored.begin(), scored.begin() + k);
   }
   return out;
@@ -181,7 +177,7 @@ void MeasureHeadline(Rng* rng, BenchReport& report) {
   std::vector<kernels::TopKHeap> heaps(kHeadlineQueries,
                                        kernels::TopKHeap(kHeadlineK));
   kernels::BlockTopK(data, queries, /*absolute=*/false, heaps);
-  std::vector<std::vector<kernels::ScoredIndex>> tiled(kHeadlineQueries);
+  std::vector<std::vector<SearchMatch>> tiled(kHeadlineQueries);
   for (std::size_t qi = 0; qi < kHeadlineQueries; ++qi) {
     tiled[qi] = heaps[qi].TakeSorted();
   }

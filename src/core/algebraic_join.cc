@@ -16,15 +16,11 @@ JoinResult MatmulJoin(const Matrix& data, const Matrix& queries,
   WallTimer timer;
   const Matrix products = PairwiseInnerProducts(queries, data, use_strassen);
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
-    SearchMatch best;
-    best.value = -1e300;
+    SearchMatch best{0, -1e300};
     for (std::size_t di = 0; di < data.rows(); ++di) {
       const double raw = products.At(qi, di);
-      const double score = spec.is_signed ? raw : std::abs(raw);
-      if (score > best.value) {
-        best.value = score;
-        best.index = di;
-      }
+      const SearchMatch candidate{di, spec.is_signed ? raw : std::abs(raw)};
+      if (RanksBefore(candidate, best)) best = candidate;
     }
     if (best.value >= spec.s) {
       result.per_query[qi] = JoinMatch{qi, best.index, best.value};

@@ -192,10 +192,7 @@ StatusOr<std::vector<QueryResult>> BruteForceIndex::BatchQuery(
   std::vector<QueryResult> results(m);
   for (std::size_t i = 0; i < m; ++i) {
     QueryResult& result = results[i];
-    result.matches.reserve(std::min(options.k, data_->rows()));
-    for (const auto& entry : heaps[i].TakeSorted()) {
-      result.matches.push_back({entry.index, entry.value});
-    }
+    result.matches = heaps[i].TakeSorted();
     result.stats.algorithm = QueryAlgo::kBruteForce;
     result.stats.candidates = data_->rows();
     result.stats.dot_products = data_->rows();
@@ -259,10 +256,7 @@ StatusOr<std::vector<SearchMatch>> TreeMipsIndex::Query(
   TreeQueryInfo info;
   {
     TraceSpan span(t, "tree");
-    for (const auto& [index, value] :
-         tree_.QueryTopK(q, options.k, options.is_signed, t, &info)) {
-      matches.push_back({index, value});
-    }
+    matches = tree_.QueryTopK(q, options.k, options.is_signed, t, &info);
   }
   local.candidates = info.points_scored;
   local.dot_products = info.points_scored;
@@ -487,9 +481,7 @@ StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
   }
   for (std::size_t i = 0; i < m; ++i) {
     QueryResult& result = results[i];
-    for (const auto& entry : heaps[i].TakeSorted()) {
-      result.matches.push_back({entry.index, entry.value});
-    }
+    result.matches = heaps[i].TakeSorted();
     if (batch_trace != nullptr) result.stats.trace = batch_trace;
   }
   CountBatch(m, /*fallback=*/false);

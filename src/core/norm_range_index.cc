@@ -86,7 +86,7 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
   }
   Trace* t = trace != nullptr ? trace : owned.get();
 
-  std::vector<SearchMatch> best;  // sorted: score desc, index asc
+  std::vector<SearchMatch> best;
   std::size_t visited = 0;
   std::size_t pruned = 0;
   std::size_t scored = 0;
@@ -95,16 +95,10 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
     const double query_norm = kernels::Norm(q);
     if (query_norm > 0.0) {
       const std::vector<double> direction = kernels::Normalized(q);
-      const auto order = [](const SearchMatch& a, const SearchMatch& b) {
-        if (a.value != b.value) return a.value > b.value;
-        return a.index < b.index;
-      };
+      kernels::TopKHeap heap(options.k);
       // The score a new match must beat: the k-th best so far, or the
       // floor while that is higher (or fewer than k matches are held).
-      const auto bar = [&]() {
-        return best.size() < options.k ? floor
-                                        : std::max(best.back().value, floor);
-      };
+      const auto bar = [&]() { return std::max(heap.Floor(), floor); };
       for (const Bucket& bucket : buckets_) {
         const double bucket_bound = bucket.max_norm * query_norm;
         // Prune: nothing in this (or any later, smaller-norm) bucket can
@@ -117,11 +111,8 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
         const double local_cosine = bar() / bucket_bound;
         auto consider = [&](std::size_t position) {
           const std::uint32_t member = bucket.members[position];
-          const SearchMatch m{member, kernels::Dot(data_->Row(member), q)};
           ++scored;
-          const auto it = std::lower_bound(best.begin(), best.end(), m, order);
-          best.insert(it, m);
-          if (best.size() > options.k) best.pop_back();
+          heap.Push(member, kernels::Dot(data_->Row(member), q));
         };
         if (local_cosine >= params_.lsh_cosine_threshold) {
           // Selective regime: probe the bucket's cosine tables.
@@ -138,6 +129,7 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
       }
       // Matches below the floor may not be the true top-k (the prune
       // ignored them), so they are not reported.
+      best = heap.TakeSorted();
       while (!best.empty() && best.back().value < floor) best.pop_back();
     }
     span.AddCount("buckets_visited", visited);

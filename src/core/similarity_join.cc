@@ -1,13 +1,11 @@
 #include "core/similarity_join.h"
 
-#include <atomic>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "core/norm_range_index.h"
+#include "core/top_k.h"
 #include "linalg/validate.h"
-#include "linalg/kernels.h"
 #include "obs/metrics.h"
 #include "util/check.h"
 #include "util/failpoint.h"
@@ -47,30 +45,19 @@ void RecordIndexJoinRun(const JoinResult& result, std::size_t queries) {
   seconds->Observe(result.seconds);
 }
 
-// The exact scan over queries [begin, end): each query's best data row
-// is recorded when it reaches spec.s. Returns the inner products spent.
-std::size_t ExactJoinChunk(const Matrix& data, const Matrix& queries,
-                           const JoinSpec& spec, std::size_t begin,
-                           std::size_t end, JoinResult* result) {
-  std::size_t products = 0;
+// The exact scan over queries [begin, end): each query's brute-force
+// top-1 is recorded when it reaches spec.s.
+void ExactJoinChunk(const Matrix& data, const Matrix& queries,
+                    const JoinSpec& spec, std::size_t begin, std::size_t end,
+                    JoinResult* result) {
   for (std::size_t qi = begin; qi < end; ++qi) {
-    const std::span<const double> q = queries.Row(qi);
-    SearchMatch best;
-    best.value = -std::numeric_limits<double>::infinity();
-    for (std::size_t di = 0; di < data.rows(); ++di) {
-      const double raw = kernels::Dot(data.Row(di), q);
-      const double score = spec.is_signed ? raw : std::abs(raw);
-      ++products;
-      if (score > best.value) {
-        best.value = score;
-        best.index = di;
-      }
-    }
-    if (best.value >= spec.s) {
-      result->per_query[qi] = JoinMatch{qi, best.index, best.value};
+    const std::vector<SearchMatch> top =
+        TopKBruteForce(data, queries.Row(qi), 1, spec.is_signed);
+    if (!top.empty() && top.front().value >= spec.s) {
+      result->per_query[qi] =
+          JoinMatch{qi, top.front().index, top.front().value};
     }
   }
-  return products;
 }
 
 // The one index-join loop: Definition 1's (cs, s)-search is a k = 1
@@ -130,12 +117,11 @@ JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
   JoinResult result;
   result.per_query.resize(queries.rows());
   WallTimer timer;
-  std::atomic<std::size_t> inner_products{0};
   ParallelFor(pool, queries.rows(), [&](std::size_t begin, std::size_t end) {
-    inner_products += ExactJoinChunk(data, queries, spec, begin, end, &result);
+    ExactJoinChunk(data, queries, spec, begin, end, &result);
   });
   result.seconds = timer.Seconds();
-  result.inner_products = inner_products.load();
+  result.inner_products = queries.rows() * data.rows();
   RecordExactJoinRun(result, queries.rows());
   return result;
 }
@@ -162,18 +148,16 @@ StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
   JoinResult result;
   result.per_query.resize(queries.rows());
   WallTimer timer;
-  std::atomic<std::size_t> inner_products{0};
   const Status status = ParallelForStatus(
       pool, queries.rows(),
       [&](std::size_t begin, std::size_t end) -> Status {
         IPS_FAILPOINT("core/exact-join-chunk");
-        inner_products +=
-            ExactJoinChunk(data, queries, spec, begin, end, &result);
+        ExactJoinChunk(data, queries, spec, begin, end, &result);
         return Status::Ok();
       });
   IPS_RETURN_IF_ERROR(status);
   result.seconds = timer.Seconds();
-  result.inner_products = inner_products.load();
+  result.inner_products = queries.rows() * data.rows();
   RecordExactJoinRun(result, queries.rows());
   return result;
 }

@@ -103,11 +103,7 @@ StatusOr<std::vector<SearchMatch>> SymmetricMipsIndex::Query(
     if (!present) {
       const double raw = kernels::Dot(q, q);
       matches.push_back({exact_index, options.is_signed ? raw : std::abs(raw)});
-      std::sort(matches.begin(), matches.end(),
-                [](const SearchMatch& a, const SearchMatch& b) {
-                  if (a.value != b.value) return a.value > b.value;
-                  return a.index < b.index;
-                });
+      std::sort(matches.begin(), matches.end(), RanksBefore);
       if (matches.size() > options.k) matches.resize(options.k);
       local.candidates += 1;
       local.dot_products += 1;

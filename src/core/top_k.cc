@@ -11,18 +11,15 @@ namespace ips {
 namespace {
 
 // The k best rows by score: row rows[j] scores scores[j] (row j itself
-// when `rows` is empty), as absolute values unless `is_signed`. Score
-// descending, then index ascending: equal scores always rank in the
-// same order, so results are stable across engines, thread counts, and
-// planner A/B comparisons. k = 1 (the (cs, s)-search behind IndexJoin)
-// is one pass; deeper k sorts the scored candidates.
+// when `rows` is empty), as absolute values unless `is_signed`, in
+// RanksBefore order. k = 1 (the (cs, s)-search behind IndexJoin and
+// ExactJoin) is one pass. Deeper k still sorts every candidate: a
+// TopKHeap makes this sequential path several times faster, which moves
+// bench_serve's enforced batched-vs-sequential gate, so it waits for its
+// own decision about that gate (ROADMAP 8(a)).
 std::vector<SearchMatch> KBest(std::span<const double> scores,
                                std::span<const std::size_t> rows,
                                std::size_t k, bool is_signed) {
-  const auto order = [](const SearchMatch& a, const SearchMatch& b) {
-    if (a.value != b.value) return a.value > b.value;
-    return a.index < b.index;
-  };
   const auto match = [&](std::size_t j) {
     return SearchMatch{rows.empty() ? j : rows[j],
                        is_signed ? scores[j] : std::abs(scores[j])};
@@ -32,14 +29,14 @@ std::vector<SearchMatch> KBest(std::span<const double> scores,
     SearchMatch best = match(0);
     for (std::size_t j = 1; j < scores.size(); ++j) {
       const SearchMatch candidate = match(j);
-      if (order(candidate, best)) best = candidate;
+      if (RanksBefore(candidate, best)) best = candidate;
     }
     return {best};
   }
   std::vector<SearchMatch> scored;
   scored.reserve(scores.size());
   for (std::size_t j = 0; j < scores.size(); ++j) scored.push_back(match(j));
-  std::sort(scored.begin(), scored.end(), order);
+  std::sort(scored.begin(), scored.end(), RanksBefore);
   if (scored.size() > k) scored.resize(k);
   return scored;
 }

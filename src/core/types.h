@@ -10,6 +10,8 @@
 #include <optional>
 #include <vector>
 
+#include "linalg/search_match.h"
+
 namespace ips {
 
 /// Specification of an approximate (cs, s) IPS join / search
@@ -41,12 +43,6 @@ struct JoinResult {
 
   /// Number of queries with a reported match.
   std::size_t NumMatched() const;
-};
-
-/// A single search answer: data index plus its exact score.
-struct SearchMatch {
-  std::size_t index = 0;
-  double value = 0.0;
 };
 
 }  // namespace ips

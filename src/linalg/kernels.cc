@@ -193,26 +193,22 @@ void GatherScores(const Matrix& data, std::span<const std::size_t> indices,
 }
 
 void TopKHeap::Push(std::size_t index, double value) {
-  const ScoredIndex entry{index, value};
+  const SearchMatch entry{index, value};
   if (heap_.size() < k_) {
     heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), &HeapGreater);
+    std::push_heap(heap_.begin(), heap_.end(), RanksBefore);
     return;
   }
-  if (!Worse(heap_.front(), entry)) return;
-  std::pop_heap(heap_.begin(), heap_.end(), &HeapGreater);
+  if (!RanksBefore(entry, heap_.front())) return;
+  std::pop_heap(heap_.begin(), heap_.end(), RanksBefore);
   heap_.back() = entry;
-  std::push_heap(heap_.begin(), heap_.end(), &HeapGreater);
+  std::push_heap(heap_.begin(), heap_.end(), RanksBefore);
 }
 
-std::vector<ScoredIndex> TopKHeap::TakeSorted() {
-  std::vector<ScoredIndex> sorted = std::move(heap_);
+std::vector<SearchMatch> TopKHeap::TakeSorted() {
+  std::vector<SearchMatch> sorted = std::move(heap_);
   heap_.clear();
-  std::sort(sorted.begin(), sorted.end(),
-            [](const ScoredIndex& a, const ScoredIndex& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.index < b.index;
-            });
+  std::sort(sorted.begin(), sorted.end(), RanksBefore);
   return sorted;
 }
 

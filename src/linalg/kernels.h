@@ -13,6 +13,8 @@
 //   BlockTopK                          tiled many-vs-many scoring that
 //                                      writes straight into per-query
 //                                      top-k heaps (no n*m score matrix);
+//   TopKHeap                           the one streaming top-k, in
+//                                      RanksBefore order;
 //   DotI8 / ScoreBlockI8               int8 fixed-point inner products
 //                                      (the estimate pass of the
 //                                      two-stage quantized scorer);
@@ -29,6 +31,8 @@
 // sums; the AVX2 path keeps the same lane grouping but contracts with
 // FMA, so the two agree to rounding (ULP-scale), not bitwise. Anything
 // that consumes both must compare with a tolerance (tests/kernels_test).
+// Within one table, Dot, MatVec and GatherScores score a row with the
+// same dot, so full scans, leaf scans and per-pair loops agree bitwise.
 // The int8 kernels are integer-exact: scalar and AVX2 produce identical
 // int32 results for codes in [-127, 127] (tests/quant_test compares
 // them with EXPECT_EQ, no tolerance).
@@ -44,6 +48,7 @@
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "linalg/search_match.h"
 #include "util/check.h"
 
 namespace ips {
@@ -168,17 +173,10 @@ void MatVec(const Matrix& data, std::span<const double> q,
 void GatherScores(const Matrix& data, std::span<const std::size_t> indices,
                   std::span<const double> q, std::span<double> out);
 
-/// One scored row index (linalg-level mirror of core::SearchMatch,
-/// which this layer cannot see).
-struct ScoredIndex {
-  std::size_t index = 0;
-  double value = 0.0;
-};
-
-/// Fixed-capacity top-k accumulator with the project-wide deterministic
-/// ordering: score descending, then index ascending. Push is O(log k)
-/// only when the candidate beats the current k-th best; the common
-/// reject is one compare.
+/// Fixed-capacity top-k accumulator in RanksBefore order (score
+/// descending, then index ascending): the library's one streaming top-k.
+/// Push is O(log k) only when the candidate beats the current k-th best;
+/// the common reject is one compare.
 class TopKHeap {
  public:
   explicit TopKHeap(std::size_t k) : k_(k) { IPS_DCHECK(k >= 1); }
@@ -186,7 +184,7 @@ class TopKHeap {
   /// True when (value, index) would enter the current top-k.
   bool Accepts(double value, std::size_t index) const {
     if (heap_.size() < k_) return true;
-    return Worse(heap_.front(), {index, value});
+    return RanksBefore({index, value}, heap_.front());
   }
 
   void Push(std::size_t index, double value);
@@ -200,27 +198,14 @@ class TopKHeap {
     return heap_.front().value;
   }
 
-  std::size_t size() const { return heap_.size(); }
-  std::size_t k() const { return k_; }
-
-  /// The accumulated top-k, score descending then index ascending.
-  /// Leaves the heap empty.
-  std::vector<ScoredIndex> TakeSorted();
+  /// The accumulated top-k in RanksBefore order. Leaves the heap empty.
+  std::vector<SearchMatch> TakeSorted();
 
  private:
-  // a strictly worse than b under (value desc, index asc).
-  static bool Worse(const ScoredIndex& a, const ScoredIndex& b) {
-    if (a.value != b.value) return a.value < b.value;
-    return a.index > b.index;
-  }
-  static bool HeapGreater(const ScoredIndex& a, const ScoredIndex& b) {
-    return Worse(b, a);
-  }
-
   std::size_t k_;
-  // Min-heap on (value, inverted index): front() is the current k-th
-  // best.
-  std::vector<ScoredIndex> heap_;
+  // Heap under RanksBefore: front() ranks after every other entry, so
+  // it is the current k-th best.
+  std::vector<SearchMatch> heap_;
 };
 
 /// Tiled many-vs-many scorer: for every query row qi of `queries` and

@@ -99,10 +99,10 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
         const double score = is_signed ? raw : std::abs(raw);
         if (score < cs_threshold) continue;
         auto& best = result.per_query[qi];
-        // Ties break toward the smaller data index so results are
-        // deterministic regardless of table enumeration order.
-        if (!best.has_value() || score > best->second ||
-            (score == best->second && di < best->first)) {
+        // RanksBefore breaks ties toward the smaller data index, so
+        // results do not depend on table enumeration order.
+        if (!best.has_value() ||
+            RanksBefore({di, score}, {best->first, best->second})) {
           best = std::make_pair(static_cast<std::size_t>(di), score);
         }
       }

@@ -9,6 +9,7 @@
 
 #include "obs/metrics.h"
 #include "util/failpoint.h"
+#include "util/stats.h"
 
 namespace ips {
 
@@ -72,20 +73,9 @@ bool CompatibleOptions(const QueryOptions& a, const QueryOptions& b) {
          a.force_algorithm == b.force_algorithm;
 }
 
-// p99 over the valid prefix/ring of a tenant's latency window.
-double RingP99(const std::array<double, kTenantLatencyWindow>& ring,
-               std::size_t count) {
-  const std::size_t n = std::min(count, ring.size());
-  if (n == 0) return 0.0;
-  std::array<double, kTenantLatencyWindow> sorted = ring;
-  std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n));
-  const std::size_t rank = (n * 99 + 99) / 100;  // ceil(0.99 n), 1-based
-  return sorted[std::min(rank, n) - 1];
-}
-
 }  // namespace
 
-// Token bucket, counter slice, and latency ring of one tenant. Metric
+// Token bucket, counter slice, and latency window of one tenant. Metric
 // handles are resolved once at creation so the admission path never
 // concatenates metric names.
 struct BatchScheduler::TenantState {
@@ -93,10 +83,9 @@ struct BatchScheduler::TenantState {
   double tokens = 0.0;
   Clock::time_point last_refill;
 
-  TenantCounters counters;  // p99_seconds filled from the ring on read
+  TenantCounters counters;  // p99_seconds filled from the window on read
 
-  std::array<double, kTenantLatencyWindow> latency{};
-  std::size_t latency_count = 0;
+  RollingP99<kTenantLatencyWindow> latency;
 
   Counter* m_submitted;
   Counter* m_admitted;
@@ -538,10 +527,8 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
       } else {
         ++tenant.counters.completed;
         tenant.m_completed->Increment();
-        tenant.latency[tenant.latency_count % kTenantLatencyWindow] =
-            latency[i];
-        ++tenant.latency_count;
-        tenant.m_p99->Set(RingP99(tenant.latency, tenant.latency_count));
+        tenant.latency.Add(latency[i]);
+        tenant.m_p99->Set(tenant.latency.P99());
       }
     }
     in_flight_ -= batch.size();
@@ -581,8 +568,7 @@ TenantCounters BatchScheduler::tenant_counters(
   auto it = tenants_.find(key);
   if (it == tenants_.end()) return {};
   TenantCounters counters = it->second->counters;
-  counters.p99_seconds =
-      RingP99(it->second->latency, it->second->latency_count);
+  counters.p99_seconds = it->second->latency.P99();
   return counters;
 }
 

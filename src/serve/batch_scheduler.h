@@ -192,7 +192,7 @@ class BatchScheduler {
     std::promise<Result> promise;
   };
 
-  /// Token bucket + counters + latency ring of one tenant, created on
+  /// Token bucket + counters + latency window of one tenant, created on
   /// first submission. Latency samples feed the p99 the registry gauge
   /// "serve.qos.<tenant>.p99" mirrors.
   struct TenantState;

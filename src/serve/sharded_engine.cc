@@ -57,10 +57,10 @@ struct ShardAnswer {
   bool hedged = false;
 };
 
-// Merges one logical query's per-shard answers under the deterministic
-// gather ordering (score descending, then *global* row index
-// ascending), sets the serve.shard.{total,ok,failed,hedged} labels, and
-// flags the result partial when shards were lost. Fails only when every
+// Merges one logical query's per-shard answers in RanksBefore order
+// over *global* row indices, sets the
+// serve.shard.{total,ok,failed,hedged} labels, and flags the result
+// partial when shards were lost. Fails only when every
 // shard failed: a uniform failure keeps its Status, mixed failures
 // collapse to a kUnavailable summary.
 StatusOr<QueryResult> MergeShardAnswers(
@@ -103,11 +103,7 @@ StatusOr<QueryResult> MergeShardAnswers(
                                " shards failed; first: " +
                                errors.front()->ToString());
   }
-  std::sort(pool.begin(), pool.end(),
-            [](const SearchMatch& a, const SearchMatch& b) {
-              if (a.value != b.value) return a.value > b.value;
-              return a.index < b.index;
-            });
+  std::sort(pool.begin(), pool.end(), RanksBefore);
   if (pool.size() > k) pool.resize(k);
   merged.matches = std::move(pool);
   merged.stats.metrics.Set("serve.shard.total", answers.size());
@@ -563,11 +559,7 @@ void ShardedEngine::OnShardSuccess(Shard& shard, double seconds_per_query,
     shard.consecutive_failures = 0;
     // The hedge fallback's latency says nothing about the primary
     // path, so only primary successes feed the predictor.
-    if (!hedged) {
-      shard.latency[shard.latency_count % kLatencyWindow] =
-          seconds_per_query;
-      ++shard.latency_count;
-    }
+    if (!hedged) shard.latency.Add(seconds_per_query);
   }
   // Outside the breaker lock on purpose: metrics tolerate a racing
   // reader, and the shard.mutex -> Counter::mutex_ order (header) stays
@@ -596,19 +588,13 @@ void ShardedEngine::OnShardFailure(Shard& shard) const {
 }
 
 double ShardedEngine::TrackedP99(const Shard& shard) const {
-  std::array<double, kLatencyWindow> window;
-  std::size_t n = 0;
+  // Copy under the lock, sort outside it.
+  RollingP99<kLatencyWindow> window;
   {
     MutexLock lock(shard.mutex);
-    if (shard.latency_count < kHedgeMinSamples) return 0.0;
-    n = std::min(shard.latency_count, kLatencyWindow);
-    std::copy(shard.latency.begin(), shard.latency.begin() + n,
-              window.begin());
+    window = shard.latency;
   }
-  std::sort(window.begin(), window.begin() + n);
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(0.99 * static_cast<double>(n)));
-  return window[std::min(n, std::max<std::size_t>(1, rank)) - 1];
+  return window.count() < kHedgeMinSamples ? 0.0 : window.P99();
 }
 
 double ShardedEngine::OpenBreakerCount() const {

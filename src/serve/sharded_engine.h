@@ -4,9 +4,9 @@
 // Scatter-gather serving across S shards with failure isolation (see
 // DESIGN.md §11). ShardedEngine partitions the dataset into contiguous
 // row ranges, stands up one Engine per shard, fans Query/BatchQuery out
-// over a private thread pool, and merges the per-shard top-k lists
-// under the project-wide deterministic ordering (score descending, then
-// *global* row index ascending).
+// over a private thread pool, and merges the per-shard top-k lists in
+// RanksBefore order over *global* row indices, so a sharded answer
+// equals the unsharded one, tie order included.
 //
 // The robustness layer is the point — one slow or failing shard must
 // not take down the query:
@@ -17,9 +17,9 @@
 //    3 attempts, sleeping 0.2 ms before the first retry and doubling
 //    after. Only kUnavailable is retryable (IsRetryableShardStatus);
 //    kResourceExhausted is deliberate shedding and is never retried.
-//  * Hedged requests: every shard tracks a ring of recent primary-path
-//    latencies. When the tracked p99 exceeds half the shard's deadline
-//    budget, the coordinator skips the planner path and fires the
+//  * Hedged requests: every shard tracks a RollingP99 of its recent
+//    primary-path latencies. When that p99 exceeds half the shard's
+//    deadline budget, the coordinator skips the planner path and fires the
 //    cheap fallback (a forced brute scan of the shard slice — fixed,
 //    predictable cost, no index build or planner variance) and the
 //    result is counted in the "serve.shard.hedged" label.
@@ -46,7 +46,6 @@
 #ifndef IPS_SERVE_SHARDED_ENGINE_H_
 #define IPS_SERVE_SHARDED_ENGINE_H_
 
-#include <array>
 #include <chrono>
 #include <cstddef>
 #include <memory>
@@ -59,6 +58,7 @@
 #include "serve/engine.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
+#include "util/stats.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -158,10 +158,9 @@ class ShardedEngine : public QueryEngine {
     bool open IPS_GUARDED_BY(mutex) = false;
     bool probing IPS_GUARDED_BY(mutex) = false;
     Clock::time_point opened_at IPS_GUARDED_BY(mutex);
-    // Ring of recent primary-path latencies (seconds per query) the
-    // hedge predictor reads its p99 from.
-    std::array<double, kLatencyWindow> latency IPS_GUARDED_BY(mutex){};
-    std::size_t latency_count IPS_GUARDED_BY(mutex) = 0;
+    // Recent primary-path latencies (seconds per query) the hedge
+    // predictor reads its p99 from.
+    RollingP99<kLatencyWindow> latency IPS_GUARDED_BY(mutex);
   };
 
   /// How the breaker admitted a shard call.
@@ -212,7 +211,7 @@ class ShardedEngine : public QueryEngine {
   void OnShardSuccess(Shard& shard, double seconds_per_query,
                       bool hedged) const IPS_EXCLUDES(shard.mutex);
   void OnShardFailure(Shard& shard) const IPS_EXCLUDES(shard.mutex);
-  /// Tracked p99 of the shard's primary-path latency ring, or 0 with
+  /// Tracked p99 of the shard's primary-path latency window, or 0 with
   /// fewer than 8 samples.
   double TrackedP99(const Shard& shard) const IPS_EXCLUDES(shard.mutex);
   /// Count of currently-open breakers (mirrors the

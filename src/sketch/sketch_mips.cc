@@ -150,14 +150,10 @@ std::size_t SketchMipsIndex::RecoverArgmax(std::span<const double> q,
   // Leaf: exact scan of the small range.
   WallTimer rerank_timer;
   const Node& leaf = nodes_[current];
-  std::size_t best_index = leaf.begin;
-  double best_value = -1.0;
+  SearchMatch best{leaf.begin, -1.0};
   for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
-    const double value = std::abs(kernels::Dot(data_->Row(i), q));
-    if (value > best_value) {
-      best_value = value;
-      best_index = i;
-    }
+    const SearchMatch candidate{i, std::abs(kernels::Dot(data_->Row(i), q))};
+    if (RanksBefore(candidate, best)) best = candidate;
   }
   local.leaf_points = leaf.end - leaf.begin;
 
@@ -173,7 +169,7 @@ std::size_t SketchMipsIndex::RecoverArgmax(std::span<const double> q,
   rows_multiplied->Add(local.rows_multiplied);
   leaf_points->Add(local.leaf_points);
   if (info != nullptr) *info = local;
-  return best_index;
+  return best.index;
 }
 
 std::size_t SketchMipsIndex::UnsignedSearch(std::span<const double> q,

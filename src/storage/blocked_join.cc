@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "linalg/search_match.h"
 #include "obs/metrics.h"
 #include "rng/random.h"
 #include "storage/snapshot.h"
@@ -139,9 +140,9 @@ StatusOr<BucketJoinResult> BlockedBucketJoin(const LshFamily& family,
         if (!pair_best.has_value()) continue;
         const std::size_t global_index = d0 + pair_best->first;
         auto& best = result.per_query[q0 + qi];
-        if (!best.has_value() || pair_best->second > best->second ||
-            (pair_best->second == best->second &&
-             global_index < best->first)) {
+        if (!best.has_value() ||
+            RanksBefore({global_index, pair_best->second},
+                        {best->first, best->second})) {
           best = std::make_pair(global_index, pair_best->second);
         }
       }

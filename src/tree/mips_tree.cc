@@ -162,7 +162,7 @@ double MipsBallTree::UnsignedBound(const Node& node,
   return std::abs(kernels::Dot(node.center, q)) + q_norm * node.radius;
 }
 
-std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
+std::vector<SearchMatch> MipsBallTree::QueryTopK(
     std::span<const double> q, std::size_t k, bool is_signed, Trace* trace,
     TreeQueryInfo* info) const {
   IPS_CHECK_EQ(q.size(), data_->cols());
@@ -185,19 +185,7 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
   std::size_t leaf_points_scored = 0;
   // Scratch reused across every leaf this descent visits.
   std::vector<double> leaf_scores;
-  // Min-heap on (score, inverted index): heap.front() is the current
-  // k-th best, where equal scores rank the *larger* index as worse so
-  // ties break toward the smaller data index deterministically.
-  std::vector<std::pair<double, std::size_t>> heap;
-  auto worse = [](const std::pair<double, std::size_t>& a,
-                  const std::pair<double, std::size_t>& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second > b.second;
-  };
-  auto heap_greater = [worse](const std::pair<double, std::size_t>& a,
-                              const std::pair<double, std::size_t>& b) {
-    return worse(b, a);
-  };
+  kernels::TopKHeap heap(k);
   // Upper bound on the node's best score under the requested sign.
   auto bound = [&](const Node& node) {
     return is_signed ? SignedBound(node, q, q_norm)
@@ -210,7 +198,7 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
     stack.pop_back();
     const Node& node = nodes_[node_index];
     ++local.nodes_visited;
-    if (heap.size() == k && bound(node) < heap.front().first) {
+    if (bound(node) < heap.Floor()) {
       ++local.nodes_pruned;
       continue;
     }
@@ -231,14 +219,7 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
         const double value =
             is_signed ? leaf_scores[t] : std::abs(leaf_scores[t]);
         ++leaf_points_scored;
-        if (heap.size() < k) {
-          heap.emplace_back(value, point);
-          std::push_heap(heap.begin(), heap.end(), heap_greater);
-        } else if (worse(heap.front(), {value, point})) {
-          std::pop_heap(heap.begin(), heap.end(), heap_greater);
-          heap.back() = {value, point};
-          std::push_heap(heap.begin(), heap.end(), heap_greater);
-        }
+        heap.Push(point, value);
       }
       if (leaf_timer.has_value()) leaf_seconds += leaf_timer->Seconds();
       continue;
@@ -254,14 +235,7 @@ std::vector<std::pair<std::size_t, double>> MipsBallTree::QueryTopK(
       stack.push_back(node.right);
     }
   }
-  std::sort(heap.begin(), heap.end(),
-            [](const auto& a, const auto& b) {
-              if (a.first != b.first) return a.first > b.first;
-              return a.second < b.second;
-            });
-  std::vector<std::pair<std::size_t, double>> result;
-  result.reserve(heap.size());
-  for (const auto& [value, index] : heap) result.emplace_back(index, value);
+  std::vector<SearchMatch> result = heap.TakeSorted();
 
   local.points_scored = leaf_points_scored;
   if (trace != nullptr) {

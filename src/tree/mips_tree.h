@@ -18,10 +18,10 @@
 
 #include <cstddef>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "linalg/search_match.h"
 #include "obs/trace.h"
 #include "rng/random.h"
 #include "util/status.h"
@@ -71,17 +71,17 @@ class MipsBallTree {
 
   std::size_t num_points() const { return data_->rows(); }
 
-  /// Exact top-k by inner product, descending; branch-and-bound against
-  /// the current k-th best. Signed queries score q^T p and prune on the
-  /// signed bound; unsigned queries score |q^T p| and prune on the
-  /// unsigned bound. Ties break toward the smaller data index, so the
-  /// returned ordering is deterministic. Returns min(k, n) entries.
+  /// Exact top-k in RanksBefore order, equal to TopKBruteForce's bit for
+  /// bit; branch-and-bound against the k-th best of a kernels::TopKHeap.
+  /// Signed queries score q^T p and prune on the signed bound; unsigned
+  /// queries score |q^T p| and prune on the unsigned bound. Returns
+  /// min(k, n) entries.
   /// When `trace` is non-null, records "descent" and "leaf_scan" child
   /// spans (leaf-scan time is accumulated across all leaves visited,
   /// descent is the remainder) under the trace's open span; when `info`
   /// is non-null, fills the per-query accounting. Every call bumps the
   /// "tree.*" registry counters.
-  std::vector<std::pair<std::size_t, double>> QueryTopK(
+  std::vector<SearchMatch> QueryTopK(
       std::span<const double> q, std::size_t k, bool is_signed,
       Trace* trace = nullptr, TreeQueryInfo* info = nullptr) const;
 

@@ -1,13 +1,15 @@
 // Copyright 2026 The ipsjoin Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Summary statistics for experiment measurements: online moments and
-// batch percentiles. Used by the benchmark harness and by statistical
-// tests of collision probabilities.
+// Summary statistics: online moments, batch percentiles and a rolling
+// p99. Used by the benchmark harness, by statistical tests of collision
+// probabilities and by the serving layer's latency trackers.
 
 #ifndef IPS_UTIL_STATS_H_
 #define IPS_UTIL_STATS_H_
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -69,6 +71,34 @@ Summary Summarize(std::vector<double> samples);
 /// Linear-interpolation percentile of `sorted` (must be sorted ascending),
 /// `q` in [0, 1]. Returns 0 for an empty vector.
 double Percentile(const std::vector<double>& sorted, double q);
+
+/// The last N samples of a stream and their nearest-rank p99: the
+/// ceil(0.99 n)-th smallest of the n = min(count(), N) samples held.
+template <std::size_t N>
+class RollingP99 {
+ public:
+  /// Records `sample`, overwriting the oldest once N are held.
+  void Add(double sample) {
+    samples_[count_ % N] = sample;
+    ++count_;
+  }
+
+  /// Samples added so far (not capped at N).
+  std::size_t count() const { return count_; }
+
+  /// 0 when empty.
+  double P99() const {
+    const std::size_t n = std::min(count_, N);
+    if (n == 0) return 0.0;
+    std::array<double, N> sorted = samples_;
+    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n));
+    return sorted[(n * 99 + 99) / 100 - 1];  // ceil(0.99 n), 1-based
+  }
+
+ private:
+  std::array<double, N> samples_{};
+  std::size_t count_ = 0;
+};
 
 /// Fraction of `trials` Bernoulli successes, with a convenience for the
 /// +-z*sqrt(p(1-p)/n) normal-approximation half-width used by statistical

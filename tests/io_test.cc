@@ -233,9 +233,9 @@ TEST(EdgeCaseTest, OneDimensionalVectors) {
   }
   const MipsBallTree tree(data, 2, &rng);
   std::vector<double> q = {1.0};
-  EXPECT_DOUBLE_EQ(tree.QueryTopK(q, 1, /*is_signed=*/true)[0].second, 0.5);
+  EXPECT_DOUBLE_EQ(tree.QueryTopK(q, 1, /*is_signed=*/true)[0].value, 0.5);
   // |-0.4| < 0.5
-  EXPECT_DOUBLE_EQ(tree.QueryTopK(q, 1, /*is_signed=*/false)[0].second, 0.5);
+  EXPECT_DOUBLE_EQ(tree.QueryTopK(q, 1, /*is_signed=*/false)[0].value, 0.5);
 }
 
 TEST(EdgeCaseTest, ZeroQueryVector) {

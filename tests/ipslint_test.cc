@@ -51,6 +51,11 @@ std::vector<LintRule> TestRules() {
                R"(^\s*\w+\s*\+=\s*[\w.>-]*\w\[[^\]]+\]\s*\*\s*)"
                R"([\w.>-]*\w\[[^\]]+\])",
                "use linalg::kernels");
+  table += Row("hand-ranking", "src,bench",
+               "src/linalg/search_match.h,bench/e2e",
+               R"(\b\w+\.(value|first)\s*!=\s*\w+\.\1\b|)"
+               R"(>\s*best(_value\b|\.value\b|->second\b))",
+               "use RanksBefore / TopKHeap");
   auto rules = ParseRules(table);
   EXPECT_TRUE(rules.ok()) << rules.status().ToString();
   return *std::move(rules);
@@ -224,6 +229,33 @@ TEST(Lint, RawDotAllowsNonDotAccumulation) {
           .empty());
 }
 
+TEST(Lint, HandRankingFiresOutsideThePredicate) {
+  // A hand-written tie rule and the three shapes of a hand-kept best
+  // match each fire, in src/ and bench/ alike.
+  const std::string tie_rule =
+      "  if (a.value != b.value) return a.value > b.value;\n";
+  for (const std::string& bad :
+       {tie_rule, std::string("    if (a.first != b.first) return x;\n"),
+        std::string("  if (score > best.value) {\n"),
+        std::string("  if (value > best_value) {\n"),
+        std::string("  if (!best || score > best->second) {\n")}) {
+    const auto findings = RunLint("src/core/foo.cc", bad);
+    ASSERT_EQ(findings.size(), 1u) << bad;
+    EXPECT_EQ(findings[0].rule, "hand-ranking");
+    EXPECT_EQ(RunLint("bench/bench_foo.cc", bad).size(), 1u) << bad;
+  }
+  // The predicate's own header and the e2e harness are out of scope.
+  EXPECT_TRUE(RunLint("src/linalg/search_match.h", tie_rule).empty());
+  EXPECT_TRUE(RunLint("bench/e2e/serve.cc", tie_rule).empty());
+  // Comparing two different fields, or tracking a best magnitude (a
+  // hash bucket's argmax), is not a ranking of data rows.
+  EXPECT_TRUE(RunLint("src/core/f.cc", "  if (a.value != b.index) {\n")
+                  .empty());
+  EXPECT_TRUE(
+      RunLint("src/lsh/f.cc", "      if (magnitude > best_magnitude) {\n")
+          .empty());
+}
+
 TEST(Lint, FindingFormatIsFileLineRuleMessage) {
   const auto findings = RunLint("src/a.cc", "std::cout << 1;\n");
   ASSERT_EQ(findings.size(), 1u);
@@ -233,11 +265,11 @@ TEST(Lint, FindingFormatIsFileLineRuleMessage) {
 }
 
 TEST(Lint, RealRuleTableParses) {
-  // Guard the checked-in table itself: nine rules, all regexes valid.
+  // Guard the checked-in table itself: ten rules, all regexes valid.
   const auto rules =
       LoadRules(std::string(IPS_REPO_ROOT) + "/tools/ipslint.rules");
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
-  EXPECT_EQ(rules->size(), 9u);
+  EXPECT_EQ(rules->size(), 10u);
 }
 
 TEST(SplitCodeAndComments, TracksMultiLineConstructs) {

@@ -261,11 +261,11 @@ TEST(TopKHeap, AcceptsIsConsistentWithPush) {
 
 // Naive reference for BlockTopK: score every (row, query) pair with the
 // active implementation's Dot and keep top-k with the same ordering.
-std::vector<std::vector<kernels::ScoredIndex>> NaiveTopK(
+std::vector<std::vector<SearchMatch>> NaiveTopK(
     const Matrix& data, std::size_t row_begin, std::size_t row_end,
     const Matrix& queries, bool absolute, std::size_t k,
     std::size_t index_offset) {
-  std::vector<std::vector<kernels::ScoredIndex>> out(queries.rows());
+  std::vector<std::vector<SearchMatch>> out(queries.rows());
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
     kernels::TopKHeap heap(k);
     for (std::size_t r = row_begin; r < row_end; ++r) {

@@ -49,7 +49,7 @@ TEST_P(TopKSweep, BallTreeMatchesBruteForce) {
       const auto via_tree = tree.QueryTopK(q, k, is_signed);
       ASSERT_EQ(brute.size(), via_tree.size());
       for (std::size_t t = 0; t < brute.size(); ++t) {
-        EXPECT_NEAR(brute[t].value, via_tree[t].second, 1e-9)
+        EXPECT_NEAR(brute[t].value, via_tree[t].value, 1e-9)
             << "rank " << t << " signed " << is_signed;
       }
     }
@@ -146,7 +146,8 @@ TEST(TopKTest, TiesBreakTowardSmallerIndexDeterministically) {
 TEST(TopKTest, TreeTieOrderMatchesBruteForce) {
   // Duplicate rows force score ties; the tree's top-k must return the
   // same indices in the same order as the deterministic brute force,
-  // regardless of tree structure.
+  // regardless of tree structure, and the same score bits: leaf scans
+  // and the brute-force mat-vec score every row with the same dot.
   Rng rng(18);
   Matrix data = MakeUnitBallGaussian(100, 6, 0.2, &rng);
   for (std::size_t i = 0; i < 40; ++i) {
@@ -164,8 +165,8 @@ TEST(TopKTest, TreeTieOrderMatchesBruteForce) {
     const auto via_tree = tree.QueryTopK(q, 7, /*is_signed=*/true);
     ASSERT_EQ(via_tree.size(), exact.size());
     for (std::size_t t = 0; t < exact.size(); ++t) {
-      EXPECT_EQ(via_tree[t].first, exact[t].index) << "rank " << t;
-      EXPECT_NEAR(via_tree[t].second, exact[t].value, 1e-12);
+      EXPECT_EQ(via_tree[t].index, exact[t].index) << "rank " << t;
+      EXPECT_EQ(via_tree[t].value, exact[t].value) << "rank " << t;
     }
   }
 }
@@ -183,8 +184,8 @@ TEST(TopKTest, TreeTopOneMatchesBruteForceBitwise) {
       const auto top1 = tree.QueryTopK(q, 1, is_signed);
       const auto brute = TopKBruteForce(data, q, 1, is_signed);
       ASSERT_EQ(top1.size(), 1u);
-      EXPECT_EQ(top1[0].first, brute[0].index);
-      EXPECT_EQ(top1[0].second, brute[0].value);
+      EXPECT_EQ(top1[0].index, brute[0].index);
+      EXPECT_EQ(top1[0].value, brute[0].value);
     }
   }
 }

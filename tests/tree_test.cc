@@ -41,7 +41,7 @@ std::pair<std::size_t, double> TreeTop1(const MipsBallTree& tree,
                                         bool is_signed) {
   const auto top = tree.QueryTopK(q, 1, is_signed);
   IPS_CHECK_EQ(top.size(), 1u);
-  return top[0];
+  return {top[0].index, top[0].value};
 }
 
 struct TreeCase {

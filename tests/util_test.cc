@@ -201,6 +201,29 @@ TEST(SummarizeTest, ComputesOrderStatistics) {
   EXPECT_FALSE(summary.ToString().empty());
 }
 
+TEST(RollingP99Test, NearestRankOverTheHeldSamples) {
+  RollingP99<128> window;
+  EXPECT_EQ(window.P99(), 0.0);  // empty
+  window.Add(100.0);
+  EXPECT_EQ(window.P99(), 100.0);  // n = 1: the only sample
+  for (int v = 99; v >= 1; --v) window.Add(v);
+  EXPECT_EQ(window.P99(), 99.0);  // n = 100: ceil(99.00) = 99th smallest
+  for (int v = 101; v <= 128; ++v) window.Add(v);
+  EXPECT_EQ(window.P99(), 127.0);  // n = 128: ceil(126.72) = 127th
+  EXPECT_EQ(window.count(), 128u);
+}
+
+TEST(RollingP99Test, WrapsAroundKeepingTheLastNSamples) {
+  RollingP99<4> window;
+  for (double v : {10.0, 20.0, 30.0, 40.0}) window.Add(v);
+  EXPECT_EQ(window.P99(), 40.0);  // ceil(3.96) = 4th of 4
+  for (double v : {1.0, 2.0, 3.0}) window.Add(v);
+  EXPECT_EQ(window.P99(), 40.0);  // {1, 2, 3, 40}: 10, 20, 30 are gone
+  window.Add(4.0);
+  EXPECT_EQ(window.P99(), 4.0);
+  EXPECT_EQ(window.count(), 8u);
+}
+
 TEST(BernoulliTest, EstimateAndHalfWidth) {
   const BernoulliEstimate estimate = EstimateBernoulli(25, 100);
   EXPECT_DOUBLE_EQ(estimate.p_hat, 0.25);
