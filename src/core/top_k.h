@@ -5,7 +5,9 @@
 // limit each tuple's multiplicity to some k; this header provides k-best
 // retrieval. Exact engines (brute force and a k-best variant of the
 // ball-tree branch-and-bound) return the true top-k; the LSH engine
-// returns the k best among its candidates.
+// returns the k best among its candidates. Every list is in RanksBefore
+// order (linalg/search_match.h): score descending, then the smaller
+// data index.
 //
 // QueryQuantizedRerank / QueryFromCandidatesQuantized are the two-stage
 // scorer (DESIGN.md §13): an int8 estimate pass ranks the candidate
@@ -30,8 +32,8 @@
 
 namespace ips {
 
-/// Exact top-k by full scan, descending score; ties break toward the
-/// smaller data index (deterministic ordering). Scores are signed or
+/// Exact top-k by full scan in RanksBefore order: the oracle every exact
+/// path matches bitwise, tie order included. Scores are signed or
 /// absolute per `is_signed`. Returns min(k, rows) entries.
 std::vector<SearchMatch> TopKBruteForce(const Matrix& data,
                                         std::span<const double> q,
@@ -93,9 +95,8 @@ inline constexpr double kQuantEstimateDotEquivalent = 0.25;
 std::size_t SurvivorCount(std::size_t k, std::size_t n,
                           std::size_t candidate_budget);
 
-/// Indices of the `m` largest estimates (value descending, index
-/// ascending — the project-wide deterministic order); absolute values
-/// when `absolute`. Returns all indices when m >= estimates.size().
+/// Indices of the `m` largest estimates in RanksBefore order; absolute
+/// values when `absolute`. Returns all indices when m >= estimates.size().
 std::vector<std::size_t> TopEstimateIndices(std::span<const double> estimates,
                                             std::size_t m, bool absolute);
 

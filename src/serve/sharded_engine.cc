@@ -588,7 +588,7 @@ void ShardedEngine::OnShardFailure(Shard& shard) const {
 }
 
 double ShardedEngine::TrackedP99(const Shard& shard) const {
-  // Copy under the lock, sort outside it.
+  // Copy under the lock, rank outside it.
   RollingP99<kLatencyWindow> window;
   {
     MutexLock lock(shard.mutex);

@@ -5,8 +5,8 @@
 // snapshot files and may be far larger than RAM. Rows are streamed in
 // memory-budgeted blocks and every (query block, data block) pair runs
 // through the in-memory LshBucketJoin driver; per-query bests merge
-// across block pairs under the project-wide deterministic ordering
-// (score descending, then smaller global data index).
+// across block pairs by RanksBefore over global data indices, so a tie
+// split across data blocks resolves to the lowest index.
 //
 // Determinism: every block pair reseeds a fresh Rng(options.seed), so
 // table t draws the *same* concatenated hash function in every block

@@ -86,13 +86,14 @@ class RollingP99 {
   /// Samples added so far (not capped at N).
   std::size_t count() const { return count_; }
 
-  /// 0 when empty.
+  /// The nearest-rank p99 of the samples held; 0 when empty.
   double P99() const {
-    const std::size_t n = std::min(count_, N);
+    const auto n = static_cast<std::ptrdiff_t>(std::min(count_, N));
     if (n == 0) return 0.0;
-    std::array<double, N> sorted = samples_;
-    std::sort(sorted.begin(), sorted.begin() + static_cast<std::ptrdiff_t>(n));
-    return sorted[(n * 99 + 99) / 100 - 1];  // ceil(0.99 n), 1-based
+    std::array<double, N> held = samples_;
+    const auto rank = held.begin() + (n * 99 + 99) / 100 - 1;  // ceil(0.99 n)
+    std::nth_element(held.begin(), rank, held.begin() + n);
+    return *rank;
   }
 
  private:
