@@ -139,7 +139,7 @@ double PopcountRate(Rng* rng) {
 
 // The pre-batching per-query shape: for every query, one scalar dot per
 // data row into a materialized score vector, then a top-k partial sort
-// with the project ordering (score desc, index asc).
+// in RanksBefore order (score desc, index asc).
 std::vector<std::vector<SearchMatch>> PerQueryScalarBaseline(
     const Matrix& data, const Matrix& queries, std::size_t k) {
   const kernels::KernelOps& ops = kernels::ScalarOps();
