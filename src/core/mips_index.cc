@@ -53,6 +53,33 @@ Status ValidateIndexData(const Matrix& data) {
   return Status::Ok();
 }
 
+// Shared checks of LshMipsIndex::Create and CreateFromBuckets.
+Status ValidateLshIndexInputs(const Matrix& data,
+                              const VectorTransform* transform,
+                              const LshFamily& base_family,
+                              const LshTableParams& params, const Rng* rng) {
+  IPS_RETURN_IF_ERROR(ValidateIndexData(data));
+  if (rng == nullptr) {
+    return Status::InvalidArgument("lsh index requires a non-null rng");
+  }
+  if (params.k < 1 || params.l < 1) {
+    return Status::InvalidArgument(
+        "lsh index needs k >= 1 and l >= 1, got k=" +
+        std::to_string(params.k) + ", l=" + std::to_string(params.l));
+  }
+  if (transform == nullptr) {
+    return ValidateDims(data, base_family.dim(), "lsh data");
+  }
+  IPS_RETURN_IF_ERROR(ValidateDims(data, transform->input_dim(), "lsh data"));
+  if (transform->output_dim() != base_family.dim()) {
+    return Status::InvalidArgument(
+        "transform output dimension " +
+        std::to_string(transform->output_dim()) +
+        " != base family dimension " + std::to_string(base_family.dim()));
+  }
+  return Status::Ok();
+}
+
 // Shared head of every BatchQuery: validated options plus a batch-wide
 // dimension check.
 Status ValidateBatchInputs(const Matrix& queries, std::size_t dim,
@@ -287,49 +314,39 @@ LshMipsIndex::LshMipsIndex(const Matrix& data,
                            const VectorTransform* transform,
                            const LshFamily& base_family,
                            LshTableParams params, Rng* rng)
-    : data_(&data), transform_(transform) {
+    : LshMipsIndex(data, transform, base_family, nullptr) {
   IPS_CHECK_GT(data.rows(), 0u);
-  if (transform_ != nullptr) {
-    IPS_CHECK_EQ(transform_->input_dim(), data.cols());
-    IPS_CHECK_EQ(transform_->output_dim(), base_family.dim());
-    transformed_data_ = transform_->TransformDataset(data);
-  } else {
+  if (transform_ == nullptr) {
     IPS_CHECK_EQ(base_family.dim(), data.cols());
+    tables_ = std::make_unique<LshTables>(base_family, data, params, rng);
+    return;
   }
-  const Matrix& hashed =
-      transform_ != nullptr ? transformed_data_ : *data_;
-  tables_ = std::make_unique<LshTables>(base_family, hashed, params, rng);
-  quant_ = QuantizedMatrix::Quantize(data);
-  name_ = "lsh[" +
-          (transform_ != nullptr ? transform_->Name() + "+" : std::string()) +
-          base_family.Name() + "]";
+  IPS_CHECK_EQ(transform_->input_dim(), data.cols());
+  IPS_CHECK_EQ(transform_->output_dim(), base_family.dim());
+  // The transformed rows exist only to be hashed into the tables.
+  tables_ = std::make_unique<LshTables>(
+      base_family, transform_->TransformDataset(data), params, rng);
 }
+
+LshMipsIndex::LshMipsIndex(const Matrix& data,
+                           const VectorTransform* transform,
+                           const LshFamily& base_family,
+                           std::unique_ptr<LshTables> tables)
+    : data_(&data),
+      transform_(transform),
+      tables_(std::move(tables)),
+      // Quantization is deterministic (no rng), so a restored index
+      // rebuilds the original codes exactly.
+      quant_(QuantizedMatrix::Quantize(data)),
+      name_("lsh[" +
+            (transform != nullptr ? transform->Name() + "+" : std::string()) +
+            base_family.Name() + "]") {}
 
 StatusOr<std::unique_ptr<LshMipsIndex>> LshMipsIndex::Create(
     const Matrix& data, const VectorTransform* transform,
     const LshFamily& base_family, LshTableParams params, Rng* rng) {
-  IPS_RETURN_IF_ERROR(ValidateIndexData(data));
-  if (rng == nullptr) {
-    return Status::InvalidArgument("lsh index requires a non-null rng");
-  }
-  if (params.k < 1 || params.l < 1) {
-    return Status::InvalidArgument(
-        "lsh index needs k >= 1 and l >= 1, got k=" +
-        std::to_string(params.k) + ", l=" + std::to_string(params.l));
-  }
-  if (transform != nullptr) {
-    IPS_RETURN_IF_ERROR(
-        ValidateDims(data, transform->input_dim(), "lsh data"));
-    if (transform->output_dim() != base_family.dim()) {
-      return Status::InvalidArgument(
-          "transform output dimension " +
-          std::to_string(transform->output_dim()) +
-          " != base family dimension " +
-          std::to_string(base_family.dim()));
-    }
-  } else {
-    IPS_RETURN_IF_ERROR(ValidateDims(data, base_family.dim(), "lsh data"));
-  }
+  IPS_RETURN_IF_ERROR(
+      ValidateLshIndexInputs(data, transform, base_family, params, rng));
   return std::make_unique<LshMipsIndex>(data, transform, base_family,
                                         params, rng);
 }
@@ -337,28 +354,9 @@ StatusOr<std::unique_ptr<LshMipsIndex>> LshMipsIndex::Create(
 StatusOr<std::unique_ptr<LshMipsIndex>> LshMipsIndex::CreateFromBuckets(
     const Matrix& data, const VectorTransform* transform,
     const LshFamily& base_family, LshTableParams params, Rng* rng,
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::vector<std::uint32_t>>> buckets) {
-  IPS_RETURN_IF_ERROR(ValidateIndexData(data));
-  if (rng == nullptr) {
-    return Status::InvalidArgument("lsh index requires a non-null rng");
-  }
-  if (transform != nullptr) {
-    IPS_RETURN_IF_ERROR(
-        ValidateDims(data, transform->input_dim(), "lsh data"));
-    if (transform->output_dim() != base_family.dim()) {
-      return Status::InvalidArgument(
-          "transform output dimension " +
-          std::to_string(transform->output_dim()) +
-          " != base family dimension " +
-          std::to_string(base_family.dim()));
-    }
-  } else {
-    IPS_RETURN_IF_ERROR(ValidateDims(data, base_family.dim(), "lsh data"));
-  }
-  std::unique_ptr<LshMipsIndex> index(new LshMipsIndex());
-  index->data_ = &data;
-  index->transform_ = transform;
+    std::vector<BucketTable> buckets) {
+  IPS_RETURN_IF_ERROR(
+      ValidateLshIndexInputs(data, transform, base_family, params, rng));
   // The transformed dataset is a build-time input only (it exists to
   // hash the data rows into buckets); the restored buckets already
   // carry those hashes, so the O(n dim) re-transform is skipped and
@@ -366,15 +364,8 @@ StatusOr<std::unique_ptr<LshMipsIndex>> LshMipsIndex::CreateFromBuckets(
   auto tables = LshTables::CreateFromBuckets(base_family, data.rows(),
                                              params, rng, std::move(buckets));
   IPS_RETURN_IF_ERROR(tables.status());
-  index->tables_ = std::move(tables).value();
-  // Quantization is deterministic (no rng), so rebuilding it from the
-  // restored data matrix reproduces the original codes exactly.
-  index->quant_ = QuantizedMatrix::Quantize(data);
-  index->name_ =
-      "lsh[" +
-      (transform != nullptr ? transform->Name() + "+" : std::string()) +
-      base_family.Name() + "]";
-  return index;
+  return std::unique_ptr<LshMipsIndex>(new LshMipsIndex(
+      data, transform, base_family, std::move(tables).value()));
 }
 
 StatusOr<std::vector<SearchMatch>> LshMipsIndex::Query(
@@ -386,29 +377,15 @@ StatusOr<std::vector<SearchMatch>> LshMipsIndex::Query(
   QueryStats local;
   local.algorithm = QueryAlgo::kLsh;
   std::vector<SearchMatch> matches;
-  LshQueryInfo info;
   {
     TraceSpan span(t, "lsh");
-    std::vector<double> transformed;
-    std::span<const double> probe = q;
-    if (transform_ != nullptr) {
-      transformed = transform_->TransformQuery(q);
-      probe = transformed;
-    }
-    const std::vector<std::size_t> candidates =
-        tables_->Query(probe, t, &info);
+    const std::vector<std::size_t> candidates = Candidates(q, t, &local);
     matches = options.precision == QueryPrecision::kQuantizedRerank
                   ? QueryFromCandidatesQuantized(*data_, quant_, q, candidates,
                                                  options, &local, t)
                   : QueryFromCandidates(*data_, q, candidates, options, &local,
                                         t);
   }
-  local.metrics.Set("lsh.tables.buckets_probed", info.tables_probed);
-  local.metrics.Set("lsh.tables.buckets_hit", info.buckets_hit);
-  local.metrics.Set("lsh.tables.candidates_raw", info.raw_candidates);
-  local.metrics.Set("lsh.tables.candidates_unique", info.unique_candidates);
-  local.metrics.Set("lsh.tables.duplicates",
-                    info.raw_candidates - info.unique_candidates);
   PublishQuery(std::move(owned), std::move(local), stats);
   return matches;
 }
@@ -439,28 +416,13 @@ StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
     {
       TraceSpan probe(batch_trace.get(), "probe");
       for (std::size_t i = 0; i < m; ++i) {
-        const std::span<const double> q = queries.Row(i);
-        std::vector<double> transformed;
-        std::span<const double> hashed = q;
-        if (transform_ != nullptr) {
-          transformed = transform_->TransformQuery(q);
-          hashed = transformed;
-        }
-        LshQueryInfo info;
-        const std::vector<std::size_t> candidates =
-            tables_->Query(hashed, nullptr, &info);
-        for (std::size_t row : candidates) pairs.emplace_back(row, i);
         QueryStats& stats = results[i].stats;
+        const std::vector<std::size_t> candidates =
+            Candidates(queries.Row(i), nullptr, &stats);
+        for (std::size_t row : candidates) pairs.emplace_back(row, i);
         stats.algorithm = QueryAlgo::kLsh;
         stats.candidates = candidates.size();
         stats.dot_products = candidates.size();
-        stats.metrics.Set("lsh.tables.buckets_probed", info.tables_probed);
-        stats.metrics.Set("lsh.tables.buckets_hit", info.buckets_hit);
-        stats.metrics.Set("lsh.tables.candidates_raw", info.raw_candidates);
-        stats.metrics.Set("lsh.tables.candidates_unique",
-                          info.unique_candidates);
-        stats.metrics.Set("lsh.tables.duplicates",
-                          info.raw_candidates - info.unique_candidates);
       }
       probe.AddCount("batch_queries", m);
     }
@@ -488,12 +450,14 @@ StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
   return results;
 }
 
-std::vector<std::size_t> LshMipsIndex::Candidates(
-    std::span<const double> q) const {
+std::vector<std::size_t> LshMipsIndex::Candidates(std::span<const double> q,
+                                                  Trace* trace,
+                                                  QueryStats* stats) const {
+  MetricSet* metrics = stats != nullptr ? &stats->metrics : nullptr;
   if (transform_ != nullptr) {
-    return tables_->Query(transform_->TransformQuery(q));
+    return tables_->Query(transform_->TransformQuery(q), trace, metrics);
   }
-  return tables_->Query(q);
+  return tables_->Query(q, trace, metrics);
 }
 
 namespace {

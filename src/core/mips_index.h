@@ -28,7 +28,6 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -198,8 +197,7 @@ class LshMipsIndex : public MipsIndex {
   CreateFromBuckets(
       const Matrix& data, const VectorTransform* transform,
       const LshFamily& base_family, LshTableParams params, Rng* rng,
-      std::vector<std::unordered_map<std::uint64_t,
-                                     std::vector<std::uint32_t>>> buckets);
+      std::vector<BucketTable> buckets);
 
   std::string Name() const override { return name_; }
   std::size_t dim() const override { return data_->cols(); }
@@ -217,19 +215,25 @@ class LshMipsIndex : public MipsIndex {
       const Matrix& queries, const QueryOptions& options) const override;
 
   /// Raw candidate set for `q` (data row indices), for callers that
-  /// re-rank themselves (e.g. top-k retrieval, core/top_k.h).
-  std::vector<std::size_t> Candidates(std::span<const double> q) const;
+  /// re-rank themselves (e.g. top-k retrieval, core/top_k.h). `trace`
+  /// and `stats` may be null; when set, they receive the table probe's
+  /// spans and its "lsh.tables.*" metrics.
+  std::vector<std::size_t> Candidates(std::span<const double> q,
+                                      Trace* trace = nullptr,
+                                      QueryStats* stats = nullptr) const;
 
   /// The underlying (K, L) tables (immutable once built), for
   /// snapshotting the buckets.
   const LshTables& tables() const { return *tables_; }
 
  private:
-  LshMipsIndex() = default;  // CreateFromBuckets fills the members.
+  // The one place an index adopts its tables, built or restored.
+  LshMipsIndex(const Matrix& data, const VectorTransform* transform,
+               const LshFamily& base_family,
+               std::unique_ptr<LshTables> tables);
 
   const Matrix* data_ = nullptr;
   const VectorTransform* transform_ = nullptr;
-  Matrix transformed_data_;
   std::unique_ptr<LshTables> tables_;
   QuantizedMatrix quant_;
   std::string name_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
@@ -19,10 +21,11 @@ SymmetricMipsIndex::SymmetricMipsIndex(const Matrix& data, double epsilon,
       transform_(data.cols(), epsilon, /*fingerprint_bits=*/24),
       base_(transform_.output_dim()),
       lsh_(data, &transform_, base_, params, rng) {
+  std::vector<std::uint64_t> fingerprints(data.rows());
   for (std::size_t i = 0; i < data.rows(); ++i) {
-    members_[transform_.Fingerprint(data.Row(i))].push_back(
-        static_cast<std::uint32_t>(i));
+    fingerprints[i] = transform_.Fingerprint(data.Row(i));
   }
+  members_ = BucketTable::Build(fingerprints);
 }
 
 StatusOr<std::unique_ptr<SymmetricMipsIndex>> SymmetricMipsIndex::Create(
@@ -51,15 +54,8 @@ StatusOr<std::unique_ptr<SymmetricMipsIndex>> SymmetricMipsIndex::Create(
 bool SymmetricMipsIndex::LookupExact(std::span<const double> q,
                                      std::size_t* index) const {
   IPS_CHECK(index != nullptr);
-  const auto it = members_.find(transform_.Fingerprint(q));
-  if (it == members_.end()) return false;
-  for (std::uint32_t candidate : it->second) {
-    const std::span<const double> row = data_->Row(candidate);
-    bool equal = row.size() == q.size();
-    for (std::size_t t = 0; equal && t < q.size(); ++t) {
-      equal = row[t] == q[t];
-    }
-    if (equal) {
+  for (std::uint32_t candidate : members_.Find(transform_.Fingerprint(q))) {
+    if (std::ranges::equal(data_->Row(candidate), q)) {
       *index = candidate;
       return true;
     }

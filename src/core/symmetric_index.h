@@ -7,16 +7,15 @@
 // paper prescribes "an initial step that verifies whether a query
 // vector is in the input set and, if this is the case, returns the
 // vector q itself if q^T q >= s". This wrapper adds exactly that exact-
-// membership step in front of a symmetric LshMipsIndex.
+// membership step in front of a symmetric LshMipsIndex: a BucketTable
+// (lsh/bucket_table.h) of row fingerprints, whose ascending rows make
+// the first bitwise-equal row the answer.
 
 #ifndef IPS_CORE_SYMMETRIC_INDEX_H_
 #define IPS_CORE_SYMMETRIC_INDEX_H_
 
-#include <cstdint>
-#include <unordered_map>
-#include <vector>
-
 #include "core/mips_index.h"
+#include "lsh/bucket_table.h"
 #include "lsh/simhash.h"
 #include "lsh/transforms.h"
 
@@ -52,10 +51,6 @@ class SymmetricMipsIndex : public MipsIndex {
   /// True iff `q` equals (bitwise) some data row; sets *index when so.
   bool LookupExact(std::span<const double> q, std::size_t* index) const;
 
-  const SymmetricIncoherentTransform& transform() const {
-    return transform_;
-  }
-
  private:
   const Matrix* data_;
   SymmetricIncoherentTransform transform_;
@@ -63,7 +58,7 @@ class SymmetricMipsIndex : public MipsIndex {
   LshMipsIndex lsh_;
   // Exact membership: fingerprint -> candidate row indices (fingerprint
   // collisions resolved by full comparison).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> members_;
+  BucketTable members_;
 };
 
 }  // namespace ips

@@ -1,12 +1,12 @@
 #include "lsh/bucket_join.h"
 
 #include <cmath>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
 #include "linalg/quantized.h"
+#include "lsh/bucket_table.h"
 #include "lsh/transforms.h"
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -64,18 +64,16 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
       family, hash_queries, /*query_side=*/true, &mapped_queries);
   // Pairs already verified, keyed by query-major 64-bit id.
   std::unordered_set<std::uint64_t> verified;
+  std::vector<std::uint64_t> keys(hashed_data.rows());
   for (std::size_t table = 0; table < params.l; ++table) {
     const ConcatenatedLshFunction function(family.base(), params.k, rng);
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
     for (std::size_t i = 0; i < hashed_data.rows(); ++i) {
-      buckets[function.HashData(hashed_data.Row(i))].push_back(
-          static_cast<std::uint32_t>(i));
+      keys[i] = function.HashData(hashed_data.Row(i));
     }
+    const BucketTable buckets = BucketTable::Build(keys);
     for (std::size_t qi = 0; qi < hashed_queries.rows(); ++qi) {
-      const auto it =
-          buckets.find(function.HashQuery(hashed_queries.Row(qi)));
-      if (it == buckets.end()) continue;
-      for (std::uint32_t di : it->second) {
+      for (std::uint32_t di :
+           buckets.Find(function.HashQuery(hashed_queries.Row(qi)))) {
         ++candidate_pairs;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(qi) << 32) | di;

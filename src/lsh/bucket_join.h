@@ -5,11 +5,13 @@
 // hash both point sets into the same (K, L) tables and enumerate
 // colliding (data, query) pairs bucket by bucket -- the classic
 // similarity-join operator built on LSH (cf. the I/O-efficient joins of
-// [41]). Each candidate pair passes a lossless int8 prefilter (skipped
-// only when its quantized estimate plus the rigorous rounding-error
-// bound cannot reach cs), is then verified with one exact inner
-// product, and for every query the best verified pair above cs is
-// reported. The prefilter never changes the result set — it only
+// [41]). Table by table, the data keys go into one BucketTable
+// (lsh/bucket_table.h) and every query probes it, so a (query, row)
+// pair occurs at most once per table. Each candidate pair passes a
+// lossless int8 prefilter (skipped only when its quantized estimate plus
+// the rigorous rounding-error bound cannot reach cs), is then verified
+// with one exact inner product, and for every query the best verified
+// pair above cs is reported. The prefilter never changes the result set — it only
 // replaces full-precision dots with one-byte-per-entry estimates for
 // pairs that cannot qualify.
 

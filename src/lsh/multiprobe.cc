@@ -13,23 +13,23 @@ namespace ips {
 MultiprobeSimHashTables::MultiprobeSimHashTables(const Matrix& data,
                                                  MultiprobeParams params,
                                                  Rng* rng)
-    : data_(&data), params_(params), last_seen_(data.rows(), 0) {
+    : params_(params) {
   IPS_CHECK(rng != nullptr);
   IPS_CHECK_GE(params.k, 1u);
   IPS_CHECK_LE(params.k, 63u);
   IPS_CHECK_GE(params.l, 1u);
   tables_.resize(params.l);
   std::vector<double> margins;
+  std::vector<std::uint64_t> keys(data.rows());
   for (Table& table : tables_) {
     table.directions = Matrix(params.k, data.cols());
     for (double& entry : table.directions.data()) {
       entry = rng->NextGaussian();
     }
     for (std::size_t i = 0; i < data.rows(); ++i) {
-      const std::uint64_t key =
-          KeyWithMargins(table, data.Row(i), &margins);
-      table.buckets[key].push_back(static_cast<std::uint32_t>(i));
+      keys[i] = KeyWithMargins(table, data.Row(i), &margins);
     }
+    table.buckets = BucketTable::Build(keys);
   }
 }
 
@@ -56,7 +56,6 @@ std::vector<std::size_t> MultiprobeSimHashTables::Query(
   static Counter* const candidates_out =
       MetricsRegistry::Global().GetCounter("lsh.multiprobe.candidates");
   std::size_t probed = 0;
-  ++query_epoch_;
   std::vector<std::size_t> candidates;
   std::vector<double> margins;
   std::vector<std::size_t> order(params_.k);
@@ -84,17 +83,13 @@ std::vector<std::size_t> MultiprobeSimHashTables::Query(
     }
     probed += probe_keys.size();
     for (const std::uint64_t probe : probe_keys) {
-      const auto it = table.buckets.find(probe);
-      if (it == table.buckets.end()) continue;
-      for (std::uint32_t index : it->second) {
-        if (last_seen_[index] != query_epoch_) {
-          last_seen_[index] = query_epoch_;
-          candidates.push_back(index);
-        }
-      }
+      const std::span<const std::uint32_t> bucket = table.buckets.Find(probe);
+      candidates.insert(candidates.end(), bucket.begin(), bucket.end());
     }
   }
   std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
   queries->Increment();
   buckets_probed->Add(probed);
   candidates_out->Add(candidates.size());

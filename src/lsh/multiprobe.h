@@ -7,17 +7,19 @@
 // sequence of length T recovers much of the recall that plain (K, L)
 // tables buy with extra tables, at a fraction of the memory -- the
 // classic multiprobe trade-off (Lv et al.), applied to the IPS setting
-// through any of the library's data/query transforms.
+// through any of the library's data/query transforms. Each table keeps
+// its rows in a BucketTable (lsh/bucket_table.h), and a query holds no
+// shared scratch, so a built index serves concurrent queries.
 
 #ifndef IPS_LSH_MULTIPROBE_H_
 #define IPS_LSH_MULTIPROBE_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "linalg/matrix.h"
+#include "lsh/bucket_table.h"
 #include "rng/random.h"
 
 namespace ips {
@@ -36,7 +38,7 @@ struct MultiprobeParams {
 class MultiprobeSimHashTables {
  public:
   /// Builds over `data` (rows are points, hashed directly -- apply any
-  /// ALSH transform beforehand). `data` must outlive the index.
+  /// ALSH transform beforehand). `data` is only read here.
   MultiprobeSimHashTables(const Matrix& data, MultiprobeParams params,
                           Rng* rng);
 
@@ -44,23 +46,18 @@ class MultiprobeSimHashTables {
   /// buckets per table (deduplicated, ascending).
   std::vector<std::size_t> Query(std::span<const double> q) const;
 
-  const MultiprobeParams& params() const { return params_; }
-
  private:
   struct Table {
     Matrix directions;  // k x dim Gaussian rows
-    std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets;
+    BucketTable buckets;
   };
 
   /// Key and per-bit margins of `q` under `table`.
   std::uint64_t KeyWithMargins(const Table& table, std::span<const double> q,
                                std::vector<double>* margins) const;
 
-  const Matrix* data_;
   MultiprobeParams params_;
   std::vector<Table> tables_;
-  mutable std::vector<std::uint32_t> last_seen_;
-  mutable std::uint32_t query_epoch_ = 0;
 };
 
 }  // namespace ips

@@ -37,19 +37,21 @@ LshTables::LshTables(const LshFamily& family, const Matrix& data,
   IPS_CHECK_GE(params.l, 1u);
   IPS_CHECK_EQ(family.dim(), data.cols());
   tables_.resize(params_.l);
+  std::vector<std::uint64_t> keys(data.rows());
   for (auto& table : tables_) {
     table.function =
         std::make_unique<ConcatenatedLshFunction>(family, params_.k, rng);
     for (std::size_t i = 0; i < data.rows(); ++i) {
-      const std::uint64_t key = table.function->HashData(data.Row(i));
-      table.buckets[key].push_back(static_cast<std::uint32_t>(i));
+      keys[i] = table.function->HashData(data.Row(i));
     }
+    table.buckets = BucketTable::Build(keys);
   }
 }
 
-StatusOr<std::unique_ptr<LshTables>> LshTables::Create(
-    const LshFamily& family, const Matrix& data, LshTableParams params,
-    Rng* rng) {
+namespace {
+
+// Shared head of Create and CreateFromBuckets.
+Status ValidateBuild(const LshTableParams& params, const Rng* rng) {
   IPS_FAILPOINT("lsh/tables-build");
   if (rng == nullptr) {
     return Status::InvalidArgument("LshTables requires a non-null rng");
@@ -59,6 +61,15 @@ StatusOr<std::unique_ptr<LshTables>> LshTables::Create(
         "LshTables needs k >= 1 and l >= 1, got k=" +
         std::to_string(params.k) + ", l=" + std::to_string(params.l));
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<LshTables>> LshTables::Create(
+    const LshFamily& family, const Matrix& data, LshTableParams params,
+    Rng* rng) {
+  IPS_RETURN_IF_ERROR(ValidateBuild(params, rng));
   IPS_RETURN_IF_ERROR(ValidateNonEmpty(data, "lsh data"));
   IPS_RETURN_IF_ERROR(ValidateFinite(data, "lsh data"));
   IPS_RETURN_IF_ERROR(ValidateDims(data, family.dim(), "lsh data"));
@@ -67,18 +78,8 @@ StatusOr<std::unique_ptr<LshTables>> LshTables::Create(
 
 StatusOr<std::unique_ptr<LshTables>> LshTables::CreateFromBuckets(
     const LshFamily& family, std::size_t num_rows, LshTableParams params,
-    Rng* rng,
-    std::vector<std::unordered_map<std::uint64_t,
-                                   std::vector<std::uint32_t>>> buckets) {
-  IPS_FAILPOINT("lsh/tables-build");
-  if (rng == nullptr) {
-    return Status::InvalidArgument("LshTables requires a non-null rng");
-  }
-  if (params.k < 1 || params.l < 1) {
-    return Status::InvalidArgument(
-        "LshTables needs k >= 1 and l >= 1, got k=" +
-        std::to_string(params.k) + ", l=" + std::to_string(params.l));
-  }
+    Rng* rng, std::vector<BucketTable> buckets) {
+  IPS_RETURN_IF_ERROR(ValidateBuild(params, rng));
   if (num_rows == 0) {
     return Status::InvalidArgument("lsh artifact restore with zero rows");
   }
@@ -88,17 +89,14 @@ StatusOr<std::unique_ptr<LshTables>> LshTables::CreateFromBuckets(
                             " tables but params say l=" +
                             std::to_string(params.l));
   }
-  for (const auto& table : buckets) {
-    for (const auto& [key, bucket] : table) {
-      (void)key;
-      for (std::uint32_t i : bucket) {
-        if (i >= num_rows) {
-          return Status::DataLoss(
-              "lsh artifact bucket entry " + std::to_string(i) +
-              " is outside the dataset of " + std::to_string(num_rows) +
-              " rows");
-        }
-      }
+  // Every row of a BucketTable lies below its own row count, so a
+  // matching count bounds every entry.
+  for (const BucketTable& table : buckets) {
+    if (table.rows().size() != num_rows) {
+      return Status::DataLoss("lsh artifact table holds " +
+                              std::to_string(table.rows().size()) +
+                              " rows but the dataset has " +
+                              std::to_string(num_rows));
     }
   }
   std::unique_ptr<LshTables> tables(new LshTables());
@@ -117,19 +115,18 @@ StatusOr<std::unique_ptr<LshTables>> LshTables::CreateFromBuckets(
 
 std::vector<std::size_t> LshTables::Query(std::span<const double> q,
                                           Trace* trace,
-                                          LshQueryInfo* info) const {
+                                          MetricSet* metrics) const {
   // Registry handles resolved once per process; the per-query cost is a
   // handful of relaxed per-thread increments, not map lookups.
   static Counter* const queries =
       MetricsRegistry::Global().GetCounter("lsh.tables.queries");
   static Counter* const buckets_probed =
       MetricsRegistry::Global().GetCounter("lsh.tables.buckets_probed");
-  static Counter* const raw =
+  static Counter* const raw_counter =
       MetricsRegistry::Global().GetCounter("lsh.tables.candidates_raw");
-  static Counter* const unique =
+  static Counter* const unique_counter =
       MetricsRegistry::Global().GetCounter("lsh.tables.candidates_unique");
 
-  LshQueryInfo local;
   std::vector<std::uint64_t> keys(tables_.size());
   {
     TraceSpan span(trace, "hash");
@@ -139,59 +136,41 @@ std::vector<std::size_t> LshTables::Query(std::span<const double> q,
     span.AddCount("tables", tables_.size());
   }
   std::vector<std::size_t> candidates;
+  std::size_t buckets_hit = 0;
   {
     TraceSpan span(trace, "bucket");
     for (std::size_t t = 0; t < tables_.size(); ++t) {
-      const auto it = tables_[t].buckets.find(keys[t]);
-      if (it == tables_[t].buckets.end()) continue;
-      ++local.buckets_hit;
-      candidates.insert(candidates.end(), it->second.begin(),
-                        it->second.end());
+      const std::span<const std::uint32_t> bucket =
+          tables_[t].buckets.Find(keys[t]);
+      if (bucket.empty()) continue;
+      ++buckets_hit;
+      candidates.insert(candidates.end(), bucket.begin(), bucket.end());
     }
-    span.AddCount("buckets_hit", local.buckets_hit);
+    span.AddCount("buckets_hit", buckets_hit);
     span.AddCount("raw_candidates", candidates.size());
   }
-  local.tables_probed = tables_.size();
-  local.raw_candidates = candidates.size();
+  const std::size_t raw = candidates.size();
   {
     TraceSpan span(trace, "dedup");
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
                      candidates.end());
     span.AddCount("unique_candidates", candidates.size());
-    span.AddCount("duplicates", local.raw_candidates - candidates.size());
+    span.AddCount("duplicates", raw - candidates.size());
   }
-  local.unique_candidates = candidates.size();
 
   queries->Increment();
-  buckets_probed->Add(local.tables_probed);
-  raw->Add(local.raw_candidates);
-  unique->Add(local.unique_candidates);
-  if (info != nullptr) *info = local;
-  return candidates;
-}
-
-std::size_t LshTables::CountCandidates(std::span<const double> q) const {
-  return Query(q).size();
-}
-
-double LshTables::MeanBucketSize() const {
-  MutexLock lock(stats_mutex_);
-  if (mean_bucket_size_ >= 0.0) return mean_bucket_size_;
-  std::size_t total_entries = 0;
-  std::size_t total_buckets = 0;
-  for (const auto& table : tables_) {
-    total_buckets += table.buckets.size();
-    for (const auto& [key, bucket] : table.buckets) {
-      (void)key;
-      total_entries += bucket.size();
-    }
+  buckets_probed->Add(tables_.size());
+  raw_counter->Add(raw);
+  unique_counter->Add(candidates.size());
+  if (metrics != nullptr) {
+    metrics->Set("lsh.tables.buckets_probed", tables_.size());
+    metrics->Set("lsh.tables.buckets_hit", buckets_hit);
+    metrics->Set("lsh.tables.candidates_raw", raw);
+    metrics->Set("lsh.tables.candidates_unique", candidates.size());
+    metrics->Set("lsh.tables.duplicates", raw - candidates.size());
   }
-  mean_bucket_size_ = total_buckets == 0
-                          ? 0.0
-                          : static_cast<double>(total_entries) /
-                                static_cast<double>(total_buckets);
-  return mean_bucket_size_;
+  return candidates;
 }
 
 }  // namespace ips

@@ -16,10 +16,10 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "lsh/bucket_table.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
 #include "storage/file.h"
@@ -65,9 +65,10 @@ Status ExpectAtEnd(const storage::PayloadReader& r, const char* section) {
 // ---------------------------------------------------------------------
 // Section payloads (bump the per-section version on any layout change).
 // META (the settable engine options) and CALB (the warmup measurements)
-// are at version 5, every other section at 1. This build reads only the
-// versions it writes: a load rejects any other section version with
-// kDataLoss naming the section, before decoding it.
+// are at version 5, LSHT (CSR bucket arrays) at 2, and every other
+// section at 1. This build reads only the versions it writes: a load
+// rejects any other section version with kDataLoss naming the section,
+// before decoding it.
 // ---------------------------------------------------------------------
 
 struct SectionVersion {
@@ -81,7 +82,7 @@ constexpr SectionVersion kSectionVersions[] = {
     {storage::kSectionProfile, 1},
     {storage::kSectionCalibration, 5},
     {storage::kSectionTree, 1},
-    {storage::kSectionLshTables, 1},
+    {storage::kSectionLshTables, 2},
     {storage::kSectionSketch, 1},
 };
 
@@ -203,7 +204,7 @@ std::vector<unsigned char> EncodeTree(const MipsBallTree& tree,
     w.PutI32(node.left);
     w.PutI32(node.right);
     w.PutDouble(node.radius);
-    w.PutDoubles(node.center);
+    w.PutArray(node.center);
   }
   w.PutU64(tree.point_order().size());
   for (std::size_t p : tree.point_order()) w.PutU64(p);
@@ -223,18 +224,11 @@ StatusOr<MipsBallTree> DecodeTree(std::span<const unsigned char> bytes,
   }
   std::int32_t root = 0;
   IPS_RETURN_IF_ERROR(r.GetI32(&root));
+  // Per-node payload is 32 bytes + the center doubles, so a huge node
+  // count in a damaged-but-CRC-valid payload fails the count read
+  // before any large allocation.
   std::uint64_t num_nodes = 0;
-  IPS_RETURN_IF_ERROR(r.GetU64(&num_nodes));
-  // Per-node payload is >= 32 bytes + the center doubles, so a huge
-  // node count in a damaged-but-CRC-valid payload fails the bounds
-  // check below before any large allocation.
-  const std::uint64_t node_bytes = 8 + 8 + 4 + 4 + 8 + cols * 8;
-  if (num_nodes * node_bytes > r.remaining()) {
-    return Status::DataLoss("TREE section claims " +
-                            std::to_string(num_nodes) +
-                            " nodes but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
+  IPS_RETURN_IF_ERROR(r.GetCount(8 + 8 + 4 + 4 + 8 + cols * 8, &num_nodes));
   std::vector<MipsBallTree::Node> nodes(
       static_cast<std::size_t>(num_nodes));
   for (MipsBallTree::Node& node : nodes) {
@@ -248,16 +242,10 @@ StatusOr<MipsBallTree> DecodeTree(std::span<const unsigned char> bytes,
     node.right = right;
     IPS_RETURN_IF_ERROR(r.GetDouble(&node.radius));
     node.center.resize(static_cast<std::size_t>(cols));
-    IPS_RETURN_IF_ERROR(r.GetDoubles(node.center));
+    IPS_RETURN_IF_ERROR(r.GetArray(node.center));
   }
   std::uint64_t order_size = 0;
-  IPS_RETURN_IF_ERROR(r.GetU64(&order_size));
-  if (order_size * 8 > r.remaining()) {
-    return Status::DataLoss("TREE section claims " +
-                            std::to_string(order_size) +
-                            " point-order entries but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
+  IPS_RETURN_IF_ERROR(r.GetCount(8, &order_size));
   std::vector<std::size_t> point_order(
       static_cast<std::size_t>(order_size));
   for (std::size_t& p : point_order) IPS_RETURN_IF_ERROR(GetSize(&r, &p));
@@ -266,6 +254,9 @@ StatusOr<MipsBallTree> DecodeTree(std::span<const unsigned char> bytes,
                                std::move(point_order), root);
 }
 
+// Each table is its BucketTable's arrays as they are: the bucket count
+// B, the B keys, the B + 1 offsets and the rows. The row count is the
+// dataset's, so the file does not repeat it.
 std::vector<unsigned char> EncodeLshTables(const Rng::State& prebuild_state,
                                            const LshTables& tables) {
   storage::PayloadWriter w;
@@ -273,21 +264,11 @@ std::vector<unsigned char> EncodeLshTables(const Rng::State& prebuild_state,
   w.PutU64(tables.params().k);
   w.PutU64(tables.params().l);
   for (std::size_t t = 0; t < tables.num_tables(); ++t) {
-    const auto& buckets = tables.table_buckets(t);
-    // Buckets go out in ascending key order, not hash-map iteration
-    // order, so re-saving a loaded engine reproduces the file byte for
-    // byte. The decoder accepts any order.
-    std::vector<std::pair<std::uint64_t, const std::vector<std::uint32_t>*>>
-        sorted;
-    sorted.reserve(buckets.size());
-    for (const auto& [key, bucket] : buckets) sorted.emplace_back(key, &bucket);
-    std::sort(sorted.begin(), sorted.end());
-    w.PutU64(sorted.size());
-    for (const auto& [key, bucket] : sorted) {
-      w.PutU64(key);
-      w.PutU64(bucket->size());
-      for (std::uint32_t i : *bucket) w.PutU32(i);
-    }
+    const BucketTable& buckets = tables.buckets(t);
+    w.PutU64(buckets.keys().size());
+    w.PutArray(buckets.keys());
+    w.PutArray(buckets.offsets());
+    w.PutArray(buckets.rows());
   }
   return std::vector<unsigned char>(w.bytes().begin(), w.bytes().end());
 }
@@ -295,49 +276,38 @@ std::vector<unsigned char> EncodeLshTables(const Rng::State& prebuild_state,
 struct DecodedLshTables {
   Rng::State prebuild_state;
   LshTableParams params;
-  std::vector<std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>>
-      buckets;
+  std::vector<BucketTable> buckets;
 };
 
 StatusOr<DecodedLshTables> DecodeLshTables(
-    std::span<const unsigned char> bytes) {
+    std::span<const unsigned char> bytes, std::size_t num_rows) {
   storage::PayloadReader r(bytes, "LSHT");
   DecodedLshTables decoded;
   IPS_RETURN_IF_ERROR(GetRngState(&r, &decoded.prebuild_state));
   IPS_RETURN_IF_ERROR(GetSize(&r, &decoded.params.k));
-  IPS_RETURN_IF_ERROR(GetSize(&r, &decoded.params.l));
-  const std::size_t l = decoded.params.l;
-  if (l > r.remaining() / 8 + 1) {
-    return Status::DataLoss("LSHT section claims " + std::to_string(l) +
-                            " tables but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
-  decoded.buckets.resize(l);
-  for (auto& table : decoded.buckets) {
+  // A table takes at least its bucket count, its first offset and its
+  // n rows.
+  std::uint64_t l = 0;
+  IPS_RETURN_IF_ERROR(r.GetCount(8 + 4 + 4 * num_rows, &l));
+  decoded.params.l = static_cast<std::size_t>(l);
+  decoded.buckets.reserve(decoded.params.l);
+  for (std::size_t t = 0; t < decoded.params.l; ++t) {
+    // A bucket takes a key and an offset.
     std::uint64_t num_buckets = 0;
-    IPS_RETURN_IF_ERROR(r.GetU64(&num_buckets));
-    if (num_buckets * 16 > r.remaining()) {
-      return Status::DataLoss("LSHT section claims " +
-                              std::to_string(num_buckets) +
-                              " buckets but holds only " +
-                              std::to_string(r.remaining()) + " bytes");
+    IPS_RETURN_IF_ERROR(r.GetCount(8 + 4, &num_buckets));
+    std::vector<std::uint64_t> keys(static_cast<std::size_t>(num_buckets));
+    std::vector<std::uint32_t> offsets(keys.size() + 1);
+    std::vector<std::uint32_t> rows(num_rows);
+    IPS_RETURN_IF_ERROR(r.GetArray(keys));
+    IPS_RETURN_IF_ERROR(r.GetArray(offsets));
+    IPS_RETURN_IF_ERROR(r.GetArray(rows));
+    auto table = BucketTable::FromArrays(std::move(keys), std::move(offsets),
+                                         std::move(rows), num_rows);
+    if (!table.ok()) {
+      return Status::DataLoss("LSHT table " + std::to_string(t) + ": " +
+                              table.status().message());
     }
-    table.reserve(static_cast<std::size_t>(num_buckets));
-    for (std::uint64_t b = 0; b < num_buckets; ++b) {
-      std::uint64_t key = 0;
-      std::uint64_t count = 0;
-      IPS_RETURN_IF_ERROR(r.GetU64(&key));
-      IPS_RETURN_IF_ERROR(r.GetU64(&count));
-      if (count * 4 > r.remaining()) {
-        return Status::DataLoss("LSHT bucket claims " +
-                                std::to_string(count) +
-                                " entries but the section holds only " +
-                                std::to_string(r.remaining()) + " bytes");
-      }
-      std::vector<std::uint32_t>& bucket = table[key];
-      bucket.resize(static_cast<std::size_t>(count));
-      IPS_RETURN_IF_ERROR(r.GetU32s(bucket));
-    }
+    decoded.buckets.push_back(std::move(table).value());
   }
   IPS_RETURN_IF_ERROR(ExpectAtEnd(r, "LSHT"));
   return decoded;
@@ -554,7 +524,7 @@ StatusOr<std::unique_ptr<Engine>> Engine::CreateFromSnapshot(
     }
     auto bytes = read_section(storage::kSectionLshTables);
     IPS_RETURN_IF_ERROR(bytes.status());
-    auto decoded = DecodeLshTables(*bytes);
+    auto decoded = DecodeLshTables(*bytes, engine->data_.rows());
     IPS_RETURN_IF_ERROR(decoded.status());
     IndexSlot& slot = slots[static_cast<std::size_t>(QueryAlgo::kLsh)];
     slot.prebuild = decoded->prebuild_state;

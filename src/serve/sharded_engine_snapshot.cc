@@ -37,18 +37,12 @@ struct Manifest {
 Status DecodeManifest(std::span<const unsigned char> bytes,
                       Manifest* manifest) {
   storage::PayloadReader r(bytes, "META");
-  IPS_RETURN_IF_ERROR(r.GetU64(&manifest->num_shards));
+  // The dim word sits between the count and its offsets, so this bound
+  // is one shard loose; the offsets read still checks every byte.
+  IPS_RETURN_IF_ERROR(r.GetCount(8, &manifest->num_shards));
   IPS_RETURN_IF_ERROR(r.GetU64(&manifest->dim));
-  if (manifest->num_shards * 8 > r.remaining()) {
-    return Status::DataLoss("sharded manifest claims " +
-                            std::to_string(manifest->num_shards) +
-                            " shards but holds only " +
-                            std::to_string(r.remaining()) + " bytes");
-  }
   manifest->offsets.resize(static_cast<std::size_t>(manifest->num_shards));
-  for (std::uint64_t& offset : manifest->offsets) {
-    IPS_RETURN_IF_ERROR(r.GetU64(&offset));
-  }
+  IPS_RETURN_IF_ERROR(r.GetArray(manifest->offsets));
   if (!r.AtEnd()) {
     return Status::DataLoss("sharded manifest has " +
                             std::to_string(r.remaining()) +

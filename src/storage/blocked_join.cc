@@ -17,9 +17,9 @@ namespace {
 // Working-set multiple of one resident block: the data block, the query
 // block, their two hash-space copies when the family composes a
 // transform (about one block each: the maps the library ships add a few
-// columns at most), and the per-pair hash tables (bucket maps hold ~4
-// bytes per (row, table) entry plus map overhead, bounded by about a
-// block for the l values the library uses).
+// columns at most), and the per-pair hash table (one BucketTable at a
+// time: 4 bytes per row plus its keys and offsets; its build scratch
+// peaks near 60 bytes per row when every key is distinct).
 constexpr std::size_t kWorkingSetBlocks = 6;
 
 std::size_t ResolveBlockRows(const BlockedJoinOptions& options,

@@ -115,5 +115,17 @@ Status PayloadReader::GetBytes(void* out, std::size_t n) {
   return Status::Ok();
 }
 
+Status PayloadReader::GetCount(std::size_t unit_bytes, std::uint64_t* n) {
+  IPS_RETURN_IF_ERROR(GetU64(n));
+  if (*n > remaining() / unit_bytes) {
+    return Status::DataLoss("section " + section_ + " claims " +
+                            std::to_string(*n) + " entries of " +
+                            std::to_string(unit_bytes) +
+                            " bytes but holds only " +
+                            std::to_string(remaining()) + " more bytes");
+  }
+  return Status::Ok();
+}
+
 }  // namespace storage
 }  // namespace ips

@@ -112,20 +112,21 @@ Status ValidateHeader(const FileHeader& header, const std::string& path);
 
 // ---------------------------------------------------------------------
 // Little-endian payload (de)serialization. Small structured sections
-// (META, PROF, CALB, TREE, LSHT headers) are built through these; the
+// (META, PROF, CALB, TREE, LSHT) are built through these; the
 // bulk DSET doubles are written raw.
 // ---------------------------------------------------------------------
 
 /// Append-only little-endian byte sink.
 class PayloadWriter {
  public:
-  void PutU32(std::uint32_t v) { PutBytes(&v, sizeof(v)); }
   void PutU64(std::uint64_t v) { PutBytes(&v, sizeof(v)); }
   void PutI32(std::int32_t v) { PutBytes(&v, sizeof(v)); }
-  void PutI64(std::int64_t v) { PutBytes(&v, sizeof(v)); }
   void PutDouble(double v) { PutBytes(&v, sizeof(v)); }
-  void PutDoubles(std::span<const double> v) {
-    PutBytes(v.data(), v.size() * sizeof(double));
+  /// Bulk write of a contiguous array of numbers (doubles, bucket keys,
+  /// offsets and rows), as one copy.
+  template <typename Array>
+  void PutArray(const Array& v) {
+    PutBytes(std::data(v), std::size(v) * sizeof(*std::data(v)));
   }
 
   std::span<const unsigned char> bytes() const { return buffer_; }
@@ -151,19 +152,22 @@ class PayloadReader {
   PayloadReader(std::span<const unsigned char> bytes, std::string section)
       : bytes_(bytes), section_(std::move(section)) {}
 
-  Status GetU32(std::uint32_t* v) { return GetBytes(v, sizeof(*v)); }
   Status GetU64(std::uint64_t* v) { return GetBytes(v, sizeof(*v)); }
   Status GetI32(std::int32_t* v) { return GetBytes(v, sizeof(*v)); }
-  Status GetI64(std::int64_t* v) { return GetBytes(v, sizeof(*v)); }
   Status GetDouble(double* v) { return GetBytes(v, sizeof(*v)); }
-  Status GetDoubles(std::span<double> v) {
-    return GetBytes(v.data(), v.size() * sizeof(double));
+  /// Bulk read filling a contiguous array of numbers (one bounds check
+  /// for the whole run — bucket arrays are read this way, not one entry
+  /// at a time).
+  template <typename Array>
+  Status GetArray(Array& v) {
+    return GetBytes(std::data(v), std::size(v) * sizeof(*std::data(v)));
   }
-  /// Bulk little-endian u32 read (one bounds check for the whole run —
-  /// bucket arrays are read this way, not one entry at a time).
-  Status GetU32s(std::span<std::uint32_t> v) {
-    return GetBytes(v.data(), v.size() * sizeof(std::uint32_t));
-  }
+  /// Reads a u64 element count whose elements take at least
+  /// `unit_bytes` each further on in the payload. A count the remaining
+  /// bytes cannot hold is kDataLoss naming the section, before the
+  /// caller sizes anything by it (the check divides, so no count
+  /// wraps it).
+  Status GetCount(std::size_t unit_bytes, std::uint64_t* n);
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
   bool AtEnd() const { return pos_ == bytes_.size(); }

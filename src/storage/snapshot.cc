@@ -1,6 +1,7 @@
 #include "storage/snapshot.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <utility>
 
@@ -237,8 +238,9 @@ Status CheckMatrixGeometry(std::uint64_t section_size, std::uint64_t cols,
     *rows = 0;
     return Status::Ok();
   }
+  // A column count whose row size wraps 64 bits would make row_bytes 0.
   const std::uint64_t row_bytes = cols * sizeof(double);
-  if (payload % row_bytes != 0) {
+  if (cols > UINT64_MAX / sizeof(double) || payload % row_bytes != 0) {
     return Status::DataLoss(
         path + ": matrix section payload of " + std::to_string(payload) +
         " bytes is not a whole number of " + std::to_string(cols) +

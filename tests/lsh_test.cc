@@ -1,16 +1,20 @@
 // Tests for src/lsh: collision probabilities of the base families
 // against their closed forms, inner-product preservation of the (A)LSH
-// transforms, amplification, the (K, L) table engine, and the rho
-// formulas behind Figure 2.
+// transforms, amplification, the (K, L) table engine and its CSR bucket
+// layout, and the rho formulas behind Figure 2.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <numbers>
+#include <vector>
 
 #include "core/dataset.h"
 #include "linalg/kernels.h"
 #include "lsh/bucket_join.h"
+#include "lsh/bucket_table.h"
 #include "lsh/cross_polytope.h"
 #include "lsh/bit_sample.h"
 #include "lsh/e2lsh.h"
@@ -393,6 +397,83 @@ TEST(LshTablesTest, CandidatesAreSortedAndUnique) {
   // family, identical hash inputs).
   EXPECT_NE(std::find(candidates.begin(), candidates.end(), 7u),
             candidates.end());
+}
+
+TEST(BucketTableTest, BuildGroupsDuplicateKeysIntoAscendingRows) {
+  // Keys arrive unsorted, with repeats far apart and a key of 0.
+  const std::vector<std::uint64_t> keys = {9, 3, 9, 0, 3, 9, ~0ULL, 3};
+  const BucketTable table = BucketTable::Build(keys);
+  EXPECT_EQ(std::vector<std::uint64_t>(table.keys().begin(),
+                                       table.keys().end()),
+            (std::vector<std::uint64_t>{0, 3, 9, ~0ULL}));
+  EXPECT_EQ(std::vector<std::uint32_t>(table.offsets().begin(),
+                                       table.offsets().end()),
+            (std::vector<std::uint32_t>{0, 1, 4, 7, 8}));
+  auto rows = [&](std::uint64_t key) {
+    const auto found = table.Find(key);
+    return std::vector<std::uint32_t>(found.begin(), found.end());
+  };
+  EXPECT_EQ(rows(0), (std::vector<std::uint32_t>{3}));
+  EXPECT_EQ(rows(3), (std::vector<std::uint32_t>{1, 4, 7}));
+  EXPECT_EQ(rows(9), (std::vector<std::uint32_t>{0, 2, 5}));
+  EXPECT_EQ(rows(~0ULL), (std::vector<std::uint32_t>{6}));
+  // Misses below, between and above the stored keys are empty.
+  for (std::uint64_t miss : {1ULL, 4ULL, 10ULL, ~0ULL - 1}) {
+    EXPECT_TRUE(table.Find(miss).empty()) << miss;
+  }
+  EXPECT_TRUE(BucketTable().Find(0).empty());
+  EXPECT_TRUE(BucketTable::Build({}).Find(0).empty());
+}
+
+TEST(BucketTableTest, BuildMatchesAHashMapOnManyKeys) {
+  // Few distinct keys over many rows, as K = 8 SimHash produces them.
+  Rng rng(91);
+  std::vector<std::uint64_t> keys(5000);
+  for (auto& key : keys) key = rng.NextBounded(97) * 0x100000001ULL;
+  const BucketTable table = BucketTable::Build(keys);
+  std::map<std::uint64_t, std::vector<std::uint32_t>> expected;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    expected[keys[i]].push_back(static_cast<std::uint32_t>(i));
+  }
+  ASSERT_EQ(table.keys().size(), expected.size());
+  for (const auto& [key, rows] : expected) {
+    const auto found = table.Find(key);
+    EXPECT_EQ(std::vector<std::uint32_t>(found.begin(), found.end()), rows);
+  }
+}
+
+TEST(BucketTableTest, FromArraysRejectsEveryBrokenInvariant) {
+  // Two buckets over four rows: key 5 -> {0, 2}, key 8 -> {1, 3}.
+  struct Case {
+    const char* what;
+    std::vector<std::uint64_t> keys;
+    std::vector<std::uint32_t> offsets;
+    std::vector<std::uint32_t> rows;
+    std::size_t num_rows;
+  };
+  const Case good = {"valid", {5, 8}, {0, 2, 4}, {0, 2, 1, 3}, 4};
+  auto accepted = BucketTable::FromArrays(good.keys, good.offsets, good.rows,
+                                          good.num_rows);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_EQ(accepted->Find(8)[1], 3u);
+  const Case broken[] = {
+      {"keys swapped", {8, 5}, {0, 2, 4}, {0, 2, 1, 3}, 4},
+      {"keys repeated", {5, 5}, {0, 2, 4}, {0, 2, 1, 3}, 4},
+      {"first offset not 0", {5, 8}, {1, 2, 4}, {0, 2, 1, 3}, 4},
+      {"empty bucket", {5, 8}, {0, 4, 4}, {0, 1, 2, 3}, 4},
+      {"offsets decrease", {5, 8}, {0, 3, 2}, {0, 2, 1, 3}, 4},
+      {"offsets end short of n", {5, 8}, {0, 2, 3}, {0, 2, 1, 3}, 4},
+      {"rows longer than n", {5, 8}, {0, 2, 4}, {0, 2, 1, 3}, 3},
+      {"one offset too few", {5, 8}, {0, 4}, {0, 2, 1, 3}, 4},
+      {"row >= n", {5, 8}, {0, 2, 4}, {0, 2, 1, 4}, 4},
+      {"rows descend in a bucket", {5, 8}, {0, 2, 4}, {2, 0, 1, 3}, 4},
+  };
+  for (const Case& c : broken) {
+    const auto table =
+        BucketTable::FromArrays(c.keys, c.offsets, c.rows, c.num_rows);
+    ASSERT_FALSE(table.ok()) << c.what;
+    EXPECT_EQ(table.status().code(), StatusCode::kDataLoss) << c.what;
+  }
 }
 
 TEST(LshTableParamsTest, FromGapIsReasonable) {

@@ -382,7 +382,7 @@ TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
   ASSERT_TRUE(engine->SaveSnapshot(dir).ok());
   const std::map<std::string, std::uint32_t> expected_crcs = {
       {"META", 0x249DF856u}, {"DSET", 0x120DDA2Cu}, {"PROF", 0x8BF5D5C6u},
-      {"CALB", 0x7B2794DEu}, {"TREE", 0x945AAB79u}, {"LSHT", 0x14411C2Eu},
+      {"CALB", 0x7B2794DEu}, {"TREE", 0x945AAB79u}, {"LSHT", 0x3E55579Fu},
       {"SKCH", 0x7D4A1DD7u}};
   EXPECT_EQ(SectionCrcs(dir), expected_crcs);
 
@@ -549,12 +549,14 @@ TEST_F(StorageTest, EngineSnapshotCorruptTreeSectionIsDataLoss) {
       << warm.status().ToString();
 }
 
-// Rewrites the engine snapshot in `dir` through SnapshotWriter, passing
-// every section's version and payload through `edit(id, &version,
-// &bytes)` first. Every CRC stays valid, so a load sees only the edit.
+// Rewrites the snapshot file `file` in `dir` (the engine's by default)
+// through SnapshotWriter, passing every section's version and payload
+// through `edit(id, &version, &bytes)` first. Every CRC stays valid, so
+// a load sees only the edit.
 template <typename Edit>
-void RewriteSections(const std::string& dir, Edit edit) {
-  const std::string path = dir + "/snapshot.ips";
+void RewriteSections(const std::string& dir, Edit edit,
+                     const std::string& file = "snapshot.ips") {
+  const std::string path = dir + "/" + file;
   std::vector<std::tuple<std::uint32_t, std::uint32_t,
                          std::vector<unsigned char>>>
       sections;
@@ -592,10 +594,13 @@ TEST_F(StorageTest, EngineSnapshotSectionVersionMismatchIsDataLoss) {
   // writes is rejected before it is decoded, naming the section and
   // both versions. META and CALB at version 4 are the layouts that
   // still carried the recall margin (and, in META, the tree leaf size
-  // and the feedback switch, decay and min-observations).
+  // and the feedback switch, decay and min-observations). LSHT at
+  // version 1 is the (key, count, rows) run layout before the CSR
+  // arrays.
   auto cold = Engine::Create(RandomMatrix(64, 8, 15), SmallEngineOptions());
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
   ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kBallTree).ok());
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kLsh).ok());
   struct Skew {
     std::uint32_t id;
     std::uint32_t stored;
@@ -604,7 +609,8 @@ TEST_F(StorageTest, EngineSnapshotSectionVersionMismatchIsDataLoss) {
   };
   for (const Skew skew : {Skew{storage::kSectionMeta, 4, "META", "5"},
                           Skew{storage::kSectionCalibration, 4, "CALB", "5"},
-                          Skew{storage::kSectionTree, 2, "TREE", "1"}}) {
+                          Skew{storage::kSectionTree, 2, "TREE", "1"},
+                          Skew{storage::kSectionLshTables, 1, "LSHT", "2"}}) {
     const std::string dir = TempPath(std::string("engine_skew_") + skew.name);
     ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
     ASSERT_NO_FATAL_FAILURE(RewriteSections(
@@ -628,6 +634,165 @@ TEST_F(StorageTest, EngineSnapshotSectionVersionMismatchIsDataLoss) {
                 std::string::npos)
           << message;
     }
+  }
+}
+
+std::uint64_t U64At(const std::vector<unsigned char>& bytes,
+                    std::size_t offset) {
+  std::uint64_t value = 0;
+  EXPECT_LE(offset + sizeof(value), bytes.size());
+  if (offset + sizeof(value) <= bytes.size()) {
+    std::memcpy(&value, bytes.data() + offset, sizeof(value));
+  }
+  return value;
+}
+
+template <typename T>
+void PutAt(std::vector<unsigned char>* bytes, std::size_t offset, T value) {
+  ASSERT_LE(offset + sizeof(value), bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
+}
+
+// Payload offsets: TREE holds cols (8 B), root (4 B), the node count and
+// then 32 + 8 * cols bytes per node before the point-order count; LSHT
+// holds the 48-byte pre-build rng state, k and l before table 0's
+// bucket count B, its B keys, its B + 1 u32 offsets and its rows.
+constexpr std::size_t kTreeNodeCount = 12;
+constexpr std::size_t kLshtFirstTable = 48 + 8 + 8;
+
+// Loads the engine snapshot in `dir` on both paths; each must be
+// kDataLoss naming `section` and saying `why`.
+void ExpectDataLossNaming(const std::string& dir, const std::string& section,
+                          const std::string& why) {
+  for (const bool use_mmap : {false, true}) {
+    SCOPED_TRACE(section + (use_mmap ? " mmap" : " heap"));
+    SnapshotLoadOptions load;
+    load.use_mmap = use_mmap;
+    auto warm = Engine::CreateFromSnapshot(dir, load);
+    ASSERT_FALSE(warm.ok());
+    EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(warm.status().message().find(section), std::string::npos)
+        << warm.status().ToString();
+    EXPECT_NE(warm.status().message().find(why), std::string::npos)
+        << warm.status().ToString();
+  }
+}
+
+TEST_F(StorageTest, EngineSnapshotOverflowingCountsAreDataLoss) {
+  // Element counts whose byte size wraps 64 bits, planted in CRC-valid
+  // sections. A length check that multiplies such a count wraps and
+  // passes it, and the allocation sized by the count then throws
+  // (bad_alloc, or a vector length error) out of CreateFromSnapshot; a
+  // DSET column count whose row size wraps to 0 divides by zero.
+  auto cold = Engine::Create(RandomMatrix(64, 8, 16), SmallEngineOptions());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kBallTree).ok());
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kLsh).ok());
+  constexpr std::uint64_t kNodeBytes = 32 + 8 * 8;
+  struct Plant {
+    const char* what;
+    std::uint32_t id;
+    const char* section;
+    const char* why;
+    std::uint64_t count;
+  };
+  for (const Plant plant :
+       {Plant{"lsh_buckets", storage::kSectionLshTables, "LSHT", "claims",
+              (1ULL << 60) + 1},
+        // 2^59 nodes of 96 bytes wrap to exactly 0 bytes.
+        Plant{"tree_nodes", storage::kSectionTree, "TREE", "claims",
+              1ULL << 59},
+        Plant{"tree_order", storage::kSectionTree, "TREE", "claims",
+              (1ULL << 61) + 1},
+        // The subheader's first word: 2^61 columns of 8 bytes wrap to 0.
+        Plant{"dset_cols", storage::kSectionDataset, "matrix section",
+              "not a whole number", 1ULL << 61}}) {
+    SCOPED_TRACE(plant.what);
+    const std::string dir =
+        TempPath(std::string("engine_overflow_") + plant.what);
+    ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
+    ASSERT_NO_FATAL_FAILURE(RewriteSections(
+        dir, [&](std::uint32_t id, std::uint32_t*,
+                 std::vector<unsigned char>* bytes) {
+          if (id != plant.id) return;
+          std::size_t offset = 0;
+          if (id == storage::kSectionLshTables) offset = kLshtFirstTable;
+          if (id == storage::kSectionTree) {
+            offset = kTreeNodeCount;
+            if (std::string(plant.what) == "tree_order") {
+              offset += 8 + U64At(*bytes, kTreeNodeCount) * kNodeBytes;
+            }
+          }
+          PutAt(bytes, offset, plant.count);
+        }));
+    ExpectDataLossNaming(dir, plant.section, plant.why);
+  }
+
+  ShardedEngineOptions sharded_options;
+  sharded_options.num_shards = 2;
+  sharded_options.engine = SmallEngineOptions();
+  auto sharded =
+      ShardedEngine::Create(RandomMatrix(96, 8, 17), sharded_options);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  const std::string sharded_dir = TempPath("sharded_overflow_snap");
+  ASSERT_TRUE((*sharded)->SaveSnapshot(sharded_dir).ok());
+  ASSERT_NO_FATAL_FAILURE(RewriteSections(
+      sharded_dir,
+      [](std::uint32_t id, std::uint32_t*, std::vector<unsigned char>* bytes) {
+        if (id == storage::kSectionMeta) PutAt(bytes, 0, (1ULL << 61) + 1);
+      },
+      "sharded.ips"));
+  for (const bool use_mmap : {false, true}) {
+    SnapshotLoadOptions load;
+    load.use_mmap = use_mmap;
+    auto warm = ShardedEngine::CreateFromSnapshot(sharded_dir, {}, load);
+    ASSERT_FALSE(warm.ok()) << (use_mmap ? "mmap" : "heap");
+    EXPECT_EQ(warm.status().code(), StatusCode::kDataLoss);
+    EXPECT_NE(warm.status().message().find("section META claims"),
+              std::string::npos)
+        << warm.status().ToString();
+  }
+}
+
+TEST_F(StorageTest, EngineSnapshotMalformedBucketArraysAreDataLoss) {
+  // CRC-valid LSHT payloads whose table 0 breaks a BucketTable
+  // invariant: BucketTable::FromArrays rejects each before any lookup
+  // could read past the rows.
+  constexpr std::size_t kRows = 64;
+  auto cold =
+      Engine::Create(RandomMatrix(kRows, 8, 18), SmallEngineOptions());
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_TRUE((*cold)->EnsureIndex(QueryAlgo::kLsh).ok());
+  const std::pair<const char*, const char*> edits[] = {
+      {"swapped_keys", "breaks the ascending key or offset order"},
+      {"offsets_end_short", "to 63 over 64 rows"},
+      {"row_past_n", "row 64 is out of range"}};
+  for (const auto& [what, why] : edits) {
+    SCOPED_TRACE(what);
+    const std::string dir = TempPath(std::string("engine_bad_lsht_") + what);
+    ASSERT_TRUE((*cold)->SaveSnapshot(dir).ok());
+    ASSERT_NO_FATAL_FAILURE(RewriteSections(
+        dir, [&](std::uint32_t id, std::uint32_t*,
+                 std::vector<unsigned char>* bytes) {
+          if (id != storage::kSectionLshTables) return;
+          const std::uint64_t buckets = U64At(*bytes, kLshtFirstTable);
+          ASSERT_GE(buckets, 2u);
+          const std::size_t keys = kLshtFirstTable + 8;
+          const std::size_t offsets = keys + 8 * buckets;
+          const std::size_t rows = offsets + 4 * (buckets + 1);
+          const std::string edit = what;
+          if (edit == "swapped_keys") {
+            const std::uint64_t first = U64At(*bytes, keys);
+            PutAt(bytes, keys, U64At(*bytes, keys + 8));
+            PutAt(bytes, keys + 8, first);
+          } else if (edit == "offsets_end_short") {
+            PutAt(bytes, offsets + 4 * buckets,
+                  static_cast<std::uint32_t>(kRows - 1));
+          } else {
+            PutAt(bytes, rows, static_cast<std::uint32_t>(kRows));
+          }
+        }));
+    ExpectDataLossNaming(dir, "LSHT", why);
   }
 }
 
