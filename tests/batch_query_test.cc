@@ -12,9 +12,11 @@
 // exactly while scores agree to a tolerance. The helper below asserts
 // the strong form whenever the scalar table is active.
 //
-// Also covered here: the batch-aware QueryStats (batch_size, Merge),
-// the shared batch trace, the "core.batch.*" traffic counters, whole-
-// batch failure on invalid options, and the serve layer's batched
+// Also covered here: the one index contract (IndexContractTest: what
+// each index rejects, in Query and BatchQuery alike, and how a traced
+// Query publishes or nests its spans), the batch-aware QueryStats
+// (batch_size, Merge), the shared batch trace, the "core.batch.*"
+// traffic counters, and the serve layer's batched
 // execution (Engine::BatchQuery and the BatchScheduler's coalesced
 // groups) against per-query ground truth.
 
@@ -188,24 +190,7 @@ TEST_F(BatchEquivalenceTest, EmptyBatchYieldsEmptyVector) {
   EXPECT_TRUE(result->empty());
 }
 
-TEST_F(BatchEquivalenceTest, InvalidOptionsFailTheWholeBatch) {
-  const BruteForceIndex index(data_);
-  QueryOptions options;
-  options.k = 0;  // ValidateQueryOptions rejects this
-  auto result = index.BatchQuery(queries_, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(BatchEquivalenceTest, DimensionMismatchFailsTheWholeBatch) {
-  const BruteForceIndex index(data_);
-  Rng rng(71);
-  const Matrix wrong = RandomGaussian(3, data_.cols() + 1, &rng);
-  const QueryOptions options;
-  EXPECT_FALSE(index.BatchQuery(wrong, options).ok());
-}
-
-TEST_F(BatchEquivalenceTest, PathRestrictionsMatchPerQueryBehavior) {
+TEST_F(BatchEquivalenceTest, TreeUnsignedAndSketchFallbackMatchPerQuery) {
   Rng rng(73);
   const TreeMipsIndex tree(data_, 8, &rng);
   QueryOptions unsigned_options;
@@ -214,35 +199,127 @@ TEST_F(BatchEquivalenceTest, PathRestrictionsMatchPerQueryBehavior) {
   // The tree answers unsigned top-k with the unsigned bound.
   ExpectBatchEqualsPerQuery(tree, queries_, unsigned_options);
 
-  // The norm-range index scans exactly; it rejects the two-stage
-  // precision per query and per batch alike.
-  NormRangeParams norm_range_params;
-  norm_range_params.bucket_size = 64;
-  const NormRangeIndex norm_range(data_, norm_range_params, &rng);
-  QueryOptions quantized;
-  quantized.precision = QueryPrecision::kQuantizedRerank;
-  const auto single = norm_range.Query(queries_.Row(0), quantized);
-  ASSERT_FALSE(single.ok());
-  EXPECT_EQ(single.status().code(), StatusCode::kInvalidArgument);
-  const auto batch = norm_range.BatchQuery(queries_, quantized);
-  ASSERT_FALSE(batch.ok());
-  EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-
+  // Signed and k>1 shapes run the sketch index's exact fallback scan
+  // (what each index rejects is pinned by the IndexContractTest table).
   SketchMipsParams params;
   const SketchIndex sketch(data_, params, &rng);
-  // Signed and k>1 shapes run the exact fallback scan; what the sketch
-  // index rejects are the precisions it cannot honor.
-  QueryOptions exact;
-  exact.precision = QueryPrecision::kExact;
-  EXPECT_FALSE(sketch.BatchQuery(queries_, exact).ok());
-  QueryOptions quant;
-  quant.precision = QueryPrecision::kQuantizedRerank;
-  EXPECT_FALSE(sketch.BatchQuery(queries_, quant).ok());
   QueryOptions top5;
   top5.is_signed = false;
   top5.k = 5;
   EXPECT_TRUE(sketch.BatchQuery(queries_, top5).ok());
   ExpectBatchEqualsPerQuery(sketch, queries_, top5);
+}
+
+// ---------------------------------------------------------------------
+// The one index contract, one table row per index: every request shape
+// an index cannot answer fails Query and BatchQuery alike with
+// kInvalidArgument, and a traced Query either publishes its own trace
+// or records its spans into the caller's.
+// ---------------------------------------------------------------------
+
+struct ContractRow {
+  std::unique_ptr<MipsIndex> index;
+  // Precisions the index rejects.
+  std::vector<QueryPrecision> rejected_precisions;
+  // True when unsigned queries are rejected (norm-range).
+  bool signed_only = false;
+  // A span every traced Query of the index records.
+  std::string span;
+};
+
+class IndexContractTest : public BatchEquivalenceTest {
+ protected:
+  // All six indexes over data_.
+  std::vector<ContractRow> Rows() {
+    Rng rng(97);
+    const LshTableParams lsh_params{.k = 6, .l = 16};
+    NormRangeParams norm_range_params;
+    norm_range_params.bucket_size = 64;
+    std::vector<ContractRow> rows;
+    rows.push_back({std::make_unique<BruteForceIndex>(data_), {}, false,
+                    "brute"});
+    rows.push_back({std::make_unique<TreeMipsIndex>(data_, 8, &rng),
+                    {QueryPrecision::kQuantizedRerank}, false, "tree"});
+    rows.push_back({std::make_unique<LshMipsIndex>(data_, nullptr, family_,
+                                                   lsh_params, &rng),
+                    {}, false, "lsh"});
+    rows.push_back(
+        {std::make_unique<SketchIndex>(data_, SketchMipsParams{}, &rng),
+         {QueryPrecision::kExact, QueryPrecision::kQuantizedRerank}, false,
+         "sketch"});
+    rows.push_back({std::make_unique<SymmetricMipsIndex>(data_, 0.25,
+                                                         lsh_params, &rng),
+                    {}, false, "membership"});
+    rows.push_back(
+        {std::make_unique<NormRangeIndex>(data_, norm_range_params, &rng),
+         {QueryPrecision::kQuantizedRerank}, true, "norm-range"});
+    return rows;
+  }
+
+  const SimHashFamily family_{12};
+};
+
+TEST_F(IndexContractTest, UnanswerableRequestsFailQueryAndBatchAlike) {
+  Rng rng(101);
+  const Matrix wrong_dim = RandomGaussian(3, data_.cols() + 1, &rng);
+  for (const ContractRow& row : Rows()) {
+    const MipsIndex& index = *row.index;
+    SCOPED_TRACE("index=" + index.Name());
+    std::vector<std::pair<std::string, QueryOptions>> rejected;
+    QueryOptions k0;
+    k0.k = 0;
+    rejected.emplace_back("k=0", k0);
+    for (const QueryPrecision precision : row.rejected_precisions) {
+      QueryOptions options;
+      options.precision = precision;
+      rejected.emplace_back(
+          "precision=" + std::string(QueryPrecisionName(precision)), options);
+    }
+    if (row.signed_only) {
+      QueryOptions options;
+      options.is_signed = false;
+      rejected.emplace_back("unsigned", options);
+    }
+    for (const auto& [label, options] : rejected) {
+      SCOPED_TRACE(label);
+      EXPECT_EQ(index.Query(queries_.Row(0), options).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_EQ(index.BatchQuery(queries_, options).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    SCOPED_TRACE("wrong dimension");
+    const QueryOptions options;
+    EXPECT_EQ(index.Query(wrong_dim.Row(0), options).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(index.BatchQuery(wrong_dim, options).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST_F(IndexContractTest, TracedQueryPublishesOrNestsTheIndexSpans) {
+  for (const ContractRow& row : Rows()) {
+    const MipsIndex& index = *row.index;
+    SCOPED_TRACE("index=" + index.Name());
+    QueryOptions options;
+    QueryStats untraced;
+    ASSERT_TRUE(index.Query(queries_.Row(0), options, &untraced).ok());
+    EXPECT_EQ(untraced.trace, nullptr);
+
+    // No caller trace: the index publishes one labelled with its name.
+    options.trace = true;
+    QueryStats published;
+    ASSERT_TRUE(index.Query(queries_.Row(0), options, &published).ok());
+    ASSERT_NE(published.trace, nullptr);
+    EXPECT_EQ(published.trace->label(), index.Name());
+    EXPECT_NE(published.trace->FindSpan(row.span), nullptr);
+
+    // A caller-held trace receives the spans and is not republished.
+    Trace caller("caller");
+    QueryStats nested;
+    ASSERT_TRUE(index.Query(queries_.Row(0), options, &nested, &caller).ok());
+    EXPECT_EQ(nested.trace, nullptr);
+    EXPECT_NE(caller.FindSpan(row.span), nullptr);
+  }
 }
 
 TEST_F(BatchEquivalenceTest, BatchSharesOneTrace) {
