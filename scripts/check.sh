@@ -26,7 +26,6 @@
 #   $ scripts/check.sh ubsan      # UBSan alone (catches UB that ASan's
 #                                 # combined leg can mask, and runs the
 #                                 # benches/examples that leg skips)
-#   $ scripts/check.sh chaos      # failure-injection suites under TSan
 #   $ scripts/check.sh scalar     # full suite with IPS_FORCE_SCALAR=1
 #   $ scripts/check.sh release    # -O3 Release build + full suite
 #   $ scripts/check.sh storage    # snapshot suite under ASan + warm-start gate
@@ -81,22 +80,6 @@ run_tsan() {
     storage_test serve_quickstart
   (cd build-tsan && ctest --output-on-failure -R 'util_test|obs_test|core_test|chaos_test|serve_test|sharded_test|storage_test')
   echo "=== TSan serve quickstart ==="
-  ./build-tsan/examples/serve_quickstart
-}
-
-run_chaos() {
-  # The failure-injection leg (DESIGN.md §11): every failpoint-driven
-  # suite — the chaos matrix, the serving layer it wraps, and the
-  # sharded scatter-gather engine — under TSan, where an injected
-  # failure racing the scatter/gather or breaker state machinery would
-  # surface as a data race instead of a flaky pass.
-  echo "=== chaos: TSan build + failure-injection suites ==="
-  cmake -B build-tsan -S . -DIPS_SANITIZE=thread \
-    -DIPS_BUILD_BENCHMARKS=OFF -DIPS_BUILD_EXAMPLES=ON >/dev/null
-  cmake --build build-tsan -j"$JOBS" \
-    --target chaos_test serve_test sharded_test serve_quickstart
-  (cd build-tsan && ctest --output-on-failure -R 'chaos_test|serve_test|sharded_test')
-  echo "=== chaos: degraded-mode quickstart (shard 2 down) under TSan ==="
   ./build-tsan/examples/serve_quickstart
 }
 
@@ -240,7 +223,6 @@ case "$MODE" in
   asan)   run_asan ;;
   tsan)   run_tsan ;;
   ubsan)  run_ubsan ;;
-  chaos)  run_chaos ;;
   scalar) run_scalar ;;
   release) run_release ;;
   storage) run_storage ;;
@@ -248,7 +230,7 @@ case "$MODE" in
   serve)  run_serve ;;
   static) run_static ;;
   all)    run_plain; run_scalar; run_release; run_asan; run_tsan; run_ubsan; run_storage; run_quant; run_serve; run_static ;;
-  *) echo "usage: $0 [plain|asan|tsan|ubsan|chaos|scalar|release|storage|quant|serve|static|all]" >&2; exit 2 ;;
+  *) echo "usage: $0 [plain|asan|tsan|ubsan|scalar|release|storage|quant|serve|static|all]" >&2; exit 2 ;;
 esac
 
 echo "all checks passed"

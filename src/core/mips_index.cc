@@ -15,36 +15,6 @@
 namespace ips {
 namespace {
 
-// Shared head of every index's unified Query entry point: validated
-// options and query, plus an index-owned Trace when the caller asked
-// for tracing without supplying one.
-Status ValidateQueryInputs(std::span<const double> q, std::size_t dim,
-                           const QueryOptions& options) {
-  IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  if (q.size() != dim) {
-    return Status::InvalidArgument(
-        "query dimension " + std::to_string(q.size()) +
-        " != index dimension " + std::to_string(dim));
-  }
-  return Status::Ok();
-}
-
-// Trace the index allocates itself when options.trace is set but the
-// caller holds none; published into stats->trace on completion.
-std::unique_ptr<Trace> MaybeOwnTrace(const QueryOptions& options,
-                                     Trace* external, std::string label) {
-  if (external != nullptr || !options.trace) return nullptr;
-  return std::make_unique<Trace>(std::move(label));
-}
-
-void PublishQuery(std::unique_ptr<Trace> owned, QueryStats local,
-                  QueryStats* stats) {
-  if (owned != nullptr) {
-    local.trace = std::shared_ptr<const Trace>(std::move(owned));
-  }
-  if (stats != nullptr) *stats = std::move(local);
-}
-
 // Shared validation of every index factory: the dataset itself.
 Status ValidateIndexData(const Matrix& data) {
   IPS_FAILPOINT("core/index-build");
@@ -80,31 +50,9 @@ Status ValidateLshIndexInputs(const Matrix& data,
   return Status::Ok();
 }
 
-// Shared head of every BatchQuery: validated options plus a batch-wide
-// dimension check.
-Status ValidateBatchInputs(const Matrix& queries, std::size_t dim,
-                           const QueryOptions& options) {
-  IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  if (queries.rows() > 0 && queries.cols() != dim) {
-    return Status::InvalidArgument(
-        "batch query dimension " + std::to_string(queries.cols()) +
-        " != index dimension " + std::to_string(dim));
-  }
-  return Status::Ok();
-}
-
-// One Trace shared by every member of a traced batch (published into
-// each result's stats.trace); null when tracing is off.
-std::shared_ptr<Trace> MakeBatchTrace(const QueryOptions& options,
-                                      std::string label) {
-  if (!options.trace) return nullptr;
-  return std::make_shared<Trace>(std::move(label) + ".batch");
-}
-
-// Registry accounting every batch path shares: one call, its member
-// count, and how many members went through the per-query fallback
-// instead of a specialized batch implementation.
-void CountBatch(std::size_t members, bool fallback) {
+// Registry accounting of every batch: one call, its member count, and
+// how many members ran the per-query path instead of a tiled one.
+void CountBatch(std::size_t members, bool per_query) {
   static Counter* const calls =
       MetricsRegistry::Global().GetCounter("core.batch.calls");
   static Counter* const queries =
@@ -113,46 +61,69 @@ void CountBatch(std::size_t members, bool fallback) {
       MetricsRegistry::Global().GetCounter("core.batch.fallback_queries");
   calls->Increment();
   queries->Add(members);
-  if (fallback) fallback_queries->Add(members);
-}
-
-// The per-query batch driver: one Query call per row under a shared
-// batch trace. The default MipsIndex::BatchQuery and the paths whose
-// batch win lives inside their per-query kernels (tree descents, sketch
-// estimate passes) all run through this.
-StatusOr<std::vector<QueryResult>> RunPerQueryBatch(
-    const MipsIndex& index, const Matrix& queries,
-    const QueryOptions& options, std::string_view span_name,
-    bool fallback) {
-  std::shared_ptr<Trace> batch_trace = MakeBatchTrace(options, index.Name());
-  std::vector<QueryResult> results;
-  results.reserve(queries.rows());
-  {
-    TraceSpan span(batch_trace.get(), span_name);
-    for (std::size_t i = 0; i < queries.rows(); ++i) {
-      QueryResult result;
-      auto matches =
-          index.Query(queries.Row(i), options, &result.stats,
-                      batch_trace.get());
-      if (!matches.ok()) return matches.status();
-      result.matches = std::move(matches).value();
-      if (batch_trace != nullptr) result.stats.trace = batch_trace;
-      results.push_back(std::move(result));
-    }
-    span.AddCount("batch_queries", queries.rows());
-  }
-  CountBatch(queries.rows(), fallback);
-  return results;
+  if (per_query) fallback_queries->Add(members);
 }
 
 }  // namespace
 
+Status MipsIndex::CheckRequest(std::size_t query_dim,
+                               const QueryOptions& options,
+                               std::string_view what) const {
+  IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
+  if (query_dim != dim()) {
+    return Status::InvalidArgument(
+        std::string(what) + " dimension " + std::to_string(query_dim) +
+        " != index dimension " + std::to_string(dim()));
+  }
+  return CheckAnswerable(options);
+}
+
+Status MipsIndex::CheckAnswerable(const QueryOptions&) const {
+  return Status::Ok();
+}
+
+std::optional<std::vector<QueryResult>> MipsIndex::SearchBatch(
+    const Matrix&, const QueryOptions&, Trace*) const {
+  return std::nullopt;
+}
+
+StatusOr<std::vector<SearchMatch>> MipsIndex::Query(
+    std::span<const double> q, const QueryOptions& options, QueryStats* stats,
+    Trace* trace) const {
+  return RunQuery(q, options, stats, trace,
+                  [&](QueryStats* local, Trace* t) {
+                    return Search(q, options, local, t);
+                  });
+}
+
 StatusOr<std::vector<QueryResult>> MipsIndex::BatchQuery(
     const Matrix& queries, const QueryOptions& options) const {
-  IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  if (queries.rows() == 0) return std::vector<QueryResult>();
-  return RunPerQueryBatch(*this, queries, options, "batch.fallback",
-                          /*fallback=*/true);
+  const std::size_t m = queries.rows();
+  // An empty batch has no width to check.
+  IPS_RETURN_IF_ERROR(
+      CheckRequest(m > 0 ? queries.cols() : dim(), options, "batch query"));
+  if (m == 0) return std::vector<QueryResult>();
+  std::shared_ptr<Trace> trace;
+  if (options.trace) trace = std::make_shared<Trace>(Name() + ".batch");
+  std::optional<std::vector<QueryResult>> tiled =
+      SearchBatch(queries, options, trace.get());
+  std::vector<QueryResult> results;
+  if (tiled.has_value()) {
+    results = std::move(tiled).value();
+  } else {
+    results.resize(m);
+    TraceSpan span(trace.get(), "batch.fallback");
+    for (std::size_t i = 0; i < m; ++i) {
+      results[i].matches =
+          Search(queries.Row(i), options, &results[i].stats, trace.get());
+    }
+    span.AddCount("batch_queries", m);
+  }
+  if (trace != nullptr) {
+    for (QueryResult& result : results) result.stats.trace = trace;
+  }
+  CountBatch(m, /*per_query=*/!tiled.has_value());
+  return results;
 }
 
 std::size_t JoinResult::NumMatched() const {
@@ -164,7 +135,7 @@ std::size_t JoinResult::NumMatched() const {
 }
 
 BruteForceIndex::BruteForceIndex(const Matrix& data)
-    : data_(&data), quant_(QuantizedMatrix::Quantize(data)) {
+    : MipsIndex(data), quant_(QuantizedMatrix::Quantize(data)) {
   IPS_CHECK_GT(data.rows(), 0u);
 }
 
@@ -174,43 +145,32 @@ StatusOr<std::unique_ptr<BruteForceIndex>> BruteForceIndex::Create(
   return std::make_unique<BruteForceIndex>(data);
 }
 
-StatusOr<std::vector<SearchMatch>> BruteForceIndex::Query(
-    std::span<const double> q, const QueryOptions& options, QueryStats* stats,
-    Trace* trace) const {
-  IPS_RETURN_IF_ERROR(ValidateQueryInputs(q, dim(), options));
-  std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
-  Trace* t = trace != nullptr ? trace : owned.get();
-  QueryStats local;
-  std::vector<SearchMatch> matches;
+std::vector<SearchMatch> BruteForceIndex::Search(std::span<const double> q,
+                                                 const QueryOptions& options,
+                                                 QueryStats* stats,
+                                                 Trace* trace) const {
   if (options.precision == QueryPrecision::kQuantizedRerank) {
-    local.algorithm = QueryAlgo::kBruteForce;
-    matches = QueryQuantizedRerank(*data_, quant_, q, options, &local, t);
-  } else {
-    matches = QueryBruteForce(*data_, q, options, &local, t);
+    stats->algorithm = QueryAlgo::kBruteForce;
+    return QueryQuantizedRerank(*data_, quant_, q, options, stats, trace);
   }
-  PublishQuery(std::move(owned), std::move(local), stats);
-  return matches;
+  return QueryBruteForce(*data_, q, options, stats, trace);
 }
 
-StatusOr<std::vector<QueryResult>> BruteForceIndex::BatchQuery(
-    const Matrix& queries, const QueryOptions& options) const {
-  IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  const std::size_t m = queries.rows();
-  if (m == 0) return std::vector<QueryResult>();
+std::optional<std::vector<QueryResult>> BruteForceIndex::SearchBatch(
+    const Matrix& queries, const QueryOptions& options, Trace* trace) const {
+  // The two-stage path runs per query; the int8 code matrix built at
+  // construction is its state shared across the batch.
   if (options.precision == QueryPrecision::kQuantizedRerank) {
-    // Two-stage per query; the shared int8 code matrix (built once at
-    // construction) is the amortized state across the batch.
-    return RunPerQueryBatch(*this, queries, options, "brute.quant.batch",
-                            /*fallback=*/false);
+    return std::nullopt;
   }
-  std::shared_ptr<Trace> batch_trace = MakeBatchTrace(options, Name());
+  const std::size_t m = queries.rows();
   std::vector<kernels::TopKHeap> heaps;
   heaps.reserve(m);
   for (std::size_t i = 0; i < m; ++i) heaps.emplace_back(options.k);
   {
     // One tiled pass over the data scores the whole batch: each tile of
     // data rows is loaded once and reused across a block of queries.
-    TraceSpan span(batch_trace.get(), "brute.batch");
+    TraceSpan span(trace, "brute.batch");
     kernels::BlockTopK(*data_, queries, /*absolute=*/!options.is_signed,
                        heaps);
     span.AddCount("batch_queries", m);
@@ -223,7 +183,6 @@ StatusOr<std::vector<QueryResult>> BruteForceIndex::BatchQuery(
     result.stats.algorithm = QueryAlgo::kBruteForce;
     result.stats.candidates = data_->rows();
     result.stats.dot_products = data_->rows();
-    if (batch_trace != nullptr) result.stats.trace = batch_trace;
   }
   // Keep the per-path registry view consistent with m Query calls.
   static Counter* const brute_queries =
@@ -232,13 +191,12 @@ StatusOr<std::vector<QueryResult>> BruteForceIndex::BatchQuery(
       MetricsRegistry::Global().GetCounter("core.brute.points_scored");
   brute_queries->Add(m);
   points_scored->Add(data_->rows() * m);
-  CountBatch(m, /*fallback=*/false);
   return results;
 }
 
 TreeMipsIndex::TreeMipsIndex(const Matrix& data, std::size_t leaf_size,
                              Rng* rng)
-    : data_(&data), tree_(data, leaf_size, rng) {}
+    : MipsIndex(data), tree_(data, leaf_size, rng) {}
 
 StatusOr<std::unique_ptr<TreeMipsIndex>> TreeMipsIndex::Create(
     const Matrix& data, std::size_t leaf_size, Rng* rng) {
@@ -265,49 +223,33 @@ StatusOr<std::unique_ptr<TreeMipsIndex>> TreeMipsIndex::Restore(
       new TreeMipsIndex(data, std::move(tree)));
 }
 
-StatusOr<std::vector<SearchMatch>> TreeMipsIndex::Query(
-    std::span<const double> q, const QueryOptions& options, QueryStats* stats,
-    Trace* trace) const {
-  IPS_RETURN_IF_ERROR(ValidateQueryInputs(q, dim(), options));
+Status TreeMipsIndex::CheckAnswerable(const QueryOptions& options) const {
   if (options.precision != QueryPrecision::kAuto &&
       options.precision != QueryPrecision::kExact) {
     return Status::InvalidArgument(
         "ball-tree top-k is exact only (its branch-and-bound prunes on "
         "exact scores); use brute/lsh for quantized re-rank");
   }
-  std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
-  Trace* t = trace != nullptr ? trace : owned.get();
-  QueryStats local;
-  local.algorithm = QueryAlgo::kBallTree;
+  return Status::Ok();
+}
+
+std::vector<SearchMatch> TreeMipsIndex::Search(std::span<const double> q,
+                                               const QueryOptions& options,
+                                               QueryStats* stats,
+                                               Trace* trace) const {
+  stats->algorithm = QueryAlgo::kBallTree;
   std::vector<SearchMatch> matches;
   TreeQueryInfo info;
   {
-    TraceSpan span(t, "tree");
-    matches = tree_.QueryTopK(q, options.k, options.is_signed, t, &info);
+    TraceSpan span(trace, "tree");
+    matches = tree_.QueryTopK(q, options.k, options.is_signed, trace, &info);
   }
-  local.candidates = info.points_scored;
-  local.dot_products = info.points_scored;
-  local.metrics.Set("tree.nodes_visited", info.nodes_visited);
-  local.metrics.Set("tree.nodes_pruned", info.nodes_pruned);
-  local.metrics.Set("tree.points_scored", info.points_scored);
-  PublishQuery(std::move(owned), std::move(local), stats);
+  stats->candidates = info.points_scored;
+  stats->dot_products = info.points_scored;
+  stats->metrics.Set("tree.nodes_visited", info.nodes_visited);
+  stats->metrics.Set("tree.nodes_pruned", info.nodes_pruned);
+  stats->metrics.Set("tree.points_scored", info.points_scored);
   return matches;
-}
-
-StatusOr<std::vector<QueryResult>> TreeMipsIndex::BatchQuery(
-    const Matrix& queries, const QueryOptions& options) const {
-  IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  if (options.precision != QueryPrecision::kAuto &&
-      options.precision != QueryPrecision::kExact) {
-    return Status::InvalidArgument(
-        "ball-tree top-k is exact only (its branch-and-bound prunes on "
-        "exact scores); use brute/lsh for quantized re-rank");
-  }
-  if (queries.rows() == 0) return std::vector<QueryResult>();
-  // Descents stay per-query (each query prunes its own subtree); the
-  // batch win is the gather-kernel leaf scan inside every descent.
-  return RunPerQueryBatch(*this, queries, options, "tree.batch",
-                          /*fallback=*/false);
 }
 
 LshMipsIndex::LshMipsIndex(const Matrix& data,
@@ -332,7 +274,7 @@ LshMipsIndex::LshMipsIndex(const Matrix& data,
                            const VectorTransform* transform,
                            const LshFamily& base_family,
                            std::unique_ptr<LshTables> tables)
-    : data_(&data),
+    : MipsIndex(data),
       transform_(transform),
       tables_(std::move(tables)),
       // Quantization is deterministic (no rng), so a restored index
@@ -368,40 +310,28 @@ StatusOr<std::unique_ptr<LshMipsIndex>> LshMipsIndex::CreateFromBuckets(
       data, transform, base_family, std::move(tables).value()));
 }
 
-StatusOr<std::vector<SearchMatch>> LshMipsIndex::Query(
-    std::span<const double> q, const QueryOptions& options, QueryStats* stats,
-    Trace* trace) const {
-  IPS_RETURN_IF_ERROR(ValidateQueryInputs(q, dim(), options));
-  std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
-  Trace* t = trace != nullptr ? trace : owned.get();
-  QueryStats local;
-  local.algorithm = QueryAlgo::kLsh;
-  std::vector<SearchMatch> matches;
-  {
-    TraceSpan span(t, "lsh");
-    const std::vector<std::size_t> candidates = Candidates(q, t, &local);
-    matches = options.precision == QueryPrecision::kQuantizedRerank
-                  ? QueryFromCandidatesQuantized(*data_, quant_, q, candidates,
-                                                 options, &local, t)
-                  : QueryFromCandidates(*data_, q, candidates, options, &local,
-                                        t);
-  }
-  PublishQuery(std::move(owned), std::move(local), stats);
-  return matches;
+std::vector<SearchMatch> LshMipsIndex::Search(std::span<const double> q,
+                                              const QueryOptions& options,
+                                              QueryStats* stats,
+                                              Trace* trace) const {
+  stats->algorithm = QueryAlgo::kLsh;
+  TraceSpan span(trace, "lsh");
+  const std::vector<std::size_t> candidates = Candidates(q, trace, stats);
+  return options.precision == QueryPrecision::kQuantizedRerank
+             ? QueryFromCandidatesQuantized(*data_, quant_, q, candidates,
+                                            options, stats, trace)
+             : QueryFromCandidates(*data_, q, candidates, options, stats,
+                                   trace);
 }
 
-StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
-    const Matrix& queries, const QueryOptions& options) const {
-  IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  const std::size_t m = queries.rows();
-  if (m == 0) return std::vector<QueryResult>();
+std::optional<std::vector<QueryResult>> LshMipsIndex::SearchBatch(
+    const Matrix& queries, const QueryOptions& options, Trace* trace) const {
+  // Quantized verification prunes per-query survivor sets, which the
+  // row-grouped exact verify below cannot express; run per query.
   if (options.precision == QueryPrecision::kQuantizedRerank) {
-    // Quantized verification prunes per-query survivor sets, which the
-    // row-grouped exact verify below cannot express; run per query.
-    return RunPerQueryBatch(*this, queries, options, "lsh.quant.batch",
-                            /*fallback=*/false);
+    return std::nullopt;
   }
-  std::shared_ptr<Trace> batch_trace = MakeBatchTrace(options, Name());
+  const std::size_t m = queries.rows();
   std::vector<QueryResult> results(m);
   std::vector<kernels::TopKHeap> heaps;
   heaps.reserve(m);
@@ -409,12 +339,12 @@ StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
   static Counter* const verified =
       MetricsRegistry::Global().GetCounter("core.candidates_verified");
   {
-    TraceSpan span(batch_trace.get(), "lsh.batch");
+    TraceSpan span(trace, "lsh.batch");
     // Probe stage: transform + table lookup per query. Candidate sets
     // stay per-query; the shared work is downstream.
     std::vector<std::pair<std::size_t, std::size_t>> pairs;  // (row, query)
     {
-      TraceSpan probe(batch_trace.get(), "probe");
+      TraceSpan probe(trace, "probe");
       for (std::size_t i = 0; i < m; ++i) {
         QueryStats& stats = results[i].stats;
         const std::vector<std::size_t> candidates =
@@ -430,7 +360,7 @@ StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
     // (row, query) pairs means each data row the batch bucketed is
     // loaded once and scored against every query that wants it.
     {
-      TraceSpan verify(batch_trace.get(), "verify");
+      TraceSpan verify(trace, "verify");
       std::sort(pairs.begin(), pairs.end());
       for (const auto& [row, qi] : pairs) {
         const double raw = kernels::Dot(data_->Row(row), queries.Row(qi));
@@ -442,11 +372,8 @@ StatusOr<std::vector<QueryResult>> LshMipsIndex::BatchQuery(
     verified->Add(pairs.size());
   }
   for (std::size_t i = 0; i < m; ++i) {
-    QueryResult& result = results[i];
-    result.matches = heaps[i].TakeSorted();
-    if (batch_trace != nullptr) result.stats.trace = batch_trace;
+    results[i].matches = heaps[i].TakeSorted();
   }
-  CountBatch(m, /*fallback=*/false);
   return results;
 }
 
@@ -460,16 +387,18 @@ std::vector<std::size_t> LshMipsIndex::Candidates(std::span<const double> q,
   return tables_->Query(q, trace, metrics);
 }
 
-namespace {
+SketchIndex::SketchIndex(const Matrix& data, const SketchMipsParams& params,
+                         Rng* rng)
+    : MipsIndex(data), sketch_(data, params, rng) {}
 
-// The §4.3 argmax tree answers exactly one query shape: unsigned
-// best-match. Every other shape the sketch index serves runs the shared
-// exact scan.
-bool UsesArgmaxDescent(const QueryOptions& options) {
-  return !options.is_signed && options.k == 1;
+StatusOr<std::unique_ptr<SketchIndex>> SketchIndex::Create(
+    const Matrix& data, const SketchMipsParams& params, Rng* rng) {
+  IPS_RETURN_IF_ERROR(ValidateIndexData(data));
+  IPS_RETURN_IF_ERROR(SketchMipsIndex::Validate(data, params, rng));
+  return std::make_unique<SketchIndex>(data, params, rng);
 }
 
-Status RejectNonSketchPrecision(const QueryOptions& options) {
+Status SketchIndex::CheckAnswerable(const QueryOptions& options) const {
   if (options.precision != QueryPrecision::kAuto) {
     return Status::InvalidArgument(
         "sketch index answers kAuto precision only (argmax descent or "
@@ -479,60 +408,33 @@ Status RejectNonSketchPrecision(const QueryOptions& options) {
   return Status::Ok();
 }
 
-}  // namespace
-
-SketchIndex::SketchIndex(const Matrix& data, const SketchMipsParams& params,
-                         Rng* rng)
-    : data_(&data), sketch_(data, params, rng) {}
-
-StatusOr<std::unique_ptr<SketchIndex>> SketchIndex::Create(
-    const Matrix& data, const SketchMipsParams& params, Rng* rng) {
-  IPS_RETURN_IF_ERROR(ValidateIndexData(data));
-  IPS_RETURN_IF_ERROR(SketchMipsIndex::Validate(data, params, rng));
-  return std::make_unique<SketchIndex>(data, params, rng);
-}
-
-StatusOr<std::vector<SearchMatch>> SketchIndex::Query(
-    std::span<const double> q, const QueryOptions& options, QueryStats* stats,
-    Trace* trace) const {
-  IPS_RETURN_IF_ERROR(ValidateQueryInputs(q, dim(), options));
-  IPS_RETURN_IF_ERROR(RejectNonSketchPrecision(options));
-  std::unique_ptr<Trace> owned = MaybeOwnTrace(options, trace, Name());
-  Trace* t = trace != nullptr ? trace : owned.get();
-  QueryStats local;
+std::vector<SearchMatch> SketchIndex::Search(std::span<const double> q,
+                                             const QueryOptions& options,
+                                             QueryStats* stats,
+                                             Trace* trace) const {
   std::vector<SearchMatch> matches;
-  if (UsesArgmaxDescent(options)) {
+  // The §4.3 argmax tree answers exactly one query shape: unsigned
+  // best-match. Every other shape runs the shared exact scan.
+  if (!options.is_signed && options.k == 1) {
     SketchProbeInfo info;
     {
-      TraceSpan span(t, "sketch");
-      const std::size_t index = sketch_.RecoverArgmax(q, t, &info);
+      TraceSpan span(trace, "sketch");
+      const std::size_t index = sketch_.RecoverArgmax(q, trace, &info);
       matches.push_back(
           {index, std::abs(kernels::Dot(data_->Row(index), q))});
     }
-    local.candidates = info.leaf_points;
+    stats->candidates = info.leaf_points;
     // Dot-equivalent work: each sketch row product is one length-d dot.
-    local.dot_products = info.rows_multiplied + info.leaf_points;
-    local.metrics.Set("sketch.levels", info.levels);
-    local.metrics.Set("sketch.rows_multiplied", info.rows_multiplied);
-    local.metrics.Set("sketch.leaf_points", info.leaf_points);
+    stats->dot_products = info.rows_multiplied + info.leaf_points;
+    stats->metrics.Set("sketch.levels", info.levels);
+    stats->metrics.Set("sketch.rows_multiplied", info.rows_multiplied);
+    stats->metrics.Set("sketch.leaf_points", info.leaf_points);
   } else {
-    TraceSpan span(t, "sketch");
-    matches = QueryBruteForce(*data_, q, options, &local, t);
+    TraceSpan span(trace, "sketch");
+    matches = QueryBruteForce(*data_, q, options, stats, trace);
   }
-  local.algorithm = QueryAlgo::kSketch;
-  PublishQuery(std::move(owned), std::move(local), stats);
+  stats->algorithm = QueryAlgo::kSketch;
   return matches;
-}
-
-StatusOr<std::vector<QueryResult>> SketchIndex::BatchQuery(
-    const Matrix& queries, const QueryOptions& options) const {
-  IPS_RETURN_IF_ERROR(ValidateBatchInputs(queries, dim(), options));
-  IPS_RETURN_IF_ERROR(RejectNonSketchPrecision(options));
-  if (queries.rows() == 0) return std::vector<QueryResult>();
-  // Argmax recoveries stay per-query; so does the fallback scan, which
-  // keeps each answer identical to TopKBruteForce.
-  return RunPerQueryBatch(*this, queries, options, "sketch.batch",
-                          /*fallback=*/false);
 }
 
 }  // namespace ips

@@ -1,7 +1,9 @@
 // Copyright 2026 The ipsjoin Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// The MipsIndex interface and its four implementations:
+// The MipsIndex interface — the one Query/BatchQuery envelope every
+// index shares — and four of its six implementations (the other two are
+// core/symmetric_index.h and core/norm_range_index.h):
 //   BruteForceIndex -- exact quadratic scan (the baseline of every
 //                      experiment), with an int8 quantized-rerank
 //                      two-stage variant (QueryPrecision);
@@ -27,7 +29,10 @@
 #define IPS_CORE_MIPS_INDEX_H_
 
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -47,6 +52,12 @@ namespace ips {
 
 /// Interface: search the (fixed) data set for a large-inner-product
 /// match of a query.
+///
+/// Query and BatchQuery are the one envelope every index shares: they
+/// validate the request, own a trace when one is asked for, and drive
+/// the batch. An index implements only its search (the private Search
+/// hook), states once which requests it cannot answer
+/// (CheckAnswerable), and may add a tiled batch path (SearchBatch).
 class MipsIndex {
  public:
   virtual ~MipsIndex() = default;
@@ -54,44 +65,92 @@ class MipsIndex {
   virtual std::string Name() const = 0;
 
   /// Dimension of the indexed data (and of every valid query).
-  virtual std::size_t dim() const = 0;
+  std::size_t dim() const { return data_->cols(); }
 
   /// The one search entry point (core::QueryOptions / core::QueryStats,
   /// see DESIGN.md §8); the (cs, s)-search of Definition 1 is Query
   /// with k = 1 plus a threshold check (IndexJoin). Thread-safe: it is
   /// const and mutates no index-local state — work is reported through
-  /// `stats` and the global MetricsRegistry. Returns kInvalidArgument
-  /// for options the path cannot honor (e.g. exact precision on the
-  /// sketch path, quantized precision on the tree).
+  /// `stats` and the global MetricsRegistry. Returns kInvalidArgument,
+  /// leaving `stats` untouched, for invalid options
+  /// (ValidateQueryOptions), a query whose length is not dim(), and
+  /// options the index cannot honor (e.g. exact precision on the sketch
+  /// index, quantized precision on the tree).
   ///
   /// When options.trace is set and `trace` is null, a fresh per-query
-  /// Trace is allocated and published via stats->trace; callers holding
-  /// their own trace (the serve Engine) pass it to nest the index's
-  /// spans under theirs.
-  [[nodiscard]] virtual StatusOr<std::vector<SearchMatch>> Query(
+  /// Trace labelled Name() is allocated and published via stats->trace;
+  /// callers holding their own trace (the serve Engine) pass it to nest
+  /// the index's spans under theirs.
+  [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
       std::span<const double> q, const QueryOptions& options,
-      QueryStats* stats = nullptr, Trace* trace = nullptr) const = 0;
+      QueryStats* stats = nullptr, Trace* trace = nullptr) const;
 
   /// Pure-batch entry point: answers every row of `queries` under one
   /// shared `options` and returns one QueryResult per row, in row
   /// order. Semantically identical to calling Query once per row — the
   /// equivalence suite (tests/batch_query_test.cc) holds every index to
-  /// that — but specialized implementations amortize work across the
-  /// batch (tiled block scoring in brute force, shared transforms and
-  /// row-grouped verification in LSH). Deadlines are a serving-layer
-  /// concern (serve::RequestContext); indexes never read one.
+  /// that. Brute force and LSH amortize work across the batch (block
+  /// scoring, row-grouped verification); every other batch runs the
+  /// index's search once per row. Deadlines are a serving-layer concern
+  /// (serve::RequestContext); indexes never read one.
   ///
-  /// The default implementation is the per-query fallback: one Query
-  /// call per row. Tracing: when options.trace is set the batch
-  /// allocates one Trace for the whole call and every result's
+  /// A request Query would reject (or a batch whose width is not dim())
+  /// fails the whole batch with the same Status. An empty `queries`
+  /// yields an empty result vector. When options.trace is set one Trace
+  /// (labelled Name() + ".batch") covers the call and every result's
   /// stats.trace shares it.
-  ///
-  /// An invalid request (bad options, dimension mismatch, or options
-  /// the path cannot honor) fails the whole batch with the same Status
-  /// a single Query would return. An empty `queries` yields an empty
-  /// result vector.
-  [[nodiscard]] virtual StatusOr<std::vector<QueryResult>> BatchQuery(
+  [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options) const;
+
+ protected:
+  /// `data` must outlive the index.
+  explicit MipsIndex(const Matrix& data) : data_(&data) {}
+
+  /// The Query envelope around any search body: `search(QueryStats*
+  /// fresh_stats, Trace* trace_or_null)` runs only on a valid,
+  /// answerable request. NormRangeIndex::QueryAbove wraps its floored
+  /// search in it.
+  template <typename SearchFn>
+  StatusOr<std::vector<SearchMatch>> RunQuery(std::span<const double> q,
+                                              const QueryOptions& options,
+                                              QueryStats* stats, Trace* trace,
+                                              SearchFn search) const {
+    IPS_RETURN_IF_ERROR(CheckRequest(q.size(), options, "query"));
+    std::unique_ptr<Trace> owned;
+    if (options.trace && trace == nullptr) {
+      owned = std::make_unique<Trace>(Name());
+      trace = owned.get();
+    }
+    QueryStats local;
+    std::vector<SearchMatch> matches = search(&local, trace);
+    if (owned != nullptr) local.trace = std::move(owned);
+    if (stats != nullptr) *stats = std::move(local);
+    return matches;
+  }
+
+  const Matrix* const data_;
+
+ private:
+  /// kInvalidArgument for the options this index cannot honor (a
+  /// precision or signedness). Every option is answerable by default.
+  virtual Status CheckAnswerable(const QueryOptions& options) const;
+
+  /// The index's search on a request the envelope accepted. Fills the
+  /// fresh `stats`; `trace` may be null.
+  virtual std::vector<SearchMatch> Search(std::span<const double> q,
+                                          const QueryOptions& options,
+                                          QueryStats* stats,
+                                          Trace* trace) const = 0;
+
+  /// A tiled answer to a whole accepted, non-empty batch (stats filled,
+  /// traces left to the envelope), or nullopt to run Search once per
+  /// row. No tiled path by default.
+  virtual std::optional<std::vector<QueryResult>> SearchBatch(
+      const Matrix& queries, const QueryOptions& options, Trace* trace) const;
+
+  // ValidateQueryOptions, then `what`'s dimension, then CheckAnswerable.
+  Status CheckRequest(std::size_t query_dim, const QueryOptions& options,
+                      std::string_view what) const;
 };
 
 /// Exact full scan, plus the int8 quantized-rerank variant.
@@ -108,25 +167,22 @@ class BruteForceIndex : public MipsIndex {
       const Matrix& data);
 
   std::string Name() const override { return "brute-force"; }
-  std::size_t dim() const override { return data_->cols(); }
+
+ private:
   /// Precision: kAuto / kExact run the exact scan; kQuantizedRerank
   /// runs the two-stage int8 estimate + exact re-rank.
-  [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
-      std::span<const double> q, const QueryOptions& options,
-      QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
-  /// Tiled implementation: one kernels::BlockTopK pass scores the whole
+  std::vector<SearchMatch> Search(std::span<const double> q,
+                                  const QueryOptions& options,
+                                  QueryStats* stats,
+                                  Trace* trace) const override;
+  /// Tiled exact batch: one kernels::BlockTopK pass scores the whole
   /// batch against the data with cache-blocked reuse of data rows. A
   /// kQuantizedRerank batch runs the two-stage path per query; the
   /// shared int8 code matrix is the amortized state.
-  [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
-      const Matrix& queries, const QueryOptions& options) const override;
+  std::optional<std::vector<QueryResult>> SearchBatch(
+      const Matrix& queries, const QueryOptions& options,
+      Trace* trace) const override;
 
-  /// The per-row-block int8 quantization of the data (the bucket join's
-  /// lossless prefilter reuses it).
-  const QuantizedMatrix& quantized() const { return quant_; }
-
- private:
-  const Matrix* data_;
   QuantizedMatrix quant_;
 };
 
@@ -147,26 +203,26 @@ class TreeMipsIndex : public MipsIndex {
       const Matrix& data, MipsBallTree tree);
 
   std::string Name() const override { return "ball-tree"; }
-  std::size_t dim() const override { return data_->cols(); }
-  /// Exact top-k, signed or unsigned (the unsigned descent prunes on
-  /// the looser |q^T c| + ||q|| r bound, so it scores more points).
-  [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
-      std::span<const double> q, const QueryOptions& options,
-      QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
-  /// Per-query descents under one batch trace; the leaf scans inside
-  /// each descent run through the dispatched gather kernel.
-  [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
-      const Matrix& queries, const QueryOptions& options) const override;
 
   /// The underlying ball tree, for callers that drive its (thread-safe)
   /// QueryTopK descent themselves.
   const MipsBallTree& tree() const { return tree_; }
 
  private:
-  TreeMipsIndex(const Matrix& data, MipsBallTree tree)
-      : data_(&data), tree_(std::move(tree)) {}
+  /// Exact precision only: the branch-and-bound prunes on exact scores.
+  Status CheckAnswerable(const QueryOptions& options) const override;
+  /// Exact top-k, signed or unsigned (the unsigned descent prunes on
+  /// the looser |q^T c| + ||q|| r bound, so it scores more points). A
+  /// batch runs one descent per row; the leaf scans inside each descent
+  /// run through the dispatched gather kernel.
+  std::vector<SearchMatch> Search(std::span<const double> q,
+                                  const QueryOptions& options,
+                                  QueryStats* stats,
+                                  Trace* trace) const override;
 
-  const Matrix* data_;
+  TreeMipsIndex(const Matrix& data, MipsBallTree tree)
+      : MipsIndex(data), tree_(std::move(tree)) {}
+
   MipsBallTree tree_;
 };
 
@@ -190,9 +246,10 @@ class LshMipsIndex : public MipsIndex {
       const LshFamily& base_family, LshTableParams params, Rng* rng);
 
   /// Restores an index from persisted buckets plus a replayed rng (see
-  /// LshTables::CreateFromBuckets): re-applies the (cheap) transform to
-  /// the data but skips the O(n k l) hashing pass. `rng` must carry the
-  /// restored pre-build Rng::State.
+  /// LshTables::CreateFromBuckets): the buckets already hold the data's
+  /// hashes, so neither the transform of the data nor the O(n k l)
+  /// hashing pass runs again. `rng` must carry the restored pre-build
+  /// Rng::State.
   [[nodiscard]] static StatusOr<std::unique_ptr<LshMipsIndex>>
   CreateFromBuckets(
       const Matrix& data, const VectorTransform* transform,
@@ -200,19 +257,6 @@ class LshMipsIndex : public MipsIndex {
       std::vector<BucketTable> buckets);
 
   std::string Name() const override { return name_; }
-  std::size_t dim() const override { return data_->cols(); }
-  /// The full hash -> bucket -> dedup -> verify -> top-k pipeline under
-  /// one "lsh" span when traced. Precision: kAuto / kExact verify every
-  /// candidate exactly; kQuantizedRerank prunes large candidate sets
-  /// with int8 estimates before the exact re-rank.
-  [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
-      std::span<const double> q, const QueryOptions& options,
-      QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
-  /// Probes every query's tables, then verifies candidates grouped by
-  /// data row across the whole batch: each row the batch touches is
-  /// loaded once and scored against every query that bucketed it.
-  [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
-      const Matrix& queries, const QueryOptions& options) const override;
 
   /// Raw candidate set for `q` (data row indices), for callers that
   /// re-rank themselves (e.g. top-k retrieval, core/top_k.h). `trace`
@@ -227,12 +271,27 @@ class LshMipsIndex : public MipsIndex {
   const LshTables& tables() const { return *tables_; }
 
  private:
+  /// The full hash -> bucket -> dedup -> verify -> top-k pipeline under
+  /// one "lsh" span. Precision: kAuto / kExact verify every candidate
+  /// exactly; kQuantizedRerank prunes large candidate sets with int8
+  /// estimates before the exact re-rank.
+  std::vector<SearchMatch> Search(std::span<const double> q,
+                                  const QueryOptions& options,
+                                  QueryStats* stats,
+                                  Trace* trace) const override;
+  /// Exact batch: probes every query's tables, then verifies candidates
+  /// grouped by data row across the whole batch, so each row the batch
+  /// touches is loaded once and scored against every query that
+  /// bucketed it. A kQuantizedRerank batch runs per query.
+  std::optional<std::vector<QueryResult>> SearchBatch(
+      const Matrix& queries, const QueryOptions& options,
+      Trace* trace) const override;
+
   // The one place an index adopts its tables, built or restored.
   LshMipsIndex(const Matrix& data, const VectorTransform* transform,
                const LshFamily& base_family,
                std::unique_ptr<LshTables> tables);
 
-  const Matrix* data_ = nullptr;
   const VectorTransform* transform_ = nullptr;
   std::unique_ptr<LshTables> tables_;
   QuantizedMatrix quant_;
@@ -255,19 +314,17 @@ class SketchIndex : public MipsIndex {
       const Matrix& data, const SketchMipsParams& params, Rng* rng);
 
   std::string Name() const override { return "sketch-mips"; }
-  std::size_t dim() const override { return data_->cols(); }
-  /// Unsigned k=1 descends the argmax tree; any other sign or k runs
-  /// the exact scan and returns TopKBruteForce's answer bit for bit.
-  /// Only kAuto precision is accepted.
-  [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
-      std::span<const double> q, const QueryOptions& options,
-      QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
-  /// Per-query recoveries / fallback scans under one batch trace.
-  [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
-      const Matrix& queries, const QueryOptions& options) const override;
 
  private:
-  const Matrix* data_;
+  /// Only kAuto precision: the argmax descent or the exact fallback.
+  Status CheckAnswerable(const QueryOptions& options) const override;
+  /// Unsigned k=1 descends the argmax tree; any other sign or k runs
+  /// the exact scan and returns TopKBruteForce's answer bit for bit.
+  std::vector<SearchMatch> Search(std::span<const double> q,
+                                  const QueryOptions& options,
+                                  QueryStats* stats,
+                                  Trace* trace) const override;
+
   SketchMipsIndex sketch_;
 };
 

@@ -15,7 +15,7 @@ namespace ips {
 
 NormRangeIndex::NormRangeIndex(const Matrix& data,
                                const NormRangeParams& params, Rng* rng)
-    : data_(&data), params_(params) {
+    : MipsIndex(data), params_(params) {
   IPS_CHECK(rng != nullptr);
   IPS_CHECK_GT(data.rows(), 0u);
   IPS_CHECK_GE(params.bucket_size, 1u);
@@ -45,14 +45,38 @@ NormRangeIndex::NormRangeIndex(const Matrix& data,
   }
 }
 
-StatusOr<std::vector<SearchMatch>> NormRangeIndex::Query(
-    std::span<const double> q, const QueryOptions& options, QueryStats* stats,
-    Trace* trace) const {
-  return QueryAbove(q, options, -std::numeric_limits<double>::infinity(),
-                    stats, trace);
+Status NormRangeIndex::CheckAnswerable(const QueryOptions& options) const {
+  if (!options.is_signed) {
+    return Status::InvalidArgument(
+        "norm-range top-k answers signed queries only");
+  }
+  if (options.precision != QueryPrecision::kAuto &&
+      options.precision != QueryPrecision::kExact) {
+    return Status::InvalidArgument(
+        "norm-range top-k is exact only (its bucket prune bounds exact "
+        "scores); use brute/lsh for quantized re-rank");
+  }
+  return Status::Ok();
+}
+
+std::vector<SearchMatch> NormRangeIndex::Search(std::span<const double> q,
+                                                const QueryOptions& options,
+                                                QueryStats* stats,
+                                                Trace* trace) const {
+  return SearchAbove(q, options, -std::numeric_limits<double>::infinity(),
+                     stats, trace);
 }
 
 StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
+    std::span<const double> q, const QueryOptions& options, double floor,
+    QueryStats* stats, Trace* trace) const {
+  return RunQuery(q, options, stats, trace,
+                  [&](QueryStats* local, Trace* t) {
+                    return SearchAbove(q, options, floor, local, t);
+                  });
+}
+
+std::vector<SearchMatch> NormRangeIndex::SearchAbove(
     std::span<const double> q, const QueryOptions& options, double floor,
     QueryStats* stats, Trace* trace) const {
   static Counter* const queries =
@@ -64,34 +88,12 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
   static Counter* const points_scored =
       MetricsRegistry::Global().GetCounter("core.normrange.points_scored");
 
-  IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  if (q.size() != dim()) {
-    return Status::InvalidArgument(
-        "query dimension " + std::to_string(q.size()) +
-        " != index dimension " + std::to_string(dim()));
-  }
-  if (!options.is_signed) {
-    return Status::InvalidArgument(
-        "norm-range top-k answers signed queries only");
-  }
-  if (options.precision != QueryPrecision::kAuto &&
-      options.precision != QueryPrecision::kExact) {
-    return Status::InvalidArgument(
-        "norm-range top-k is exact only (its bucket prune bounds exact "
-        "scores); use brute/lsh for quantized re-rank");
-  }
-  std::unique_ptr<Trace> owned;
-  if (options.trace && trace == nullptr) {
-    owned = std::make_unique<Trace>(Name());
-  }
-  Trace* t = trace != nullptr ? trace : owned.get();
-
   std::vector<SearchMatch> best;
   std::size_t visited = 0;
   std::size_t pruned = 0;
   std::size_t scored = 0;
   {
-    TraceSpan span(t, "norm-range");
+    TraceSpan span(trace, "norm-range");
     const double query_norm = kernels::Norm(q);
     if (query_norm > 0.0) {
       const std::vector<double> direction = kernels::Normalized(q);
@@ -141,16 +143,11 @@ StatusOr<std::vector<SearchMatch>> NormRangeIndex::QueryAbove(
   buckets_pruned->Add(pruned);
   points_scored->Add(scored);
 
-  QueryStats local;
-  local.candidates = scored;
-  local.dot_products = scored;
-  local.metrics.Set("normrange.buckets_visited", visited);
-  local.metrics.Set("normrange.buckets_pruned", pruned);
-  local.metrics.Set("normrange.points_scored", scored);
-  if (owned != nullptr) {
-    local.trace = std::shared_ptr<const Trace>(std::move(owned));
-  }
-  if (stats != nullptr) *stats = std::move(local);
+  stats->candidates = scored;
+  stats->dot_products = scored;
+  stats->metrics.Set("normrange.buckets_visited", visited);
+  stats->metrics.Set("normrange.buckets_pruned", pruned);
+  stats->metrics.Set("normrange.points_scored", scored);
   return best;
 }
 

@@ -43,19 +43,12 @@ class NormRangeIndex : public MipsIndex {
                  Rng* rng);
 
   std::string Name() const override { return "norm-range(lemp)"; }
-  std::size_t dim() const override { return data_->cols(); }
-  /// Signed top-k over the norm-sorted buckets: QueryAbove with no
-  /// floor. Exact precision only (kAuto / kExact); reports through
-  /// stats and "core.normrange.*".
-  [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
-      std::span<const double> q, const QueryOptions& options,
-      QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
-
   /// Query restricted to matches scoring >= `floor`: the bucket prune
   /// runs against max(k-th best so far, floor), so buckets that cannot
   /// reach the floor are never opened, and only matches >= floor are
   /// returned. With k = 1 and floor = cs this is the (cs, s)-search of
-  /// Definition 1, which IndexJoin runs on this index.
+  /// Definition 1, which IndexJoin runs on this index. Same envelope
+  /// (validation, trace) as Query.
   [[nodiscard]] StatusOr<std::vector<SearchMatch>> QueryAbove(
       std::span<const double> q, const QueryOptions& options, double floor,
       QueryStats* stats = nullptr, Trace* trace = nullptr) const;
@@ -63,6 +56,20 @@ class NormRangeIndex : public MipsIndex {
   std::size_t num_buckets() const { return buckets_.size(); }
 
  private:
+  /// Signed, exact precision only (kAuto / kExact): the bucket prune
+  /// bounds exact signed scores.
+  Status CheckAnswerable(const QueryOptions& options) const override;
+  /// Signed top-k over the norm-sorted buckets: SearchAbove with no
+  /// floor. Reports through stats and "core.normrange.*".
+  std::vector<SearchMatch> Search(std::span<const double> q,
+                                  const QueryOptions& options,
+                                  QueryStats* stats,
+                                  Trace* trace) const override;
+  std::vector<SearchMatch> SearchAbove(std::span<const double> q,
+                                       const QueryOptions& options,
+                                       double floor, QueryStats* stats,
+                                       Trace* trace) const;
+
   struct Bucket {
     std::vector<std::uint32_t> members;  // original data indices
     double max_norm = 0.0;
@@ -72,7 +79,6 @@ class NormRangeIndex : public MipsIndex {
     std::unique_ptr<LshTables> tables;
   };
 
-  const Matrix* data_;
   NormRangeParams params_;
   std::vector<Bucket> buckets_;  // descending max_norm
 };

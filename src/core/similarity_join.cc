@@ -45,21 +45,6 @@ void RecordIndexJoinRun(const JoinResult& result, std::size_t queries) {
   seconds->Observe(result.seconds);
 }
 
-// The exact scan over queries [begin, end): each query's brute-force
-// top-1 is recorded when it reaches spec.s.
-void ExactJoinChunk(const Matrix& data, const Matrix& queries,
-                    const JoinSpec& spec, std::size_t begin, std::size_t end,
-                    JoinResult* result) {
-  for (std::size_t qi = begin; qi < end; ++qi) {
-    const std::vector<SearchMatch> top =
-        TopKBruteForce(data, queries.Row(qi), 1, spec.is_signed);
-    if (!top.empty() && top.front().value >= spec.s) {
-      result->per_query[qi] =
-          JoinMatch{qi, top.front().index, top.front().value};
-    }
-  }
-}
-
 // The one index-join loop: Definition 1's (cs, s)-search is a k = 1
 // Query per row, matched iff the top-1 scores >= spec.cs(); work is the
 // sum of the per-query dot products. The norm-range index prunes its
@@ -113,17 +98,9 @@ Status ValidateJoinSpec(const JoinSpec& spec) {
 
 JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
                      const JoinSpec& spec, ThreadPool* pool) {
-  IPS_CHECK_EQ(data.cols(), queries.cols());
-  JoinResult result;
-  result.per_query.resize(queries.rows());
-  WallTimer timer;
-  ParallelFor(pool, queries.rows(), [&](std::size_t begin, std::size_t end) {
-    ExactJoinChunk(data, queries, spec, begin, end, &result);
-  });
-  result.seconds = timer.Seconds();
-  result.inner_products = queries.rows() * data.rows();
-  RecordExactJoinRun(result, queries.rows());
-  return result;
+  auto result = ExactJoinChecked(data, queries, spec, pool);
+  IPS_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 JoinResult IndexJoin(const MipsIndex& index, const Matrix& queries,
@@ -152,7 +129,15 @@ StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
       pool, queries.rows(),
       [&](std::size_t begin, std::size_t end) -> Status {
         IPS_FAILPOINT("core/exact-join-chunk");
-        ExactJoinChunk(data, queries, spec, begin, end, &result);
+        // Each query's brute-force top-1 is recorded when it reaches s.
+        for (std::size_t qi = begin; qi < end; ++qi) {
+          const std::vector<SearchMatch> top =
+              TopKBruteForce(data, queries.Row(qi), 1, spec.is_signed);
+          if (!top.empty() && top.front().value >= spec.s) {
+            result.per_query[qi] =
+                JoinMatch{qi, top.front().index, top.front().value};
+          }
+        }
         return Status::Ok();
       });
   IPS_RETURN_IF_ERROR(status);

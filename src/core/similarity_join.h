@@ -25,7 +25,8 @@ Status ValidateJoinSpec(const JoinSpec& spec);
 
 /// Exact (s, s) join by full quadratic scan; the per-query entry is the
 /// true maximizer when its score >= spec.s, nullopt otherwise.
-/// `pool` may be null (single-threaded).
+/// `pool` may be null (single-threaded). IPS_CHECKs that
+/// ExactJoinChecked accepts the input (use it to get a Status instead).
 JoinResult ExactJoin(const Matrix& data, const Matrix& queries,
                      const JoinSpec& spec, ThreadPool* pool = nullptr);
 

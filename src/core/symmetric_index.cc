@@ -17,7 +17,7 @@ namespace ips {
 
 SymmetricMipsIndex::SymmetricMipsIndex(const Matrix& data, double epsilon,
                                        LshTableParams params, Rng* rng)
-    : data_(&data),
+    : MipsIndex(data),
       transform_(data.cols(), epsilon, /*fingerprint_bits=*/24),
       base_(transform_.output_dim()),
       lsh_(data, &transform_, base_, params, rng) {
@@ -63,34 +63,26 @@ bool SymmetricMipsIndex::LookupExact(std::span<const double> q,
   return false;
 }
 
-StatusOr<std::vector<SearchMatch>> SymmetricMipsIndex::Query(
+std::vector<SearchMatch> SymmetricMipsIndex::Search(
     std::span<const double> q, const QueryOptions& options, QueryStats* stats,
     Trace* trace) const {
   static Counter* const queries =
       MetricsRegistry::Global().GetCounter("core.symmetric.queries");
   static Counter* const membership_hits =
       MetricsRegistry::Global().GetCounter("core.symmetric.membership_hits");
-  // Own the trace here (not in the inner LSH) so the membership span
-  // lands on the same tree as the LSH pipeline's.
-  std::unique_ptr<Trace> owned;
-  if (options.trace && trace == nullptr) {
-    owned = std::make_unique<Trace>(Name());
-  }
-  Trace* t = trace != nullptr ? trace : owned.get();
-
   std::size_t exact_index = 0;
   bool member = false;
   {
-    TraceSpan span(t, "membership");
+    TraceSpan span(trace, "membership");
     member = LookupExact(q, &exact_index);
   }
-  QueryStats local;
-  auto inner = lsh_.Query(q, options, &local, t);
-  IPS_RETURN_IF_ERROR(inner.status());
-  std::vector<SearchMatch> matches = std::move(inner).value();
+  // The envelope already checked the request, and the inner LSH index
+  // answers every request shape over the same dimension.
+  std::vector<SearchMatch> matches =
+      lsh_.Query(q, options, stats, trace).value();
   if (member) {
     membership_hits->Increment();
-    local.metrics.Set("symmetric.membership_hit", 1);
+    stats->metrics.Set("symmetric.membership_hit", 1);
     // Section 4.2's initial step: the relaxed LSH guarantee disregards
     // the (q, q) pair, so splice the exact self-match in if the tables
     // missed it.
@@ -101,15 +93,11 @@ StatusOr<std::vector<SearchMatch>> SymmetricMipsIndex::Query(
       matches.push_back({exact_index, options.is_signed ? raw : std::abs(raw)});
       std::sort(matches.begin(), matches.end(), RanksBefore);
       if (matches.size() > options.k) matches.resize(options.k);
-      local.candidates += 1;
-      local.dot_products += 1;
+      stats->candidates += 1;
+      stats->dot_products += 1;
     }
   }
   queries->Increment();
-  if (owned != nullptr) {
-    local.trace = std::shared_ptr<const Trace>(std::move(owned));
-  }
-  if (stats != nullptr) *stats = std::move(local);
   return matches;
 }
 

@@ -40,19 +40,18 @@ class SymmetricMipsIndex : public MipsIndex {
       const Matrix& data, double epsilon, LshTableParams params, Rng* rng);
 
   std::string Name() const override { return "symmetric-incoherent-lsh"; }
-  std::size_t dim() const override { return data_->cols(); }
-  /// Membership check (a "membership" span) followed by the inner LSH
-  /// pipeline; an exact self-match the tables missed is spliced into
-  /// the top-k.
-  [[nodiscard]] StatusOr<std::vector<SearchMatch>> Query(
-      std::span<const double> q, const QueryOptions& options,
-      QueryStats* stats = nullptr, Trace* trace = nullptr) const override;
-
   /// True iff `q` equals (bitwise) some data row; sets *index when so.
   bool LookupExact(std::span<const double> q, std::size_t* index) const;
 
  private:
-  const Matrix* data_;
+  /// Membership check (a "membership" span) followed by the inner LSH
+  /// pipeline; an exact self-match the tables missed is spliced into
+  /// the top-k.
+  std::vector<SearchMatch> Search(std::span<const double> q,
+                                  const QueryOptions& options,
+                                  QueryStats* stats,
+                                  Trace* trace) const override;
+
   SymmetricIncoherentTransform transform_;
   SimHashFamily base_;
   LshMipsIndex lsh_;

@@ -15,8 +15,8 @@ namespace {
 // RanksBefore order. k = 1 (the (cs, s)-search behind IndexJoin and
 // ExactJoin) is one pass. Deeper k still sorts every candidate: a
 // TopKHeap makes this sequential path several times faster, which moves
-// bench_serve's enforced batched-vs-sequential gate, so it waits for its
-// own decision about that gate (ROADMAP 8(a)).
+// bench_serve's enforced batched-vs-sequential gate (batched.speedup),
+// so it waits for its own decision about that gate.
 std::vector<SearchMatch> KBest(std::span<const double> scores,
                                std::span<const std::size_t> rows,
                                std::size_t k, bool is_signed) {

@@ -164,16 +164,6 @@ class Planner {
   /// descent or the exact fallback scan for sketch).
   double ExpectedDotProducts(QueryAlgo algo, QueryPrecision precision,
                              const QueryOptions& request) const;
-  double ExpectedDotProducts(QueryAlgo algo,
-                             const QueryOptions& request) const {
-    return ExpectedDotProducts(algo, QueryPrecision::kAuto, request);
-  }
-
-  /// Calibrated recall the model expects of (`algo`, `precision`) for
-  /// `request`; 0 when the variant cannot answer the request at all
-  /// (e.g. signed queries on the sketch argmax path).
-  double ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
-                        const QueryOptions& request) const;
 
   const DatasetProfile& profile() const { return profile_; }
   const PlannerCalibration& calibration() const { return calibration_; }
@@ -184,6 +174,12 @@ class Planner {
   static constexpr std::size_t kNumSegments = 6;
 
  private:
+  /// Calibrated recall the model expects of (`algo`, `precision`) for
+  /// `request`; 0 when the variant cannot answer the request at all
+  /// (e.g. signed queries on the sketch argmax path).
+  double ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
+                        const QueryOptions& request) const;
+
   struct VariantState {
     double recall_ewma = 0.0;
     double cost_ewma = 0.0;
