@@ -150,7 +150,6 @@ std::vector<SearchMatch> BruteForceIndex::Search(std::span<const double> q,
                                                  QueryStats* stats,
                                                  Trace* trace) const {
   if (options.precision == QueryPrecision::kQuantizedRerank) {
-    stats->algorithm = QueryAlgo::kBruteForce;
     return QueryQuantizedRerank(*data_, quant_, q, options, stats, trace);
   }
   return QueryBruteForce(*data_, q, options, stats, trace);

@@ -43,6 +43,7 @@ class NormRangeIndex : public MipsIndex {
                  Rng* rng);
 
   std::string Name() const override { return "norm-range(lemp)"; }
+
   /// Query restricted to matches scoring >= `floor`: the bucket prune
   /// runs against max(k-th best so far, floor), so buckets that cannot
   /// reach the floor are never opened, and only matches >= floor are
