@@ -11,18 +11,29 @@
 // baseline. Under IPS_FORCE_SCALAR (or off x86) the speedup row is
 // reported but not enforced: there the win is cache reuse alone, not
 // cache reuse plus SIMD.
+//
+// simhash_keys: (K, L) SimHash keys of a row set, hashed per function
+// (one virtual HashData and one dispatched dot per bit, the path every
+// other family keeps) against the SimHash keyer (one ProjectBlock call
+// per row block and table group), at join_planted's shape and at the
+// serving engine's. Gates: the two paths give the same keys, and at
+// the join shape the keyer is at least 1.5x the per-function path.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_report.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "lsh/lsh_family.h"
+#include "lsh/simhash.h"
 #include "rng/random.h"
+#include "util/stats.h"
 #include "util/table.h"
 #include "util/timer.h"
 
@@ -210,6 +221,126 @@ void MeasureHeadline(Rng* rng, BenchReport& report) {
                  /*enforced=*/std::string(kernels::ActiveIsaName()) == "avx2");
 }
 
+struct KeyShape {
+  const char* name;
+  std::size_t rows, dim, k, l;
+};
+
+// join_planted's bucket join and the serving engine's LSH index.
+constexpr KeyShape kKeyShapes[] = {{"join", 2048, 34, 16, 64},
+                                   {"engine", 20000, 66, 8, 32}};
+// Alternating per-function / keyer pairs per shape; the speedup is the
+// median pair ratio, as obs_overhead's is.
+constexpr int kKeyPairs = 5;
+constexpr std::uint64_t kKeySeed = 25;
+
+// Table-major keys of every row, through l ConcatenatedLshFunctions.
+std::vector<std::uint64_t> PerFunctionKeys(const SimHashFamily& family,
+                                           const Matrix& rows,
+                                           const KeyShape& shape) {
+  Rng rng(kKeySeed);
+  std::vector<std::uint64_t> keys(shape.l * rows.rows());
+  for (std::size_t t = 0; t < shape.l; ++t) {
+    const ConcatenatedLshFunction function(family, shape.k, &rng);
+    for (std::size_t i = 0; i < rows.rows(); ++i) {
+      keys[t * rows.rows() + i] = function.HashData(rows.Row(i));
+    }
+  }
+  return keys;
+}
+
+// The same keys through the keyer, kKeyTableGroup tables per call.
+std::vector<std::uint64_t> KeyerKeys(const SimHashFamily& family,
+                                     const Matrix& rows,
+                                     const KeyShape& shape) {
+  Rng rng(kKeySeed);
+  const std::unique_ptr<LshKeyer> keyer =
+      family.SampleKeyer(shape.k, shape.l, &rng);
+  const std::size_t n = rows.rows();
+  std::vector<std::uint64_t> keys(shape.l * n);
+  for (std::size_t t0 = 0; t0 < shape.l; t0 += kKeyTableGroup) {
+    const std::size_t t1 = std::min(shape.l, t0 + kKeyTableGroup);
+    keyer->Keys({rows.raw(), n * rows.cols()}, HashSide::kData, t0, t1,
+                {keys.data() + t0 * n, (t1 - t0) * n});
+  }
+  return keys;
+}
+
+void MeasureSimHashKeys(Rng* rng, BenchReport& report) {
+  JsonWriter& json = report.json();
+  json.Key("simhash_keys").BeginObject();
+  json.Key("pairs").Uint(kKeyPairs);
+  json.Key("shapes").BeginArray();
+  TablePrinter table({"shape", "rows x dim", "K x L", "per-function ms",
+                      "keyer ms", "keyer Mkeys/s", "keyer GFLOP/s",
+                      "speedup", "keys agree"});
+  bool all_agree = true;
+  double join_speedup = 0.0;
+  for (const KeyShape& shape : kKeyShapes) {
+    const SimHashFamily family(shape.dim);
+    const Matrix rows = RandomMatrix(shape.rows, shape.dim, rng);
+    const bool agree =
+        PerFunctionKeys(family, rows, shape) == KeyerKeys(family, rows, shape);
+    all_agree = all_agree && agree;
+    std::vector<double> per_function_ms, keyer_ms, ratios;
+    std::uint64_t sink = 0;
+    for (int pair = 0; pair < kKeyPairs; ++pair) {
+      double ms[2];
+      for (int side = 0; side < 2; ++side) {
+        const bool keyer_side = (side == 1) == (pair % 2 == 0);
+        WallTimer timer;
+        sink += keyer_side ? KeyerKeys(family, rows, shape).back()
+                           : PerFunctionKeys(family, rows, shape).back();
+        ms[keyer_side ? 1 : 0] = timer.Millis();
+      }
+      per_function_ms.push_back(ms[0]);
+      keyer_ms.push_back(ms[1]);
+      ratios.push_back(ms[1] > 0.0 ? ms[0] / ms[1] : 0.0);
+    }
+    if (sink == 12345) std::cout << "";  // keep the keys live
+    const double base_ms = Summarize(per_function_ms).p50;
+    const double fast_ms = Summarize(keyer_ms).p50;
+    const double speedup = Summarize(ratios).p50;
+    const double keys = static_cast<double>(shape.rows * shape.l);
+    const double flops = 2.0 * keys * static_cast<double>(shape.k * shape.dim);
+    const auto per_s = [](double count, double ms) {
+      return ms > 0.0 ? count / (ms * 1e-3) : 0.0;
+    };
+    if (std::string(shape.name) == "join") join_speedup = speedup;
+    table.AddRow({shape.name,
+                  Format(shape.rows) + " x " + Format(shape.dim),
+                  Format(shape.k) + " x " + Format(shape.l),
+                  FormatFixed(base_ms, 2), FormatFixed(fast_ms, 2),
+                  FormatFixed(per_s(keys, fast_ms) * 1e-6, 1),
+                  FormatFixed(per_s(flops, fast_ms) * 1e-9, 2),
+                  FormatFixed(speedup, 2), agree ? "yes" : "NO"});
+    json.BeginObject().Key("shape").String(shape.name);
+    json.Key("rows").Uint(shape.rows);
+    json.Key("dim").Uint(shape.dim);
+    json.Key("k").Uint(shape.k);
+    json.Key("l").Uint(shape.l);
+    json.Key("per_function_ms").Double(base_ms);
+    json.Key("keyer_ms").Double(fast_ms);
+    json.Key("per_function_keys_per_s").Double(per_s(keys, base_ms));
+    json.Key("keyer_keys_per_s").Double(per_s(keys, fast_ms));
+    json.Key("per_function_gflops").Double(per_s(flops, base_ms) * 1e-9);
+    json.Key("keyer_gflops").Double(per_s(flops, fast_ms) * 1e-9);
+    json.Key("speedup").Double(speedup);
+    json.Key("keys_agree").Bool(agree);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("keys_agree").Bool(all_agree);
+  json.Key("speedup").Double(join_speedup);
+  json.EndObject();
+  std::cout << "simhash keys (active ISA: " << kernels::ActiveIsaName()
+            << ", median of " << kKeyPairs << " alternating pairs):\n";
+  table.PrintMarkdown(std::cout);
+  std::cout << "\n";
+  report.Holds("simhash_keys.keys_agree", all_agree);
+  report.AtLeast("simhash_keys.speedup", join_speedup, 1.5);
+}
+
 int Run() {
   BenchReport report("kernels");
   Rng rng(2026);
@@ -245,6 +376,7 @@ int Run() {
             << " Gbit-products/s\n\n";
   json.EndArray().Key("popcount_gbits_per_s").Double(popcount_gbits);
 
+  MeasureSimHashKeys(&rng, report);
   MeasureHeadline(&rng, report);
   return report.Finish();
 }

@@ -76,12 +76,81 @@ void ScoreBlockI8Scalar(const std::int8_t* codes, std::size_t rows,
   }
 }
 
+// Each output's chain runs in ascending column order exactly as the
+// AVX2 lanes run it, and std::fma rounds once per step, as the vector
+// fma does. Eight planes at a time keep eight independent chains in
+// registers across the columns.
+[[gnu::always_inline]] inline void ProjectChain(
+    const double* rows, std::size_t num_rows, std::size_t cols,
+    const double* planes, std::size_t num_planes, std::size_t plane_stride,
+    double* out) {
+  constexpr std::size_t kChains = 8;
+  for (std::size_t r = 0; r < num_rows; ++r) {
+    const double* row = rows + r * cols;
+    double* row_out = out + r * num_planes;
+    std::size_t h = 0;
+    for (; h + kChains <= num_planes; h += kChains) {
+      double acc[kChains] = {};
+      for (std::size_t j = 0; j < cols; ++j) {
+        const double x = row[j];
+        const double* plane = planes + j * plane_stride + h;
+#pragma GCC unroll 8
+        for (std::size_t c = 0; c < kChains; ++c) {
+          acc[c] = std::fma(x, plane[c], acc[c]);
+        }
+      }
+      std::copy(acc, acc + kChains, row_out + h);
+    }
+    for (; h < num_planes; ++h) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < cols; ++j) {
+        acc = std::fma(row[j], planes[j * plane_stride + h], acc);
+      }
+      row_out[h] = acc;
+    }
+  }
+}
+
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+// The same chain compiled for a CPU with FMA, where std::fma is one
+// instruction instead of a libm call. fma rounds once by definition,
+// so the bits do not depend on which of the two runs.
+__attribute__((target("fma"))) void ProjectChainFma(
+    const double* rows, std::size_t num_rows, std::size_t cols,
+    const double* planes, std::size_t num_planes, std::size_t plane_stride,
+    double* out) {
+  ProjectChain(rows, num_rows, cols, planes, num_planes, plane_stride, out);
+}
+
+bool FmaAvailable() {
+  static const bool available = __builtin_cpu_supports("fma");
+  return available;
+}
+#endif
+
+void ProjectBlockScalar(const double* rows, std::size_t num_rows,
+                        std::size_t cols, const double* planes,
+                        std::size_t num_planes, std::size_t plane_stride,
+                        double* out) {
+#if (defined(__x86_64__) || defined(__i386__)) && \
+    (defined(__GNUC__) || defined(__clang__))
+  if (FmaAvailable()) {
+    ProjectChainFma(rows, num_rows, cols, planes, num_planes, plane_stride,
+                    out);
+    return;
+  }
+#endif
+  ProjectChain(rows, num_rows, cols, planes, num_planes, plane_stride, out);
+}
+
 }  // namespace
 
 const KernelOps& ScalarOps() {
   static const KernelOps ops = {"scalar",          &DotScalar,
                                 &MatVecScalar,     &ScoreBlockScalar,
-                                &DotI8Scalar,      &ScoreBlockI8Scalar};
+                                &DotI8Scalar,      &ScoreBlockI8Scalar,
+                                &ProjectBlockScalar};
   return ops;
 }
 

@@ -18,6 +18,9 @@
 //   DotI8 / ScoreBlockI8               int8 fixed-point inner products
 //                                      (the estimate pass of the
 //                                      two-stage quantized scorer);
+//   ProjectBlock                       a block of rows onto a packed,
+//                                      transposed block of hyperplanes
+//                                      (the SimHash keyer, multiprobe);
 //   AndPopcountMany / SignDotMany      batched popcount inner products
 //                                      over packed {0,1} / {-1,+1} rows.
 //
@@ -35,7 +38,12 @@
 // same dot, so full scans, leaf scans and per-pair loops agree bitwise.
 // The int8 kernels are integer-exact: scalar and AVX2 produce identical
 // int32 results for codes in [-127, 127] (tests/quant_test compares
-// them with EXPECT_EQ, no tolerance).
+// them with EXPECT_EQ, no tolerance). ProjectBlock is bitwise equal
+// across the tables too: every projection is one fused multiply-add
+// chain in ascending column order, which AVX2 runs lane by lane across
+// hyperplanes and the scalar table runs through std::fma. A SimHash
+// sign bit therefore does not depend on the table (tests/lsh_test
+// compares the projections with EXPECT_EQ).
 
 #ifndef IPS_LINALG_KERNELS_H_
 #define IPS_LINALG_KERNELS_H_
@@ -105,6 +113,17 @@ struct KernelOps {
   void (*score_block_i8)(const std::int8_t* codes, std::size_t rows,
                          std::size_t cols, const std::int8_t* q,
                          std::int32_t* out);
+
+  /// Projection tile: out[r * num_planes + h] = <row r, plane h> for
+  /// r in [0, num_rows), h in [0, num_planes). Rows are contiguous at
+  /// `rows` (leading dimension cols); the planes are packed transposed,
+  /// entry j of plane h at planes[j * plane_stride + h]. Each output is
+  /// the chain acc = fma(row[j], plane[j], acc) over j = 0 .. cols-1
+  /// from acc = +0.0, so both tables return the same bits.
+  void (*project_block)(const double* rows, std::size_t num_rows,
+                        std::size_t cols, const double* planes,
+                        std::size_t num_planes, std::size_t plane_stride,
+                        double* out);
 };
 
 /// The portable fallback (available everywhere).
@@ -245,6 +264,21 @@ inline void ScoreBlockI8(const std::int8_t* codes, std::size_t rows,
                          std::size_t cols, const std::int8_t* q,
                          std::int32_t* out) {
   ActiveOps().score_block_i8(codes, rows, cols, q, out);
+}
+
+// ---------------------------------------------------------------------
+// Dispatched projection onto packed hyperplanes.
+// ---------------------------------------------------------------------
+
+/// out[r * num_planes + h] = <row r, plane h>, one fma chain per output
+/// (see KernelOps::project_block for the layout).
+inline void ProjectBlock(const double* rows, std::size_t num_rows,
+                         std::size_t cols, const double* planes,
+                         std::size_t num_planes, std::size_t plane_stride,
+                         double* out) {
+  IPS_DCHECK(num_planes <= plane_stride);
+  ActiveOps().project_block(rows, num_rows, cols, planes, num_planes,
+                            plane_stride, out);
 }
 
 // ---------------------------------------------------------------------

@@ -217,6 +217,124 @@ IPS_AVX2 void ScoreBlockI8Avx2(const std::int8_t* codes, std::size_t rows,
   }
 }
 
+// Projections onto packed, transposed hyperplanes. Lane h of an
+// accumulator holds plane h's chain for one row, and a column step is
+// one fma per (row, four planes): vectorised across planes, never
+// across columns, so each output is the same ascending fma chain the
+// scalar table computes with std::fma — bitwise equal, no reduction.
+//
+// Register tile: R rows x V vectors of four planes. At R = 4, V = 3
+// the twelve accumulators, three plane loads and one broadcast fill
+// the sixteen ymm registers. The last vector of a tile may be partial:
+// a masked load reads only the live planes (never past the block) and
+// a masked store writes only those.
+IPS_AVX2 inline __m256i LaneMask(std::size_t live) {
+  return _mm256_cmpgt_epi64(
+      _mm256_set1_epi64x(static_cast<long long>(live)),
+      _mm256_setr_epi64x(0, 1, 2, 3));
+}
+
+template <int R, int V, bool kMaskLast>
+IPS_AVX2 inline void ProjectTile(const double* rows, std::size_t cols,
+                                 const double* planes,
+                                 std::size_t plane_stride, __m256i mask,
+                                 double* out, std::size_t out_stride) {
+  __m256d acc[R][V];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
+  for (std::size_t j = 0; j < cols; ++j) {
+    const double* plane = planes + j * plane_stride;
+    __m256d p[V];
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      p[v] = (kMaskLast && v == V - 1)
+                 ? _mm256_maskload_pd(plane + 4 * v, mask)
+                 : _mm256_loadu_pd(plane + 4 * v);
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+      const __m256d x = _mm256_broadcast_sd(rows + r * cols + j);
+#pragma GCC unroll 4
+      for (int v = 0; v < V; ++v) {
+        acc[r][v] = _mm256_fmadd_pd(x, p[v], acc[r][v]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int v = 0; v < V; ++v) {
+      double* dst = out + r * out_stride + 4 * v;
+      if (kMaskLast && v == V - 1) {
+        _mm256_maskstore_pd(dst, mask, acc[r][v]);
+      } else {
+        _mm256_storeu_pd(dst, acc[r][v]);
+      }
+    }
+  }
+}
+
+template <int R>
+IPS_AVX2 void ProjectRowsAvx2(const double* rows, std::size_t cols,
+                              const double* planes, std::size_t num_planes,
+                              std::size_t plane_stride, double* out) {
+  const __m256i all = _mm256_set1_epi64x(-1);
+  std::size_t h = 0;
+  for (; h + 12 <= num_planes; h += 12) {
+    ProjectTile<R, 3, false>(rows, cols, planes + h, plane_stride, all,
+                             out + h, num_planes);
+  }
+  const std::size_t rest = num_planes - h;
+  if (rest == 0) return;
+  const __m256i mask = LaneMask(rest % 4 == 0 ? 4 : rest % 4);
+  switch ((rest + 3) / 4) {
+    case 1:
+      ProjectTile<R, 1, true>(rows, cols, planes + h, plane_stride, mask,
+                              out + h, num_planes);
+      break;
+    case 2:
+      ProjectTile<R, 2, true>(rows, cols, planes + h, plane_stride, mask,
+                              out + h, num_planes);
+      break;
+    default:
+      ProjectTile<R, 3, true>(rows, cols, planes + h, plane_stride, mask,
+                              out + h, num_planes);
+      break;
+  }
+}
+
+IPS_AVX2 void ProjectBlockAvx2(const double* rows, std::size_t num_rows,
+                               std::size_t cols, const double* planes,
+                               std::size_t num_planes,
+                               std::size_t plane_stride, double* out) {
+  std::size_t r = 0;
+  for (; r + 4 <= num_rows; r += 4) {
+    ProjectRowsAvx2<4>(rows + r * cols, cols, planes, num_planes,
+                       plane_stride, out + r * num_planes);
+  }
+  const double* tail = rows + r * cols;
+  double* tail_out = out + r * num_planes;
+  switch (num_rows - r) {
+    case 3:
+      ProjectRowsAvx2<3>(tail, cols, planes, num_planes, plane_stride,
+                         tail_out);
+      break;
+    case 2:
+      ProjectRowsAvx2<2>(tail, cols, planes, num_planes, plane_stride,
+                         tail_out);
+      break;
+    case 1:
+      ProjectRowsAvx2<1>(tail, cols, planes, num_planes, plane_stride,
+                         tail_out);
+      break;
+    default:
+      break;
+  }
+}
+
 #undef IPS_AVX2
 
 }  // namespace
@@ -226,7 +344,8 @@ const KernelOps& Avx2Ops() {
       << "Avx2Ops() requested on a CPU without AVX2+FMA";
   static const KernelOps ops = {"avx2",          &DotAvx2,
                                 &MatVecAvx2,     &ScoreBlockAvx2,
-                                &DotI8Avx2,      &ScoreBlockI8Avx2};
+                                &DotI8Avx2,      &ScoreBlockI8Avx2,
+                                &ProjectBlockAvx2};
   return ops;
 }
 

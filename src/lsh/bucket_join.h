@@ -5,9 +5,13 @@
 // hash both point sets into the same (K, L) tables and enumerate
 // colliding (data, query) pairs bucket by bucket -- the classic
 // similarity-join operator built on LSH (cf. the I/O-efficient joins of
-// [41]). Table by table, the data keys go into one BucketTable
-// (lsh/bucket_table.h) and every query probes it, so a (query, row)
-// pair occurs at most once per table. Each candidate pair passes a
+// [41]). One LshKeyer (LshFamily::SampleKeyer) hashes both sides a
+// group of kKeyTableGroup tables at a time -- for SimHash, one
+// projection kernel call per row block and group, never one dot per
+// bit. In each group, every table's query keys go into one BucketTable
+// (lsh/bucket_table.h) and the data rows stream past them in blocks,
+// so no key buffer grows with the data and a (query, row) pair occurs
+// at most once per table. Each candidate pair passes a
 // lossless int8 prefilter (skipped only when its quantized estimate plus
 // the rigorous rounding-error bound cannot reach cs), is then verified
 // with one exact inner product, and for every query the best verified
@@ -63,8 +67,8 @@ const Matrix& MapToHashSpace(const LshFamily& family, const Matrix& rows,
 
 /// Runs the (cs, s) bucket join of `data` and `queries` under `family`.
 /// Scores are signed or absolute inner products of the *original* rows
-/// per `is_signed`; hashing uses HashData on `data` rows and HashQuery on
-/// `queries` rows.
+/// per `is_signed`; the keyer hashes `data` rows on the data side (h_p)
+/// and `queries` rows on the query side (h_q).
 ///
 /// `hash_data` / `hash_queries` are the representations to hash (must
 /// have family.dim() columns); `data` / `queries` are the originals to

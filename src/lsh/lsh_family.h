@@ -24,6 +24,7 @@
 namespace ips {
 
 class VectorTransform;
+class LshKeyer;
 
 /// One sampled hash-function pair (h_p, h_q) from a family.
 class LshFunction {
@@ -50,6 +51,16 @@ class LshFamily {
 
   /// Samples a fresh (h_p, h_q) pair.
   virtual std::unique_ptr<LshFunction> Sample(Rng* rng) const = 0;
+
+  /// Samples the `l` concatenated functions of a (k, l) index, table by
+  /// table, each from `k` Sample() draws: the same functions, from the
+  /// same Rng draws, as `l` ConcatenatedLshFunctions sampled in turn,
+  /// and the same keys. The default wraps exactly those; a family with a
+  /// batched kernel (SimHash) overrides it to hash a block of rows at
+  /// once.
+  virtual std::unique_ptr<LshKeyer> SampleKeyer(std::size_t k,
+                                                std::size_t l,
+                                                Rng* rng) const;
 
   /// True when h_p == h_q by construction.
   virtual bool IsSymmetric() const { return false; }
@@ -81,6 +92,13 @@ BernoulliEstimate EstimateCollisionProbability(const LshFamily& family,
                                                std::span<const double> q,
                                                std::size_t trials, Rng* rng);
 
+/// The key mix of a concatenated function: a table's key starts at
+/// kConcatKeySeed and folds in each constituent hash in draw order.
+inline constexpr std::uint64_t kConcatKeySeed = 0x8000000080001111ULL;
+inline std::uint64_t ConcatKeyMix(std::uint64_t state, std::uint64_t hash) {
+  return state ^ (hash + 0x9e3779b97f4a7c15ULL + (state << 6) + (state >> 2));
+}
+
 /// A (h_p, h_q) pair formed by concatenating `k` independent draws;
 /// collides iff all k constituents collide (AND-amplification).
 /// Collision probability is P^k when the base collides w.p. P.
@@ -93,6 +111,32 @@ class ConcatenatedLshFunction : public LshFunction {
 
  private:
   std::vector<std::unique_ptr<LshFunction>> functions_;
+};
+
+/// Which function of a sampled pair hashes a row: h_p or h_q.
+enum class HashSide { kData, kQuery };
+
+/// A caller hashing a block of rows asks for at most this many tables
+/// per Keys call, so its key buffer holds kKeyTableGroup * rows keys,
+/// never L * rows. (One query row may take all L tables at once.)
+inline constexpr std::size_t kKeyTableGroup = 8;
+
+/// The sampled tables of a (k, l) index, hashing whole blocks of rows:
+/// the one path by which tables, bucket joins and snapshot restores
+/// turn rows into keys. Immutable once sampled; Keys keeps its scratch
+/// local, so one keyer serves concurrent callers.
+class LshKeyer {
+ public:
+  virtual ~LshKeyer() = default;
+
+  /// Writes the key of every row of `rows` (row-major, the family's
+  /// dim() entries each) in every table t of [table_begin, table_end)
+  /// of the l sampled, hashed on `side`, to
+  /// out[(t - table_begin) * num_rows + i]. Requires out.size() to be
+  /// (table_end - table_begin) * num_rows.
+  virtual void Keys(std::span<const double> rows, HashSide side,
+                    std::size_t table_begin, std::size_t table_end,
+                    std::span<std::uint64_t> out) const = 0;
 };
 
 }  // namespace ips

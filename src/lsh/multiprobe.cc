@@ -10,6 +10,23 @@
 
 namespace ips {
 
+namespace {
+
+// Rows projected per ProjectBlock call during the build.
+constexpr std::size_t kBuildBlockRows = 256;
+
+// Raw-bit key of one row's k projections: bit b set iff projection b
+// is >= 0.
+std::uint64_t SignKey(const double* projections, std::size_t k) {
+  std::uint64_t key = 0;
+  for (std::size_t bit = 0; bit < k; ++bit) {
+    if (projections[bit] >= 0.0) key |= 1ULL << bit;
+  }
+  return key;
+}
+
+}  // namespace
+
 MultiprobeSimHashTables::MultiprobeSimHashTables(const Matrix& data,
                                                  MultiprobeParams params,
                                                  Rng* rng)
@@ -18,33 +35,30 @@ MultiprobeSimHashTables::MultiprobeSimHashTables(const Matrix& data,
   IPS_CHECK_GE(params.k, 1u);
   IPS_CHECK_LE(params.k, 63u);
   IPS_CHECK_GE(params.l, 1u);
+  const std::size_t k = params.k;
+  const std::size_t dim = data.cols();
   tables_.resize(params.l);
-  std::vector<double> margins;
+  std::vector<double> projections(kBuildBlockRows * k);
   std::vector<std::uint64_t> keys(data.rows());
   for (Table& table : tables_) {
-    table.directions = Matrix(params.k, data.cols());
-    for (double& entry : table.directions.data()) {
-      entry = rng->NextGaussian();
+    // Bit by bit, each direction entry by entry: the row-major draw
+    // order of k Gaussian direction rows.
+    table.planes = Matrix(dim, k);
+    for (std::size_t bit = 0; bit < k; ++bit) {
+      for (std::size_t j = 0; j < dim; ++j) {
+        table.planes.At(j, bit) = rng->NextGaussian();
+      }
     }
-    for (std::size_t i = 0; i < data.rows(); ++i) {
-      keys[i] = KeyWithMargins(table, data.Row(i), &margins);
+    for (std::size_t r0 = 0; r0 < data.rows(); r0 += kBuildBlockRows) {
+      const std::size_t nr = std::min(kBuildBlockRows, data.rows() - r0);
+      kernels::ProjectBlock(data.Row(r0).data(), nr, dim, table.planes.raw(),
+                            k, k, projections.data());
+      for (std::size_t r = 0; r < nr; ++r) {
+        keys[r0 + r] = SignKey(projections.data() + r * k, k);
+      }
     }
     table.buckets = BucketTable::Build(keys);
   }
-}
-
-std::uint64_t MultiprobeSimHashTables::KeyWithMargins(
-    const Table& table, std::span<const double> q,
-    std::vector<double>* margins) const {
-  IPS_CHECK(margins != nullptr);
-  margins->resize(params_.k);
-  std::uint64_t key = 0;
-  for (std::size_t bit = 0; bit < params_.k; ++bit) {
-    const double projection = kernels::Dot(table.directions.Row(bit), q);
-    if (projection >= 0.0) key |= 1ULL << bit;
-    (*margins)[bit] = std::abs(projection);
-  }
-  return key;
 }
 
 std::vector<std::size_t> MultiprobeSimHashTables::Query(
@@ -57,10 +71,14 @@ std::vector<std::size_t> MultiprobeSimHashTables::Query(
       MetricsRegistry::Global().GetCounter("lsh.multiprobe.candidates");
   std::size_t probed = 0;
   std::vector<std::size_t> candidates;
-  std::vector<double> margins;
+  std::vector<double> margins(params_.k);
   std::vector<std::size_t> order(params_.k);
   for (const Table& table : tables_) {
-    const std::uint64_t key = KeyWithMargins(table, q, &margins);
+    IPS_DCHECK(q.size() == table.planes.rows());
+    kernels::ProjectBlock(q.data(), 1, q.size(), table.planes.raw(),
+                          params_.k, params_.k, margins.data());
+    const std::uint64_t key = SignKey(margins.data(), params_.k);
+    for (double& margin : margins) margin = std::abs(margin);
     // Probe sequence: the exact key, then single flips of the
     // least-confident bits, then the pair of the two least-confident --
     // a margin-greedy prefix of the Lv et al. probing order.

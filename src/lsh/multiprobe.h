@@ -8,8 +8,10 @@
 // tables buy with extra tables, at a fraction of the memory -- the
 // classic multiprobe trade-off (Lv et al.), applied to the IPS setting
 // through any of the library's data/query transforms. Each table keeps
-// its rows in a BucketTable (lsh/bucket_table.h), and a query holds no
-// shared scratch, so a built index serves concurrent queries.
+// its K hyperplanes packed for kernels::ProjectBlock (the build projects
+// row blocks, a query one row) and its rows in a BucketTable
+// (lsh/bucket_table.h); a query holds no shared scratch, so a built
+// index serves concurrent queries.
 
 #ifndef IPS_LSH_MULTIPROBE_H_
 #define IPS_LSH_MULTIPROBE_H_
@@ -48,13 +50,9 @@ class MultiprobeSimHashTables {
 
  private:
   struct Table {
-    Matrix directions;  // k x dim Gaussian rows
+    Matrix planes;  // dim x k: column `bit` is that bit's Gaussian direction
     BucketTable buckets;
   };
-
-  /// Key and per-bit margins of `q` under `table`.
-  std::uint64_t KeyWithMargins(const Table& table, std::span<const double> q,
-                               std::vector<double>* margins) const;
 
   MultiprobeParams params_;
   std::vector<Table> tables_;

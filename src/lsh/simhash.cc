@@ -25,6 +25,108 @@ class SimHashFunction : public SymmetricLshFunction {
   std::vector<double> direction_;
 };
 
+// The l tables' hyperplanes, packed transposed: table group g (tables
+// [8g, 8g + 8)) is one dim x (tables * k) block, entry j of the
+// group's plane h at block[j * width + h], plane (t - 8g) * k + f being
+// function f of table t. A block of 16 rows against a group of 8 K = 16
+// tables at d = 34 reads 4 KiB of rows and 34 KiB of planes.
+class SimHashKeyer : public LshKeyer {
+ public:
+  SimHashKeyer(std::size_t dim, std::size_t k, std::size_t l, Rng* rng)
+      : dim_(dim), k_(k), l_(l), planes_(dim * k * l) {
+    // Sample() order: table by table, function by function, entry by
+    // entry, so the Rng ends where l * k Sample() calls leave it.
+    for (std::size_t t = 0; t < l; ++t) {
+      double* block = planes_.data() + GroupOffset(t);
+      const std::size_t width = GroupWidth(t);
+      for (std::size_t f = 0; f < k; ++f) {
+        const std::size_t h = (t % kKeyTableGroup) * k + f;
+        for (std::size_t j = 0; j < dim; ++j) {
+          block[j * width + h] = rng->NextGaussian();
+        }
+      }
+    }
+  }
+
+  // Symmetric: both sides hash through the same hyperplanes.
+  void Keys(std::span<const double> rows, HashSide /*side*/,
+            std::size_t table_begin, std::size_t table_end,
+            std::span<std::uint64_t> out) const override {
+    const std::size_t n = rows.size() / dim_;
+    IPS_DCHECK(rows.size() == n * dim_);
+    IPS_DCHECK(table_begin <= table_end && table_end <= l_);
+    IPS_DCHECK(out.size() == (table_end - table_begin) * n);
+    if (n == 0) return;
+    std::vector<double> projections;
+    for (std::size_t t0 = table_begin; t0 < table_end;) {
+      const std::size_t group_end =
+          std::min(l_, (t0 / kKeyTableGroup + 1) * kKeyTableGroup);
+      const std::size_t t1 = std::min(table_end, group_end);
+      const std::size_t num_planes = (t1 - t0) * k_;
+      const double* planes = planes_.data() + GroupOffset(t0) +
+                             (t0 % kKeyTableGroup) * k_;
+      const std::size_t block_rows =
+          std::clamp<std::size_t>(kProjectionScratch / num_planes, 1, n);
+      projections.resize(block_rows * num_planes);
+      for (std::size_t r0 = 0; r0 < n; r0 += block_rows) {
+        const std::size_t nr = std::min(block_rows, n - r0);
+        kernels::ProjectBlock(rows.data() + r0 * dim_, nr, dim_, planes,
+                              num_planes, GroupWidth(t0),
+                              projections.data());
+        for (std::size_t r = 0; r < nr; ++r) {
+          // ConcatenatedLshFunction's mix of SimHash's 0/1 bits. Each
+          // table's mix is a serial chain, so four tables run side by
+          // side to keep four chains in flight.
+          const double* projection = projections.data() + r * num_planes;
+          std::uint64_t* key = out.data() + (t0 - table_begin) * n + r0 + r;
+          std::size_t t = 0;
+          for (; t + 4 <= t1 - t0; t += 4) {
+            const double* p = projection + t * k_;
+            std::uint64_t s0 = kConcatKeySeed, s1 = kConcatKeySeed,
+                          s2 = kConcatKeySeed, s3 = kConcatKeySeed;
+            for (std::size_t f = 0; f < k_; ++f) {
+              s0 = ConcatKeyMix(s0, p[f] >= 0.0 ? 1 : 0);
+              s1 = ConcatKeyMix(s1, p[k_ + f] >= 0.0 ? 1 : 0);
+              s2 = ConcatKeyMix(s2, p[2 * k_ + f] >= 0.0 ? 1 : 0);
+              s3 = ConcatKeyMix(s3, p[3 * k_ + f] >= 0.0 ? 1 : 0);
+            }
+            key[t * n] = s0;
+            key[(t + 1) * n] = s1;
+            key[(t + 2) * n] = s2;
+            key[(t + 3) * n] = s3;
+          }
+          for (; t < t1 - t0; ++t) {
+            std::uint64_t state = kConcatKeySeed;
+            for (std::size_t f = 0; f < k_; ++f) {
+              state =
+                  ConcatKeyMix(state, projection[t * k_ + f] >= 0.0 ? 1 : 0);
+            }
+            key[t * n] = state;
+          }
+        }
+      }
+      t0 = t1;
+    }
+  }
+
+ private:
+  // Projections per ProjectBlock call, bounding the scratch at 16 KiB.
+  static constexpr std::size_t kProjectionScratch = 2048;
+
+  std::size_t GroupOffset(std::size_t t) const {
+    return (t / kKeyTableGroup) * kKeyTableGroup * k_ * dim_;
+  }
+  std::size_t GroupWidth(std::size_t t) const {
+    const std::size_t first = t - t % kKeyTableGroup;
+    return std::min(kKeyTableGroup, l_ - first) * k_;
+  }
+
+  std::size_t dim_;
+  std::size_t k_;
+  std::size_t l_;
+  std::vector<double> planes_;
+};
+
 }  // namespace
 
 SimHashFamily::SimHashFamily(std::size_t dim) : dim_(dim) {
@@ -34,6 +136,14 @@ SimHashFamily::SimHashFamily(std::size_t dim) : dim_(dim) {
 std::unique_ptr<LshFunction> SimHashFamily::Sample(Rng* rng) const {
   IPS_CHECK(rng != nullptr);
   return std::make_unique<SimHashFunction>(dim_, rng);
+}
+
+std::unique_ptr<LshKeyer> SimHashFamily::SampleKeyer(std::size_t k,
+                                                     std::size_t l,
+                                                     Rng* rng) const {
+  IPS_CHECK(rng != nullptr);
+  IPS_CHECK_GE(k, 1u);
+  return std::make_unique<SimHashKeyer>(dim_, k, l, rng);
 }
 
 double SimHashFamily::CollisionProbability(double cosine) {

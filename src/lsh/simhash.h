@@ -25,6 +25,13 @@ class SimHashFamily : public LshFamily {
   std::unique_ptr<LshFunction> Sample(Rng* rng) const override;
   bool IsSymmetric() const override { return true; }
 
+  /// Draws the l * k hyperplanes in Sample() order and packs them
+  /// transposed, kKeyTableGroup tables per block, so Keys projects a
+  /// block of rows onto a group's hyperplanes with one
+  /// kernels::ProjectBlock call. Keys equal the default keyer's.
+  std::unique_ptr<LshKeyer> SampleKeyer(std::size_t k, std::size_t l,
+                                        Rng* rng) const override;
+
   /// Analytic collision probability 1 - acos(cosine)/pi for two vectors
   /// with the given cosine similarity.
   static double CollisionProbability(double cosine);

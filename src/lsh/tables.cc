@@ -36,15 +36,18 @@ LshTables::LshTables(const LshFamily& family, const Matrix& data,
   IPS_CHECK_GE(params.k, 1u);
   IPS_CHECK_GE(params.l, 1u);
   IPS_CHECK_EQ(family.dim(), data.cols());
-  tables_.resize(params_.l);
-  std::vector<std::uint64_t> keys(data.rows());
-  for (auto& table : tables_) {
-    table.function =
-        std::make_unique<ConcatenatedLshFunction>(family, params_.k, rng);
-    for (std::size_t i = 0; i < data.rows(); ++i) {
-      keys[i] = table.function->HashData(data.Row(i));
+  keyer_ = family.SampleKeyer(params_.k, params_.l, rng);
+  buckets_.reserve(params_.l);
+  const std::size_t n = data.rows();
+  const std::span<const double> rows(data.raw(), n * data.cols());
+  std::vector<std::uint64_t> keys(std::min(params_.l, kKeyTableGroup) * n);
+  for (std::size_t t0 = 0; t0 < params_.l; t0 += kKeyTableGroup) {
+    const std::size_t t1 = std::min(params_.l, t0 + kKeyTableGroup);
+    const std::span<std::uint64_t> group(keys.data(), (t1 - t0) * n);
+    keyer_->Keys(rows, HashSide::kData, t0, t1, group);
+    for (std::size_t t = t0; t < t1; ++t) {
+      buckets_.push_back(BucketTable::Build(group.subspan((t - t0) * n, n)));
     }
-    table.buckets = BucketTable::Build(keys);
   }
 }
 
@@ -101,15 +104,11 @@ StatusOr<std::unique_ptr<LshTables>> LshTables::CreateFromBuckets(
   }
   std::unique_ptr<LshTables> tables(new LshTables());
   tables->params_ = params;
-  tables->tables_.resize(params.l);
-  for (std::size_t t = 0; t < params.l; ++t) {
-    // Replaying the function draws (instead of persisting hyperplanes)
-    // keeps the artifact family-agnostic; determinism of Rng plus the
-    // saved pre-build state makes the replay bit-identical.
-    tables->tables_[t].function =
-        std::make_unique<ConcatenatedLshFunction>(family, params.k, rng);
-    tables->tables_[t].buckets = std::move(buckets[t]);
-  }
+  // Replaying the function draws (instead of persisting hyperplanes)
+  // keeps the artifact family-agnostic; determinism of Rng plus the
+  // saved pre-build state makes the replay bit-identical.
+  tables->keyer_ = family.SampleKeyer(params.k, params.l, rng);
+  tables->buckets_ = std::move(buckets);
   return tables;
 }
 
@@ -127,21 +126,19 @@ std::vector<std::size_t> LshTables::Query(std::span<const double> q,
   static Counter* const unique_counter =
       MetricsRegistry::Global().GetCounter("lsh.tables.candidates_unique");
 
-  std::vector<std::uint64_t> keys(tables_.size());
+  const std::size_t num_tables = buckets_.size();
+  std::vector<std::uint64_t> keys(num_tables);
   {
     TraceSpan span(trace, "hash");
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-      keys[t] = tables_[t].function->HashQuery(q);
-    }
-    span.AddCount("tables", tables_.size());
+    keyer_->Keys(q, HashSide::kQuery, 0, num_tables, keys);
+    span.AddCount("tables", num_tables);
   }
   std::vector<std::size_t> candidates;
   std::size_t buckets_hit = 0;
   {
     TraceSpan span(trace, "bucket");
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
-      const std::span<const std::uint32_t> bucket =
-          tables_[t].buckets.Find(keys[t]);
+    for (std::size_t t = 0; t < num_tables; ++t) {
+      const std::span<const std::uint32_t> bucket = buckets_[t].Find(keys[t]);
       if (bucket.empty()) continue;
       ++buckets_hit;
       candidates.insert(candidates.end(), bucket.begin(), bucket.end());
@@ -160,11 +157,11 @@ std::vector<std::size_t> LshTables::Query(std::span<const double> q,
   }
 
   queries->Increment();
-  buckets_probed->Add(tables_.size());
+  buckets_probed->Add(num_tables);
   raw_counter->Add(raw);
   unique_counter->Add(candidates.size());
   if (metrics != nullptr) {
-    metrics->Set("lsh.tables.buckets_probed", tables_.size());
+    metrics->Set("lsh.tables.buckets_probed", num_tables);
     metrics->Set("lsh.tables.buckets_hit", buckets_hit);
     metrics->Set("lsh.tables.candidates_raw", raw);
     metrics->Set("lsh.tables.candidates_unique", candidates.size());

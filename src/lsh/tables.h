@@ -6,8 +6,11 @@
 // table, OR-amplification across tables). A query retrieves the union of
 // its L buckets as candidates. With base gap (P1, P2), choosing
 // K = log n / log(1/P2) and L = n^rho gives the usual sublinear search.
-// Each table is one function and one BucketTable (lsh/bucket_table.h):
-// the data rows' keys in CSR form, probed by binary search.
+// The tables' functions are one LshKeyer (LshFamily::SampleKeyer),
+// which hashes a block of rows through up to kKeyTableGroup tables at
+// once -- for SimHash, one projection kernel call per row block and
+// table group. Each table's data keys go into one BucketTable
+// (lsh/bucket_table.h): CSR form, probed by binary search.
 
 #ifndef IPS_LSH_TABLES_H_
 #define IPS_LSH_TABLES_H_
@@ -43,7 +46,8 @@ struct LshTableParams {
 class LshTables {
  public:
   /// Builds the index. `family` must outlive the index; `data` is
-  /// only read here (each table hashes every row once into its keys).
+  /// only read here (the keyer hashes every row once per table,
+  /// kKeyTableGroup tables per pass).
   /// Preconditions are IPS_CHECKed; prefer Create for untrusted input.
   LshTables(const LshFamily& family, const Matrix& data,
             LshTableParams params, Rng* rng);
@@ -85,21 +89,15 @@ class LshTables {
   const LshTableParams& params() const { return params_; }
 
   /// Buckets of table `t` (immutable once built), for snapshotting.
-  std::size_t num_tables() const { return tables_.size(); }
-  const BucketTable& buckets(std::size_t t) const {
-    return tables_[t].buckets;
-  }
+  std::size_t num_tables() const { return buckets_.size(); }
+  const BucketTable& buckets(std::size_t t) const { return buckets_[t]; }
 
  private:
   LshTables() = default;  // CreateFromBuckets fills the members.
 
-  struct Table {
-    std::unique_ptr<ConcatenatedLshFunction> function;
-    BucketTable buckets;
-  };
-
   LshTableParams params_;
-  std::vector<Table> tables_;
+  std::unique_ptr<LshKeyer> keyer_;
+  std::vector<BucketTable> buckets_;
 };
 
 }  // namespace ips

@@ -60,6 +60,10 @@ std::vector<LintRule> TestRules() {
                R"(unordered_map<\s*std::uint64_t,\s*)"
                R"(std::vector<\s*std::uint32_t\s*>\s*>)",
                "use lsh/bucket_table.h");
+  table += Row("per-row-hash",
+               "src/lsh/tables,src/lsh/bucket_join,src/core,src/storage,"
+               "src/serve",
+               "-", R"(\b(HashData|HashQuery)\s*\()", "use an LshKeyer");
   auto rules = ParseRules(table);
   EXPECT_TRUE(rules.ok()) << rules.status().ToString();
   return *std::move(rules);
@@ -286,6 +290,34 @@ TEST(Lint, BucketMapFiresOutsideTheE2eHarness) {
                   .empty());
 }
 
+TEST(Lint, PerRowHashFiresOnTheKeyerPathsOnly) {
+  // Tables, joins, restores and serving hash through an LshKeyer; a
+  // sampled function's HashData / HashQuery there is a second path.
+  const std::string data_call = "    keys[i] = function.HashData(row);\n";
+  const std::string query_call =
+      "  const auto key = h->HashQuery (q);\n";
+  for (const char* path :
+       {"src/lsh/tables.cc", "src/lsh/bucket_join.cc", "src/core/x.cc",
+        "src/storage/blocked_join.cc", "src/serve/engine.cc"}) {
+    for (const std::string& bad : {data_call, query_call}) {
+      const auto findings = RunLint(path, bad);
+      ASSERT_EQ(findings.size(), 1u) << path << ": " << bad;
+      EXPECT_EQ(findings[0].rule, "per-row-hash");
+    }
+  }
+  // The families define and call them; theory code estimates collision
+  // rates one function at a time; a comment or a keyer call is fine.
+  EXPECT_TRUE(RunLint("src/lsh/simhash.cc", data_call).empty());
+  EXPECT_TRUE(RunLint("src/lsh/lsh_family.cc", query_call).empty());
+  EXPECT_TRUE(RunLint("src/theory/lemma4.cc", data_call).empty());
+  EXPECT_TRUE(
+      RunLint("src/lsh/tables.cc", "  // HashData(row) once per bit\n")
+          .empty());
+  EXPECT_TRUE(RunLint("src/lsh/tables.cc",
+                      "  keyer_->Keys(q, HashSide::kQuery, 0, l, keys);\n")
+                  .empty());
+}
+
 TEST(Lint, FindingFormatIsFileLineRuleMessage) {
   const auto findings = RunLint("src/a.cc", "std::cout << 1;\n");
   ASSERT_EQ(findings.size(), 1u);
@@ -295,11 +327,11 @@ TEST(Lint, FindingFormatIsFileLineRuleMessage) {
 }
 
 TEST(Lint, RealRuleTableParses) {
-  // Guard the checked-in table itself: eleven rules, all regexes valid.
+  // Guard the checked-in table itself: twelve rules, all regexes valid.
   const auto rules =
       LoadRules(std::string(IPS_REPO_ROOT) + "/tools/ipslint.rules");
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
-  EXPECT_EQ(rules->size(), 11u);
+  EXPECT_EQ(rules->size(), 12u);
 }
 
 TEST(SplitCodeAndComments, TracksMultiLineConstructs) {

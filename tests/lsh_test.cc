@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
+#include <memory>
 #include <numbers>
 #include <vector>
 
@@ -612,6 +615,216 @@ TEST(BucketJoinTest, DeduplicatesPairsAcrossTablesBeforeVerification) {
   // number of distinct (query, data) pairs.
   EXPECT_LE(result.metrics.Get("lsh.join.verified_pairs"),
             data.rows() * queries.rows());
+}
+
+// --- The projection kernel under the SimHash keyer -------------------
+
+// Rows that stress ProjectBlock's chain: Gaussians; the integer
+// tie-order corpus (coordinates in [-3, 3], each drawn row followed by
+// its copy and its negation); zero rows of both signs; rows mixing
+// subnormal with huge finite entries (small enough that no chain
+// overflows, so every output is finite); and a row of subnormals.
+Matrix ProjectionRows(std::size_t dim, Rng* rng) {
+  Matrix rows(0, dim);
+  std::vector<double> row(dim);
+  for (int i = 0; i < 7; ++i) {
+    for (double& v : row) v = rng->NextGaussian();
+    rows.AppendRow(row);
+  }
+  for (int i = 0; i < 5; ++i) {
+    for (double& v : row) v = static_cast<double>(rng->NextInt(-3, 3));
+    rows.AppendRow(row);
+    rows.AppendRow(row);
+    for (double& v : row) v = -v;
+    rows.AppendRow(row);
+  }
+  std::fill(row.begin(), row.end(), 0.0);
+  rows.AppendRow(row);
+  std::fill(row.begin(), row.end(), -0.0);
+  rows.AppendRow(row);
+  for (std::size_t j = 0; j < dim; ++j) row[j] = j % 2 == 0 ? 0.0 : -0.0;
+  rows.AppendRow(row);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (int i = 0; i < 3; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      switch ((j + i) % 4) {
+        case 0: row[j] = tiny * static_cast<double>(rng->NextInt(1, 9)); break;
+        case 1: row[j] = -1e300 * rng->NextDouble(); break;
+        case 2: row[j] = 1e300 * rng->NextDouble(); break;
+        default: row[j] = -tiny; break;
+      }
+    }
+    rows.AppendRow(row);
+  }
+  // Subnormal entries alone: every product and partial sum underflows.
+  for (std::size_t j = 0; j < dim; ++j) {
+    row[j] = tiny * static_cast<double>(rng->NextInt(-9, 9));
+  }
+  rows.AppendRow(row);
+  return rows;
+}
+
+// The contract: acc = fma(row[j], plane_h[j], acc) from +0.0, ascending j.
+double ReferenceChain(std::span<const double> row, const double* planes,
+                      std::size_t stride, std::size_t h) {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < row.size(); ++j) {
+    acc = std::fma(row[j], planes[j * stride + h], acc);
+  }
+  return acc;
+}
+
+TEST(ProjectBlockTest, ScalarAndAvx2AreBitwiseEqualToTheFmaChain) {
+  Rng rng(2511);
+  for (std::size_t dim : {1u, 3u, 34u, 66u}) {
+    const Matrix rows = ProjectionRows(dim, &rng);
+    // Plane counts around the AVX2 tile (12 planes, 4 rows), with a
+    // packing stride wider than the block.
+    for (std::size_t planes_n : {1u, 2u, 3u, 4u, 5u, 7u, 11u, 12u, 13u,
+                                 16u, 23u, 25u, 64u, 128u}) {
+      const std::size_t stride = planes_n + 3;
+      std::vector<double> planes(dim * stride);
+      for (double& v : planes) v = rng.NextGaussian();
+      for (std::size_t num_rows :
+           {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+            std::size_t{5}, std::size_t{9}, rows.rows()}) {
+        SCOPED_TRACE("dim " + std::to_string(dim) + " planes " +
+                     std::to_string(planes_n) + " rows " +
+                     std::to_string(num_rows));
+        std::vector<double> scalar(num_rows * planes_n);
+        kernels::ScalarOps().project_block(rows.raw(), num_rows, dim,
+                                           planes.data(), planes_n, stride,
+                                           scalar.data());
+        for (std::size_t r = 0; r < num_rows; ++r) {
+          for (std::size_t h = 0; h < planes_n; ++h) {
+            const double want =
+                ReferenceChain(rows.Row(r), planes.data(), stride, h);
+            ASSERT_TRUE(std::isfinite(want));
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(scalar[r * planes_n + h]),
+                      std::bit_cast<std::uint64_t>(want))
+                << "row " << r << " plane " << h;
+          }
+        }
+        if (!kernels::Avx2Available()) continue;
+        std::vector<double> avx2(num_rows * planes_n);
+        kernels::Avx2Ops().project_block(rows.raw(), num_rows, dim,
+                                         planes.data(), planes_n, stride,
+                                         avx2.data());
+        for (std::size_t i = 0; i < scalar.size(); ++i) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(avx2[i]),
+                    std::bit_cast<std::uint64_t>(scalar[i]))
+              << "row " << i / planes_n << " plane " << i % planes_n;
+        }
+      }
+    }
+  }
+}
+
+// Table-major keys of every row in tables [t0, t1).
+std::vector<std::uint64_t> KeyerKeys(const LshKeyer& keyer,
+                                     const Matrix& rows, HashSide side,
+                                     std::size_t t0, std::size_t t1) {
+  std::vector<std::uint64_t> keys((t1 - t0) * rows.rows());
+  keyer.Keys({rows.raw(), rows.rows() * rows.cols()}, side, t0, t1, keys);
+  return keys;
+}
+
+TEST(SimHashKeyerTest, ARowsKeysDoNotDependOnItsBlockOrSide) {
+  // K = 16 packs 8 tables into 128 planes, so the keyer projects 64
+  // rows per kernel call: 70 rows end in a ragged 6-row block, and
+  // L = 11 ends in a 3-table group.
+  constexpr std::size_t kDim = 34, kK = 16, kL = 11, kRows = 70;
+  Rng rng(2512);
+  const Matrix rows = MakeUnitBallGaussian(kRows, kDim, 1.0, &rng);
+  const SimHashFamily family(kDim);
+  const std::unique_ptr<LshKeyer> keyer = family.SampleKeyer(kK, kL, &rng);
+  const std::vector<std::uint64_t> block =
+      KeyerKeys(*keyer, rows, HashSide::kData, 0, kL);
+  EXPECT_EQ(KeyerKeys(*keyer, rows, HashSide::kQuery, 0, kL), block);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    std::vector<std::uint64_t> alone(kL);
+    keyer->Keys(rows.Row(i), HashSide::kQuery, 0, kL, alone);
+    for (std::size_t t = 0; t < kL; ++t) {
+      EXPECT_EQ(alone[t], block[t * kRows + i])
+          << "row " << i << " table " << t;
+    }
+  }
+  // A table range that starts and ends inside a group.
+  const std::vector<std::uint64_t> middle =
+      KeyerKeys(*keyer, rows, HashSide::kData, 3, 10);
+  for (std::size_t t = 3; t < 10; ++t) {
+    for (std::size_t i = 0; i < kRows; ++i) {
+      EXPECT_EQ(middle[(t - 3) * kRows + i], block[t * kRows + i]);
+    }
+  }
+}
+
+TEST(SimHashKeyerTest, KeysEqualTheConcatenatedFunctions) {
+  // Same draws, same mix: the keyer's keys are the keys of L
+  // ConcatenatedLshFunctions sampled in turn, on Gaussian rows and on
+  // the integer, zero and extreme rows.
+  constexpr std::size_t kK = 16, kL = 9;
+  for (std::size_t dim : {5u, 34u}) {
+    Rng rows_rng(2513);
+    Matrix rows = MakeUnitBallGaussian(40, dim, 1.0, &rows_rng);
+    const Matrix extreme = ProjectionRows(dim, &rows_rng);
+    for (std::size_t i = 0; i < extreme.rows(); ++i) {
+      rows.AppendRow(extreme.Row(i));
+    }
+    const SimHashFamily family(dim);
+    Rng keyer_rng(7);
+    const std::unique_ptr<LshKeyer> keyer =
+        family.SampleKeyer(kK, kL, &keyer_rng);
+    const std::vector<std::uint64_t> keys =
+        KeyerKeys(*keyer, rows, HashSide::kData, 0, kL);
+    Rng function_rng(7);
+    for (std::size_t t = 0; t < kL; ++t) {
+      const ConcatenatedLshFunction function(family, kK, &function_rng);
+      for (std::size_t i = 0; i < rows.rows(); ++i) {
+        EXPECT_EQ(keys[t * rows.rows() + i], function.HashData(rows.Row(i)))
+            << "dim " << dim << " row " << i << " table " << t;
+      }
+    }
+  }
+}
+
+TEST(SimHashKeyerTest, ZeroRowsOfEitherSignShareEveryKey) {
+  const SimHashFamily family(6);
+  Rng rng(2514);
+  const std::unique_ptr<LshKeyer> keyer = family.SampleKeyer(4, 3, &rng);
+  const std::vector<double> plus(6, 0.0), minus(6, -0.0);
+  std::vector<std::uint64_t> plus_keys(3), minus_keys(3);
+  keyer->Keys(plus, HashSide::kData, 0, 3, plus_keys);
+  keyer->Keys(minus, HashSide::kQuery, 0, 3, minus_keys);
+  EXPECT_EQ(plus_keys, minus_keys);
+}
+
+void ExpectSameState(const Rng& a, const Rng& b) {
+  const Rng::State sa = a.SaveState(), sb = b.SaveState();
+  for (int w = 0; w < 4; ++w) EXPECT_EQ(sa.words[w], sb.words[w]);
+  EXPECT_EQ(sa.has_spare_gaussian, sb.has_spare_gaussian);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(sa.spare_gaussian),
+            std::bit_cast<std::uint64_t>(sb.spare_gaussian));
+}
+
+TEST(SimHashKeyerTest, SampleKeyerConsumesLTimesKSampleDraws) {
+  // Odd dimensions leave a Box-Muller spare behind, so the state check
+  // covers it too. The default keyer (E2LSH) is held to the same rule.
+  constexpr std::size_t kK = 5, kL = 11;
+  const SimHashFamily simhash(7);
+  const E2LshFamily e2lsh(7, 4.0);
+  for (const LshFamily* family :
+       {static_cast<const LshFamily*>(&simhash),
+        static_cast<const LshFamily*>(&e2lsh)}) {
+    Rng keyer_rng(2515);
+    (void)family->SampleKeyer(kK, kL, &keyer_rng);
+    Rng sample_rng(2515);
+    for (std::size_t i = 0; i < kK * kL; ++i) {
+      (void)family->Sample(&sample_rng);
+    }
+    SCOPED_TRACE(family->Name());
+    ExpectSameState(keyer_rng, sample_rng);
+  }
 }
 
 TEST(RhoTest, L2AlshNumericDecreasesWithS) {
