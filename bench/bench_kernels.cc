@@ -13,11 +13,12 @@
 // cache reuse plus SIMD.
 //
 // simhash_keys: (K, L) SimHash keys of a row set, hashed per function
-// (one virtual HashData and one dispatched dot per bit, the path every
-// other family keeps) against the SimHash keyer (one ProjectBlock call
-// per row block and table group), at join_planted's shape and at the
-// serving engine's. Gates: the two paths give the same keys, and at
-// the join shape the keyer is at least 1.5x the per-function path.
+// (one virtual HashData and one one-row, one-plane ProjectBlock call per
+// bit: the per-bit path every other family keeps) against the SimHash
+// keyer (one ProjectBlock call per row block and table), at
+// join_planted's shape and at the serving engine's. Gates: the two
+// paths give the same keys, and at the join shape the keyer is at least
+// 1.5x the per-function path.
 
 #include <algorithm>
 #include <cstdint>
@@ -249,7 +250,8 @@ std::vector<std::uint64_t> PerFunctionKeys(const SimHashFamily& family,
   return keys;
 }
 
-// The same keys through the keyer, kKeyTableGroup tables per call.
+// The same keys through the keyer, one table per call over all rows, as
+// the index build and the bucket join hash them.
 std::vector<std::uint64_t> KeyerKeys(const SimHashFamily& family,
                                      const Matrix& rows,
                                      const KeyShape& shape) {
@@ -258,10 +260,9 @@ std::vector<std::uint64_t> KeyerKeys(const SimHashFamily& family,
       family.SampleKeyer(shape.k, shape.l, &rng);
   const std::size_t n = rows.rows();
   std::vector<std::uint64_t> keys(shape.l * n);
-  for (std::size_t t0 = 0; t0 < shape.l; t0 += kKeyTableGroup) {
-    const std::size_t t1 = std::min(shape.l, t0 + kKeyTableGroup);
-    keyer->Keys({rows.raw(), n * rows.cols()}, HashSide::kData, t0, t1,
-                {keys.data() + t0 * n, (t1 - t0) * n});
+  for (std::size_t t = 0; t < shape.l; ++t) {
+    keyer->Keys({rows.raw(), n * rows.cols()}, HashSide::kData, t, t + 1,
+                {keys.data() + t * n, n});
   }
   return keys;
 }

@@ -80,10 +80,10 @@ void ScoreBlockI8Scalar(const std::int8_t* codes, std::size_t rows,
 // AVX2 lanes run it, and std::fma rounds once per step, as the vector
 // fma does. Eight planes at a time keep eight independent chains in
 // registers across the columns.
-[[gnu::always_inline]] inline void ProjectChain(
-    const double* rows, std::size_t num_rows, std::size_t cols,
-    const double* planes, std::size_t num_planes, std::size_t plane_stride,
-    double* out) {
+void ProjectBlockScalar(const double* rows, std::size_t num_rows,
+                        std::size_t cols, const double* planes,
+                        std::size_t num_planes, std::size_t plane_stride,
+                        double* out) {
   constexpr std::size_t kChains = 8;
   for (std::size_t r = 0; r < num_rows; ++r) {
     const double* row = rows + r * cols;
@@ -109,39 +109,6 @@ void ScoreBlockI8Scalar(const std::int8_t* codes, std::size_t rows,
       row_out[h] = acc;
     }
   }
-}
-
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-// The same chain compiled for a CPU with FMA, where std::fma is one
-// instruction instead of a libm call. fma rounds once by definition,
-// so the bits do not depend on which of the two runs.
-__attribute__((target("fma"))) void ProjectChainFma(
-    const double* rows, std::size_t num_rows, std::size_t cols,
-    const double* planes, std::size_t num_planes, std::size_t plane_stride,
-    double* out) {
-  ProjectChain(rows, num_rows, cols, planes, num_planes, plane_stride, out);
-}
-
-bool FmaAvailable() {
-  static const bool available = __builtin_cpu_supports("fma");
-  return available;
-}
-#endif
-
-void ProjectBlockScalar(const double* rows, std::size_t num_rows,
-                        std::size_t cols, const double* planes,
-                        std::size_t num_planes, std::size_t plane_stride,
-                        double* out) {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  if (FmaAvailable()) {
-    ProjectChainFma(rows, num_rows, cols, planes, num_planes, plane_stride,
-                    out);
-    return;
-  }
-#endif
-  ProjectChain(rows, num_rows, cols, planes, num_planes, plane_stride, out);
 }
 
 }  // namespace

@@ -1,6 +1,5 @@
 #include "lsh/bucket_join.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <unordered_set>
@@ -15,12 +14,6 @@
 #include "util/failpoint.h"
 
 namespace ips {
-namespace {
-
-// Data rows hashed per keyer call in the join's probe pass.
-constexpr std::size_t kDataBlockRows = 256;
-
-}  // namespace
 
 const Matrix& MapToHashSpace(const LshFamily& family, const Matrix& rows,
                              bool query_side, Matrix* mapped) {
@@ -72,70 +65,50 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
       family, hash_queries, /*query_side=*/true, &mapped_queries);
   // Pairs already verified, keyed by query-major 64-bit id.
   std::unordered_set<std::uint64_t> verified;
-  auto visit = [&](std::uint32_t qi, std::uint32_t di) {
-    ++candidate_pairs;
-    const std::uint64_t key = (static_cast<std::uint64_t>(qi) << 32) | di;
-    if (!verified.insert(key).second) {
-      ++duplicate_pairs;
-      return;
-    }
-    const QuantizedVector& qq = qqueries[qi];
-    const double est =
-        static_cast<double>(
-            kernels::DotI8({qdata.RowCodes(di), data.cols()}, qq.codes)) *
-        qdata.RowScale(di) * qq.scale;
-    const double bound = qdata.ErrorBound(di, qq);
-    const double ceiling = is_signed ? est + bound : std::abs(est) + bound;
-    if (ceiling < cs_threshold) {
-      ++prefiltered_pairs;
-      return;
-    }
-    ++verified_pairs;
-    const double raw = kernels::Dot(data.Row(di), queries.Row(qi));
-    const double score = is_signed ? raw : std::abs(raw);
-    if (score < cs_threshold) return;
-    auto& best = result.per_query[qi];
-    // RanksBefore breaks ties toward the smaller data index, so
-    // results do not depend on enumeration order.
-    if (!best.has_value() ||
-        RanksBefore({di, score}, {best->first, best->second})) {
-      best = std::make_pair(static_cast<std::size_t>(di), score);
-    }
+  const auto all_rows = [](const Matrix& m) {
+    return std::span<const double>(m.raw(), m.rows() * m.cols());
   };
-  // A table group at a time: its queries' keys go into one BucketTable
-  // per table, and the data rows stream past them in blocks, so no key
-  // buffer grows with the data. Each (query, row) pair that collides in
-  // a table is visited once for that table, as when the data side was
-  // bucketed, so every count and per-query best is the same.
-  const std::size_t dim = hashed_data.cols();
-  const std::size_t nd = hashed_data.rows();
-  const std::size_t nq = hashed_queries.rows();
-  const std::size_t group = std::min(params.l, kKeyTableGroup);
-  std::vector<std::uint64_t> query_keys(group * nq);
-  std::vector<std::uint64_t> data_keys(group * kDataBlockRows);
-  std::vector<BucketTable> query_buckets;
-  for (std::size_t t0 = 0; t0 < params.l; t0 += kKeyTableGroup) {
-    const std::size_t tables = std::min(params.l - t0, kKeyTableGroup);
-    // Consecutive groups draw exactly the functions of one keyer over
-    // all l tables, and only one group's functions are alive at once.
+  std::vector<std::uint64_t> keys(hashed_data.rows());
+  std::vector<std::uint64_t> query_keys(hashed_queries.rows());
+  for (std::size_t table = 0; table < params.l; ++table) {
+    // One table's functions at a time: l one-table keyers draw exactly
+    // the functions of one keyer over all l tables.
     const std::unique_ptr<LshKeyer> keyer =
-        family.base().SampleKeyer(params.k, tables, rng);
-    keyer->Keys({hashed_queries.raw(), nq * dim}, HashSide::kQuery, 0, tables,
-                {query_keys.data(), tables * nq});
-    query_buckets.clear();
-    for (std::size_t t = 0; t < tables; ++t) {
-      query_buckets.push_back(
-          BucketTable::Build({query_keys.data() + t * nq, nq}));
-    }
-    for (std::size_t d0 = 0; d0 < nd; d0 += kDataBlockRows) {
-      const std::size_t nr = std::min(kDataBlockRows, nd - d0);
-      keyer->Keys({hashed_data.raw() + d0 * dim, nr * dim}, HashSide::kData,
-                  0, tables, {data_keys.data(), tables * nr});
-      for (std::size_t t = 0; t < tables; ++t) {
-        for (std::size_t r = 0; r < nr; ++r) {
-          const auto di = static_cast<std::uint32_t>(d0 + r);
-          const std::uint64_t key = data_keys[t * nr + r];
-          for (std::uint32_t qi : query_buckets[t].Find(key)) visit(qi, di);
+        family.base().SampleKeyer(params.k, 1, rng);
+    keyer->Keys(all_rows(hashed_data), HashSide::kData, 0, 1, keys);
+    keyer->Keys(all_rows(hashed_queries), HashSide::kQuery, 0, 1,
+                query_keys);
+    const BucketTable buckets = BucketTable::Build(keys);
+    for (std::size_t qi = 0; qi < hashed_queries.rows(); ++qi) {
+      for (std::uint32_t di : buckets.Find(query_keys[qi])) {
+        ++candidate_pairs;
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(qi) << 32) | di;
+        if (!verified.insert(key).second) {
+          ++duplicate_pairs;
+          continue;
+        }
+        const QuantizedVector& qq = qqueries[qi];
+        const double est =
+            static_cast<double>(kernels::DotI8(
+                {qdata.RowCodes(di), data.cols()}, qq.codes)) *
+            qdata.RowScale(di) * qq.scale;
+        const double bound = qdata.ErrorBound(di, qq);
+        const double ceiling = is_signed ? est + bound : std::abs(est) + bound;
+        if (ceiling < cs_threshold) {
+          ++prefiltered_pairs;
+          continue;
+        }
+        ++verified_pairs;
+        const double raw = kernels::Dot(data.Row(di), queries.Row(qi));
+        const double score = is_signed ? raw : std::abs(raw);
+        if (score < cs_threshold) continue;
+        auto& best = result.per_query[qi];
+        // RanksBefore breaks ties toward the smaller data index, so
+        // results do not depend on table enumeration order.
+        if (!best.has_value() ||
+            RanksBefore({di, score}, {best->first, best->second})) {
+          best = std::make_pair(static_cast<std::size_t>(di), score);
         }
       }
     }

@@ -5,19 +5,17 @@
 // hash both point sets into the same (K, L) tables and enumerate
 // colliding (data, query) pairs bucket by bucket -- the classic
 // similarity-join operator built on LSH (cf. the I/O-efficient joins of
-// [41]). One LshKeyer (LshFamily::SampleKeyer) hashes both sides a
-// group of kKeyTableGroup tables at a time -- for SimHash, one
-// projection kernel call per row block and group, never one dot per
-// bit. In each group, every table's query keys go into one BucketTable
-// (lsh/bucket_table.h) and the data rows stream past them in blocks,
-// so no key buffer grows with the data and a (query, row) pair occurs
-// at most once per table. Each candidate pair passes a
-// lossless int8 prefilter (skipped only when its quantized estimate plus
-// the rigorous rounding-error bound cannot reach cs), is then verified
-// with one exact inner product, and for every query the best verified
-// pair above cs is reported. The prefilter never changes the result set — it only
-// replaces full-precision dots with one-byte-per-entry estimates for
-// pairs that cannot qualify.
+// [41]). Table by table, one LshKeyer (LshFamily::SampleKeyer) hashes
+// all the data rows and all the queries -- for SimHash, one projection
+// kernel call per row block, never one dot per bit. The data keys go
+// into one BucketTable (lsh/bucket_table.h) and every query probes it,
+// so a (query, row) pair occurs at most once per table. Each candidate
+// pair passes a lossless int8 prefilter (skipped only when its quantized
+// estimate plus the rigorous rounding-error bound cannot reach cs), is
+// then verified with one exact inner product, and for every query the
+// best verified pair above cs is reported. The prefilter never changes
+// the result set — it only replaces full-precision dots with
+// one-byte-per-entry estimates for pairs that cannot qualify.
 
 #ifndef IPS_LSH_BUCKET_JOIN_H_
 #define IPS_LSH_BUCKET_JOIN_H_

@@ -116,11 +116,6 @@ class ConcatenatedLshFunction : public LshFunction {
 /// Which function of a sampled pair hashes a row: h_p or h_q.
 enum class HashSide { kData, kQuery };
 
-/// A caller hashing a block of rows asks for at most this many tables
-/// per Keys call, so its key buffer holds kKeyTableGroup * rows keys,
-/// never L * rows. (One query row may take all L tables at once.)
-inline constexpr std::size_t kKeyTableGroup = 8;
-
 /// The sampled tables of a (k, l) index, hashing whole blocks of rows:
 /// the one path by which tables, bucket joins and snapshot restores
 /// turn rows into keys. Immutable once sampled; Keys keeps its scratch

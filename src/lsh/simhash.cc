@@ -17,13 +17,25 @@ class SimHashFunction : public SymmetricLshFunction {
     for (double& entry : direction_) entry = rng->NextGaussian();
   }
 
+  // One row onto one plane through the keyer's kernel, so this bit and
+  // the keyer's share one rounding: the same fma chain, in the same
+  // order, under either kernel table.
   std::uint64_t HashData(std::span<const double> p) const override {
-    return kernels::Dot(direction_, p) >= 0.0 ? 1 : 0;
+    IPS_DCHECK(p.size() == direction_.size());
+    double projection;
+    kernels::ProjectBlock(p.data(), 1, p.size(), direction_.data(), 1, 1,
+                          &projection);
+    return projection >= 0.0 ? 1 : 0;
   }
 
  private:
   std::vector<double> direction_;
 };
+
+// Tables whose hyperplanes share one packed block. A query row takes
+// all l tables at one ProjectBlock call per block; a block of data rows
+// asked for one table reads that table's k columns of its block.
+constexpr std::size_t kGroupTables = 8;
 
 // The l tables' hyperplanes, packed transposed: table group g (tables
 // [8g, 8g + 8)) is one dim x (tables * k) block, entry j of the
@@ -40,7 +52,7 @@ class SimHashKeyer : public LshKeyer {
       double* block = planes_.data() + GroupOffset(t);
       const std::size_t width = GroupWidth(t);
       for (std::size_t f = 0; f < k; ++f) {
-        const std::size_t h = (t % kKeyTableGroup) * k + f;
+        const std::size_t h = (t % kGroupTables) * k + f;
         for (std::size_t j = 0; j < dim; ++j) {
           block[j * width + h] = rng->NextGaussian();
         }
@@ -60,11 +72,11 @@ class SimHashKeyer : public LshKeyer {
     std::vector<double> projections;
     for (std::size_t t0 = table_begin; t0 < table_end;) {
       const std::size_t group_end =
-          std::min(l_, (t0 / kKeyTableGroup + 1) * kKeyTableGroup);
+          std::min(l_, (t0 / kGroupTables + 1) * kGroupTables);
       const std::size_t t1 = std::min(table_end, group_end);
       const std::size_t num_planes = (t1 - t0) * k_;
       const double* planes = planes_.data() + GroupOffset(t0) +
-                             (t0 % kKeyTableGroup) * k_;
+                             (t0 % kGroupTables) * k_;
       const std::size_t block_rows =
           std::clamp<std::size_t>(kProjectionScratch / num_planes, 1, n);
       projections.resize(block_rows * num_planes);
@@ -73,29 +85,11 @@ class SimHashKeyer : public LshKeyer {
         kernels::ProjectBlock(rows.data() + r0 * dim_, nr, dim_, planes,
                               num_planes, GroupWidth(t0),
                               projections.data());
+        // ConcatenatedLshFunction's mix of SimHash's 0/1 bits.
         for (std::size_t r = 0; r < nr; ++r) {
-          // ConcatenatedLshFunction's mix of SimHash's 0/1 bits. Each
-          // table's mix is a serial chain, so four tables run side by
-          // side to keep four chains in flight.
           const double* projection = projections.data() + r * num_planes;
           std::uint64_t* key = out.data() + (t0 - table_begin) * n + r0 + r;
-          std::size_t t = 0;
-          for (; t + 4 <= t1 - t0; t += 4) {
-            const double* p = projection + t * k_;
-            std::uint64_t s0 = kConcatKeySeed, s1 = kConcatKeySeed,
-                          s2 = kConcatKeySeed, s3 = kConcatKeySeed;
-            for (std::size_t f = 0; f < k_; ++f) {
-              s0 = ConcatKeyMix(s0, p[f] >= 0.0 ? 1 : 0);
-              s1 = ConcatKeyMix(s1, p[k_ + f] >= 0.0 ? 1 : 0);
-              s2 = ConcatKeyMix(s2, p[2 * k_ + f] >= 0.0 ? 1 : 0);
-              s3 = ConcatKeyMix(s3, p[3 * k_ + f] >= 0.0 ? 1 : 0);
-            }
-            key[t * n] = s0;
-            key[(t + 1) * n] = s1;
-            key[(t + 2) * n] = s2;
-            key[(t + 3) * n] = s3;
-          }
-          for (; t < t1 - t0; ++t) {
+          for (std::size_t t = 0; t < t1 - t0; ++t) {
             std::uint64_t state = kConcatKeySeed;
             for (std::size_t f = 0; f < k_; ++f) {
               state =
@@ -114,11 +108,11 @@ class SimHashKeyer : public LshKeyer {
   static constexpr std::size_t kProjectionScratch = 2048;
 
   std::size_t GroupOffset(std::size_t t) const {
-    return (t / kKeyTableGroup) * kKeyTableGroup * k_ * dim_;
+    return (t / kGroupTables) * kGroupTables * k_ * dim_;
   }
   std::size_t GroupWidth(std::size_t t) const {
-    const std::size_t first = t - t % kKeyTableGroup;
-    return std::min(kKeyTableGroup, l_ - first) * k_;
+    const std::size_t first = t - t % kGroupTables;
+    return std::min(kGroupTables, l_ - first) * k_;
   }
 
   std::size_t dim_;

@@ -26,9 +26,10 @@ class SimHashFamily : public LshFamily {
   bool IsSymmetric() const override { return true; }
 
   /// Draws the l * k hyperplanes in Sample() order and packs them
-  /// transposed, kKeyTableGroup tables per block, so Keys projects a
-  /// block of rows onto a group's hyperplanes with one
-  /// kernels::ProjectBlock call. Keys equal the default keyer's.
+  /// transposed, eight tables per block, so Keys projects a block of
+  /// rows onto a group's hyperplanes with one kernels::ProjectBlock
+  /// call. Keys equal the default keyer's by construction: a sampled
+  /// function's HashData runs the same kernel on one row and one plane.
   std::unique_ptr<LshKeyer> SampleKeyer(std::size_t k, std::size_t l,
                                         Rng* rng) const override;
 

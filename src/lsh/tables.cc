@@ -40,14 +40,10 @@ LshTables::LshTables(const LshFamily& family, const Matrix& data,
   buckets_.reserve(params_.l);
   const std::size_t n = data.rows();
   const std::span<const double> rows(data.raw(), n * data.cols());
-  std::vector<std::uint64_t> keys(std::min(params_.l, kKeyTableGroup) * n);
-  for (std::size_t t0 = 0; t0 < params_.l; t0 += kKeyTableGroup) {
-    const std::size_t t1 = std::min(params_.l, t0 + kKeyTableGroup);
-    const std::span<std::uint64_t> group(keys.data(), (t1 - t0) * n);
-    keyer_->Keys(rows, HashSide::kData, t0, t1, group);
-    for (std::size_t t = t0; t < t1; ++t) {
-      buckets_.push_back(BucketTable::Build(group.subspan((t - t0) * n, n)));
-    }
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t t = 0; t < params_.l; ++t) {
+    keyer_->Keys(rows, HashSide::kData, t, t + 1, keys);
+    buckets_.push_back(BucketTable::Build(keys));
   }
 }
 

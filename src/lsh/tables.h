@@ -7,10 +7,11 @@
 // its L buckets as candidates. With base gap (P1, P2), choosing
 // K = log n / log(1/P2) and L = n^rho gives the usual sublinear search.
 // The tables' functions are one LshKeyer (LshFamily::SampleKeyer),
-// which hashes a block of rows through up to kKeyTableGroup tables at
-// once -- for SimHash, one projection kernel call per row block and
-// table group. Each table's data keys go into one BucketTable
-// (lsh/bucket_table.h): CSR form, probed by binary search.
+// which hashes a block of rows at once -- for SimHash, one projection
+// kernel call per row block. The build hashes the data one table at a
+// time, and each table's keys go into one BucketTable
+// (lsh/bucket_table.h): CSR form, probed by binary search. A query
+// hashes its one row through all L tables in one call.
 
 #ifndef IPS_LSH_TABLES_H_
 #define IPS_LSH_TABLES_H_
@@ -46,8 +47,8 @@ struct LshTableParams {
 class LshTables {
  public:
   /// Builds the index. `family` must outlive the index; `data` is
-  /// only read here (the keyer hashes every row once per table,
-  /// kKeyTableGroup tables per pass).
+  /// only read here (the keyer hashes the whole matrix once per
+  /// table, into one n-key buffer).
   /// Preconditions are IPS_CHECKed; prefer Create for untrusted input.
   LshTables(const LshFamily& family, const Matrix& data,
             LshTableParams params, Rng* rng);
