@@ -1,5 +1,5 @@
 // Kernel benchmark: throughput of the dispatched linalg::kernels layer
-// (dot, matvec, score_block, batched popcount) for the scalar and AVX2
+// (dot, the row-lane matvec, batched popcount) for the scalar and AVX2
 // tables side by side, plus the headline batched-brute-force number the
 // BatchQuery redesign is judged on: tiled BlockTopK over a 4096-query
 // batch against the per-query scalar baseline (one ScalarOps dot per
@@ -80,41 +80,22 @@ double DotRate(const kernels::KernelOps& ops, std::size_t n, Rng* rng) {
   return 2.0 * static_cast<double>(n * iters) / seconds * 1e-9;
 }
 
-// GFLOP/s of `ops.matvec` over a rows x cols matrix.
+// GFLOP/s of `ops.score_rows` over every row of a rows x cols matrix
+// (MatVec's call).
 double MatVecRate(const kernels::KernelOps& ops, std::size_t rows,
                   std::size_t cols, Rng* rng) {
   const Matrix data = RandomMatrix(rows, cols, rng);
   std::vector<double> q(cols), out(rows);
   for (double& v : q) v = rng->NextGaussian();
   const std::size_t iters = std::max<std::size_t>(1, (1u << 25) / (rows * cols));
-  ops.matvec(data.Row(0).data(), rows, cols, q.data(), out.data());  // warm
+  // warm
+  ops.score_rows(data.raw(), cols, nullptr, rows, q.data(), out.data());
   WallTimer timer;
   for (std::size_t it = 0; it < iters; ++it) {
-    ops.matvec(data.Row(0).data(), rows, cols, q.data(), out.data());
+    ops.score_rows(data.raw(), cols, nullptr, rows, q.data(), out.data());
   }
   const double seconds = timer.Seconds();
   return 2.0 * static_cast<double>(rows * cols * iters) / seconds * 1e-9;
-}
-
-// GFLOP/s of `ops.score_block` on a 64-row x 8-query tile (the shape
-// BlockTopK feeds it).
-double ScoreBlockRate(const kernels::KernelOps& ops, std::size_t cols,
-                      Rng* rng) {
-  constexpr std::size_t kRows = 64, kQ = 8;
-  const Matrix data = RandomMatrix(kRows, cols, rng);
-  const Matrix queries = RandomMatrix(kQ, cols, rng);
-  std::vector<double> out(kRows * kQ);
-  const std::size_t work = kRows * kQ * cols;
-  const std::size_t iters = std::max<std::size_t>(1, (1u << 27) / work);
-  ops.score_block(data.Row(0).data(), kRows, cols, queries.Row(0).data(), kQ,
-                  cols, out.data(), kRows);  // warm
-  WallTimer timer;
-  for (std::size_t it = 0; it < iters; ++it) {
-    ops.score_block(data.Row(0).data(), kRows, cols, queries.Row(0).data(),
-                    kQ, cols, out.data(), kRows);
-  }
-  const double seconds = timer.Seconds();
-  return 2.0 * static_cast<double>(work * iters) / seconds * 1e-9;
 }
 
 KernelRate MeasureKernel(const std::string& name, std::size_t n, Rng* rng,
@@ -354,7 +335,6 @@ int Run() {
       [](const kernels::KernelOps& ops, std::size_t cols, Rng* r) {
         return MatVecRate(ops, 2048, cols, r);
       }));
-  rates.push_back(MeasureKernel("score_block", 128, &rng, ScoreBlockRate));
 
   TablePrinter table({"kernel", "n", "scalar GFLOP/s", "avx2 GFLOP/s"});
   JsonWriter& json = report.json();

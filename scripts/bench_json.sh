@@ -3,7 +3,7 @@
 # repository root:
 #
 #   BENCH_kernels.json  dispatched kernel throughput (scalar vs AVX2
-#                       dot/matvec/score_block, popcount) and the tiled
+#                       dot, row-lane matvec, popcount) and the tiled
 #                       BlockTopK headline against the per-query scalar
 #                       baseline.
 #   BENCH_quant.json    exact brute force against the int8

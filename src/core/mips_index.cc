@@ -323,59 +323,6 @@ std::vector<SearchMatch> LshMipsIndex::Search(std::span<const double> q,
                                    trace);
 }
 
-std::optional<std::vector<QueryResult>> LshMipsIndex::SearchBatch(
-    const Matrix& queries, const QueryOptions& options, Trace* trace) const {
-  // Quantized verification prunes per-query survivor sets, which the
-  // row-grouped exact verify below cannot express; run per query.
-  if (options.precision == QueryPrecision::kQuantizedRerank) {
-    return std::nullopt;
-  }
-  const std::size_t m = queries.rows();
-  std::vector<QueryResult> results(m);
-  std::vector<kernels::TopKHeap> heaps;
-  heaps.reserve(m);
-  for (std::size_t i = 0; i < m; ++i) heaps.emplace_back(options.k);
-  static Counter* const verified =
-      MetricsRegistry::Global().GetCounter("core.candidates_verified");
-  {
-    TraceSpan span(trace, "lsh.batch");
-    // Probe stage: transform + table lookup per query. Candidate sets
-    // stay per-query; the shared work is downstream.
-    std::vector<std::pair<std::size_t, std::size_t>> pairs;  // (row, query)
-    {
-      TraceSpan probe(trace, "probe");
-      for (std::size_t i = 0; i < m; ++i) {
-        QueryStats& stats = results[i].stats;
-        const std::vector<std::size_t> candidates =
-            Candidates(queries.Row(i), nullptr, &stats);
-        for (std::size_t row : candidates) pairs.emplace_back(row, i);
-        stats.algorithm = QueryAlgo::kLsh;
-        stats.candidates = candidates.size();
-        stats.dot_products = candidates.size();
-      }
-      probe.AddCount("batch_queries", m);
-    }
-    // Verify stage, grouped by data row across the batch: sorting the
-    // (row, query) pairs means each data row the batch bucketed is
-    // loaded once and scored against every query that wants it.
-    {
-      TraceSpan verify(trace, "verify");
-      std::sort(pairs.begin(), pairs.end());
-      for (const auto& [row, qi] : pairs) {
-        const double raw = kernels::Dot(data_->Row(row), queries.Row(qi));
-        const double value = options.is_signed ? raw : std::abs(raw);
-        if (heaps[qi].Accepts(value, row)) heaps[qi].Push(row, value);
-      }
-      verify.AddCount("candidates", pairs.size());
-    }
-    verified->Add(pairs.size());
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    results[i].matches = heaps[i].TakeSorted();
-  }
-  return results;
-}
-
 std::vector<std::size_t> LshMipsIndex::Candidates(std::span<const double> q,
                                                   Trace* trace,
                                                   QueryStats* stats) const {
@@ -420,7 +367,7 @@ std::vector<SearchMatch> SketchIndex::Search(std::span<const double> q,
       TraceSpan span(trace, "sketch");
       const std::size_t index = sketch_.RecoverArgmax(q, trace, &info);
       matches.push_back(
-          {index, std::abs(kernels::Dot(data_->Row(index), q))});
+          {index, std::abs(kernels::Score(data_->Row(index), q))});
     }
     stats->candidates = info.leaf_points;
     // Dot-equivalent work: each sketch row product is one length-d dot.

@@ -89,9 +89,9 @@ class MipsIndex {
   /// shared `options` and returns one QueryResult per row, in row
   /// order. Semantically identical to calling Query once per row — the
   /// equivalence suite (tests/batch_query_test.cc) holds every index to
-  /// that. Brute force and LSH amortize work across the batch (block
-  /// scoring, row-grouped verification); every other batch runs the
-  /// index's search once per row. Deadlines are a serving-layer concern
+  /// that. Only brute force amortizes work across the batch (block
+  /// scoring); every other batch runs the index's search once per row.
+  /// Deadlines are a serving-layer concern
   /// (serve::RequestContext); indexes never read one.
   ///
   /// A request Query would reject (or a batch whose width is not dim())
@@ -279,13 +279,6 @@ class LshMipsIndex : public MipsIndex {
                                   const QueryOptions& options,
                                   QueryStats* stats,
                                   Trace* trace) const override;
-  /// Exact batch: probes every query's tables, then verifies candidates
-  /// grouped by data row across the whole batch, so each row the batch
-  /// touches is loaded once and scored against every query that
-  /// bucketed it. A kQuantizedRerank batch runs per query.
-  std::optional<std::vector<QueryResult>> SearchBatch(
-      const Matrix& queries, const QueryOptions& options,
-      Trace* trace) const override;
 
   // The one place an index adopts its tables, built or restored.
   LshMipsIndex(const Matrix& data, const VectorTransform* transform,

@@ -101,6 +101,8 @@ std::vector<SearchMatch> NormRangeIndex::SearchAbove(
       // The score a new match must beat: the k-th best so far, or the
       // floor while that is higher (or fewer than k matches are held).
       const auto bar = [&]() { return std::max(heap.Floor(), floor); };
+      std::vector<std::size_t> rows;
+      std::vector<double> scores;
       for (const Bucket& bucket : buckets_) {
         const double bucket_bound = bucket.max_norm * query_norm;
         // Prune: nothing in this (or any later, smaller-norm) bucket can
@@ -111,23 +113,22 @@ std::vector<SearchMatch> NormRangeIndex::SearchAbove(
         }
         ++visited;
         const double local_cosine = bar() / bucket_bound;
-        auto consider = [&](std::size_t position) {
-          const std::uint32_t member = bucket.members[position];
-          ++scored;
-          heap.Push(member, kernels::Dot(data_->Row(member), q));
-        };
+        rows.clear();
         if (local_cosine >= params_.lsh_cosine_threshold) {
           // Selective regime: probe the bucket's cosine tables.
           for (std::size_t position : bucket.tables->Query(direction)) {
-            consider(position);
+            rows.push_back(bucket.members[position]);
           }
         } else {
           // Low local threshold: scanning is cheaper than high-recall LSH.
-          for (std::size_t position = 0; position < bucket.members.size();
-               ++position) {
-            consider(position);
-          }
+          rows.assign(bucket.members.begin(), bucket.members.end());
         }
+        scores.resize(rows.size());
+        kernels::GatherScores(*data_, rows, q, scores);
+        for (std::size_t j = 0; j < rows.size(); ++j) {
+          heap.Push(rows[j], scores[j]);
+        }
+        scored += rows.size();
       }
       // Matches below the floor may not be the true top-k (the prune
       // ignored them), so they are not reported.

@@ -89,7 +89,7 @@ std::vector<SearchMatch> SymmetricMipsIndex::Search(
     bool present = false;
     for (const SearchMatch& m : matches) present = present || m.index == exact_index;
     if (!present) {
-      const double raw = kernels::Dot(q, q);
+      const double raw = kernels::Score(q, q);
       matches.push_back({exact_index, options.is_signed ? raw : std::abs(raw)});
       std::sort(matches.begin(), matches.end(), RanksBefore);
       if (matches.size() > options.k) matches.resize(options.k);

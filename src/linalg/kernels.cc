@@ -31,23 +31,24 @@ double DotScalar(const double* x, const double* y, std::size_t n) {
   return (acc0 + acc1) + (acc2 + acc3);
 }
 
-void MatVecScalar(const double* data, std::size_t rows, std::size_t cols,
-                  const double* q, double* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = DotScalar(data + r * cols, q, cols);
+// The exact score: acc = fma(x[j], y[j * y_stride], acc) over j
+// ascending from +0.0. std::fma rounds once per step, as the AVX2 lanes
+// do, so both scalar kernels below return the AVX2 table's bits.
+double FmaChain(const double* x, const double* y, std::size_t n,
+                std::size_t y_stride) {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < n; ++j) {
+    acc = std::fma(x[j], y[j * y_stride], acc);
   }
+  return acc;
 }
 
-void ScoreBlockScalar(const double* data, std::size_t rows,
-                      std::size_t cols, const double* queries,
-                      std::size_t num_q, std::size_t q_stride, double* out,
-                      std::size_t out_stride) {
-  for (std::size_t qi = 0; qi < num_q; ++qi) {
-    const double* q = queries + qi * q_stride;
-    double* row_out = out + qi * out_stride;
-    for (std::size_t r = 0; r < rows; ++r) {
-      row_out[r] = DotScalar(data + r * cols, q, cols);
-    }
+void ScoreRowsScalar(const double* data, std::size_t cols,
+                     const std::size_t* rows, std::size_t count,
+                     const double* q, double* out) {
+  for (std::size_t j = 0; j < count; ++j) {
+    out[j] = FmaChain(data + (rows != nullptr ? rows[j] : j) * cols, q, cols,
+                      1);
   }
 }
 
@@ -76,37 +77,14 @@ void ScoreBlockI8Scalar(const std::int8_t* codes, std::size_t rows,
   }
 }
 
-// Each output's chain runs in ascending column order exactly as the
-// AVX2 lanes run it, and std::fma rounds once per step, as the vector
-// fma does. Eight planes at a time keep eight independent chains in
-// registers across the columns.
 void ProjectBlockScalar(const double* rows, std::size_t num_rows,
                         std::size_t cols, const double* planes,
                         std::size_t num_planes, std::size_t plane_stride,
                         double* out) {
-  constexpr std::size_t kChains = 8;
   for (std::size_t r = 0; r < num_rows; ++r) {
-    const double* row = rows + r * cols;
-    double* row_out = out + r * num_planes;
-    std::size_t h = 0;
-    for (; h + kChains <= num_planes; h += kChains) {
-      double acc[kChains] = {};
-      for (std::size_t j = 0; j < cols; ++j) {
-        const double x = row[j];
-        const double* plane = planes + j * plane_stride + h;
-#pragma GCC unroll 8
-        for (std::size_t c = 0; c < kChains; ++c) {
-          acc[c] = std::fma(x, plane[c], acc[c]);
-        }
-      }
-      std::copy(acc, acc + kChains, row_out + h);
-    }
-    for (; h < num_planes; ++h) {
-      double acc = 0.0;
-      for (std::size_t j = 0; j < cols; ++j) {
-        acc = std::fma(row[j], planes[j * plane_stride + h], acc);
-      }
-      row_out[h] = acc;
+    for (std::size_t h = 0; h < num_planes; ++h) {
+      out[r * num_planes + h] =
+          FmaChain(rows + r * cols, planes + h, cols, plane_stride);
     }
   }
 }
@@ -114,10 +92,9 @@ void ProjectBlockScalar(const double* rows, std::size_t num_rows,
 }  // namespace
 
 const KernelOps& ScalarOps() {
-  static const KernelOps ops = {"scalar",          &DotScalar,
-                                &MatVecScalar,     &ScoreBlockScalar,
-                                &DotI8Scalar,      &ScoreBlockI8Scalar,
-                                &ProjectBlockScalar};
+  static const KernelOps ops = {"scalar",           &DotScalar,
+                                &ScoreRowsScalar,   &DotI8Scalar,
+                                &ScoreBlockI8Scalar, &ProjectBlockScalar};
   return ops;
 }
 
@@ -208,24 +185,28 @@ double CosineSimilarity(std::span<const double> x, std::span<const double> y) {
 // Batch kernels.
 // ---------------------------------------------------------------------
 
+double Score(std::span<const double> x, std::span<const double> y) {
+  IPS_DCHECK(x.size() == y.size());
+  double out = 0.0;
+  ActiveOps().score_rows(x.data(), x.size(), nullptr, 1, y.data(), &out);
+  return out;
+}
+
 void MatVec(const Matrix& data, std::span<const double> q,
             std::span<double> out) {
   IPS_DCHECK(q.size() == data.cols());
   IPS_DCHECK(out.size() == data.rows());
-  ActiveOps().matvec(data.raw(), data.rows(), data.cols(), q.data(),
-                     out.data());
+  ActiveOps().score_rows(data.raw(), data.cols(), nullptr, data.rows(),
+                         q.data(), out.data());
 }
 
 void GatherScores(const Matrix& data, std::span<const std::size_t> indices,
                   std::span<const double> q, std::span<double> out) {
+  IPS_DCHECK(q.size() == data.cols());
   IPS_DCHECK(out.size() == indices.size());
-  const KernelOps& ops = ActiveOps();
-  const double* base = data.raw();
-  const std::size_t cols = data.cols();
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    IPS_DCHECK(indices[j] < data.rows());
-    out[j] = ops.dot(base + indices[j] * cols, q.data(), cols);
-  }
+  for (std::size_t index : indices) IPS_DCHECK(index < data.rows());
+  ActiveOps().score_rows(data.raw(), data.cols(), indices.data(),
+                         indices.size(), q.data(), out.data());
 }
 
 void TopKHeap::Push(std::size_t index, double value) {
@@ -250,16 +231,16 @@ std::vector<SearchMatch> TopKHeap::TakeSorted() {
 
 namespace {
 
-// Tile shape of the blocked scorer. A 64x8 tile of doubles is a 4 KiB
-// scratch: data rows stay in L1 across the query block, and eight
-// queries (8 * d doubles) fit L1 alongside one row tile for any d the
-// library meets in practice.
+// Tile shape of the blocked scorer. A query tile is the plane block of
+// one ProjectBlock call: 48 queries are four 12-plane register tiles,
+// and at d = 128 their 48 KiB stay in L2 while the data rows stream
+// past. A 64-row tile bounds the score scratch at 24 KiB.
 constexpr std::size_t kRowTile = 64;
-constexpr std::size_t kQueryTile = 8;
+constexpr std::size_t kQueryTile = 48;
 
 // Second blocking level: a run of data rows sized to sit in L2 while
 // every query tile sweeps over it. Without it, large batches stream the
-// whole data matrix from memory once per 8 queries and the scorer goes
+// whole data matrix from memory once per query tile and the scorer goes
 // memory-bound; with it, data traffic drops to one read of the data
 // plus one read of the queries per row block.
 constexpr std::size_t kRowBlockBytes = 512 * 1024;
@@ -278,30 +259,42 @@ void BlockTopK(const Matrix& data, std::size_t row_begin,
   IPS_DCHECK(queries.cols() == data.cols());
   IPS_DCHECK(heaps.size() == queries.rows());
   IPS_DCHECK(row_begin <= row_end && row_end <= data.rows());
-  const KernelOps& ops = ActiveOps();
+  const std::size_t m = queries.rows();
   const std::size_t cols = data.cols();
+  // Each query tile packed transposed as ProjectBlock's planes: entry j
+  // of query q0 + h at packed[q0 * cols + j * nq + h].
+  std::vector<double> packed(m * cols);
+  for (std::size_t q0 = 0; q0 < m; q0 += kQueryTile) {
+    const std::size_t nq = std::min(kQueryTile, m - q0);
+    double* planes = packed.data() + q0 * cols;
+    for (std::size_t h = 0; h < nq; ++h) {
+      const std::span<const double> query = queries.Row(q0 + h);
+      for (std::size_t j = 0; j < cols; ++j) planes[j * nq + h] = query[j];
+    }
+  }
+  const KernelOps& ops = ActiveOps();
   const double* data_base = data.raw();
-  const double* query_base = queries.raw();
   double scratch[kRowTile * kQueryTile];
 
   const std::size_t block_rows = RowBlockRows(cols);
   for (std::size_t rb = row_begin; rb < row_end; rb += block_rows) {
     const std::size_t rb_end = std::min(rb + block_rows, row_end);
-    for (std::size_t q0 = 0; q0 < queries.rows(); q0 += kQueryTile) {
-      const std::size_t nq = std::min(kQueryTile, queries.rows() - q0);
+    for (std::size_t q0 = 0; q0 < m; q0 += kQueryTile) {
+      const std::size_t nq = std::min(kQueryTile, m - q0);
+      const double* planes = packed.data() + q0 * cols;
       for (std::size_t r0 = rb; r0 < rb_end; r0 += kRowTile) {
         const std::size_t nr = std::min(kRowTile, rb_end - r0);
-        ops.score_block(data_base + r0 * cols, nr, cols,
-                        query_base + q0 * cols, nq, cols, scratch, kRowTile);
+        ops.project_block(data_base + r0 * cols, nr, cols, planes, nq, nq,
+                          scratch);
         for (std::size_t qi = 0; qi < nq; ++qi) {
           TopKHeap& heap = heaps[q0 + qi];
-          const double* tile = scratch + qi * kRowTile;
           // The registered floor makes the common reject a single
           // compare; values at the floor still go through Accepts so
           // the (value, index) tie-break stays exact.
           double floor = heap.Floor();
           for (std::size_t r = 0; r < nr; ++r) {
-            const double value = absolute ? std::abs(tile[r]) : tile[r];
+            const double score = scratch[r * nq + qi];
+            const double value = absolute ? std::abs(score) : score;
             if (value < floor) continue;
             const std::size_t index = r0 + r + index_offset;
             if (heap.Accepts(value, index)) {

@@ -7,12 +7,14 @@
 // paths are built on:
 //
 //   Dot / SquaredNorm / Norm / ...     scalar vector ops (dispatched);
+//   Score                              one exact score;
 //   MatVec                             one query vs. every data row;
 //   GatherScores                       one query vs. a gathered row set
 //                                      (tree leaves, LSH candidates);
-//   BlockTopK                          tiled many-vs-many scoring that
-//                                      writes straight into per-query
-//                                      top-k heaps (no n*m score matrix);
+//   BlockTopK                          tiled many-vs-many scoring on
+//                                      ProjectBlock that writes straight
+//                                      into per-query top-k heaps (no
+//                                      n*m score matrix);
 //   TopKHeap                           the one streaming top-k, in
 //                                      RanksBefore order;
 //   DotI8 / ScoreBlockI8               int8 fixed-point inner products
@@ -20,7 +22,8 @@
 //                                      two-stage quantized scorer);
 //   ProjectBlock                       a block of rows onto a packed,
 //                                      transposed block of hyperplanes
-//                                      (the SimHash keyer, multiprobe);
+//                                      (the SimHash keyer, multiprobe,
+//                                      BlockTopK's packed query block);
 //   AndPopcountMany / SignDotMany      batched popcount inner products
 //                                      over packed {0,1} / {-1,+1} rows.
 //
@@ -30,20 +33,24 @@
 // CI fallback leg and the parity tests use this). Both implementations
 // are exported through KernelOps so tests can compare them directly.
 //
-// Numerics: the scalar path accumulates into four interleaved partial
-// sums; the AVX2 path keeps the same lane grouping but contracts with
-// FMA, so the two agree to rounding (ULP-scale), not bitwise. Anything
-// that consumes both must compare with a tolerance (tests/kernels_test).
-// Within one table, Dot, MatVec and GatherScores score a row with the
-// same dot, so full scans, leaf scans and per-pair loops agree bitwise.
-// The int8 kernels are integer-exact: scalar and AVX2 produce identical
-// int32 results for codes in [-127, 127] (tests/quant_test compares
-// them with EXPECT_EQ, no tolerance). ProjectBlock is bitwise equal
-// across the tables too: every projection is one fused multiply-add
-// chain in ascending column order, which AVX2 runs lane by lane across
-// hyperplanes and the scalar table runs through std::fma. A SimHash
-// sign bit therefore does not depend on the table (tests/lsh_test
-// compares the projections with EXPECT_EQ).
+// Numerics: an exact score is one fused multiply-add chain,
+// acc = fma(x[j], y[j], acc) over j = 0 .. d-1 in ascending order from
+// acc = +0.0. The row-lane kernel (Score, MatVec, GatherScores) and the
+// plane-lane kernel (ProjectBlock, under BlockTopK) both compute it,
+// AVX2 lane by lane and the scalar table through std::fma, so every
+// exact answer has the same bits on every path and under either table
+// (tests/kernels_test: EXPECT_EQ against a std::fma chain). A SimHash
+// sign bit is such a chain too.
+//
+// Dot (and SquaredNorm, Norm, CosineSimilarity on top of it) is a
+// faster split sum: four partial sums, which AVX2 contracts with FMA,
+// so the two tables agree to rounding only. It serves the dots that
+// never become a returned score: ball-tree bounds, transform norms and
+// the SIMPLE-LSH lift, hashing, profiles and the theory code. ipslint's
+// score-dot rule keeps it out of the answer paths (src/core,
+// src/sketch, src/storage, src/serve, the bucket join). The int8
+// kernels are integer-exact: scalar and AVX2 produce identical int32
+// results for codes in [-127, 127] (tests/quant_test).
 
 #ifndef IPS_LINALG_KERNELS_H_
 #define IPS_LINALG_KERNELS_H_
@@ -80,22 +87,18 @@ bool ForceScalar();
 struct KernelOps {
   const char* name;  // "scalar" or "avx2"
 
-  /// <x, y> over n entries.
+  /// <x, y> over n entries as a split sum (see Numerics above): for
+  /// dots that never become a returned score.
   double (*dot)(const double* x, const double* y, std::size_t n);
 
-  /// out[r] = <data + r*cols, q> for r in [0, rows).
-  void (*matvec)(const double* data, std::size_t rows, std::size_t cols,
-                 const double* q, double* out);
-
-  /// Tile scorer: out[qi * out_stride + r] = <row r, query qi> for
-  /// r in [0, rows), qi in [0, num_q); rows are contiguous at
-  /// data (leading dimension cols), queries contiguous at queries
-  /// (leading dimension q_stride). The register-blocked heart of
-  /// BlockTopK.
-  void (*score_block)(const double* data, std::size_t rows,
-                      std::size_t cols, const double* queries,
-                      std::size_t num_q, std::size_t q_stride, double* out,
-                      std::size_t out_stride);
+  /// Row-lane scorer: out[j] = <row i_j, q> for j in [0, count), where
+  /// row i starts at data + i * cols and i_j = rows[j], or j when rows
+  /// is null. Each output is the chain acc = fma(row[c], q[c], acc) over
+  /// c = 0 .. cols-1 from acc = +0.0, so both tables return the same
+  /// bits. The heart of MatVec, GatherScores and Score.
+  void (*score_rows)(const double* data, std::size_t cols,
+                     const std::size_t* rows, std::size_t count,
+                     const double* q, double* out);
 
   /// Fixed-point <x, y> over n int8 codes, accumulated in int32.
   /// Contract: every code lies in [-127, 127] (the quantizer clamps to
@@ -144,7 +147,8 @@ const char* ActiveIsaName();
 // Dispatched vector ops (the former linalg/vector_ops.h surface).
 // ---------------------------------------------------------------------
 
-/// Inner product <x, y>. Requires x.size() == y.size().
+/// Inner product <x, y> as a split sum; not bitwise the exact score
+/// (use Score for that). Requires x.size() == y.size().
 inline double Dot(std::span<const double> x, std::span<const double> y) {
   IPS_DCHECK(x.size() == y.size());
   return ActiveOps().dot(x.data(), y.data(), x.size());
@@ -181,13 +185,17 @@ double CosineSimilarity(std::span<const double> x, std::span<const double> y);
 // Batch kernels.
 // ---------------------------------------------------------------------
 
-/// out[r] = <data.Row(r), q>. Requires q.size() == data.cols() and
-/// out.size() == data.rows().
+/// The exact score <x, y>: the fma chain every exact answer uses, for
+/// a lone pair. Requires x.size() == y.size().
+double Score(std::span<const double> x, std::span<const double> y);
+
+/// out[r] = <data.Row(r), q>, exact scores. Requires q.size() ==
+/// data.cols() and out.size() == data.rows().
 void MatVec(const Matrix& data, std::span<const double> q,
             std::span<double> out);
 
-/// out[j] = <data.Row(indices[j]), q>: the gathered-row scorer behind
-/// tree leaf scans and LSH candidate verification. Requires
+/// out[j] = <data.Row(indices[j]), q>, exact scores: the gathered-row
+/// scorer behind tree leaf scans and candidate verification. Requires
 /// out.size() == indices.size().
 void GatherScores(const Matrix& data, std::span<const std::size_t> indices,
                   std::span<const double> q, std::span<double> out);
@@ -229,11 +237,12 @@ class TopKHeap {
 
 /// Tiled many-vs-many scorer: for every query row qi of `queries` and
 /// every data row r in [row_begin, row_end), pushes
-/// (r + index_offset, score) into heaps[qi], where the score is
-/// <data.Row(r), queries.Row(qi)>, made absolute when `absolute`.
-/// Cache-blocked GEMM-style: a tile of data rows is reused across a
-/// block of queries, scores land in a stack scratch and go straight
-/// into the per-query heaps — the n*m score matrix is never
+/// (r + index_offset, score) into heaps[qi], where the score is the
+/// exact <data.Row(r), queries.Row(qi)>, made absolute when `absolute`.
+/// The queries are packed transposed once per call (m * d values) and
+/// scored tile by tile with ProjectBlock: a tile of data rows meets a
+/// block of queries held in L2, scores land in a stack scratch and go
+/// straight into the per-query heaps — the n*m score matrix is never
 /// materialized. Requires heaps.size() == queries.rows() and matching
 /// dimensions.
 void BlockTopK(const Matrix& data, std::size_t row_begin,

@@ -5,6 +5,8 @@
 
 #include "linalg/kernels.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
@@ -18,9 +20,9 @@ namespace {
 
 #define IPS_AVX2 __attribute__((target("avx2,fma")))
 
-// (lane0 + lane2) + (lane1 + lane3); FMA contraction already separates
-// this path from the scalar one by rounding, so the exact reduction
-// tree is free to be the cheapest one.
+// (lane0 + lane2) + (lane1 + lane3); the split dot rounds apart from
+// the scalar table's anyway, so the reduction tree is free to be the
+// cheapest one.
 IPS_AVX2 inline double HorizontalSum(__m256d v) {
   const __m128d lo = _mm256_castpd256_pd128(v);
   const __m128d hi = _mm256_extractf128_pd(v, 1);
@@ -55,101 +57,87 @@ IPS_AVX2 double DotAvx2(const double* x, const double* y, std::size_t n) {
   return total;
 }
 
-IPS_AVX2 void MatVecAvx2(const double* data, std::size_t rows,
-                         std::size_t cols, const double* q, double* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    out[r] = DotAvx2(data + r * cols, q, cols);
+// Row-lane scoring: lane i of a group of four holds row i's chain, so
+// a column step is one fma per four rows and each output is the same
+// ascending chain the scalar table runs through std::fma. Two 128-bit
+// loads and a vinsertf128 put columns c, c+1 of rows 0 and 2 in one
+// register and those of rows 1 and 3 in another; unpacklo/hi turn the
+// pair into column c and column c+1 of all four rows. G groups keep G
+// chains in flight to hide the fma latency. `row(i)` is lane i's row.
+template <std::size_t G, class RowAt>
+IPS_AVX2 inline void ScoreLanes(RowAt row, std::size_t cols,
+                                const double* q, double* out) {
+  __m256d acc[G];
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) acc[g] = _mm256_setzero_pd();
+  std::size_t c = 0;
+  for (; c + 2 <= cols; c += 2) {
+    const __m256d q0 = _mm256_broadcast_sd(q + c);
+    const __m256d q1 = _mm256_broadcast_sd(q + c + 1);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      const __m256d a = _mm256_insertf128_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(row(4 * g) + c)),
+          _mm_loadu_pd(row(4 * g + 2) + c), 1);
+      const __m256d b = _mm256_insertf128_pd(
+          _mm256_castpd128_pd256(_mm_loadu_pd(row(4 * g + 1) + c)),
+          _mm_loadu_pd(row(4 * g + 3) + c), 1);
+      acc[g] = _mm256_fmadd_pd(_mm256_unpacklo_pd(a, b), q0, acc[g]);
+      acc[g] = _mm256_fmadd_pd(_mm256_unpackhi_pd(a, b), q1, acc[g]);
+    }
   }
+  if (c < cols) {
+    const __m256d qc = _mm256_broadcast_sd(q + c);
+#pragma GCC unroll 4
+    for (std::size_t g = 0; g < G; ++g) {
+      const __m256d x = _mm256_setr_pd(row(4 * g)[c], row(4 * g + 1)[c],
+                                       row(4 * g + 2)[c], row(4 * g + 3)[c]);
+      acc[g] = _mm256_fmadd_pd(x, qc, acc[g]);
+    }
+  }
+#pragma GCC unroll 4
+  for (std::size_t g = 0; g < G; ++g) _mm256_storeu_pd(out + 4 * g, acc[g]);
 }
 
-// The register-blocked heart of the tiled scorer: two data rows against
-// four queries. Each 4-wide column step loads the two row vectors once
-// and reuses them across all four queries (6 loads feeding 8 FMAs),
-// which is what lifts the batch path past the per-query memory wall.
-IPS_AVX2 void Score2x4(const double* row0, const double* row1,
-                       const double* q0, const double* q1, const double* q2,
-                       const double* q3, std::size_t cols, double* out0,
-                       double* out1) {
-  __m256d a00 = _mm256_setzero_pd(), a01 = _mm256_setzero_pd();
-  __m256d a02 = _mm256_setzero_pd(), a03 = _mm256_setzero_pd();
-  __m256d a10 = _mm256_setzero_pd(), a11 = _mm256_setzero_pd();
-  __m256d a12 = _mm256_setzero_pd(), a13 = _mm256_setzero_pd();
-  std::size_t j = 0;
-  for (; j + 4 <= cols; j += 4) {
-    const __m256d va = _mm256_loadu_pd(row0 + j);
-    const __m256d vb = _mm256_loadu_pd(row1 + j);
-    __m256d vq = _mm256_loadu_pd(q0 + j);
-    a00 = _mm256_fmadd_pd(va, vq, a00);
-    a10 = _mm256_fmadd_pd(vb, vq, a10);
-    vq = _mm256_loadu_pd(q1 + j);
-    a01 = _mm256_fmadd_pd(va, vq, a01);
-    a11 = _mm256_fmadd_pd(vb, vq, a11);
-    vq = _mm256_loadu_pd(q2 + j);
-    a02 = _mm256_fmadd_pd(va, vq, a02);
-    a12 = _mm256_fmadd_pd(vb, vq, a12);
-    vq = _mm256_loadu_pd(q3 + j);
-    a03 = _mm256_fmadd_pd(va, vq, a03);
-    a13 = _mm256_fmadd_pd(vb, vq, a13);
-  }
-  double s00 = HorizontalSum(a00), s01 = HorizontalSum(a01);
-  double s02 = HorizontalSum(a02), s03 = HorizontalSum(a03);
-  double s10 = HorizontalSum(a10), s11 = HorizontalSum(a11);
-  double s12 = HorizontalSum(a12), s13 = HorizontalSum(a13);
-  for (; j < cols; ++j) {
-    const double va = row0[j], vb = row1[j];
-    s00 += va * q0[j];
-    s01 += va * q1[j];
-    s02 += va * q2[j];
-    s03 += va * q3[j];
-    s10 += vb * q0[j];
-    s11 += vb * q1[j];
-    s12 += vb * q2[j];
-    s13 += vb * q3[j];
-  }
-  out0[0] = s00;
-  out0[1] = s01;
-  out0[2] = s02;
-  out0[3] = s03;
-  out1[0] = s10;
-  out1[1] = s11;
-  out1[2] = s12;
-  out1[3] = s13;
-}
-
-IPS_AVX2 void ScoreBlockAvx2(const double* data, std::size_t rows,
-                             std::size_t cols, const double* queries,
-                             std::size_t num_q, std::size_t q_stride,
-                             double* out, std::size_t out_stride) {
-  std::size_t qi = 0;
-  for (; qi + 4 <= num_q; qi += 4) {
-    const double* q0 = queries + qi * q_stride;
-    const double* q1 = q0 + q_stride;
-    const double* q2 = q1 + q_stride;
-    const double* q3 = q2 + q_stride;
-    std::size_t r = 0;
-    for (; r + 2 <= rows; r += 2) {
-      double s0[4], s1[4];
-      Score2x4(data + r * cols, data + (r + 1) * cols, q0, q1, q2, q3,
-               cols, s0, s1);
-      for (std::size_t t = 0; t < 4; ++t) {
-        out[(qi + t) * out_stride + r] = s0[t];
-        out[(qi + t) * out_stride + r + 1] = s1[t];
-      }
-    }
-    if (r < rows) {
-      const double* row = data + r * cols;
-      out[qi * out_stride + r] = DotAvx2(row, q0, cols);
-      out[(qi + 1) * out_stride + r] = DotAvx2(row, q1, cols);
-      out[(qi + 2) * out_stride + r] = DotAvx2(row, q2, cols);
-      out[(qi + 3) * out_stride + r] = DotAvx2(row, q3, cols);
+// Sixteen lanes (four chains) per call of ScoreLanes: contiguous rows
+// are addressed as base + i * cols, listed rows (an index list, or the
+// last rows of a contiguous run) by a pointer per lane. A batch shorter
+// than 16 repeats its last row in the idle lanes and keeps only the
+// live ones, so a tree leaf of up to 16 rows is one chain's latency.
+IPS_AVX2 void ScoreRowsAvx2(const double* data, std::size_t cols,
+                            const std::size_t* rows, std::size_t count,
+                            const double* q, double* out) {
+  constexpr std::size_t kLanes = 16;
+  std::size_t j0 = 0;
+  if (rows == nullptr) {
+    for (; j0 + kLanes <= count; j0 += kLanes) {
+      const double* base = data + j0 * cols;
+      ScoreLanes<4>([=](std::size_t i) { return base + i * cols; }, cols, q,
+                    out + j0);
     }
   }
-  for (; qi < num_q; ++qi) {
-    const double* q = queries + qi * q_stride;
-    double* row_out = out + qi * out_stride;
-    for (std::size_t r = 0; r < rows; ++r) {
-      row_out[r] = DotAvx2(data + r * cols, q, cols);
+  const double* row[kLanes];
+  const auto listed = [&](std::size_t i) { return row[i]; };
+  for (; j0 < count; j0 += kLanes) {
+    const std::size_t live = std::min(kLanes, count - j0);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      const std::size_t j = j0 + std::min(i, live - 1);
+      row[i] = data + (rows != nullptr ? rows[j] : j) * cols;
     }
+    if (live == kLanes) {
+      ScoreLanes<4>(listed, cols, q, out + j0);
+      continue;
+    }
+    // Loads, not the fma latency, bound a step of four chains, so a
+    // short batch runs only the groups its live rows need.
+    double lanes[kLanes];
+    switch ((live + 3) / 4) {
+      case 1: ScoreLanes<1>(listed, cols, q, lanes); break;
+      case 2: ScoreLanes<2>(listed, cols, q, lanes); break;
+      case 3: ScoreLanes<3>(listed, cols, q, lanes); break;
+      default: ScoreLanes<4>(listed, cols, q, lanes); break;
+    }
+    std::copy(lanes, lanes + live, out + j0);
   }
 }
 
@@ -342,10 +330,9 @@ IPS_AVX2 void ProjectBlockAvx2(const double* rows, std::size_t num_rows,
 const KernelOps& Avx2Ops() {
   IPS_CHECK(Avx2Available())
       << "Avx2Ops() requested on a CPU without AVX2+FMA";
-  static const KernelOps ops = {"avx2",          &DotAvx2,
-                                &MatVecAvx2,     &ScoreBlockAvx2,
-                                &DotI8Avx2,      &ScoreBlockI8Avx2,
-                                &ProjectBlockAvx2};
+  static const KernelOps ops = {"avx2",           &DotAvx2,
+                                &ScoreRowsAvx2,   &DotI8Avx2,
+                                &ScoreBlockI8Avx2, &ProjectBlockAvx2};
   return ops;
 }
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <memory>
 #include <unordered_set>
+#include <vector>
 
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
@@ -70,6 +71,8 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
   };
   std::vector<std::uint64_t> keys(hashed_data.rows());
   std::vector<std::uint64_t> query_keys(hashed_queries.rows());
+  std::vector<std::size_t> survivors;
+  std::vector<double> scores;
   for (std::size_t table = 0; table < params.l; ++table) {
     // One table's functions at a time: l one-table keyers draw exactly
     // the functions of one keyer over all l tables.
@@ -80,6 +83,7 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
                 query_keys);
     const BucketTable buckets = BucketTable::Build(keys);
     for (std::size_t qi = 0; qi < hashed_queries.rows(); ++qi) {
+      survivors.clear();
       for (std::uint32_t di : buckets.Find(query_keys[qi])) {
         ++candidate_pairs;
         const std::uint64_t key =
@@ -99,16 +103,22 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
           ++prefiltered_pairs;
           continue;
         }
-        ++verified_pairs;
-        const double raw = kernels::Dot(data.Row(di), queries.Row(qi));
-        const double score = is_signed ? raw : std::abs(raw);
+        survivors.push_back(di);
+      }
+      // The pairs that survive the prefilter get their exact scores in
+      // one GatherScores call per query and table.
+      verified_pairs += survivors.size();
+      scores.resize(survivors.size());
+      kernels::GatherScores(data, survivors, queries.Row(qi), scores);
+      auto& best = result.per_query[qi];
+      for (std::size_t j = 0; j < survivors.size(); ++j) {
+        const double score = is_signed ? scores[j] : std::abs(scores[j]);
         if (score < cs_threshold) continue;
-        auto& best = result.per_query[qi];
         // RanksBefore breaks ties toward the smaller data index, so
         // results do not depend on table enumeration order.
         if (!best.has_value() ||
-            RanksBefore({di, score}, {best->first, best->second})) {
-          best = std::make_pair(static_cast<std::size_t>(di), score);
+            RanksBefore({survivors[j], score}, {best->first, best->second})) {
+          best = std::make_pair(survivors[j], score);
         }
       }
     }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
@@ -11,6 +12,26 @@
 #include "util/timer.h"
 
 namespace ips {
+namespace {
+
+// The best of the rows [begin, end) (begin < end) by exact |<row, q>|,
+// in RanksBefore order.
+SearchMatch LeafBest(const Matrix& data, std::size_t begin,
+                     std::size_t end, std::span<const double> q) {
+  std::vector<double> scores(end - begin);
+  kernels::MatVec(
+      Matrix::View(data.raw() + begin * data.cols(), end - begin,
+                   data.cols()),
+      q, scores);
+  SearchMatch best{begin, -1.0};
+  for (std::size_t i = begin; i < end; ++i) {
+    const SearchMatch candidate{i, std::abs(scores[i - begin])};
+    if (RanksBefore(candidate, best)) best = candidate;
+  }
+  return best;
+}
+
+}  // namespace
 
 SketchMipsIndex::SketchMipsIndex(const Matrix& data,
                                  const SketchMipsParams& params, Rng* rng)
@@ -91,11 +112,7 @@ double SketchMipsIndex::EstimateNode(const Node& node,
                                      std::span<const double> q) const {
   if (node.sketch == nullptr) {
     // Leaf: the range is small, answer exactly.
-    double best = 0.0;
-    for (std::size_t i = node.begin; i < node.end; ++i) {
-      best = std::max(best, std::abs(kernels::Dot(data_->Row(i), q)));
-    }
-    return best;
+    return LeafBest(*data_, node.begin, node.end, q).value;
   }
   // Estimate pass: every sketch row against q in one dispatched
   // mat-vec sweep instead of a per-row dot loop.
@@ -106,16 +123,8 @@ double SketchMipsIndex::EstimateNode(const Node& node,
 
 double SketchMipsIndex::EstimateMaxAbsInnerProduct(
     std::span<const double> q) const {
-  const Node& root = nodes_[root_];
-  if (root.sketch == nullptr) {
-    // Tiny dataset: the root is a leaf; answer exactly.
-    double best = 0.0;
-    for (std::size_t i = root.begin; i < root.end; ++i) {
-      best = std::max(best, std::abs(kernels::Dot(data_->Row(i), q)));
-    }
-    return best;
-  }
-  return EstimateNode(root, q);
+  // A tiny dataset's root is a leaf, which EstimateNode answers exactly.
+  return EstimateNode(nodes_[root_], q);
 }
 
 std::size_t SketchMipsIndex::RecoverArgmax(std::span<const double> q,
@@ -150,11 +159,7 @@ std::size_t SketchMipsIndex::RecoverArgmax(std::span<const double> q,
   // Leaf: exact scan of the small range.
   WallTimer rerank_timer;
   const Node& leaf = nodes_[current];
-  SearchMatch best{leaf.begin, -1.0};
-  for (std::size_t i = leaf.begin; i < leaf.end; ++i) {
-    const SearchMatch candidate{i, std::abs(kernels::Dot(data_->Row(i), q))};
-    if (RanksBefore(candidate, best)) best = candidate;
-  }
+  const SearchMatch best = LeafBest(*data_, leaf.begin, leaf.end, q);
   local.leaf_points = leaf.end - leaf.begin;
 
   if (trace != nullptr) {
@@ -178,7 +183,7 @@ std::size_t SketchMipsIndex::UnsignedSearch(std::span<const double> q,
   IPS_CHECK_GT(c, 0.0);
   IPS_CHECK_LT(c, 1.0);
   const std::size_t candidate = RecoverArgmax(q);
-  const double value = std::abs(kernels::Dot(data_->Row(candidate), q));
+  const double value = std::abs(kernels::Score(data_->Row(candidate), q));
   return value >= c * s ? candidate : num_points();
 }
 

@@ -2,15 +2,14 @@
 // brute force, ball tree, LSH, sketch, symmetric, norm-range —
 // BatchQuery(queries, options) must be semantically identical to
 // calling Query once per row (mips_index.h). Indexes with specialized
-// batch paths (brute's tiled BlockTopK, LSH's row-grouped verification)
+// batch paths (brute's tiled BlockTopK, LSH's gathered verification)
 // are held to the same equivalence as the per-query fallback.
 //
-// Score comparison: under IPS_FORCE_SCALAR=1 the tiled scorer is the
-// scalar dot itself, so batch results are bitwise equal to per-query
-// results; under AVX2 the block scorer contracts with a different FMA
-// association than the per-query dot, so match indices must agree
-// exactly while scores agree to a tolerance. The helper below asserts
-// the strong form whenever the scalar table is active.
+// Score comparison: every exact score is the one fma chain (kernels.h),
+// whichever path computes it and whichever kernel table is active, so
+// batch results are bitwise equal to per-query results: the same
+// indices, the same score bits, the same tie order. The scalar leg
+// (batch_query_test_scalar) holds the same binary to the same form.
 //
 // Also covered here: the one index contract (IndexContractTest: what
 // each index rejects, in Query and BatchQuery alike, and how a traced
@@ -22,7 +21,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <string>
@@ -34,7 +35,6 @@
 #include "core/norm_range_index.h"
 #include "core/query.h"
 #include "core/symmetric_index.h"
-#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "lsh/simhash.h"
 #include "lsh/transforms.h"
@@ -46,10 +46,6 @@
 namespace ips {
 namespace {
 
-bool ScalarActive() {
-  return std::string(kernels::ActiveOps().name) == "scalar";
-}
-
 Matrix RandomGaussian(std::size_t rows, std::size_t cols, Rng* rng) {
   Matrix out(rows, cols);
   for (std::size_t i = 0; i < rows; ++i) {
@@ -58,9 +54,20 @@ Matrix RandomGaussian(std::size_t rows, std::size_t cols, Rng* rng) {
   return out;
 }
 
+// Batch and per-query answers agree bitwise: the same indices in the
+// same order with the same score bits (see the file comment).
+void ExpectSameMatches(const std::vector<SearchMatch>& got,
+                       const std::vector<SearchMatch>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_EQ(got[j].index, want[j].index) << "rank " << j;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j].value),
+              std::bit_cast<std::uint64_t>(want[j].value))
+        << "rank " << j;
+  }
+}
+
 // The equivalence oracle: BatchQuery == N x Query, match-for-match.
-// Indices must agree exactly; scores bitwise under the scalar table,
-// else to a rounding tolerance (see the file comment).
 void ExpectBatchEqualsPerQuery(const MipsIndex& index, const Matrix& queries,
                                const QueryOptions& options) {
   SCOPED_TRACE("index=" + index.Name());
@@ -73,16 +80,7 @@ void ExpectBatchEqualsPerQuery(const MipsIndex& index, const Matrix& queries,
     auto single = index.Query(queries.Row(i), options, &single_stats);
     ASSERT_TRUE(single.ok()) << single.status().ToString();
     const QueryResult& got = (*batch)[i];
-    ASSERT_EQ(got.matches.size(), single->size());
-    for (std::size_t j = 0; j < got.matches.size(); ++j) {
-      EXPECT_EQ(got.matches[j].index, (*single)[j].index) << "rank " << j;
-      if (ScalarActive()) {
-        EXPECT_EQ(got.matches[j].value, (*single)[j].value) << "rank " << j;
-      } else {
-        EXPECT_NEAR(got.matches[j].value, (*single)[j].value, 1e-9)
-            << "rank " << j;
-      }
-    }
+    ExpectSameMatches(got.matches, *single);
     EXPECT_EQ(got.stats.algorithm, single_stats.algorithm);
     EXPECT_EQ(got.stats.batch_size, 1u);  // per-member stats, not merged
   }
@@ -106,6 +104,22 @@ TEST_F(BatchEquivalenceTest, BruteForceSignedAndUnsigned) {
     options.k = 5;
     options.is_signed = is_signed;
     ExpectBatchEqualsPerQuery(index, queries_, options);
+  }
+}
+
+TEST_F(BatchEquivalenceTest, BruteForceWideRowsAreBitwise) {
+  // 33 columns cross every column path of the kernels (a 16-wide body,
+  // 4-wide steps, a ragged tail), where a second rounding of the tiled
+  // scorer against the per-query scan would show in the score bits.
+  Rng rng(61);
+  const Matrix data = MakeUnitBallGaussian(300, 33, 0.3, &rng);
+  const Matrix queries = MakeUnitBallGaussian(17, 33, 0.7, &rng);
+  const BruteForceIndex index(data);
+  for (const bool is_signed : {true, false}) {
+    QueryOptions options;
+    options.k = 5;
+    options.is_signed = is_signed;
+    ExpectBatchEqualsPerQuery(index, queries, options);
   }
 }
 
@@ -442,11 +456,7 @@ TEST_F(ServeBatchTest, EngineBatchMatchesPerQueryOnEveryForcedPath) {
       auto single = engine_->Query({queries_.Row(i), options});
       ASSERT_TRUE(single.ok()) << single.status().ToString();
       const QueryResult& got = (*batch)[i];
-      ASSERT_EQ(got.matches.size(), single->matches.size());
-      for (std::size_t j = 0; j < got.matches.size(); ++j) {
-        EXPECT_EQ(got.matches[j].index, single->matches[j].index);
-        EXPECT_NEAR(got.matches[j].value, single->matches[j].value, 1e-9);
-      }
+      ExpectSameMatches(got.matches, single->matches);
       EXPECT_EQ(got.plan.algorithm, algo);
       EXPECT_GT(got.stats.exec_seconds, 0.0);  // amortized batch time
     }
@@ -508,11 +518,7 @@ TEST_F(ServeBatchTest, SchedulerBatchedExecutionMatchesSequential) {
     ASSERT_TRUE(truth.ok());
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
     const QueryResult& got = results[i].value();
-    ASSERT_EQ(got.matches.size(), truth->matches.size());
-    for (std::size_t j = 0; j < got.matches.size(); ++j) {
-      EXPECT_EQ(got.matches[j].index, truth->matches[j].index);
-      EXPECT_NEAR(got.matches[j].value, truth->matches[j].value, 1e-9);
-    }
+    ExpectSameMatches(got.matches, truth->matches);
     EXPECT_TRUE(got.stats.deadline_met);
     EXPECT_GE(got.stats.queue_seconds, 0.0);
   }

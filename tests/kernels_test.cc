@@ -1,22 +1,29 @@
-// Tests for linalg/kernels: scalar/AVX2 parity of every dispatched
-// primitive (dot, matvec, score_block) on random, denormal-adjacent,
-// and signed-zero inputs; the TopKHeap ordering contract; the tiled
-// BlockTopK driver against a naive reference; and the batched popcount
-// kernels against the BitMatrix/SignMatrix scalar paths.
+// Tests for linalg/kernels: the exact-score kernels (the row-lane
+// score_rows behind MatVec, GatherScores and Score, and BlockTopK on the
+// plane-lane project_block) against a test-local fma chain; the split
+// dot against a long-double reference; the TopKHeap ordering contract;
+// BlockTopK against a naive reference; and the batched popcount kernels
+// against the BitMatrix/SignMatrix scalar paths.
 //
-// Numerics contract under test (kernels.h header comment): the scalar
-// and AVX2 implementations agree to rounding, not bitwise — every
-// cross-implementation comparison here uses a relative tolerance scaled
-// by the magnitude of the accumulated products. The CI scalar leg runs
-// this same binary under IPS_FORCE_SCALAR=1 (see tests/CMakeLists.txt),
-// where the dispatch tests below assert the pin took effect.
+// Numerics contract under test (kernels.h header comment): every exact
+// score is one fma chain in ascending column order from +0.0, bitwise
+// the same under both tables, so those checks use EXPECT_EQ. Only the
+// split dot rounds apart by table; its checks use a relative tolerance
+// scaled by the magnitude of the accumulated products. The CI scalar
+// leg runs this same binary under IPS_FORCE_SCALAR=1 (see
+// tests/CMakeLists.txt), where the dispatch tests below assert the pin
+// took effect.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "linalg/bit_matrix.h"
@@ -149,81 +156,119 @@ TEST(DotParityTest2, SignedZeroInputs) {
   }
 }
 
-TEST(MatVecParity, AgreesAcrossImplementationsAndWithDot) {
-  Rng rng(11);
-  for (const std::size_t cols : {3u, 16u, 33u}) {
-    const std::size_t rows = 17;
-    Matrix data(rows, cols);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (double& v : data.Row(i)) v = rng.NextGaussian();
+// The exact-score contract: acc = fma(x[j], y[j], acc) from +0.0,
+// ascending j.
+double FmaChain(std::span<const double> x, std::span<const double> y) {
+  double acc = 0.0;
+  for (std::size_t j = 0; j < x.size(); ++j) acc = std::fma(x[j], y[j], acc);
+  return acc;
+}
+
+void ExpectSameBits(double got, double want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(want))
+      << got << " vs " << want;
+}
+
+// Rows that stress the chain: Gaussians; the integer tie-order corpus
+// (coordinates in [-3, 3], each row followed by its copy and its
+// negation); zero rows of both signs; rows mixing subnormal with huge
+// finite entries (no chain overflows); and a row of subnormals.
+Matrix StressRows(std::size_t dim, Rng* rng) {
+  Matrix rows(0, dim);
+  std::vector<double> row(dim);
+  for (int i = 0; i < 6; ++i) {
+    for (double& v : row) v = rng->NextGaussian();
+    rows.AppendRow(row);
+  }
+  for (int i = 0; i < 3; ++i) {
+    for (double& v : row) v = static_cast<double>(rng->NextInt(-3, 3));
+    rows.AppendRow(row);
+    rows.AppendRow(row);
+    for (double& v : row) v = -v;
+    rows.AppendRow(row);
+  }
+  std::fill(row.begin(), row.end(), 0.0);
+  rows.AppendRow(row);
+  std::fill(row.begin(), row.end(), -0.0);
+  rows.AppendRow(row);
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  for (int i = 0; i < 2; ++i) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      switch ((j + i) % 4) {
+        case 0: row[j] = tiny * static_cast<double>(rng->NextInt(1, 9)); break;
+        case 1: row[j] = -1e300 * rng->NextDouble(); break;
+        case 2: row[j] = 1e300 * rng->NextDouble(); break;
+        default: row[j] = -tiny; break;
+      }
     }
-    const auto q = RandomVector(cols, &rng);
-    std::vector<double> scalar_out(rows), avx2_out(rows);
-    kernels::ScalarOps().matvec(data.Row(0).data(), rows, cols, q.data(),
-                                scalar_out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      // Contract: matvec row r is that implementation's dot of row r.
-      EXPECT_EQ(scalar_out[i], kernels::ScalarOps().dot(
-                                   data.Row(i).data(), q.data(), cols));
+    rows.AppendRow(row);
+  }
+  for (std::size_t j = 0; j < dim; ++j) {
+    row[j] = tiny * static_cast<double>(rng->NextInt(-9, 9));
+  }
+  rows.AppendRow(row);
+  return rows;
+}
+
+TEST(ScoreRowsTest, BothTablesAreBitwiseEqualToTheFmaChain) {
+  Rng rng(13);
+  std::vector<const kernels::KernelOps*> tables = {&kernels::ScalarOps()};
+  if (kernels::Avx2Available()) tables.push_back(&kernels::Avx2Ops());
+  for (const std::size_t cols : {1u, 3u, 5u, 13u, 19u}) {
+    const Matrix data = StressRows(cols, &rng);
+    // Queries: a Gaussian, an integer row, a signed zero and one mixing
+    // subnormal with ones.
+    std::vector<std::vector<double>> queries(4, std::vector<double>(cols));
+    for (std::size_t j = 0; j < cols; ++j) {
+      queries[0][j] = rng.NextGaussian();
+      queries[1][j] = static_cast<double>(rng.NextInt(-3, 3));
+      queries[2][j] = j % 2 == 0 ? -0.0 : 0.0;
+      queries[3][j] = j % 2 == 0 ? 1.0 : std::numeric_limits<double>::min();
     }
-    if (!kernels::Avx2Available()) continue;
-    kernels::Avx2Ops().matvec(data.Row(0).data(), rows, cols, q.data(),
-                              avx2_out.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      EXPECT_EQ(avx2_out[i], kernels::Avx2Ops().dot(data.Row(i).data(),
-                                                    q.data(), cols));
-      std::vector<double> xi(data.Row(i).begin(), data.Row(i).end());
-      ExpectUlpClose(avx2_out[i], scalar_out[i], DotScale(xi, q));
+    // Row counts on both sides of the AVX2 kernel's four-lane groups
+    // and its 16-lane batch (four groups of four), plus one full batch
+    // with no tail; the index lists repeat and reverse rows.
+    for (const std::size_t count : {1u, 3u, 5u, 13u, 16u, 19u}) {
+      std::vector<std::size_t> indices(count);
+      for (std::size_t j = 0; j < count; ++j) {
+        indices[j] = (data.rows() - 1 - 3 * j) % data.rows();
+      }
+      for (const auto* ops : tables) {
+        for (const auto& q : queries) {
+          SCOPED_TRACE(std::string(ops->name) + " cols " +
+                       std::to_string(cols) + " count " +
+                       std::to_string(count));
+          std::vector<double> contiguous(count), gathered(count);
+          ops->score_rows(data.raw(), cols, nullptr, count, q.data(),
+                          contiguous.data());
+          ops->score_rows(data.raw(), cols, indices.data(), count, q.data(),
+                          gathered.data());
+          for (std::size_t j = 0; j < count; ++j) {
+            ExpectSameBits(contiguous[j], FmaChain(data.Row(j), q));
+            ExpectSameBits(gathered[j], FmaChain(data.Row(indices[j]), q));
+          }
+        }
+      }
     }
   }
 }
 
-TEST(ScoreBlockParity, MatchesPerPairDotWithinTolerance) {
-  Rng rng(13);
-  // Rows and query counts around the 2x4 register tile: tails on both
-  // axes, plus a q_stride wider than cols (queries inside a larger
-  // matrix) and an out_stride wider than rows.
-  for (const std::size_t rows : {1u, 2u, 3u, 8u}) {
-    for (const std::size_t num_q : {1u, 3u, 4u, 5u, 9u}) {
-      const std::size_t cols = 19;
-      const std::size_t q_stride = cols + 5;
-      const std::size_t out_stride = rows + 2;
-      std::vector<double> data(rows * cols);
-      std::vector<double> queries(num_q * q_stride);
-      for (double& v : data) v = rng.NextGaussian();
-      for (double& v : queries) v = rng.NextGaussian();
-
-      std::vector<double> out(num_q * out_stride, -1.0);
-      kernels::ScalarOps().score_block(data.data(), rows, cols,
-                                       queries.data(), num_q, q_stride,
-                                       out.data(), out_stride);
-      for (std::size_t qi = 0; qi < num_q; ++qi) {
-        for (std::size_t r = 0; r < rows; ++r) {
-          // Scalar score_block is the scalar dot, bitwise (this exactness
-          // is what makes BatchQuery == N x Query under IPS_FORCE_SCALAR).
-          EXPECT_EQ(out[qi * out_stride + r],
-                    kernels::ScalarOps().dot(data.data() + r * cols,
-                                             queries.data() + qi * q_stride,
-                                             cols));
-        }
-      }
-
-      if (!kernels::Avx2Available()) continue;
-      std::vector<double> avx2_out(num_q * out_stride, -1.0);
-      kernels::Avx2Ops().score_block(data.data(), rows, cols,
-                                     queries.data(), num_q, q_stride,
-                                     avx2_out.data(), out_stride);
-      for (std::size_t qi = 0; qi < num_q; ++qi) {
-        for (std::size_t r = 0; r < rows; ++r) {
-          std::vector<double> xr(data.begin() + r * cols,
-                                 data.begin() + (r + 1) * cols);
-          std::vector<double> yq(queries.begin() + qi * q_stride,
-                                 queries.begin() + qi * q_stride + cols);
-          ExpectUlpClose(avx2_out[qi * out_stride + r],
-                         out[qi * out_stride + r], DotScale(xr, yq));
-        }
-      }
-    }
+TEST(ScoreRowsTest, WrappersAreTheChain) {
+  Rng rng(15);
+  const Matrix data = StressRows(23, &rng);
+  const auto q = RandomVector(23, &rng);
+  std::vector<double> all(data.rows());
+  kernels::MatVec(data, q, all);
+  const std::vector<std::size_t> indices = {4, 0, 4, 17};
+  std::vector<double> gathered(indices.size());
+  kernels::GatherScores(data, indices, q, gathered);
+  for (std::size_t r = 0; r < data.rows(); ++r) {
+    ExpectSameBits(all[r], FmaChain(data.Row(r), q));
+    ExpectSameBits(kernels::Score(data.Row(r), q), all[r]);
+  }
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    ExpectSameBits(gathered[j], all[indices[j]]);
   }
 }
 
@@ -259,8 +304,8 @@ TEST(TopKHeap, AcceptsIsConsistentWithPush) {
   EXPECT_EQ(sorted[1].index, 3u);
 }
 
-// Naive reference for BlockTopK: score every (row, query) pair with the
-// active implementation's Dot and keep top-k with the same ordering.
+// Naive reference for BlockTopK: score every (row, query) pair with
+// the exact Score and keep top-k with the same ordering.
 std::vector<std::vector<SearchMatch>> NaiveTopK(
     const Matrix& data, std::size_t row_begin, std::size_t row_end,
     const Matrix& queries, bool absolute, std::size_t k,
@@ -269,7 +314,7 @@ std::vector<std::vector<SearchMatch>> NaiveTopK(
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
     kernels::TopKHeap heap(k);
     for (std::size_t r = row_begin; r < row_end; ++r) {
-      double value = kernels::Dot(data.Row(r), queries.Row(qi));
+      double value = kernels::Score(data.Row(r), queries.Row(qi));
       if (absolute) value = std::abs(value);
       heap.Push(r + index_offset, value);
     }
@@ -280,9 +325,9 @@ std::vector<std::vector<SearchMatch>> NaiveTopK(
 
 TEST(BlockTopK, MatchesNaiveReference) {
   Rng rng(17);
-  // 150 rows x 11 queries: crosses the 64-row and 8-query tile
+  // 150 rows x 53 queries: crosses the 64-row and 48-query tile
   // boundaries with ragged tails on both axes.
-  const std::size_t n = 150, m = 11, d = 23, k = 5;
+  const std::size_t n = 150, m = 53, d = 23, k = 5;
   Matrix data(n, d), queries(m, d);
   for (std::size_t i = 0; i < n; ++i) {
     for (double& v : data.Row(i)) v = rng.NextGaussian();
@@ -300,12 +345,7 @@ TEST(BlockTopK, MatchesNaiveReference) {
       for (std::size_t j = 0; j < got.size(); ++j) {
         EXPECT_EQ(got[j].index, expected[qi][j].index)
             << "absolute=" << absolute << " qi=" << qi << " j=" << j;
-        std::vector<double> xr(data.Row(got[j].index).begin(),
-                               data.Row(got[j].index).end());
-        std::vector<double> yq(queries.Row(qi).begin(),
-                               queries.Row(qi).end());
-        ExpectUlpClose(got[j].value, expected[qi][j].value,
-                       DotScale(xr, yq));
+        ExpectSameBits(got[j].value, expected[qi][j].value);
       }
     }
   }
@@ -341,29 +381,24 @@ TEST(BlockTopK, HonorsRowRangeAndIndexOffset) {
   }
 }
 
-TEST(BlockTopK, ScalarPathIsBitwiseEqualToDot) {
-  // Under the scalar table, the tile scorer is DotScalar itself, so the
-  // tiled path must be bitwise identical to per-query scoring. This is
-  // the exactness the IPS_FORCE_SCALAR equivalence leg relies on.
-  if (std::string(kernels::ActiveOps().name) != "scalar") {
-    GTEST_SKIP() << "active ISA is " << kernels::ActiveIsaName();
-  }
+TEST(BlockTopK, ScoresAreTheFmaChainOnEitherTable) {
+  // The tiled path scores with project_block over the packed queries,
+  // the per-query path with score_rows: both are the one chain, so the
+  // tiled answers are bitwise the per-query ones whichever table is
+  // active (the BatchQuery == N x Query contract rests on this).
   Rng rng(23);
-  const std::size_t n = 100, m = 6, d = 13, k = 3;
-  Matrix data(n, d), queries(m, d);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (double& v : data.Row(i)) v = rng.NextGaussian();
-  }
+  const std::size_t m = 6, d = 13, k = 3;
+  const Matrix data = StressRows(d, &rng);
+  Matrix queries(m, d);
   for (std::size_t i = 0; i < m; ++i) {
     for (double& v : queries.Row(i)) v = rng.NextGaussian();
   }
   std::vector<kernels::TopKHeap> heaps(m, kernels::TopKHeap(k));
   kernels::BlockTopK(data, queries, /*absolute=*/false, heaps);
   for (std::size_t qi = 0; qi < m; ++qi) {
-    const auto got = heaps[qi].TakeSorted();
-    for (const auto& match : got) {
-      EXPECT_EQ(match.value,
-                kernels::Dot(data.Row(match.index), queries.Row(qi)));
+    for (const auto& match : heaps[qi].TakeSorted()) {
+      ExpectSameBits(match.value,
+                     FmaChain(data.Row(match.index), queries.Row(qi)));
     }
   }
 }

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "core/dataset.h"
-#include "linalg/kernels.h"
 #include "linalg/matrix.h"
 #include "lsh/bucket_join.h"
 #include "lsh/simhash.h"
@@ -362,20 +361,19 @@ std::uint64_t Bits(double value) {
   return bits;
 }
 
-// One pinned top-1 answer. The scores differ in the last place between
-// the AVX2 and the scalar kernel tables (different summation order), so
-// each dispatch has its own bits; the indices agree.
+// One pinned top-1 answer: the index and the bits of its exact score,
+// which is the same fma chain under either kernel table.
 struct PinnedAnswer {
   std::size_t index;
-  std::uint64_t avx2_bits;
-  std::uint64_t scalar_bits;
+  std::uint64_t bits;
 };
 
 TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
   // Regression pin for the engine's index table and snapshot writer:
   // the CRC32 of every section of a snapshot holding all four indexes,
   // and each forced path's top-1 answer (index and score bits) for 8
-  // fixed queries. The CRCs are the same under both kernel tables.
+  // fixed queries. The CRCs and the score bits are the same under both
+  // kernel tables.
   const std::unique_ptr<Engine> engine = PinnedEngine();
   ASSERT_NE(engine, nullptr);
   const std::string dir = TempPath("engine_pin_snap");
@@ -387,27 +385,26 @@ TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
   EXPECT_EQ(SectionCrcs(dir), expected_crcs);
 
   const std::vector<PinnedAnswer> brute = {
-      {76, 0x4021F1C0A5F0C1E7ull, 0x4021F1C0A5F0C1E7ull},
-      {82, 0x401FD5C255F1131Eull, 0x401FD5C255F1131Dull},
-      {23, 0x4027737B7BEA6B90ull, 0x4027737B7BEA6B90ull},
-      {56, 0x401EA61090766877ull, 0x401EA61090766878ull},
-      {89, 0x4030410B04523D86ull, 0x4030410B04523D85ull},
-      {84, 0x4018803228C03531ull, 0x4018803228C03530ull},
-      {78, 0x4024A066E456D1BEull, 0x4024A066E456D1BEull},
-      {77, 0x40159A9AB671DCD6ull, 0x40159A9AB671DCD6ull}};
+      {76, 0x4021F1C0A5F0C1E8ull},
+      {82, 0x401FD5C255F1131Full},
+      {23, 0x4027737B7BEA6B90ull},
+      {56, 0x401EA61090766877ull},
+      {89, 0x4030410B04523D85ull},
+      {84, 0x4018803228C03531ull},
+      {78, 0x4024A066E456D1BDull},
+      {77, 0x40159A9AB671DCD6ull}};
   // The tree is exact: the same answers as brute force.
   const std::vector<PinnedAnswer>& tree = brute;
   std::vector<PinnedAnswer> lsh = brute;
-  lsh[7] = {10, 0x40122FECC2A23FDEull, 0x40122FECC2A23FDDull};
+  lsh[7] = {10, 0x40122FECC2A23FDDull};
   const std::vector<PinnedAnswer> sketch = {
-      {46, 0x401BFB947BAB69D3ull, 0x401BFB947BAB69D3ull},
-      {95, 0x40218F236AF251D6ull, 0x40218F236AF251D6ull},
+      {46, 0x401BFB947BAB69D3ull},
+      {95, 0x40218F236AF251D6ull},
       brute[2], brute[3], brute[4], brute[5],
-      {50, 0x4025E76ADC31E689ull, 0x4025E76ADC31E689ull},
+      {50, 0x4025E76ADC31E68Bull},
       lsh[7]};
   const std::vector<PinnedAnswer>* pinned[] = {&brute, &tree, &lsh, &sketch};
 
-  const bool scalar = std::string(kernels::ActiveOps().name) == "scalar";
   const Matrix queries = RandomMatrix(8, 12, 77);
   for (QueryAlgo algo : kAllAlgos) {
     QueryOptions options;
@@ -421,8 +418,7 @@ TEST_F(StorageTest, EngineSnapshotSectionsAndForcedAnswersArePinned) {
       ASSERT_EQ(result->matches.size(), 1u);
       EXPECT_EQ(result->matches[0].index, want[i].index)
           << QueryAlgoName(algo) << " query " << i;
-      EXPECT_EQ(Bits(result->matches[0].value),
-                scalar ? want[i].scalar_bits : want[i].avx2_bits)
+      EXPECT_EQ(Bits(result->matches[0].value), want[i].bits)
           << QueryAlgoName(algo) << " query " << i;
     }
   }
