@@ -1,5 +1,6 @@
 #include "bench_report.h"
 
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -9,6 +10,11 @@
 #include "util/thread_pool.h"
 
 namespace ips {
+
+void Die(const std::string& what, const Status& status) {
+  std::cerr << what << ": " << status.ToString() << "\n";
+  std::exit(1);
+}
 
 BenchReport::BenchReport(std::string name) : name_(std::move(name)) {
   json_.BeginObject().Key("bench").String(name_);

@@ -20,8 +20,13 @@
 #include <vector>
 
 #include "util/json.h"
+#include "util/status.h"
 
 namespace ips {
+
+/// Prints "<what>: <status>" to stderr and exits 1: a bench whose engine
+/// cannot be built or queried has no numbers to report.
+[[noreturn]] void Die(const std::string& what, const Status& status);
 
 class BenchReport {
  public:

@@ -36,6 +36,7 @@
 #include "rng/random.h"
 #include "serve/batch_scheduler.h"
 #include "serve/engine.h"
+#include "serve/planner.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
 #include "serve/sharded_engine.h"
@@ -190,18 +191,12 @@ bool RunWorkload(const std::string& name, const Matrix& data, Rng* rng,
   // clears the request's target.
   options.sketch_params.kappa = 3.0;
   auto engine = Engine::Create(data, options);
-  if (!engine.ok()) {
-    std::cerr << "engine: " << engine.status().ToString() << "\n";
-    std::exit(1);
-  }
+  if (!engine.ok()) Die("engine", engine.status());
   // Build all indexes up front so policies compare serving cost only.
   for (QueryAlgo algo :
        {QueryAlgo::kBallTree, QueryAlgo::kLsh, QueryAlgo::kSketch}) {
     const Status built = (*engine)->EnsureIndex(algo);
-    if (!built.ok()) {
-      std::cerr << "build: " << built.ToString() << "\n";
-      std::exit(1);
-    }
+    if (!built.ok()) Die("build", built);
   }
 
   Matrix queries(kQueries, kDim);
@@ -258,15 +253,9 @@ void RunBatchedSection(Rng* rng, BenchReport& report) {
   const Matrix data =
       MakeUnitBallGaussian(kBatchN, kBatchDim, /*min_norm=*/0.3, rng);
   auto engine = Engine::Create(data);
-  if (!engine.ok()) {
-    std::cerr << "engine: " << engine.status().ToString() << "\n";
-    std::exit(1);
-  }
+  if (!engine.ok()) Die("engine", engine.status());
   const Status built = (*engine)->EnsureIndex(QueryAlgo::kBruteForce);
-  if (!built.ok()) {
-    std::cerr << "build: " << built.ToString() << "\n";
-    std::exit(1);
-  }
+  if (!built.ok()) Die("build", built);
   Matrix queries(kBatchQueries, kBatchDim);
   for (std::size_t qi = 0; qi < kBatchQueries; ++qi) {
     for (std::size_t j = 0; j < kBatchDim; ++j) {
@@ -291,10 +280,7 @@ void RunBatchedSection(Rng* rng, BenchReport& report) {
   sequential.reserve(kBatchQueries);
   for (std::size_t qi = 0; qi < kBatchQueries; ++qi) {
     auto response = (*engine)->Query({queries.Row(qi), request});
-    if (!response.ok()) {
-      std::cerr << "query: " << response.status().ToString() << "\n";
-      std::exit(1);
-    }
+    if (!response.ok()) Die("query", response.status());
     sequential.push_back(*std::move(response));
   }
   const double sequential_ms = timer.Millis();
@@ -302,10 +288,7 @@ void RunBatchedSection(Rng* rng, BenchReport& report) {
   timer.Restart();
   auto batched = (*engine)->BatchQuery(queries, request, {});
   const double batched_ms = timer.Millis();
-  if (!batched.ok()) {
-    std::cerr << "batch query: " << batched.status().ToString() << "\n";
-    std::exit(1);
-  }
+  if (!batched.ok()) Die("batch query", batched.status());
   const double speedup = batched_ms > 0.0 ? sequential_ms / batched_ms : 0.0;
   bool agree = batched->size() == sequential.size();
   for (std::size_t qi = 0; agree && qi < sequential.size(); ++qi) {
@@ -352,11 +335,7 @@ double SequentialQps(const QueryEngine& engine, const Matrix& queries,
   WallTimer timer;
   for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
     const auto response = engine.Query({queries.Row(qi), request});
-    if (!response.ok()) {
-      std::cerr << "sharded bench query: " << response.status().ToString()
-                << "\n";
-      std::exit(1);
-    }
+    if (!response.ok()) Die("sharded bench query", response.status());
     if (indices != nullptr) {
       std::vector<std::size_t> row;
       row.reserve(response->matches.size());
@@ -402,10 +381,7 @@ void RunShardedSection(Rng* rng, BenchReport& report) {
   for (const Status& built : {(*baseline)->EnsureIndex(QueryAlgo::kBruteForce),
                               (*s1)->EnsureIndex(QueryAlgo::kBruteForce),
                               (*s4)->EnsureIndex(QueryAlgo::kBruteForce)}) {
-    if (!built.ok()) {
-      std::cerr << "sharded bench build: " << built.ToString() << "\n";
-      std::exit(1);
-    }
+    if (!built.ok()) Die("sharded bench build", built);
   }
 
   // Warm every path once (pool threads, metric cells).
@@ -488,10 +464,7 @@ void RunHedgeSection(Rng* rng, BenchReport& report) {
     for (std::size_t qi = 0; qi < kWarmup; ++qi) {
       const auto response =
           (*engine)->Query({queries.Row(qi % queries.rows()), request, context});
-      if (!response.ok()) {
-        std::cerr << "hedge warmup: " << response.status().ToString() << "\n";
-        std::exit(1);
-      }
+      if (!response.ok()) Die("hedge warmup", response.status());
     }
     std::vector<double> latencies_ms;
     latencies_ms.reserve(kHedgeQueries);
@@ -499,10 +472,7 @@ void RunHedgeSection(Rng* rng, BenchReport& report) {
       WallTimer timer;
       const auto response = (*engine)->Query({queries.Row(qi), request, context});
       latencies_ms.push_back(timer.Millis());
-      if (!response.ok()) {
-        std::cerr << "hedge query: " << response.status().ToString() << "\n";
-        std::exit(1);
-      }
+      if (!response.ok()) Die("hedge query", response.status());
       if (hedged != nullptr) {
         *hedged += response->stats.metrics.Get("serve.shard.hedged");
       }
@@ -540,8 +510,9 @@ void RunHedgeSection(Rng* rng, BenchReport& report) {
 
 // ---------------------------------------------------------------------
 // QoS section. Two claims, both gated:
-//   (a) The planner with its feedback loop on beats every fixed (algo,
-//       precision) policy on a stream whose character shifts mid-run:
+//   (a) The planner with its feedback loop on beats every planner row
+//       (Planner::Variants()) run as a fixed policy on a stream whose
+//       character shifts mid-run:
 //       the first half queries the corpus's own distribution (exactly
 //       what warmup calibration probed), the second half switches to
 //       Gaussian queries where the calibrated recall curves are wrong.
@@ -695,18 +666,12 @@ void RunQosSection(Rng* rng, BenchReport& report) {
   // adaptive policy's dot products below -- the win is net of them.
   options.audit_every = 2;
   auto created = Engine::Create(data, options);
-  if (!created.ok()) {
-    std::cerr << "qos engine: " << created.status().ToString() << "\n";
-    std::exit(1);
-  }
+  if (!created.ok()) Die("qos engine", created.status());
   const std::unique_ptr<Engine> engine = std::move(created).value();
   for (QueryAlgo algo :
        {QueryAlgo::kBallTree, QueryAlgo::kLsh, QueryAlgo::kSketch}) {
     const Status built = engine->EnsureIndex(algo);
-    if (!built.ok()) {
-      std::cerr << "qos build: " << built.ToString() << "\n";
-      std::exit(1);
-    }
+    if (!built.ok()) Die("qos build", built);
   }
 
   // The shifting stream: first half in-distribution (catalog rows --
@@ -732,26 +697,18 @@ void RunQosSection(Rng* rng, BenchReport& report) {
                                  std::nullopt, QueryPrecision::kAuto));
   const FeedbackCounters feedback = engine->planner().counters();
 
-  // Every fixed (algo, precision) policy, on the same engine: forced
+  // Every planner row as a fixed policy, on the same engine: forced
   // requests never plan or audit, so they leave the planner's live
-  // state as the adaptive stream left it. Combinations an index
-  // rejects (tree on unsigned requests, exact precision on the sketch
-  // index, ...) answer fewer requests and are disqualified by the
-  // answered == submitted requirement, which is the honest outcome
-  // for a fixed policy that cannot serve the whole stream.
-  const std::pair<QueryAlgo, QueryPrecision> kFixed[] = {
-      {QueryAlgo::kBruteForce, QueryPrecision::kExact},
-      {QueryAlgo::kBruteForce, QueryPrecision::kQuantizedRerank},
-      {QueryAlgo::kBallTree, QueryPrecision::kExact},
-      {QueryAlgo::kLsh, QueryPrecision::kExact},
-      {QueryAlgo::kLsh, QueryPrecision::kQuantizedRerank},
-      {QueryAlgo::kSketch, QueryPrecision::kExact},
-  };
-  for (const auto& [algo, precision] : kFixed) {
-    const std::string name = std::string(QueryAlgoName(algo)) + "/" +
-                             std::string(QueryPrecisionName(precision));
+  // state as the adaptive stream left it. A row the serve layer refuses
+  // for some shapes (the tree on unsigned requests) answers fewer
+  // requests and is disqualified by the answered == submitted
+  // requirement, which is the honest outcome for a fixed policy that
+  // cannot serve the whole stream.
+  for (const PlanVariant& row : Planner::Variants()) {
+    const std::string name = std::string(QueryAlgoName(row.algo)) + "/" +
+                             std::string(QueryPrecisionName(row.precision));
     policies.push_back(
-        ScoreStream(*engine, data, queries, name, algo, precision));
+        ScoreStream(*engine, data, queries, name, row.algo, row.precision));
   }
 
   // Gate (a): the adaptive planner meets every target group across the

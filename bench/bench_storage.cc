@@ -10,7 +10,6 @@
 // loudly instead of shipping a regressed startup path.
 
 #include <algorithm>
-#include <cstdlib>
 #include <iostream>
 #include <limits>
 #include <string>
@@ -34,11 +33,6 @@ namespace {
 constexpr std::size_t kN = 20000;
 constexpr std::size_t kDim = 48;
 constexpr int kReps = 5;
-
-[[noreturn]] void Die(const std::string& what, const Status& status) {
-  std::cerr << what << ": " << status.ToString() << "\n";
-  std::exit(1);
-}
 
 // One planner-routed query, the "first answer" being timed.
 void FirstQuery(const Engine& engine) {

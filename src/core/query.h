@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -99,6 +98,18 @@ struct QueryOptions {
 /// precision a known mode.
 Status ValidateQueryOptions(const QueryOptions& options);
 
+/// Why a plan resolved to its variant.
+enum class PlanReason {
+  /// The cheapest variant whose expected recall clears the request's
+  /// target (approximate variants need the 0.05 margin on top).
+  kCheapestEligible = 0,
+  /// The request pinned a precision and no variant of that mode clears
+  /// the target: the cheapest of the mode, with the bar advisory.
+  kRecallShortfall = 1,
+  /// The request forced the algorithm; the plan is priced, not chosen.
+  kForced = 2,
+};
+
 /// The planner's verdict for one query (core-level so QueryResult can
 /// carry it; produced by serve::Planner).
 struct PlanDecision {
@@ -110,8 +121,10 @@ struct PlanDecision {
   QueryPrecision precision = QueryPrecision::kExact;
   double expected_dot_products = 0.0;
   double expected_recall = 1.0;
-  /// One-line human-readable justification (for logs and benches).
-  std::string reason;
+  PlanReason reason = PlanReason::kCheapestEligible;
+  /// The expected cost exceeds the request's candidate budget (no
+  /// eligible variant fit it); combines with any reason.
+  bool over_budget = false;
 };
 
 /// What one query cost and how it was answered — the single accounting

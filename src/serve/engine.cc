@@ -44,20 +44,6 @@ std::vector<std::size_t> SampleRows(const Matrix& data, std::size_t count,
   return indices;
 }
 
-// True when the plan's executed path can return a wrong top-k even
-// though the calibration said it would not: every non-exact precision,
-// plus the candidate-generating algorithms (LSH, sketch) whose recall
-// depends on the query distribution. The audit cadence keys off this
-// rather than `expected_recall < 1.0` so a path whose warmup recall
-// calibrated to exactly 1.0 (common for quantized re-rank on
-// well-scaled data) still gets shadow-audited — otherwise a
-// distribution shift that breaks it would never be observed.
-bool PlanCanMiss(const PlanDecision& plan) {
-  return plan.precision != QueryPrecision::kExact ||
-         plan.algorithm == QueryAlgo::kLsh ||
-         plan.algorithm == QueryAlgo::kSketch;
-}
-
 // Counts a served answer under serve.engine.selected.<algo>.
 void CountSelected(QueryAlgo algo) {
   static Counter* const selected[kNumQueryAlgos] = {
@@ -350,60 +336,27 @@ StatusOr<QueryResult> Engine::Query(const Request& request) const {
 
 StatusOr<Engine::PlannedRequest> Engine::PlanAndPin(
     const QueryOptions& options, Trace* trace) const {
-  PlannedRequest planned{{}, nullptr, options};
-  PlanDecision& plan = planned.plan;
-  {
+  const StatusOr<PlanDecision> plan = [&] {
     TraceSpan plan_span(trace, "serve/plan");
-    if (!options.force_algorithm.has_value()) {
-      auto decided = planner_->Plan(options);
-      IPS_RETURN_IF_ERROR(decided.status());
-      plan = std::move(decided).value();
-    } else {
-      IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-      const QueryAlgo forced = *options.force_algorithm;
-      // The serve layer routes only signed requests to the tree, forced
-      // or planned alike: its cost model is calibrated on signed
-      // descents (the index itself also answers unsigned ones).
-      if (forced == QueryAlgo::kBallTree && !options.is_signed) {
-        return Status::InvalidArgument(
-            "the serving engine routes only signed queries to the ball tree");
-      }
-      plan.algorithm = forced;
-      // A forced path keeps the request's precision verbatim (kAuto runs
-      // the path's native mode); the index rejects combinations it
-      // cannot honor.
-      plan.precision = options.precision;
-      plan.expected_dot_products =
-          planner_->ExpectedDotProducts(forced, options.precision, options);
-      plan.expected_recall = 0.0;
-      plan.reason =
-          std::string("forced ") + std::string(QueryAlgoName(forced));
-    }
-  }
-  auto index = Pin(plan.algorithm);
+    return planner_->Plan(options);
+  }();
+  IPS_RETURN_IF_ERROR(plan.status());
+  auto index = Pin(plan->algorithm);
   IPS_RETURN_IF_ERROR(index.status());
-  planned.index = *index;
+  PlannedRequest planned{*plan, *index, options};
   // The plan committed to a precision (the request's own when explicit
   // or forced); the index runs exactly what was planned.
-  planned.options.precision = plan.precision;
+  planned.options.precision = plan->precision;
   return planned;
 }
 
 void Engine::MaybeAudit(std::span<const double> query,
                         const QueryOptions& options,
                         QueryResult* result) const {
-  // Shadow audit (feedback loop): planner-chosen paths that can miss —
-  // forced paths are A/B probes and explicit precisions pin the
-  // caller's mode, and a truly exact plan has nothing to learn. Note
-  // the gate is PlanCanMiss, not expected_recall < 1.0: a path whose
-  // warmup recall calibrated to exactly 1.0 must still be audited or
-  // the feedback loop is blind to it degrading under shift. The
-  // audit's brute scan is billed to this request (it ran here).
-  if (options.force_algorithm.has_value() ||
-      options.precision != QueryPrecision::kAuto ||
-      !PlanCanMiss(result->plan) || !planner_->BeginAudit(options)) {
-    return;
-  }
+  // Shadow audit (feedback loop): the planner decides which answers
+  // are audited (Planner::BeginAudit). The audit's brute scan is billed
+  // to this request (it ran here).
+  if (!planner_->BeginAudit(options, result->plan)) return;
   const auto exact =
       TopKBruteForce(data_, query, options.k, options.is_signed);
   const double observed_recall =
@@ -424,10 +377,7 @@ void Engine::MaybeAudit(std::span<const double> query,
     // still trained the curves above, which is what evicts the path.
     planner_->NoteHedge();
     result->matches = exact;
-    result->plan.reason +=
-        "; feedback-hedged to exact (observed recall " +
-        std::to_string(observed_recall) + " below target " +
-        std::to_string(options.recall_target) + ")";
+    result->stats.metrics.Set("serve.feedback.hedged", 1);
   }
 }
 

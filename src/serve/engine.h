@@ -121,7 +121,8 @@ class Engine : public QueryEngine {
   /// priority are scheduler-level and ignored here. Planner-chosen
   /// answers that can miss are periodically shadow-audited against the
   /// exact answer, and an audited miss is hedged: the exact answer
-  /// (already computed) is returned instead.
+  /// (already computed) is returned instead, labelled
+  /// "serve.feedback.hedged" in stats.metrics.
   [[nodiscard]] StatusOr<QueryResult> Query(const Request& request)
       const override IPS_EXCLUDES(build_mutex_);
 
@@ -175,8 +176,8 @@ class Engine : public QueryEngine {
     QueryOptions options;
   };
 
-  /// The shared prefix of Query and BatchQuery: a validated forced path
-  /// or the planner's decision (recorded as a "serve/plan" span), the
+  /// The shared prefix of Query and BatchQuery: the planner's decision
+  /// or validated forced path (recorded as a "serve/plan" span), the
   /// pinned index, and the request options with the planned precision.
   StatusOr<PlannedRequest> PlanAndPin(const QueryOptions& options,
                                       Trace* trace) const

@@ -1,8 +1,9 @@
 #include "serve/planner.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <limits>
+#include <string>
 
 #include "core/top_k.h"
 #include "linalg/kernels.h"
@@ -13,22 +14,123 @@
 namespace ips {
 namespace {
 
-/// The answer-path variants the planner prices. kAuto on the sketch row
-/// is the §4.3 argmax descent (the index's native mode, taken when the
-/// request reaches it with precision kAuto).
-struct PlanVariant {
-  QueryAlgo algo;
-  QueryPrecision precision;
-};
+// Recall sources and cost models the rows share. A calibration with no
+// probe queries leaves every measured recall at 0: such rows are never
+// planned.
+double Measured(const PlannerCalibration& calibration, double recall) {
+  return calibration.probe_queries > 0 ? recall : 0.0;
+}
 
+// k = 1 is judged on the warmup recall@1; anything deeper on the warmup
+// recall@5 -- a bucket set that usually holds the argmax can still miss
+// most of a top-5 on skewed-norm data, and pricing all k off recall@1
+// is exactly the stale-eligibility bug BENCH_serve exposed (targets_met
+// 0.07 at k=5).
+double LshRecall(const PlannerCalibration& calibration,
+                 const QueryOptions& request) {
+  return Measured(calibration, request.k > 1 ? calibration.lsh_topk_recall
+                                             : calibration.lsh_recall);
+}
+
+double LshCandidates(const DatasetProfile& profile,
+                     const PlannerCalibration& calibration) {
+  const double n = static_cast<double>(profile.n);
+  return std::min(n, n * calibration.lsh_candidate_fraction);
+}
+
+double Survivors(const DatasetProfile& profile, const QueryOptions& request) {
+  return static_cast<double>(
+      SurvivorCount(request.k, profile.n, request.candidate_budget));
+}
+
+// The rows, in the order Plan breaks cost ties by. Every fact about a
+// variant is here; nothing else in the serve layer names one. The
+// models take (profile, calibration, request), as PlanVariant::Model.
 constexpr PlanVariant kVariants[] = {
-    {QueryAlgo::kBruteForce, QueryPrecision::kExact},
-    {QueryAlgo::kBruteForce, QueryPrecision::kQuantizedRerank},
-    {QueryAlgo::kBallTree, QueryPrecision::kExact},
-    {QueryAlgo::kLsh, QueryPrecision::kExact},
-    {QueryAlgo::kLsh, QueryPrecision::kQuantizedRerank},
-    {QueryAlgo::kSketch, QueryPrecision::kAuto},
+    {QueryAlgo::kBruteForce, QueryPrecision::kExact, /*can_miss=*/false,
+     /*planned_for=*/nullptr, /*refuses=*/nullptr, /*refusal=*/nullptr,
+     /*recall=*/[](const auto&, const auto&, const auto&) { return 1.0; },
+     /*cost=*/[](const auto& profile, const auto&, const auto&) {
+       return static_cast<double>(profile.n);
+     }},
+    {QueryAlgo::kBruteForce, QueryPrecision::kQuantizedRerank,
+     /*can_miss=*/true, nullptr, nullptr, nullptr,
+     [](const auto&, const auto& calibration, const auto&) {
+       return Measured(calibration, calibration.quant_recall);
+     },
+     [](const auto& profile, const auto& calibration, const auto& request) {
+       return static_cast<double>(profile.n) * calibration.quant_cost_ratio +
+              Survivors(profile, request);
+     }},
+    // Exact, but the serve layer routes only signed requests here,
+    // forced or planned: the unsigned bound is looser and the tree's
+    // cost is calibrated on signed probes (the index itself also
+    // answers unsigned ones).
+    {QueryAlgo::kBallTree, QueryPrecision::kExact, /*can_miss=*/false,
+     nullptr,
+     /*refuses=*/[](const QueryOptions& request) { return !request.is_signed; },
+     "the serving engine routes only signed queries to the ball tree",
+     [](const auto&, const auto&, const auto&) { return 1.0; },
+     // Pruning measured on the warmup subsample; clamp to the full scan.
+     [](const auto& profile, const auto& calibration, const auto& request) {
+       const double n = static_cast<double>(profile.n);
+       return std::min(n, std::max(static_cast<double>(request.k),
+                                   n * calibration.tree_fraction));
+     }},
+    {QueryAlgo::kLsh, QueryPrecision::kExact, /*can_miss=*/true, nullptr,
+     nullptr, nullptr,
+     [](const auto&, const auto& calibration, const auto& request) {
+       return LshRecall(calibration, request);
+     },
+     [](const auto& profile, const auto& calibration, const auto&) {
+       return LshCandidates(profile, calibration) +
+              calibration.lsh_probe_overhead;
+     }},
+    // Two independent approximations compound: the candidate set must
+    // contain the answer AND the estimate pass must keep it.
+    {QueryAlgo::kLsh, QueryPrecision::kQuantizedRerank, /*can_miss=*/true,
+     nullptr, nullptr, nullptr,
+     [](const auto&, const auto& calibration, const auto& request) {
+       return LshRecall(calibration, request) * calibration.quant_recall;
+     },
+     [](const auto& profile, const auto& calibration, const auto& request) {
+       const double candidates = LshCandidates(profile, calibration);
+       return candidates * calibration.quant_cost_ratio +
+              std::min(candidates, Survivors(profile, request)) +
+              calibration.lsh_probe_overhead;
+     }},
+    // kAuto on the sketch index: the Section 4.3 argmax descent, which
+    // recovers a single unsigned best. Other shapes run the index's
+    // exact fallback scan, priced at n and never planned.
+    {QueryAlgo::kSketch, QueryPrecision::kAuto, /*can_miss=*/true,
+     /*planned_for=*/
+     [](const QueryOptions& request) {
+       return !request.is_signed && request.k == 1;
+     },
+     nullptr, nullptr,
+     [](const auto&, const auto& calibration, const auto&) {
+       return Measured(calibration, calibration.sketch_recall);
+     },
+     [](const auto& profile, const auto& calibration, const auto& request) {
+       return request.is_signed || request.k != 1
+                  ? static_cast<double>(profile.n)
+                  : calibration.sketch_cost;
+     }},
 };
+static_assert(std::size(kVariants) == Planner::kNumVariants);
+
+// The row of (`algo`, `precision`); a precision the algorithm has no row
+// for (kAuto, or one its index rejects) takes the algorithm's native
+// row, its first. kNumVariants when `algo` has no row at all.
+std::size_t RowOf(QueryAlgo algo, QueryPrecision precision) {
+  std::size_t native = Planner::kNumVariants;
+  for (std::size_t v = 0; v < Planner::kNumVariants; ++v) {
+    if (kVariants[v].algo != algo) continue;
+    if (kVariants[v].precision == precision) return v;
+    native = std::min(native, v);
+  }
+  return native;
+}
 
 // Safety margin an approximate path's recall must clear above the
 // request's target (exact paths need none).
@@ -39,22 +141,6 @@ constexpr double kDecay = 0.9;
 // Audits a (segment, variant) estimate needs before it overrides the
 // warmup calibration.
 constexpr std::size_t kMinObservations = 4;
-
-bool MatchesRequestedPrecision(QueryPrecision variant,
-                               QueryPrecision requested) {
-  if (requested == QueryPrecision::kAuto) return true;
-  return variant == requested;
-}
-
-std::string VariantName(QueryAlgo algo, QueryPrecision precision) {
-  std::string name(QueryAlgoName(algo));
-  if (precision != QueryPrecision::kExact &&
-      precision != QueryPrecision::kAuto) {
-    name += "+";
-    name += QueryPrecisionName(precision);
-  }
-  return name;
-}
 
 // Registry mirror of FeedbackCounters.
 struct FeedbackMetrics {
@@ -112,132 +198,75 @@ std::size_t Planner::SegmentOf(const QueryOptions& request) {
   return k_bucket * 2 + (request.is_signed ? 0 : 1);
 }
 
-double Planner::ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
-                               const QueryOptions& request) const {
-  const bool calibrated = calibration_.probe_queries > 0;
-  switch (algo) {
-    case QueryAlgo::kBruteForce:
-      if (precision == QueryPrecision::kQuantizedRerank) {
-        return calibrated ? calibration_.quant_recall : 0.0;
-      }
-      return 1.0;
-    case QueryAlgo::kBallTree:
-      // Exact either way, but only signed descents are planned: the
-      // unsigned bound is looser and the tree's cost is calibrated on
-      // signed probes.
-      return request.is_signed ? 1.0 : 0.0;
-    case QueryAlgo::kLsh: {
-      if (!calibrated) return 0.0;
-      // k = 1 is judged on the warmup recall@1; anything deeper on the
-      // warmup recall@5 — a bucket set that usually holds the argmax
-      // can still miss most of a top-5 on skewed-norm data, and pricing
-      // all k off recall@1 is exactly the stale-eligibility bug
-      // BENCH_serve exposed (targets_met 0.07 at k=5).
-      const double base = request.k > 1 ? calibration_.lsh_topk_recall
-                                        : calibration_.lsh_recall;
-      if (precision == QueryPrecision::kQuantizedRerank) {
-        // Two independent approximations compound: the candidate set
-        // must contain the answer AND the estimate pass must keep it.
-        return base * calibration_.quant_recall;
-      }
-      return base;
-    }
-    case QueryAlgo::kSketch:
-      // The Section 4.3 argmax descent recovers a single unsigned best;
-      // the index's exact fallback for other shapes is never planned.
-      if (request.is_signed || request.k != 1) return 0.0;
-      return calibrated ? calibration_.sketch_recall : 0.0;
-  }
-  return 0.0;
-}
-
-double Planner::ExpectedDotProducts(QueryAlgo algo, QueryPrecision precision,
-                                    const QueryOptions& request) const {
-  const double n = static_cast<double>(profile_.n);
-  switch (algo) {
-    case QueryAlgo::kBruteForce: {
-      if (precision == QueryPrecision::kQuantizedRerank) {
-        const double survivors = static_cast<double>(
-            SurvivorCount(request.k, profile_.n, request.candidate_budget));
-        return n * calibration_.quant_cost_ratio + survivors;
-      }
-      return n;
-    }
-    case QueryAlgo::kBallTree:
-      // Pruning measured on the warmup subsample; clamp to the full scan.
-      return std::min(n, std::max(static_cast<double>(request.k),
-                                  n * calibration_.tree_fraction));
-    case QueryAlgo::kLsh: {
-      const double candidates =
-          std::min(n, n * calibration_.lsh_candidate_fraction);
-      if (precision == QueryPrecision::kQuantizedRerank) {
-        const double survivors = static_cast<double>(
-            SurvivorCount(request.k, profile_.n, request.candidate_budget));
-        return candidates * calibration_.quant_cost_ratio +
-               std::min(candidates, survivors) +
-               calibration_.lsh_probe_overhead;
-      }
-      return candidates + calibration_.lsh_probe_overhead;
-    }
-    case QueryAlgo::kSketch:
-      // Shapes the argmax descent cannot answer run the exact scan.
-      if (request.is_signed || request.k != 1) return n;
-      return calibration_.sketch_cost;
-  }
-  return n;
-}
+std::span<const PlanVariant> Planner::Variants() { return kVariants; }
 
 StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
+  if (request.force_algorithm.has_value()) {
+    IPS_RETURN_IF_ERROR(ValidateQueryOptions(request));
+    const std::size_t v = RowOf(*request.force_algorithm, request.precision);
+    if (v == kNumVariants) {
+      return Status::InvalidArgument("unknown serve algorithm");
+    }
+    const PlanVariant& row = kVariants[v];
+    if (row.refuses != nullptr && row.refuses(request)) {
+      return Status::InvalidArgument(row.refusal);
+    }
+    // A forced path keeps the request's precision verbatim (kAuto runs
+    // the path's native mode); the index rejects combinations it cannot
+    // honor.
+    return PlanDecision{*request.force_algorithm, request.precision,
+                        row.cost(profile_, calibration_, request),
+                        /*expected_recall=*/0.0, PlanReason::kForced};
+  }
   IPS_FAILPOINT("serve/plan");
   IPS_RETURN_IF_ERROR(ValidateQueryOptions(request));
 
-  // One lock, one copy: the variant loop below prices from the copy and
+  // One lock, one copy: the row loop below prices from the copy and
   // never touches the mutex.
-  SegmentState live;
+  std::array<LiveEstimate, kNumVariants> live;
   {
     MutexLock lock(mutex_);
-    live = segments_[SegmentOf(request)];
+    live = segments_[SegmentOf(request)].live;
   }
 
   const double budget = request.candidate_budget == 0
                             ? std::numeric_limits<double>::infinity()
                             : static_cast<double>(request.candidate_budget);
 
-  // Two-tier selection: cheapest eligible variant inside the budget,
+  // Two-tier selection: cheapest eligible row inside the budget,
   // falling back to the cheapest eligible overall. Exact paths need no
   // margin; approximate paths must clear target + margin.
   PlanDecision best;
   bool found = false;
   bool best_in_budget = false;
   // When the request pins a precision, the recall bar turns advisory:
-  // the cheapest answerable variant of that mode wins and the shortfall
-  // is reported in the reason.
+  // the cheapest answerable row of that mode wins, marked
+  // kRecallShortfall.
   PlanDecision fallback;
   bool fallback_found = false;
-  for (const PlanVariant& variant : kVariants) {
-    if (!MatchesRequestedPrecision(variant.precision, request.precision)) {
+  for (std::size_t v = 0; v < kNumVariants; ++v) {
+    const PlanVariant& row = kVariants[v];
+    if (request.precision != QueryPrecision::kAuto &&
+        row.precision != request.precision) {
       continue;
     }
-    double recall = ExpectedRecall(variant.algo, variant.precision, request);
-    double cost =
-        ExpectedDotProducts(variant.algo, variant.precision, request);
-    const VariantState& state =
-        live.variants[static_cast<std::size_t>(variant.algo)]
-                     [static_cast<std::size_t>(variant.precision)];
+    if ((row.refuses != nullptr && row.refuses(request)) ||
+        (row.planned_for != nullptr && !row.planned_for(request))) {
+      continue;
+    }
+    double recall = row.recall(profile_, calibration_, request);
+    double cost = row.cost(profile_, calibration_, request);
     // Live re-fit numbers replace the warmup calibration once they have
-    // kMinObservations audits, but only for variants the warmup deemed
-    // answerable at all (recall 0 means "cannot answer this request
-    // shape", not "bad recall").
-    if (recall > 0.0 && state.observations >= kMinObservations) {
-      recall = state.recall_ewma;
-      cost = state.cost_ewma;
+    // kMinObservations audits, but only for rows the warmup deemed
+    // answerable at all (recall 0 means an uncalibrated path, not a
+    // bad one).
+    if (recall > 0.0 && live[v].observations >= kMinObservations) {
+      recall = live[v].recall_ewma;
+      cost = live[v].cost_ewma;
     }
     if (request.precision != QueryPrecision::kAuto && recall > 0.0 &&
         (!fallback_found || cost < fallback.expected_dot_products)) {
-      fallback.algorithm = variant.algo;
-      fallback.precision = variant.precision;
-      fallback.expected_dot_products = cost;
-      fallback.expected_recall = recall;
+      fallback = {row.algo, row.precision, cost, recall};
       fallback_found = true;
     }
     const double required =
@@ -250,20 +279,16 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
         (in_budget && !best_in_budget) ||
         (in_budget == best_in_budget && cost < best.expected_dot_products);
     if (better) {
-      best.algorithm = variant.algo;
-      best.precision = variant.precision;
-      best.expected_dot_products = cost;
-      best.expected_recall = recall;
+      best = {row.algo, row.precision, cost, recall};
       found = true;
       best_in_budget = in_budget;
     }
   }
-  bool recall_shortfall = false;
   if (!found && fallback_found) {
     best = fallback;
     found = true;
     best_in_budget = best.expected_dot_products <= budget;
-    recall_shortfall = true;
+    best.reason = PlanReason::kRecallShortfall;
   }
   if (!found) {
     if (request.precision != QueryPrecision::kAuto) {
@@ -278,24 +303,23 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
     // instead of aborting (ipslint: check-in-query).
     return Status::Internal("planner found no eligible variant");
   }
-
-  best.reason = VariantName(best.algorithm, best.precision) + ": ~" +
-                std::to_string(static_cast<std::size_t>(
-                    best.expected_dot_products)) +
-                " dots at recall>=" + std::to_string(best.expected_recall);
-  if (recall_shortfall) {
-    best.reason += " (recall target " +
-                   std::to_string(request.recall_target) +
-                   " not met by the requested precision)";
-  }
-  if (!best_in_budget) {
-    best.reason += " (candidate budget " +
-                   std::to_string(request.candidate_budget) + " exceeded)";
-  }
+  best.over_budget = !best_in_budget;
   return best;
 }
 
-bool Planner::BeginAudit(const QueryOptions& request) const {
+bool Planner::BeginAudit(const QueryOptions& request,
+                         const PlanDecision& plan) const {
+  // Forced paths are A/B probes and explicit precisions pin the
+  // caller's mode, so only planner-routed answers are audited, and only
+  // on rows that can miss -- not rows whose expected recall is under
+  // 1.0: a path whose warmup recall calibrated to exactly 1.0 must
+  // still be audited, or the loop is blind to it degrading under shift.
+  const std::size_t v = RowOf(plan.algorithm, plan.precision);
+  if (request.force_algorithm.has_value() ||
+      request.precision != QueryPrecision::kAuto || v == kNumVariants ||
+      !kVariants[v].can_miss) {
+    return false;
+  }
   MutexLock lock(mutex_);
   SegmentState& segment = segments_[SegmentOf(request)];
   const bool audit = segment.planned % audit_every_ == 0;
@@ -306,21 +330,20 @@ bool Planner::BeginAudit(const QueryOptions& request) const {
 void Planner::RecordAudit(const QueryOptions& request, QueryAlgo algo,
                           QueryPrecision precision, double observed_recall,
                           double observed_cost) const {
+  const std::size_t v = RowOf(algo, precision);
+  if (v == kNumVariants) return;
   const FeedbackMetrics& metrics = FeedbackMetrics::Get();
   observed_recall = std::clamp(observed_recall, 0.0, 1.0);
   observed_cost = std::max(observed_cost, 0.0);
   bool evicted = false;
   {
     MutexLock lock(mutex_);
-    VariantState& state =
-        segments_[SegmentOf(request)]
-            .variants[static_cast<std::size_t>(algo)]
-                     [static_cast<std::size_t>(precision)];
+    LiveEstimate& state = segments_[SegmentOf(request)].live[v];
     if (state.observations == 0) {
       // Seed the estimate from the warmup prior so early audits move a
       // calibrated number instead of averaging against zero.
-      state.recall_ewma = ExpectedRecall(algo, precision, request);
-      state.cost_ewma = ExpectedDotProducts(algo, precision, request);
+      state.recall_ewma = kVariants[v].recall(profile_, calibration_, request);
+      state.cost_ewma = kVariants[v].cost(profile_, calibration_, request);
     }
     const double step = 1.0 - kDecay;
     state.recall_ewma = kDecay * state.recall_ewma + step * observed_recall;
@@ -356,21 +379,6 @@ void Planner::NoteHedge() const {
 FeedbackCounters Planner::counters() const {
   MutexLock lock(mutex_);
   return counters_;
-}
-
-double Planner::LiveRecall(const QueryOptions& request, QueryAlgo algo,
-                           QueryPrecision precision) const {
-  {
-    MutexLock lock(mutex_);
-    const VariantState& state =
-        segments_[SegmentOf(request)]
-            .variants[static_cast<std::size_t>(algo)]
-                     [static_cast<std::size_t>(precision)];
-    if (state.observations >= kMinObservations) {
-      return state.recall_ewma;
-    }
-  }
-  return ExpectedRecall(algo, precision, request);
 }
 
 }  // namespace ips

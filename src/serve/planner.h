@@ -7,35 +7,35 @@
 // the target. The choice is genuinely workload-dependent — the
 // Neyshabur–Srebro and Shrivastava ALSH analyses show the winner flips
 // with norm distribution and recall target — so the model is calibrated
-// from cheap micro-probes at engine warmup instead of hardcoded:
+// from cheap micro-probes at engine warmup instead of hardcoded.
 //
-//   brute+exact   : recall 1, cost n
-//   brute+quant   : measured rerank recall, cost n * quant ratio + survivors
-//   tree+exact    : recall 1 (planned for signed requests), cost n *
-//                   pruning fraction
-//   lsh+exact     : measured probe recall, cost n * candidate fraction
-//   lsh+quant     : compounded recall, quantized verification of candidates
-//   sketch (§4.3) : measured argmax recall (unsigned k=1), cost ~ sketch rows
-//                   (other shapes run the index's exact scan, priced at
-//                   n and never planned)
+// Every fact about a variant lives on its row of one table, kVariants
+// in planner.cc, exposed as Planner::Variants() and tabulated in
+// DESIGN.md §7: its (algo, precision), whether its answers can miss,
+// the request shapes it is planned for (the sketch descent: unsigned
+// k = 1), the shapes the serve layer refuses on it even when forced
+// (the tree: unsigned ones), and its recall source and cost model.
+// Plan, the forced path, the audit gate and bench_serve read the rows.
 //
-// Eligible variants are those whose calibrated recall clears the
-// request's target plus a 0.05 safety margin (exact paths need none);
-// among the eligible, the planner returns the one with the fewest
-// expected dot-equivalents (preferring ones inside the request's
-// candidate budget when it is set). An explicit request precision
-// restricts the enumeration to variants of that mode.
+// Eligible rows are those whose calibrated recall clears the request's
+// target plus a 0.05 safety margin (exact paths need none); among the
+// eligible, the planner returns the one with the fewest expected
+// dot-equivalents (preferring ones inside the request's candidate
+// budget when it is set). An explicit request precision restricts the
+// enumeration to rows of that mode. A forced request is checked against
+// its row and priced from it. The decision carries a PlanReason code
+// and an over_budget flag.
 //
 // The warmup numbers are only a prior (DESIGN.md §14). Live traffic is
 // bucketed into workload segments keyed by (k bucket, signedness); the
-// engine shadow-audits every audit_every-th can-miss answer per segment
-// against the exact answer and feeds the observed (recall, cost) into a
-// per-(segment, algo, precision) live estimate table (each audit moves
-// it 0.1 of the way). The first audit seeds each estimate from the
-// warmup prior; from the fourth audit on, the live numbers replace the
-// prior in Plan, so a variant whose observed recall falls under target
-// + margin is evicted for that segment and costs re-rank on measured
-// work. Counters land in the registry as
+// engine shadow-audits every audit_every-th planned answer on a
+// can-miss row per segment against the exact answer and feeds the
+// observed (recall, cost) into that row's live estimate for the
+// segment (each audit moves it 0.1 of the way). The first audit seeds
+// each estimate from the warmup prior; from the fourth audit on, the
+// live numbers replace the prior in Plan, so a row whose observed
+// recall falls under target + margin is evicted for that segment and
+// costs re-rank on measured work. Counters land in the registry as
 // "serve.feedback.{audits, evictions, hedged}".
 
 #ifndef IPS_SERVE_PLANNER_H_
@@ -43,6 +43,7 @@
 
 #include <array>
 #include <cstddef>
+#include <span>
 
 #include "core/query.h"
 #include "linalg/matrix.h"
@@ -101,6 +102,33 @@ struct PlannerCalibration {
   std::size_t probe_queries = 0;
 };
 
+/// One (algorithm, precision) variant the serve layer runs, and every
+/// fact about it. The rows are Planner::Variants().
+struct PlanVariant {
+  /// A predicate over request shapes.
+  using Shape = bool (*)(const QueryOptions& request);
+  /// A recall source or a cost model in dot-equivalents.
+  using Model = double (*)(const DatasetProfile& profile,
+                           const PlannerCalibration& calibration,
+                           const QueryOptions& request);
+
+  QueryAlgo algo;
+  QueryPrecision precision;
+  /// Its answers can miss the exact top-k, so planned answers on this
+  /// row are shadow-audited.
+  bool can_miss;
+  /// Shapes the planner routes here; nullptr = every shape it serves.
+  Shape planned_for;
+  /// Shapes the serve layer refuses here even when forced, with the
+  /// kInvalidArgument message it gives; nullptr = none.
+  Shape refuses;
+  const char* refusal;
+  /// Calibrated recall on a planned shape (0 when uncalibrated).
+  Model recall;
+  /// Expected dot-equivalents on any shape the row serves.
+  Model cost;
+};
+
 /// Lifetime counters of the loop (snapshot; mirrored in the registry).
 struct FeedbackCounters {
   /// Exact shadow audits run.
@@ -125,23 +153,27 @@ class Planner {
   Planner(DatasetProfile profile, PlannerCalibration calibration,
           std::size_t audit_every);
 
-  /// Picks an (algorithm, precision) variant for `request`, pricing
-  /// from the segment's live estimates where they have 4 audits and
-  /// from the warmup calibration elsewhere.
-  /// Failpoint: "serve/plan". When `request.precision` is explicit the
-  /// enumeration is restricted to that mode and the recall bar becomes
-  /// advisory — the cheapest matching variant is returned with the
-  /// shortfall noted in the decision's reason.
+  /// Picks a row for `request`, pricing from the segment's live
+  /// estimates where they have 4 audits and from the warmup calibration
+  /// elsewhere. Failpoint: "serve/plan". When `request.precision` is
+  /// explicit the enumeration is restricted to that mode and the recall
+  /// bar becomes advisory — the cheapest matching row is returned,
+  /// marked kRecallShortfall. A request with `force_algorithm` skips the
+  /// failpoint and the choice: it is validated against its row
+  /// (kInvalidArgument for a shape the row refuses) and priced from it.
   [[nodiscard]] StatusOr<PlanDecision> Plan(const QueryOptions& request) const
       IPS_EXCLUDES(mutex_);
 
-  /// True when this request should run an exact shadow audit (bumps
-  /// the segment's query counter; first query of a segment audits, then
-  /// every audit_every-th).
-  bool BeginAudit(const QueryOptions& request) const IPS_EXCLUDES(mutex_);
+  /// True when the answer `plan` gave `request` should run an exact
+  /// shadow audit: it was planner-routed at kAuto precision onto a row
+  /// that can miss, and its segment's cadence is due (bumps the
+  /// segment's counter; first such answer audits, then every
+  /// audit_every-th).
+  bool BeginAudit(const QueryOptions& request, const PlanDecision& plan) const
+      IPS_EXCLUDES(mutex_);
 
   /// Feeds one audit observation into the (segment of `request`,
-  /// `algo`, `precision`) estimate: recall in [0, 1], cost in
+  /// `algo`, `precision`) live estimate: recall in [0, 1], cost in
   /// dot-equivalents. Detects eligibility flips against the request's
   /// target + the 0.05 margin.
   void RecordAudit(const QueryOptions& request, QueryAlgo algo,
@@ -153,17 +185,9 @@ class Planner {
 
   FeedbackCounters counters() const IPS_EXCLUDES(mutex_);
 
-  /// Live recall estimate of (segment of `request`, algo, precision),
-  /// or the warmup expectation while it has fewer than 4 audits.
-  double LiveRecall(const QueryOptions& request, QueryAlgo algo,
-                    QueryPrecision precision) const IPS_EXCLUDES(mutex_);
-
-  /// Expected dot-equivalents if (`algo`, `precision`) answered
-  /// `request`; used for A/B accounting by benches. kAuto prices the
-  /// algorithm's native mode (exact for brute/tree/lsh, the argmax
-  /// descent or the exact fallback scan for sketch).
-  double ExpectedDotProducts(QueryAlgo algo, QueryPrecision precision,
-                             const QueryOptions& request) const;
+  /// The variant table, in the order Plan breaks cost ties by.
+  static std::span<const PlanVariant> Variants();
+  static constexpr std::size_t kNumVariants = 6;
 
   const DatasetProfile& profile() const { return profile_; }
   const PlannerCalibration& calibration() const { return calibration_; }
@@ -174,13 +198,8 @@ class Planner {
   static constexpr std::size_t kNumSegments = 6;
 
  private:
-  /// Calibrated recall the model expects of (`algo`, `precision`) for
-  /// `request`; 0 when the variant cannot answer the request at all
-  /// (e.g. signed queries on the sketch argmax path).
-  double ExpectedRecall(QueryAlgo algo, QueryPrecision precision,
-                        const QueryOptions& request) const;
-
-  struct VariantState {
+  /// One row's live estimate for one segment.
+  struct LiveEstimate {
     double recall_ewma = 0.0;
     double cost_ewma = 0.0;
     std::size_t observations = 0;
@@ -191,8 +210,7 @@ class Planner {
 
   struct SegmentState {
     std::size_t planned = 0;
-    std::array<std::array<VariantState, kNumQueryPrecisions>, kNumQueryAlgos>
-        variants{};
+    std::array<LiveEstimate, kNumVariants> live{};
   };
 
   DatasetProfile profile_;

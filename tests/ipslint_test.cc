@@ -69,6 +69,11 @@ std::vector<LintRule> TestRules() {
                "src/serve",
                "-", R"(\bkernels::Dot\s*\(|\bops\s*(\.|->)\s*dot\b)",
                "score with the fma chain");
+  table += Row("variant-fact", "src/serve", "src/serve/planner.cc",
+               R"((==|!=)\s*QueryAlgo::|\bQueryAlgo::\w+\s*(==|!=)|)"
+               R"((==|!=)\s*QueryPrecision::k(Exact|QuantizedRerank)\b|)"
+               R"(\bQueryPrecision::k(Exact|QuantizedRerank)\s*(==|!=))",
+               "read the variant's planner row");
   auto rules = ParseRules(table);
   EXPECT_TRUE(rules.ok()) << rules.status().ToString();
   return *std::move(rules);
@@ -355,6 +360,35 @@ TEST(Lint, ScoreDotFiresOnTheAnswerPathsOnly) {
                   .empty());
 }
 
+TEST(Lint, VariantFactFiresOutsideThePlannerTable) {
+  // The serve layer's old can-miss test and forced-tree rejection each
+  // restated a fact of a planner row.
+  const std::string can_miss =
+      "  return plan.precision != QueryPrecision::kExact ||\n"
+      "         plan.algorithm == QueryAlgo::kLsh ||\n"
+      "         QueryAlgo::kSketch == plan.algorithm;\n";
+  const std::string forced_tree =
+      "      if (forced == QueryAlgo::kBallTree && !options.is_signed) {\n";
+  const auto findings = RunLint("src/serve/engine.cc", can_miss + forced_tree);
+  ASSERT_EQ(findings.size(), 4u);
+  for (const LintFinding& finding : findings) {
+    EXPECT_EQ(finding.rule, "variant-fact");
+  }
+  EXPECT_EQ(
+      RunLint("src/serve/sharded_engine.cc",
+              "  if (q.precision == QueryPrecision::kQuantizedRerank) {\n")
+          .size(),
+      1u);
+  // The table itself, the rest of the tree, kAuto (the request's own
+  // "let the planner decide") and assignments are fine.
+  EXPECT_TRUE(RunLint("src/serve/planner.cc", can_miss + forced_tree).empty());
+  EXPECT_TRUE(RunLint("src/core/mips_index.cc", can_miss).empty());
+  EXPECT_TRUE(RunLint("src/serve/engine.cc",
+                      "  if (options.precision != QueryPrecision::kAuto) {\n"
+                      "  plan.algorithm = QueryAlgo::kLsh;\n")
+                  .empty());
+}
+
 TEST(Lint, FindingFormatIsFileLineRuleMessage) {
   const auto findings = RunLint("src/a.cc", "std::cout << 1;\n");
   ASSERT_EQ(findings.size(), 1u);
@@ -364,11 +398,11 @@ TEST(Lint, FindingFormatIsFileLineRuleMessage) {
 }
 
 TEST(Lint, RealRuleTableParses) {
-  // Guard the checked-in table itself: thirteen rules, all regexes valid.
+  // Guard the checked-in table itself: fourteen rules, all regexes valid.
   const auto rules =
       LoadRules(std::string(IPS_REPO_ROOT) + "/tools/ipslint.rules");
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
-  EXPECT_EQ(rules->size(), 13u);
+  EXPECT_EQ(rules->size(), 14u);
 }
 
 TEST(SplitCodeAndComments, TracksMultiLineConstructs) {
