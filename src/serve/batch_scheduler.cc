@@ -385,8 +385,7 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
   std::vector<unsigned char> answered(batch.size(), 0);
   std::vector<unsigned char> expired(batch.size(), 0);
   // End-to-end latency (submit -> answer) per member, for the tenant
-  // p99 rings; members answered late (cancelled chunks) are stamped in
-  // the accounting loop below.
+  // p99 rings.
   std::vector<double> latency(batch.size(), 0.0);
 
   // Coalesced execution plan: compatible members share one
@@ -397,6 +396,24 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
   std::atomic<std::size_t> batch_groups{0};
   std::atomic<std::size_t> batched_queries{0};
 
+  // The one place a member is answered: an answer gets its queue wait
+  // (submit -> `start`) and its queue-aware deadline verdict at `done`,
+  // and every member its end-to-end latency.
+  auto finish = [&](std::size_t i, Result result, Clock::time_point start,
+                    Clock::time_point done) {
+    Pending& pending = batch[i];
+    if (result.ok()) {
+      QueryStats& stats = result.value().stats;
+      stats.queue_seconds =
+          std::chrono::duration<double>(start - pending.submitted_at).count();
+      stats.deadline_met = !pending.has_deadline || done <= pending.deadline;
+    }
+    latency[i] =
+        std::chrono::duration<double>(done - pending.submitted_at).count();
+    pending.promise.set_value(std::move(result));
+    answered[i] = 1;
+  };
+
   // Answers every not-yet-expired member of one group. Members of a
   // group write disjoint batch indices, so groups can run on different
   // pool threads without synchronization.
@@ -405,11 +422,11 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
     std::vector<std::size_t> live;
     live.reserve(group.size());
     for (std::size_t i : group) {
-      Pending& pending = batch[i];
-      if (pending.has_deadline && start >= pending.deadline) {
-        pending.promise.set_value(Status::DeadlineExceeded(
-            "deadline passed before execution started"));
-        answered[i] = 1;
+      if (batch[i].has_deadline && start >= batch[i].deadline) {
+        finish(i,
+               Status::DeadlineExceeded(
+                   "deadline passed before execution started"),
+               start, start);
         expired[i] = 1;
         continue;
       }
@@ -418,22 +435,10 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
     if (live.empty()) return;
 
     if (live.size() == 1) {
-      Pending& pending = batch[live.front()];
+      const Pending& pending = batch[live.front()];
       Result result = engine_->Query(
           Request{pending.query, pending.options, pending.context});
-      const Clock::time_point done = Clock::now();
-      if (result.ok()) {
-        QueryStats& stats = result.value().stats;
-        stats.queue_seconds =
-            std::chrono::duration<double>(start - pending.submitted_at)
-                .count();
-        stats.deadline_met =
-            !pending.has_deadline || done <= pending.deadline;
-      }
-      latency[live.front()] =
-          std::chrono::duration<double>(done - pending.submitted_at).count();
-      pending.promise.set_value(std::move(result));
-      answered[live.front()] = 1;
+      finish(live.front(), std::move(result), start, Clock::now());
       return;
     }
 
@@ -444,36 +449,20 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
     }
     // The engine gets the first live member's context (the group shares
     // one QueryOptions; context differences are re-judged per member
-    // right below, so which member's context rides along is cosmetic).
+    // by `finish`, so which member's context rides along is cosmetic).
     auto results =
         engine_->BatchQuery(group_queries, batch[live.front()].options,
                             batch[live.front()].context);
     const Clock::time_point done = Clock::now();
     batch_groups.fetch_add(1, std::memory_order_relaxed);
     if (!results.ok()) {
-      for (std::size_t i : live) {
-        latency[i] =
-            std::chrono::duration<double>(done - batch[i].submitted_at)
-                .count();
-        batch[i].promise.set_value(results.status());
-        answered[i] = 1;
-      }
+      for (std::size_t i : live) finish(i, results.status(), start, done);
       return;
     }
     std::vector<QueryResult> out = std::move(results).value();
     batched_queries.fetch_add(live.size(), std::memory_order_relaxed);
     for (std::size_t j = 0; j < live.size(); ++j) {
-      Pending& pending = batch[live[j]];
-      QueryResult result = std::move(out[j]);
-      result.stats.queue_seconds =
-          std::chrono::duration<double>(start - pending.submitted_at)
-              .count();
-      result.stats.deadline_met =
-          !pending.has_deadline || done <= pending.deadline;
-      latency[live[j]] =
-          std::chrono::duration<double>(done - pending.submitted_at).count();
-      pending.promise.set_value(std::move(result));
-      answered[live[j]] = 1;
+      finish(live[j], std::move(out[j]), start, done);
     }
   };
 
@@ -494,13 +483,11 @@ void BatchScheduler::RunBatch(std::vector<Pending> batch) {
   std::size_t expired_count = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (answered[i] == 0) {
-      latency[i] =
-          std::chrono::duration<double>(cleanup - batch[i].submitted_at)
-              .count();
-      batch[i].promise.set_value(
-          batch_status.ok()
-              ? Status::Internal("batch finished without answering request")
-              : batch_status);
+      finish(i,
+             batch_status.ok() ? Status::Internal(
+                                     "batch finished without answering request")
+                               : batch_status,
+             cleanup, cleanup);
     }
     if (expired[i] != 0) ++expired_count;
   }

@@ -8,9 +8,8 @@
 #include "linalg/validate.h"
 #include "linalg/kernels.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
+#include "serve/envelope.h"
 #include "util/check.h"
-#include "util/timer.h"
 
 namespace ips {
 namespace {
@@ -52,17 +51,6 @@ void CountSelected(QueryAlgo algo) {
       MetricsRegistry::Global().GetCounter("serve.engine.selected.lsh"),
       MetricsRegistry::Global().GetCounter("serve.engine.selected.sketch")};
   selected[static_cast<std::size_t>(algo)]->Increment();
-}
-
-// Publishes a request's finished engine-level trace to the TraceRing,
-// counted under serve.engine.traced.
-std::shared_ptr<const Trace> PublishTrace(std::unique_ptr<Trace> trace) {
-  static Counter* const traced =
-      MetricsRegistry::Global().GetCounter("serve.engine.traced");
-  traced->Increment();
-  std::shared_ptr<const Trace> shared(std::move(trace));
-  TraceRing::Global().Record(shared);
-  return shared;
 }
 
 // StatusOr has no converting constructor: unwraps a typed build into
@@ -289,49 +277,28 @@ StatusOr<std::unique_ptr<MipsIndex>> Engine::BuildIndex(
 }
 
 StatusOr<QueryResult> Engine::Query(const Request& request) const {
-  static Counter* const requests =
-      MetricsRegistry::Global().GetCounter("serve.engine.requests");
-  static Histogram* const exec_seconds =
-      MetricsRegistry::Global().GetHistogram("serve.engine.exec_seconds");
-
-  const std::span<const double> query = request.query;
-  const QueryOptions& options = request.options;
-  IPS_RETURN_IF_ERROR(ValidateRequestContext(request.context));
-  IPS_RETURN_IF_ERROR(
-      ValidateVectorDims(query, profile_.dim, "serve query"));
-  IPS_RETURN_IF_ERROR(ValidateVectorFinite(query, "serve query"));
-  requests->Increment();
-
-  std::unique_ptr<Trace> trace;
-  if (options.trace) trace = std::make_unique<Trace>("serve");
-
-  WallTimer timer;
-  // The span scope: serve/query -> serve/plan, then the algorithm's own
-  // spans. The lambda closes the root span before the trace is
-  // published below.
-  StatusOr<QueryResult> outcome = [&]() -> StatusOr<QueryResult> {
-    TraceSpan root(trace.get(), "serve/query");
-    auto planned = PlanAndPin(options, trace.get());
-    IPS_RETURN_IF_ERROR(planned.status());
-    QueryResult response;
-    auto matches = planned->index->Query(query, planned->options,
-                                         &response.stats, trace.get());
-    IPS_RETURN_IF_ERROR(matches.status());
-    response.matches = std::move(matches).value();
-    response.plan = std::move(planned->plan);
-    return response;
-  }();
-  IPS_RETURN_IF_ERROR(outcome.status());
-  QueryResult result = std::move(outcome).value();
-  // The audit's wall time lands in exec_seconds below.
-  MaybeAudit(query, options, &result);
-  result.stats.exec_seconds = timer.Seconds();
-  result.stats.deadline_met =
-      result.stats.exec_seconds <= request.context.deadline_seconds;
-  CountSelected(result.stats.algorithm);
-  exec_seconds->Observe(result.stats.exec_seconds);
-  if (trace != nullptr) result.stats.trace = PublishTrace(std::move(trace));
-  return result;
+  static const ServeSurface surface(
+      "serve", "serve/query", "serve query", "serve.engine.requests", "",
+      "serve.engine.exec_seconds", "serve.engine.traced");
+  return ServeQuery(
+      surface, profile_.dim, request,
+      [&](Trace* trace) -> StatusOr<QueryResult> {
+        auto planned = PlanAndPin(request.options, trace);
+        IPS_RETURN_IF_ERROR(planned.status());
+        QueryResult response;
+        auto matches = planned->index->Query(
+            request.query, planned->options, &response.stats, trace);
+        IPS_RETURN_IF_ERROR(matches.status());
+        response.matches = std::move(matches).value();
+        response.plan = std::move(planned->plan);
+        CountSelected(response.stats.algorithm);
+        return response;
+      },
+      // The audit runs after serve/query has closed, so its wall time is
+      // the part of exec_seconds the root span does not hold.
+      [&](StatusOr<QueryResult>& outcome) {
+        if (outcome.ok()) MaybeAudit(request.query, request.options, &*outcome);
+      });
 }
 
 StatusOr<Engine::PlannedRequest> Engine::PlanAndPin(
@@ -384,60 +351,27 @@ void Engine::MaybeAudit(std::span<const double> query,
 StatusOr<std::vector<QueryResult>> Engine::BatchQuery(
     const Matrix& queries, const QueryOptions& options,
     const RequestContext& context) const {
-  static Counter* const batch_requests =
-      MetricsRegistry::Global().GetCounter("serve.engine.batch.requests");
-  static Counter* const batch_queries =
-      MetricsRegistry::Global().GetCounter("serve.engine.batch.queries");
-  static Histogram* const batch_exec = MetricsRegistry::Global().GetHistogram(
-      "serve.engine.batch.exec_seconds");
-
-  IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  IPS_RETURN_IF_ERROR(ValidateRequestContext(context));
-  const std::size_t m = queries.rows();
-  if (m == 0) return std::vector<QueryResult>();
-  IPS_RETURN_IF_ERROR(
-      ValidateDims(queries, profile_.dim, "serve batch queries"));
-  IPS_RETURN_IF_ERROR(ValidateFinite(queries, "serve batch queries"));
-  batch_requests->Increment();
-  batch_queries->Add(m);
-
-  std::unique_ptr<Trace> trace;
-  if (options.trace) trace = std::make_unique<Trace>("serve.batch");
-
-  WallTimer timer;
-  StatusOr<std::vector<QueryResult>> outcome =
-      [&]() -> StatusOr<std::vector<QueryResult>> {
-    TraceSpan root(trace.get(), "serve/batch_query");
-    root.AddCount("batch_queries", m);
-    auto planned = PlanAndPin(options, trace.get());
-    IPS_RETURN_IF_ERROR(planned.status());
-    auto results = planned->index->BatchQuery(queries, planned->options);
-    IPS_RETURN_IF_ERROR(results.status());
-    std::vector<QueryResult> out = std::move(results).value();
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      out[i].plan = planned->plan;
-      MaybeAudit(queries.Row(i), options, &out[i]);
-    }
-    return out;
-  }();
-  IPS_RETURN_IF_ERROR(outcome.status());
-  std::vector<QueryResult> results = std::move(outcome).value();
-  const double total_seconds = timer.Seconds();
-  const double amortized = total_seconds / static_cast<double>(m);
-  for (QueryResult& result : results) {
-    result.stats.exec_seconds = amortized;
-    // Per-member deadline inheritance (RequestContext::deadline_seconds
-    // of the shared context): judged against the amortized share here;
-    // the scheduler replaces this with queue-aware wall clock for
-    // scheduled traffic.
-    result.stats.deadline_met = amortized <= context.deadline_seconds;
-    CountSelected(result.stats.algorithm);
-  }
-  batch_exec->Observe(total_seconds);
-  // The engine-level trace (plan + batch dispatch) goes to the ring;
-  // each result keeps the index-level batch trace in its stats.
-  if (trace != nullptr) PublishTrace(std::move(trace));
-  return results;
+  static const ServeSurface surface(
+      "serve.batch", "serve/batch_query", "serve batch queries",
+      "serve.engine.batch.requests", "serve.engine.batch.queries",
+      "serve.engine.batch.exec_seconds", "serve.engine.traced");
+  return ServeBatch(
+      surface, profile_.dim, queries, options, context,
+      [&](Trace* trace) -> StatusOr<std::vector<QueryResult>> {
+        auto planned = PlanAndPin(options, trace);
+        IPS_RETURN_IF_ERROR(planned.status());
+        // Each member keeps the index-level batch trace.
+        auto results = planned->index->BatchQuery(queries, planned->options);
+        IPS_RETURN_IF_ERROR(results.status());
+        std::vector<QueryResult> out = std::move(results).value();
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          out[i].plan = planned->plan;
+          MaybeAudit(queries.Row(i), options, &out[i]);
+          CountSelected(out[i].stats.algorithm);
+        }
+        return out;
+      },
+      [](StatusOr<std::vector<QueryResult>>&) {});
 }
 
 }  // namespace ips

@@ -7,12 +7,10 @@
 // thread-safe Query entry point that dispatches each request to the
 // planner-selected answer path and accounts for the work it did.
 //
-// Requests and responses are the unified core types (core/query.h):
-// Query takes a core::QueryOptions and returns a core::QueryResult whose
-// stats carry per-request work counts and — when options.trace is set —
-// the span tree serve/query -> serve/plan -> <algorithm>, also published
-// to the process-wide TraceRing. Engine-level traffic lands in the
-// MetricsRegistry under "serve.engine.*".
+// Query and BatchQuery run in the serve envelope (serve/envelope.h),
+// which validates, times, traces and publishes every request under
+// "serve.engine.*"; the engine adds the plan, the pin, the index call
+// (spans serve/plan, then the algorithm's) and the audit.
 //
 // Thread safety: Query may be called concurrently. The indexes live in
 // one table with a slot per QueryAlgo; index construction is serialized
@@ -110,34 +108,22 @@ class Engine : public QueryEngine {
   [[nodiscard]] static StatusOr<std::unique_ptr<Engine>> CreateFromSnapshot(
       const std::string& dir, const SnapshotLoadOptions& load = {});
 
-  /// Answers one request; thread-safe. Failpoint: "serve/plan" (inside
-  /// the planner). An index build failure surfaces as the build's
-  /// Status; the engine is not poisoned and the next request retries
-  /// the build. request.options.force_algorithm bypasses the planner;
-  /// the forced path must be able to answer the request (e.g. the engine
-  /// routes only signed requests to the tree) or Query returns
-  /// kInvalidArgument. deadline_met is
-  /// judged against request.context.deadline_seconds; tenant and
-  /// priority are scheduler-level and ignored here. Planner-chosen
-  /// answers that can miss are periodically shadow-audited against the
-  /// exact answer, and an audited miss is hedged: the exact answer
-  /// (already computed) is returned instead, labelled
-  /// "serve.feedback.hedged" in stats.metrics.
+  /// Answers one request in the serve envelope (ServeQuery); thread-safe.
+  /// Failpoint: "serve/plan". A failed index build surfaces as its
+  /// Status and the next request retries it. A forced algorithm
+  /// bypasses the planner but must be able to answer the request (the
+  /// tree takes only signed ones), else kInvalidArgument. Planner-chosen
+  /// answers that can miss are periodically shadow-audited, and an
+  /// audited miss is hedged: the exact answer is returned instead,
+  /// labelled "serve.feedback.hedged" in stats.metrics.
   [[nodiscard]] StatusOr<QueryResult> Query(const Request& request)
       const override IPS_EXCLUDES(build_mutex_);
 
-  /// Answers every row of `queries` under one shared `options` and
-  /// `context`: one planner decision (or forced path), one index pin,
-  /// and one MipsIndex::BatchQuery call for the whole batch — the
-  /// coalesced fast path the BatchScheduler hands its compatible groups
-  /// to. Each member is shadow-audited (and hedged) under the same gate
-  /// and per-segment cadence as Query. Results come back in row order;
-  /// per-member exec_seconds is the batch's wall time (audits included)
-  /// amortized over its members, and each member's deadline_met is
-  /// judged against that amortized time (the scheduler overrides it
-  /// with real queue-aware wall clock). Engine-level traffic lands
-  /// under "serve.engine.batch.*". An empty batch returns an empty
-  /// vector without planning.
+  /// Answers every row of `queries` in the serve batch envelope
+  /// (ServeBatch) with one planner decision, one pin and one
+  /// MipsIndex::BatchQuery call — the coalesced fast path the
+  /// BatchScheduler hands its compatible groups to. Each member is
+  /// audited like a Query and keeps the index-level batch trace.
   [[nodiscard]] StatusOr<std::vector<QueryResult>> BatchQuery(
       const Matrix& queries, const QueryOptions& options,
       const RequestContext& context) const override

@@ -309,14 +309,15 @@ StatusOr<PlanDecision> Planner::Plan(const QueryOptions& request) const {
 
 bool Planner::BeginAudit(const QueryOptions& request,
                          const PlanDecision& plan) const {
-  // Forced paths are A/B probes and explicit precisions pin the
-  // caller's mode, so only planner-routed answers are audited, and only
-  // on rows that can miss -- not rows whose expected recall is under
+  // Forced paths are A/B probes, so only planner-routed answers are
+  // audited, under any precision: an explicit precision still lets the
+  // planner pick a row that can miss, and the audit trains that row and
+  // hedges its miss without changing the caller's mode. Only rows that
+  // can miss are audited -- not rows whose expected recall is under
   // 1.0: a path whose warmup recall calibrated to exactly 1.0 must
   // still be audited, or the loop is blind to it degrading under shift.
   const std::size_t v = RowOf(plan.algorithm, plan.precision);
-  if (request.force_algorithm.has_value() ||
-      request.precision != QueryPrecision::kAuto || v == kNumVariants ||
+  if (request.force_algorithm.has_value() || v == kNumVariants ||
       !kVariants[v].can_miss) {
     return false;
   }

@@ -165,7 +165,7 @@ class Planner {
       IPS_EXCLUDES(mutex_);
 
   /// True when the answer `plan` gave `request` should run an exact
-  /// shadow audit: it was planner-routed at kAuto precision onto a row
+  /// shadow audit: it was planner-routed (at any precision) onto a row
   /// that can miss, and its segment's cadence is due (bumps the
   /// segment's counter; first such answer audits, then every
   /// audit_every-th).

@@ -5,7 +5,10 @@
 // request — the single-node Engine or the scatter-gather ShardedEngine
 // — implements QueryEngine, so the BatchScheduler (and any future
 // router/replica layer) is agnostic to whether it is driving one index
-// stack or a sharded fleet.
+// stack or a sharded fleet. The interface is pure: both engines run
+// their requests through the serve envelope (serve/envelope.h), a
+// helper they call, so a test double implements two virtuals and
+// nothing else.
 
 #ifndef IPS_SERVE_QUERY_ENGINE_H_
 #define IPS_SERVE_QUERY_ENGINE_H_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -10,6 +11,7 @@
 #include "linalg/validate.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/envelope.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -50,89 +52,13 @@ Status HitShardSite(const char* site, std::size_t shard_index) {
   return Failpoints::Hit(scoped.c_str());
 }
 
-// One shard's contribution to one logical query during the gather.
-struct ShardAnswer {
-  const QueryResult* result = nullptr;  // null when the shard was lost
-  const Status* error = nullptr;        // set when the shard was lost
-  bool hedged = false;
-};
-
-// Merges one logical query's per-shard answers in RanksBefore order
-// over *global* row indices, sets the
-// serve.shard.{total,ok,failed,hedged} labels, and flags the result
-// partial when shards were lost. Fails only when every
-// shard failed: a uniform failure keeps its Status, mixed failures
-// collapse to a kUnavailable summary.
-StatusOr<QueryResult> MergeShardAnswers(
-    const std::vector<ShardAnswer>& answers,
-    const std::vector<std::size_t>& offsets, std::size_t k,
-    std::size_t retries_total) {
-  QueryResult merged;
-  std::vector<SearchMatch> pool;
-  std::vector<const Status*> errors;
-  std::size_t ok = 0;
-  std::size_t hedged = 0;
-  for (std::size_t i = 0; i < answers.size(); ++i) {
-    const ShardAnswer& answer = answers[i];
-    if (answer.result == nullptr) {
-      errors.push_back(answer.error);
-      continue;
-    }
-    if (answer.hedged) ++hedged;
-    if (ok == 0) {
-      merged.stats.algorithm = answer.result->stats.algorithm;
-      merged.plan = answer.result->plan;
-    }
-    ++ok;
-    for (const SearchMatch& match : answer.result->matches) {
-      pool.push_back({match.index + offsets[i], match.value});
-    }
-    merged.stats.candidates += answer.result->stats.candidates;
-    merged.stats.dot_products += answer.result->stats.dot_products;
-    for (const auto& [key, value] : answer.result->stats.metrics.items()) {
-      merged.stats.metrics.Add(key, value);
-    }
-  }
-  if (ok == 0) {
-    bool uniform = true;
-    for (const Status* error : errors) {
-      if (error->code() != errors.front()->code()) uniform = false;
-    }
-    if (uniform) return *errors.front();
-    return Status::Unavailable("all " + std::to_string(answers.size()) +
-                               " shards failed; first: " +
-                               errors.front()->ToString());
-  }
-  std::sort(pool.begin(), pool.end(), RanksBefore);
-  if (pool.size() > k) pool.resize(k);
-  merged.matches = std::move(pool);
-  merged.stats.metrics.Set("serve.shard.total", answers.size());
-  merged.stats.metrics.Set("serve.shard.ok", ok);
-  merged.stats.metrics.Set("serve.shard.failed", answers.size() - ok);
-  merged.stats.metrics.Set("serve.shard.hedged", hedged);
-  merged.partial = ok < answers.size();
-  if (retries_total > 0) {
-    merged.stats.metrics.Add("serve.shard.retries", retries_total);
-  }
-  return merged;
+// Member q of a shard's answer: a single query's answer is member 0.
+const QueryResult& MemberOf(const QueryResult& answer, std::size_t) {
+  return answer;
 }
-
-// Post-gather trace children: shard calls run concurrently, so they
-// cannot write the (single-writer) Trace; the coordinator records one
-// already-measured child per shard while the root span is still open.
-template <typename Outcome>
-void RecordShardSpans(Trace* trace, const std::vector<Outcome>& calls) {
-  if (trace == nullptr) return;
-  for (std::size_t i = 0; i < calls.size(); ++i) {
-    const std::size_t span = trace->RecordSpan(
-        "serve/shard/" + std::to_string(i), calls[i].seconds);
-    trace->AddCount(span, "ok", calls[i].result.ok() ? 1 : 0);
-    if (calls[i].hedged) trace->AddCount(span, "hedged", 1);
-    if (calls[i].skipped) trace->AddCount(span, "skipped", 1);
-    if (calls[i].retries > 0) {
-      trace->AddCount(span, "retries", calls[i].retries);
-    }
-  }
+const QueryResult& MemberOf(const std::vector<QueryResult>& answers,
+                            std::size_t q) {
+  return answers[q];
 }
 
 }  // namespace
@@ -198,179 +124,152 @@ StatusOr<std::unique_ptr<ShardedEngine>> ShardedEngine::Create(
 }
 
 StatusOr<QueryResult> ShardedEngine::Query(const Request& request) const {
-  static Counter* const requests =
-      MetricsRegistry::Global().GetCounter("serve.shard.queries");
-  static Counter* const partial_count =
-      MetricsRegistry::Global().GetCounter("serve.shard.partial");
-  static Counter* const traced =
-      MetricsRegistry::Global().GetCounter("serve.shard.traced");
-  static Histogram* const exec_seconds =
-      MetricsRegistry::Global().GetHistogram("serve.shard.exec_seconds");
-  static Gauge* const open_breakers =
-      MetricsRegistry::Global().GetGauge("serve.shard.open_breakers");
-
-  const std::span<const double> query = request.query;
-  const QueryOptions& options = request.options;
-  IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  IPS_RETURN_IF_ERROR(ValidateRequestContext(request.context));
-  IPS_RETURN_IF_ERROR(ValidateVectorDims(query, dim_, "sharded query"));
-  IPS_RETURN_IF_ERROR(ValidateVectorFinite(query, "sharded query"));
-  requests->Increment();
-
-  std::unique_ptr<Trace> trace;
-  if (options.trace) trace = std::make_unique<Trace>("serve.sharded");
-
-  WallTimer timer;
-  const std::size_t num = shards_.size();
-  StatusOr<QueryResult> outcome = [&]() -> StatusOr<QueryResult> {
-    TraceSpan root(trace.get(), "serve/sharded_query");
-    std::vector<Outcome<QueryResult>> calls(num);
-    IPS_RETURN_IF_ERROR(ParallelForStatus(
-        &pool_, num, [&](std::size_t begin, std::size_t end) -> Status {
-          for (std::size_t i = begin; i < end; ++i) {
-            calls[i] = CallShard(i, query, options, request.context);
-          }
-          return Status::Ok();
-        }));
-    RecordShardSpans(trace.get(), calls);
-
-    std::vector<ShardAnswer> answers(num);
-    std::vector<std::size_t> offsets(num);
-    std::size_t retries_total = 0;
-    for (std::size_t i = 0; i < num; ++i) {
-      offsets[i] = shards_[i]->offset;
-      retries_total += calls[i].retries;
-      if (calls[i].result.ok()) {
-        answers[i].result = &calls[i].result.value();
-        answers[i].hedged = calls[i].hedged;
-      } else {
-        answers[i].error = &calls[i].result.status();
-      }
-    }
-    return MergeShardAnswers(answers, offsets, options.k, retries_total);
-  }();
-  open_breakers->Set(OpenBreakerCount());
-  IPS_RETURN_IF_ERROR(outcome.status());
-  QueryResult result = std::move(outcome).value();
-  result.stats.exec_seconds = timer.Seconds();
-  result.stats.deadline_met =
-      result.stats.exec_seconds <= request.context.deadline_seconds;
-  exec_seconds->Observe(result.stats.exec_seconds);
-  if (result.partial) partial_count->Increment();
-  if (trace != nullptr) {
-    traced->Increment();
-    std::shared_ptr<const Trace> shared(std::move(trace));
-    TraceRing::Global().Record(shared);
-    result.stats.trace = std::move(shared);
-  }
-  return result;
+  static const ServeSurface surface(
+      "serve.sharded", "serve/sharded_query", "sharded query",
+      "serve.shard.queries", "", "serve.shard.exec_seconds",
+      "serve.shard.traced");
+  return ServeQuery(
+      surface, dim_, request,
+      [&](Trace* trace) -> StatusOr<QueryResult> {
+        auto scattered = Scatter<QueryResult>(
+            trace, request.options, request.context, /*queries_per_call=*/1,
+            [&](const Engine& shard, const QueryOptions& shard_options,
+                const RequestContext& shard_context) {
+              return shard.Query(  // ipslint:allow(shard-call)
+                  Request{request.query, shard_options, shard_context});
+            });
+        IPS_RETURN_IF_ERROR(scattered.status());
+        return MergeMember(*scattered, /*degraded=*/{}, /*q=*/0,
+                           request.options.k);
+      },
+      [&](const StatusOr<QueryResult>& outcome) {
+        SettleGather(outcome.ok() ? std::span(&*outcome, 1)
+                                  : std::span<const QueryResult>());
+      });
 }
 
 StatusOr<std::vector<QueryResult>> ShardedEngine::BatchQuery(
     const Matrix& queries, const QueryOptions& options,
     const RequestContext& context) const {
-  static Counter* const batch_requests =
-      MetricsRegistry::Global().GetCounter("serve.shard.batch.requests");
-  static Counter* const batch_queries =
-      MetricsRegistry::Global().GetCounter("serve.shard.batch.queries");
-  static Counter* const partial_count =
+  static const ServeSurface surface(
+      "serve.sharded.batch", "serve/sharded_batch_query",
+      "sharded batch queries", "serve.shard.batch.requests",
+      "serve.shard.batch.queries", "serve.shard.batch.exec_seconds",
+      "serve.shard.traced");
+  const std::size_t m = queries.rows();
+  const std::size_t num = shards_.size();
+  return ServeBatch(
+      surface, dim_, queries, options, context,
+      [&](Trace* trace) -> StatusOr<std::vector<QueryResult>> {
+        auto scattered = Scatter<std::vector<QueryResult>>(
+            trace, options, context, /*queries_per_call=*/m,
+            [&](const Engine& shard, const QueryOptions& shard_options,
+                const RequestContext& shard_context) {
+              return shard.BatchQuery(  // ipslint:allow(shard-call)
+                  queries, shard_options, shard_context);
+            });
+        IPS_RETURN_IF_ERROR(scattered.status());
+        const std::vector<Outcome<std::vector<QueryResult>>>& calls =
+            *scattered;
+        // A shard that answered with the wrong member count is a broken
+        // Engine contract (results come back in row order); treat it as
+        // a lost shard rather than misaligning the gather.
+        std::vector<Status> degraded(num, Status::Ok());
+        for (std::size_t i = 0; i < num; ++i) {
+          if (calls[i].result.ok() && calls[i].result.value().size() != m) {
+            degraded[i] = Status::Internal(
+                "shard " + std::to_string(i) + " returned " +
+                std::to_string(calls[i].result.value().size()) + " of " +
+                std::to_string(m) + " batch answers");
+          }
+        }
+
+        std::vector<QueryResult> merged;
+        merged.reserve(m);
+        for (std::size_t q = 0; q < m; ++q) {
+          auto one = MergeMember(calls, degraded, q, options.k);
+          IPS_RETURN_IF_ERROR(one.status());
+          merged.push_back(std::move(one).value());
+        }
+        return merged;
+      },
+      [&](const StatusOr<std::vector<QueryResult>>& outcome) {
+        SettleGather(outcome.ok() ? std::span<const QueryResult>(*outcome)
+                                  : std::span<const QueryResult>());
+      });
+}
+
+template <typename T>
+StatusOr<QueryResult> ShardedEngine::MergeMember(
+    const std::vector<Outcome<T>>& calls, const std::vector<Status>& degraded,
+    std::size_t q, std::size_t k) const {
+  QueryResult merged;
+  std::vector<SearchMatch> pool;
+  std::vector<const Status*> errors;
+  std::size_t ok = 0;
+  std::size_t hedged = 0;
+  std::size_t retries = 0;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    retries += calls[i].retries;
+    if (!calls[i].result.ok()) {
+      errors.push_back(&calls[i].result.status());
+      continue;
+    }
+    if (!degraded.empty() && !degraded[i].ok()) {
+      errors.push_back(&degraded[i]);
+      continue;
+    }
+    const QueryResult& answer = MemberOf(calls[i].result.value(), q);
+    if (calls[i].hedged) ++hedged;
+    if (ok == 0) {
+      merged.stats.algorithm = answer.stats.algorithm;
+      merged.plan = answer.plan;
+    }
+    ++ok;
+    for (const SearchMatch& match : answer.matches) {
+      pool.push_back({match.index + shards_[i]->offset, match.value});
+    }
+    merged.stats.candidates += answer.stats.candidates;
+    merged.stats.dot_products += answer.stats.dot_products;
+    for (const auto& [key, value] : answer.stats.metrics.items()) {
+      merged.stats.metrics.Add(key, value);
+    }
+  }
+  if (ok == 0) {
+    bool uniform = true;
+    for (const Status* error : errors) {
+      if (error->code() != errors.front()->code()) uniform = false;
+    }
+    if (uniform) return *errors.front();
+    return Status::Unavailable("all " + std::to_string(calls.size()) +
+                               " shards failed; first: " +
+                               errors.front()->ToString());
+  }
+  std::sort(pool.begin(), pool.end(), RanksBefore);
+  if (pool.size() > k) pool.resize(k);
+  merged.matches = std::move(pool);
+  merged.stats.metrics.Set("serve.shard.total", calls.size());
+  merged.stats.metrics.Set("serve.shard.ok", ok);
+  merged.stats.metrics.Set("serve.shard.failed", calls.size() - ok);
+  merged.stats.metrics.Set("serve.shard.hedged", hedged);
+  merged.partial = ok < calls.size();
+  if (q == 0 && retries > 0) {
+    merged.stats.metrics.Add("serve.shard.retries", retries);
+  }
+  return merged;
+}
+
+void ShardedEngine::SettleGather(
+    std::span<const QueryResult> answered) const {
+  static Counter* const partial =
       MetricsRegistry::Global().GetCounter("serve.shard.partial");
-  static Counter* const traced =
-      MetricsRegistry::Global().GetCounter("serve.shard.traced");
-  static Histogram* const batch_exec = MetricsRegistry::Global().GetHistogram(
-      "serve.shard.batch.exec_seconds");
   static Gauge* const open_breakers =
       MetricsRegistry::Global().GetGauge("serve.shard.open_breakers");
-
-  IPS_RETURN_IF_ERROR(ValidateQueryOptions(options));
-  IPS_RETURN_IF_ERROR(ValidateRequestContext(context));
-  const std::size_t m = queries.rows();
-  if (m == 0) return std::vector<QueryResult>();
-  IPS_RETURN_IF_ERROR(
-      ValidateDims(queries, dim_, "sharded batch queries"));
-  IPS_RETURN_IF_ERROR(ValidateFinite(queries, "sharded batch queries"));
-  batch_requests->Increment();
-  batch_queries->Add(m);
-
-  std::unique_ptr<Trace> trace;
-  if (options.trace) trace = std::make_unique<Trace>("serve.sharded.batch");
-
-  WallTimer timer;
-  const std::size_t num = shards_.size();
-  StatusOr<std::vector<QueryResult>> outcome =
-      [&]() -> StatusOr<std::vector<QueryResult>> {
-    TraceSpan root(trace.get(), "serve/sharded_batch_query");
-    root.AddCount("batch_queries", m);
-    std::vector<Outcome<std::vector<QueryResult>>> calls(num);
-    IPS_RETURN_IF_ERROR(ParallelForStatus(
-        &pool_, num, [&](std::size_t begin, std::size_t end) -> Status {
-          for (std::size_t i = begin; i < end; ++i) {
-            calls[i] = CallShardBatch(i, queries, options, context);
-          }
-          return Status::Ok();
-        }));
-    RecordShardSpans(trace.get(), calls);
-
-    // A shard that answered with the wrong member count is a broken
-    // Engine contract (results come back in row order); treat it as a
-    // lost shard rather than misaligning the gather.
-    std::vector<Status> degraded(num, Status::Ok());
-    std::size_t retries_total = 0;
-    std::vector<std::size_t> offsets(num);
-    for (std::size_t i = 0; i < num; ++i) {
-      offsets[i] = shards_[i]->offset;
-      retries_total += calls[i].retries;
-      if (calls[i].result.ok() && calls[i].result.value().size() != m) {
-        degraded[i] = Status::Internal(
-            "shard " + std::to_string(i) + " returned " +
-            std::to_string(calls[i].result.value().size()) + " of " +
-            std::to_string(m) + " batch answers");
-      }
-    }
-
-    std::vector<QueryResult> merged;
-    merged.reserve(m);
-    for (std::size_t q = 0; q < m; ++q) {
-      std::vector<ShardAnswer> answers(num);
-      for (std::size_t i = 0; i < num; ++i) {
-        if (!calls[i].result.ok()) {
-          answers[i].error = &calls[i].result.status();
-        } else if (!degraded[i].ok()) {
-          answers[i].error = &degraded[i];
-        } else {
-          answers[i].result = &calls[i].result.value()[q];
-          answers[i].hedged = calls[i].hedged;
-        }
-      }
-      // The batch's retry total is a call-level fact; it is attached to
-      // the first member only so Merge()-ing the batch's stats counts
-      // each retry once.
-      auto one = MergeShardAnswers(answers, offsets, options.k,
-                                   q == 0 ? retries_total : 0);
-      IPS_RETURN_IF_ERROR(one.status());
-      merged.push_back(std::move(one).value());
-    }
-    return merged;
-  }();
   open_breakers->Set(OpenBreakerCount());
-  IPS_RETURN_IF_ERROR(outcome.status());
-  std::vector<QueryResult> results = std::move(outcome).value();
-  const double total_seconds = timer.Seconds();
-  const double amortized = total_seconds / static_cast<double>(m);
-  std::size_t partial_members = 0;
-  for (QueryResult& result : results) {
-    result.stats.exec_seconds = amortized;
-    result.stats.deadline_met = amortized <= context.deadline_seconds;
-    if (result.partial) ++partial_members;
-  }
-  if (partial_members > 0) partial_count->Add(partial_members);
-  batch_exec->Observe(total_seconds);
-  if (trace != nullptr) {
-    traced->Increment();
-    TraceRing::Global().Record(
-        std::shared_ptr<const Trace>(std::move(trace)));
-  }
-  return results;
+  const auto lost =
+      std::count_if(answered.begin(), answered.end(),
+                    [](const QueryResult& result) { return result.partial; });
+  if (lost > 0) partial->Add(static_cast<std::uint64_t>(lost));
 }
 
 Status ShardedEngine::EnsureIndex(QueryAlgo algo) const {
@@ -399,34 +298,35 @@ ShardedEngine::BreakerState ShardedEngine::breaker_state(
   return BreakerState::kOpen;
 }
 
-ShardedEngine::Outcome<QueryResult> ShardedEngine::CallShard(
-    std::size_t shard_index, std::span<const double> query,
-    const QueryOptions& options, const RequestContext& context) const {
-  const Engine& engine = *shards_[shard_index]->engine;
-  return CallShardImpl<QueryResult>(
-      shard_index, options, context, /*queries_per_call=*/1,
-      [&](const QueryOptions& shard_options,
-          const RequestContext& shard_context) {
-        return engine.Query(  // ipslint:allow(shard-call)
-            Request{query, shard_options, shard_context});
-      });
-}
-
-ShardedEngine::Outcome<std::vector<QueryResult>> ShardedEngine::CallShardBatch(
-    std::size_t shard_index, const Matrix& queries,
-    const QueryOptions& options, const RequestContext& context) const {
-  const Engine& engine = *shards_[shard_index]->engine;
-  return CallShardImpl<std::vector<QueryResult>>(
-      shard_index, options, context, /*queries_per_call=*/queries.rows(),
-      [&](const QueryOptions& shard_options,
-          const RequestContext& shard_context) {
-        return engine.BatchQuery(  // ipslint:allow(shard-call)
-            queries, shard_options, shard_context);
-      });
+template <typename T, typename Invoke>
+StatusOr<std::vector<ShardedEngine::Outcome<T>>> ShardedEngine::Scatter(
+    Trace* trace, const QueryOptions& options, const RequestContext& context,
+    std::size_t queries_per_call, const Invoke& invoke) const {
+  std::vector<Outcome<T>> calls(shards_.size());
+  IPS_RETURN_IF_ERROR(ParallelForStatus(
+      &pool_, calls.size(), [&](std::size_t begin, std::size_t end) -> Status {
+        for (std::size_t i = begin; i < end; ++i) {
+          calls[i] =
+              CallShard<T>(i, options, context, queries_per_call, invoke);
+        }
+        return Status::Ok();
+      }));
+  if (trace == nullptr) return calls;
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    const std::size_t span = trace->RecordSpan(
+        "serve/shard/" + std::to_string(i), calls[i].seconds);
+    trace->AddCount(span, "ok", calls[i].result.ok() ? 1 : 0);
+    if (calls[i].hedged) trace->AddCount(span, "hedged", 1);
+    if (calls[i].skipped) trace->AddCount(span, "skipped", 1);
+    if (calls[i].retries > 0) {
+      trace->AddCount(span, "retries", calls[i].retries);
+    }
+  }
+  return calls;
 }
 
 template <typename T, typename Invoke>
-ShardedEngine::Outcome<T> ShardedEngine::CallShardImpl(
+ShardedEngine::Outcome<T> ShardedEngine::CallShard(
     std::size_t shard_index, const QueryOptions& options,
     const RequestContext& context, std::size_t queries_per_call,
     const Invoke& invoke) const {
@@ -510,7 +410,7 @@ ShardedEngine::Outcome<T> ShardedEngine::CallShardImpl(
       }
     }
     if (injected.ok()) {
-      StatusOr<T> answer = invoke(shard_options, shard_context);
+      StatusOr<T> answer = invoke(*shard.engine, shard_options, shard_context);
       if (answer.ok()) {
         outcome.seconds = timer.Seconds();
         call_seconds->Observe(outcome.seconds);

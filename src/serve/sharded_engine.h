@@ -33,9 +33,9 @@
 //    (ok + failed == total). Only when *every* shard fails does Query
 //    return a Status.
 //
-// Observability: "serve.shard.*" registry metrics, and (with
-// options.trace) one child span per shard under the
-// "serve/sharded_query" root, annotated with ok/hedged/retries.
+// Query and BatchQuery run in the serve envelope (serve/envelope.h)
+// under "serve.shard.*"; with options.trace, one child span per shard,
+// annotated with ok/hedged/retries, sits under the root span.
 //
 // Failpoints: "serve/shard/build" (Create), "serve/shard/query"
 // (shard call, fails it), "serve/shard/slow" (shard call, stalls it
@@ -55,6 +55,7 @@
 
 #include "core/query.h"
 #include "linalg/matrix.h"
+#include "obs/trace.h"
 #include "serve/engine.h"
 #include "serve/query_engine.h"
 #include "serve/request.h"
@@ -182,30 +183,46 @@ class ShardedEngine : public QueryEngine {
   /// (everything except the data-dependent shard-count bound).
   static Status ValidateOptions(const ShardedEngineOptions& options);
 
-  /// The budgeted, instrumented shard-call helper — the only code that
-  /// talks to a shard Engine (enforced by the ipslint rule
-  /// "shard-call"). Applies breaker admission, hedge prediction, chaos
-  /// failpoints, retry-with-backoff, and latency tracking.
-  Outcome<QueryResult> CallShard(std::size_t shard_index,
-                                 std::span<const double> query,
-                                 const QueryOptions& options,
-                                 const RequestContext& context) const;
-  Outcome<std::vector<QueryResult>> CallShardBatch(
-      std::size_t shard_index, const Matrix& queries,
-      const QueryOptions& options, const RequestContext& context) const;
-
-  /// Shared scaffolding of the two CallShard flavors: admission,
-  /// hedging, chaos, retries around `invoke(shard_options,
-  /// shard_context)` — the shard context is the request's with its
-  /// deadline cut to the per-shard budget. `queries_per_call` amortizes
-  /// the call's wall time into the per-query latency samples the hedge
-  /// predictor tracks.
+  /// The fan-out of one request: CallShard on every shard over the
+  /// pool, then one already-measured span per shard under the open root
+  /// span of `trace` (concurrent shard calls cannot write the Trace).
   template <typename T, typename Invoke>
-  Outcome<T> CallShardImpl(std::size_t shard_index,
-                           const QueryOptions& options,
-                           const RequestContext& context,
-                           std::size_t queries_per_call,
-                           const Invoke& invoke) const;
+  StatusOr<std::vector<Outcome<T>>> Scatter(Trace* trace,
+                                            const QueryOptions& options,
+                                            const RequestContext& context,
+                                            std::size_t queries_per_call,
+                                            const Invoke& invoke) const;
+
+  /// The budgeted, instrumented shard call — the only path to a shard
+  /// Engine (ipslint rule "shard-call"): breaker admission, hedge
+  /// prediction, chaos failpoints, retry-with-backoff and latency
+  /// tracking around `invoke(shard_engine, shard_options,
+  /// shard_context)`, whose context is the request's with the deadline
+  /// cut to the shard budget. `queries_per_call` amortizes the call's
+  /// wall time into the hedge predictor's per-query samples.
+  template <typename T, typename Invoke>
+  Outcome<T> CallShard(std::size_t shard_index, const QueryOptions& options,
+                       const RequestContext& context,
+                       std::size_t queries_per_call,
+                       const Invoke& invoke) const;
+
+  /// Merges member `q` of every shard call (a single query is member 0)
+  /// in RanksBefore order over *global* row indices, sets the
+  /// serve.shard.{total,ok,failed,hedged} labels and flags the result
+  /// partial when shards were lost. The calls' retries go on member 0
+  /// only, so Merge()-ing a batch's stats counts each once. A shard
+  /// whose `degraded` entry (empty for a single query) is not ok counts
+  /// as lost. Fails only when every shard failed: a uniform failure
+  /// keeps its Status, mixed failures collapse to a kUnavailable summary.
+  template <typename T>
+  StatusOr<QueryResult> MergeMember(const std::vector<Outcome<T>>& calls,
+                                    const std::vector<Status>& degraded,
+                                    std::size_t q, std::size_t k) const;
+
+  /// After every gather, answered or not: refreshes the
+  /// "serve.shard.open_breakers" gauge and counts the members that lost
+  /// a shard under "serve.shard.partial".
+  void SettleGather(std::span<const QueryResult> answered) const;
 
   Admission Admit(Shard& shard) const IPS_EXCLUDES(shard.mutex);
   void OnShardSuccess(Shard& shard, double seconds_per_query,

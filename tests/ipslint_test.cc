@@ -74,6 +74,9 @@ std::vector<LintRule> TestRules() {
                R"((==|!=)\s*QueryPrecision::k(Exact|QuantizedRerank)\b|)"
                R"(\bQueryPrecision::k(Exact|QuantizedRerank)\s*(==|!=))",
                "read the variant's planner row");
+  table += Row("serve-envelope", "src/serve", "src/serve/envelope",
+               R"(TraceRing::Global\(\)|make_(unique|shared)<Trace>)",
+               "go through ServeQuery/ServeBatch");
   auto rules = ParseRules(table);
   EXPECT_TRUE(rules.ok()) << rules.status().ToString();
   return *std::move(rules);
@@ -389,6 +392,31 @@ TEST(Lint, VariantFactFiresOutsideThePlannerTable) {
                   .empty());
 }
 
+TEST(Lint, ServeEnvelopeFiresOutsideTheEnvelope) {
+  // Each engine entry point used to create and publish its own trace.
+  const std::string start =
+      "  if (options.trace) trace = std::make_unique<Trace>(\"serve\");\n";
+  const std::string publish = "  TraceRing::Global().Record(shared);\n";
+  const std::string shared =
+      "  auto t = std::make_shared<Trace>(\"serve.sharded\");\n";
+  for (const char* path :
+       {"src/serve/engine.cc", "src/serve/sharded_engine.cc",
+        "src/serve/batch_scheduler.cc"}) {
+    const auto findings = RunLint(path, start + publish + shared);
+    ASSERT_EQ(findings.size(), 3u) << path;
+    for (const LintFinding& finding : findings) {
+      EXPECT_EQ(finding.rule, "serve-envelope");
+    }
+  }
+  // The envelope itself, and traces outside the serve layer (an index's
+  // own per-query trace), are fine.
+  EXPECT_TRUE(RunLint("src/serve/envelope.cc", start + publish).empty());
+  EXPECT_TRUE(RunLint("src/serve/envelope.h", start).empty());
+  EXPECT_TRUE(RunLint("src/core/mips_index.h",
+                      "      owned = std::make_unique<Trace>(Name());\n")
+                  .empty());
+}
+
 TEST(Lint, FindingFormatIsFileLineRuleMessage) {
   const auto findings = RunLint("src/a.cc", "std::cout << 1;\n");
   ASSERT_EQ(findings.size(), 1u);
@@ -398,11 +426,11 @@ TEST(Lint, FindingFormatIsFileLineRuleMessage) {
 }
 
 TEST(Lint, RealRuleTableParses) {
-  // Guard the checked-in table itself: fourteen rules, all regexes valid.
+  // Guard the checked-in table itself: fifteen rules, all regexes valid.
   const auto rules =
       LoadRules(std::string(IPS_REPO_ROOT) + "/tools/ipslint.rules");
   ASSERT_TRUE(rules.ok()) << rules.status().ToString();
-  EXPECT_EQ(rules->size(), 14u);
+  EXPECT_EQ(rules->size(), 15u);
 }
 
 TEST(SplitCodeAndComments, TracksMultiLineConstructs) {

@@ -14,9 +14,11 @@
 #include <cmath>
 #include <future>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
@@ -29,6 +31,7 @@
 #include "serve/engine.h"
 #include "serve/planner.h"
 #include "serve/request.h"
+#include "serve/sharded_engine.h"
 #include "util/status.h"
 
 namespace ips {
@@ -372,8 +375,10 @@ TEST(EngineTest, ForcedAndPlannedVariantsArePinned) {
   EXPECT_EQ(table,
             "planned auto: tree/exact tree/exact brute/quant+audit "
             "brute/quant+audit\n"
-            "planned exact: tree/exact tree/exact lsh/exact lsh/exact\n"
-            "planned quant: brute/quant brute/quant brute/quant brute/quant\n"
+            "planned exact: tree/exact tree/exact lsh/exact+audit "
+            "lsh/exact+audit\n"
+            "planned quant: brute/quant+audit brute/quant+audit "
+            "brute/quant+audit brute/quant+audit\n"
             "brute auto: brute/auto brute/auto brute/auto brute/auto\n"
             "brute exact: brute/exact brute/exact brute/exact brute/exact\n"
             "brute quant: brute/quant brute/quant brute/quant brute/quant\n"
@@ -833,6 +838,15 @@ TEST_F(FeedbackTest, AuditCadenceFollowsAuditEvery) {
   QueryOptions other;
   other.k = 1;
   EXPECT_TRUE(planner.BeginAudit(other, lsh));
+  // An explicit precision is audited like kAuto; a forced path never is
+  // and does not count toward the cadence.
+  QueryOptions exact;
+  exact.k = 9;
+  exact.precision = QueryPrecision::kExact;
+  QueryOptions forced = exact;
+  forced.force_algorithm = QueryAlgo::kLsh;
+  EXPECT_FALSE(planner.BeginAudit(forced, lsh));
+  EXPECT_TRUE(planner.BeginAudit(exact, lsh));
 }
 
 TEST_F(FeedbackTest, ObservedMissesEvictThePathForThatSegment) {
@@ -1040,6 +1054,233 @@ TEST(EngineOptionsTest, ValidationRejectsZeroAuditEvery) {
   EXPECT_TRUE(ValidateEngineOptions(options).ok());
   options.audit_every = 0;
   EXPECT_FALSE(ValidateEngineOptions(options).ok());
+}
+
+// --- The serve envelope: one contract for every engine and call ---
+
+TEST(ServeEnvelopeTest, EveryEngineAndCallKeepsOneContract) {
+  // {Engine, ShardedEngine with S = 1, 2} x {Query, BatchQuery}: the
+  // Status of each rejection, and for accepted calls (untraced, then
+  // traced) the timing, the deadline verdict, the trace each call
+  // publishes and attaches, and the registry counters it moves.
+  Rng rng(30);
+  const Matrix data = SmallSpreadData(64, 8, &rng);
+  const auto engine = Engine::Create(data);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  std::vector<std::unique_ptr<ShardedEngine>> sharded;
+  for (const std::size_t shards : {1, 2}) {
+    ShardedEngineOptions options;
+    options.num_shards = shards;
+    auto built = ShardedEngine::Create(data, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    sharded.push_back(std::move(built).value());
+  }
+  const std::pair<const char*, const QueryEngine*> engines[] = {
+      {"engine", engine->get()},
+      {"sharded1", sharded[0].get()},
+      {"sharded2", sharded[1].get()}};
+  const char* const counters[] = {
+      "serve.engine.requests",      "serve.engine.batch.requests",
+      "serve.engine.batch.queries", "serve.engine.traced",
+      "serve.shard.queries",        "serve.shard.batch.requests",
+      "serve.shard.batch.queries",  "serve.shard.traced"};
+  auto read_counters = [&] {
+    std::vector<std::uint64_t> values;
+    for (const char* name : counters) {
+      values.push_back(MetricsRegistry::Global().GetCounter(name)->Value());
+    }
+    return values;
+  };
+  auto moved_since = [&](const std::vector<std::uint64_t>& before) {
+    const std::vector<std::uint64_t> after = read_counters();
+    std::string out;
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      if (after[i] != before[i]) {
+        out += " " + std::string(counters[i]) + "+" +
+               std::to_string(after[i] - before[i]);
+      }
+    }
+    return out;
+  };
+  auto trace_of = [](const std::shared_ptr<const Trace>& trace) {
+    if (trace == nullptr) return std::string("none");
+    return trace->label() + "(" +
+           (trace->spans().empty() ? "" : trace->spans()[0].name) + ")";
+  };
+
+  Matrix queries(2, 8);
+  for (std::size_t i = 0; i < queries.rows(); ++i) {
+    for (std::size_t j = 0; j < queries.cols(); ++j) {
+      queries.At(i, j) = rng.NextGaussian();
+    }
+  }
+  struct Rejection {
+    const char* name;
+    QueryOptions options;
+    RequestContext context;
+    Matrix queries;
+  };
+  std::vector<Rejection> rejections;
+  rejections.push_back({"k=0", {}, {}, queries});
+  rejections.back().options.k = 0;
+  rejections.push_back({"recall=0", {}, {}, queries});
+  rejections.back().options.recall_target = 0.0;
+  rejections.push_back({"width", {}, {}, Matrix(2, 5)});
+  rejections.push_back({"nan", {}, {}, queries});
+  rejections.back().queries.At(1, 3) = std::numeric_limits<double>::quiet_NaN();
+  rejections.push_back({"context", {}, {}, queries});
+  rejections.back().context.deadline_seconds = -1.0;
+
+  std::string table;
+  for (const auto& [name, served] : engines) {
+    for (const bool batch : {false, true}) {
+      const std::string call =
+          std::string(name) + (batch ? " batch " : " query ");
+      for (const Rejection& bad : rejections) {
+        const Status status =
+            batch ? served->BatchQuery(bad.queries, bad.options, bad.context)
+                        .status()
+                  : served->Query({bad.queries.Row(1), bad.options,
+                                   bad.context})
+                        .status();
+        table += call + bad.name + ": " + status.ToString() + "\n";
+      }
+      for (const bool traced : {false, true}) {
+        QueryOptions options;
+        options.k = 3;
+        options.trace = traced;
+        RequestContext context;
+        context.deadline_seconds = 60.0;
+        TraceRing::Global().Clear();
+        const std::vector<std::uint64_t> before = read_counters();
+        std::vector<QueryResult> results;
+        if (batch) {
+          auto answered = served->BatchQuery(queries, options, context);
+          ASSERT_TRUE(answered.ok()) << call << answered.status().ToString();
+          results = std::move(answered).value();
+        } else {
+          auto answered = served->Query({queries.Row(0), options, context});
+          ASSERT_TRUE(answered.ok()) << call << answered.status().ToString();
+          results.push_back(std::move(answered).value());
+        }
+        const std::string moved = moved_since(before);
+        const auto ring = TraceRing::Global().Recent();
+        table += call + (traced ? "traced" : "untraced") + ": ring " +
+                 (ring.empty() ? std::string("none") : trace_of(ring[0])) +
+                 " ring_size " + std::to_string(ring.size()) + " attached";
+        for (const QueryResult& result : results) {
+          EXPECT_GT(result.stats.exec_seconds, 0.0) << call;
+          EXPECT_TRUE(result.stats.deadline_met) << call;
+          EXPECT_EQ(result.matches.size(), 3u) << call;
+          table += " " + trace_of(result.stats.trace);
+        }
+        table += " |" + moved + "\n";
+      }
+    }
+  }
+  EXPECT_EQ(
+      table,
+      "engine query k=0: INVALID_ARGUMENT: top-k query needs k >= 1\n"
+      "engine query recall=0: INVALID_ARGUMENT: recall target must "
+      "lie in (0, 1], got 0.000000\n"
+      "engine query width: INVALID_ARGUMENT: serve query has "
+      "dimension 5, expected 8\n"
+      "engine query nan: INVALID_ARGUMENT: serve query has non-finite "
+      "value nan at index 3\n"
+      "engine query context: INVALID_ARGUMENT: deadline must be "
+      "positive (infinity = none), got -1.000000\n"
+      "engine query untraced: ring none ring_size 0 attached none | "
+      "serve.engine.requests+1\n"
+      "engine query traced: ring serve(serve/query) ring_size 1 "
+      "attached serve(serve/query) | serve.engine.requests+1 "
+      "serve.engine.traced+1\n"
+      "engine batch k=0: INVALID_ARGUMENT: top-k query needs k >= 1\n"
+      "engine batch recall=0: INVALID_ARGUMENT: recall target must "
+      "lie in (0, 1], got 0.000000\n"
+      "engine batch width: INVALID_ARGUMENT: serve batch queries has "
+      "5 columns, expected 8\n"
+      "engine batch nan: INVALID_ARGUMENT: serve batch queries has "
+      "non-finite value nan at row 1, column 3\n"
+      "engine batch context: INVALID_ARGUMENT: deadline must be "
+      "positive (infinity = none), got -1.000000\n"
+      "engine batch untraced: ring none ring_size 0 attached none "
+      "none | serve.engine.batch.requests+1 "
+      "serve.engine.batch.queries+2\n"
+      "engine batch traced: ring serve.batch(serve/batch_query) "
+      "ring_size 1 attached ball-tree.batch(batch.fallback) "
+      "ball-tree.batch(batch.fallback) | "
+      "serve.engine.batch.requests+1 serve.engine.batch.queries+2 "
+      "serve.engine.traced+1\n"
+      "sharded1 query k=0: INVALID_ARGUMENT: top-k query needs k >= "
+      "1\n"
+      "sharded1 query recall=0: INVALID_ARGUMENT: recall target must "
+      "lie in (0, 1], got 0.000000\n"
+      "sharded1 query width: INVALID_ARGUMENT: sharded query has "
+      "dimension 5, expected 8\n"
+      "sharded1 query nan: INVALID_ARGUMENT: sharded query has "
+      "non-finite value nan at index 3\n"
+      "sharded1 query context: INVALID_ARGUMENT: deadline must be "
+      "positive (infinity = none), got -1.000000\n"
+      "sharded1 query untraced: ring none ring_size 0 attached none | "
+      "serve.engine.requests+1 serve.shard.queries+1\n"
+      "sharded1 query traced: ring serve.sharded(serve/sharded_query) "
+      "ring_size 1 attached serve.sharded(serve/sharded_query) | "
+      "serve.engine.requests+1 serve.shard.queries+1 "
+      "serve.shard.traced+1\n"
+      "sharded1 batch k=0: INVALID_ARGUMENT: top-k query needs k >= "
+      "1\n"
+      "sharded1 batch recall=0: INVALID_ARGUMENT: recall target must "
+      "lie in (0, 1], got 0.000000\n"
+      "sharded1 batch width: INVALID_ARGUMENT: sharded batch queries "
+      "has 5 columns, expected 8\n"
+      "sharded1 batch nan: INVALID_ARGUMENT: sharded batch queries "
+      "has non-finite value nan at row 1, column 3\n"
+      "sharded1 batch context: INVALID_ARGUMENT: deadline must be "
+      "positive (infinity = none), got -1.000000\n"
+      "sharded1 batch untraced: ring none ring_size 0 attached none "
+      "none | serve.engine.batch.requests+1 "
+      "serve.engine.batch.queries+2 serve.shard.batch.requests+1 "
+      "serve.shard.batch.queries+2\n"
+      "sharded1 batch traced: ring "
+      "serve.sharded.batch(serve/sharded_batch_query) ring_size 1 "
+      "attached none none | serve.engine.batch.requests+1 "
+      "serve.engine.batch.queries+2 serve.shard.batch.requests+1 "
+      "serve.shard.batch.queries+2 serve.shard.traced+1\n"
+      "sharded2 query k=0: INVALID_ARGUMENT: top-k query needs k >= "
+      "1\n"
+      "sharded2 query recall=0: INVALID_ARGUMENT: recall target must "
+      "lie in (0, 1], got 0.000000\n"
+      "sharded2 query width: INVALID_ARGUMENT: sharded query has "
+      "dimension 5, expected 8\n"
+      "sharded2 query nan: INVALID_ARGUMENT: sharded query has "
+      "non-finite value nan at index 3\n"
+      "sharded2 query context: INVALID_ARGUMENT: deadline must be "
+      "positive (infinity = none), got -1.000000\n"
+      "sharded2 query untraced: ring none ring_size 0 attached none | "
+      "serve.engine.requests+2 serve.shard.queries+1\n"
+      "sharded2 query traced: ring serve.sharded(serve/sharded_query) "
+      "ring_size 1 attached serve.sharded(serve/sharded_query) | "
+      "serve.engine.requests+2 serve.shard.queries+1 "
+      "serve.shard.traced+1\n"
+      "sharded2 batch k=0: INVALID_ARGUMENT: top-k query needs k >= "
+      "1\n"
+      "sharded2 batch recall=0: INVALID_ARGUMENT: recall target must "
+      "lie in (0, 1], got 0.000000\n"
+      "sharded2 batch width: INVALID_ARGUMENT: sharded batch queries "
+      "has 5 columns, expected 8\n"
+      "sharded2 batch nan: INVALID_ARGUMENT: sharded batch queries "
+      "has non-finite value nan at row 1, column 3\n"
+      "sharded2 batch context: INVALID_ARGUMENT: deadline must be "
+      "positive (infinity = none), got -1.000000\n"
+      "sharded2 batch untraced: ring none ring_size 0 attached none "
+      "none | serve.engine.batch.requests+2 "
+      "serve.engine.batch.queries+4 serve.shard.batch.requests+1 "
+      "serve.shard.batch.queries+2\n"
+      "sharded2 batch traced: ring "
+      "serve.sharded.batch(serve/sharded_batch_query) ring_size 1 "
+      "attached none none | serve.engine.batch.requests+2 "
+      "serve.engine.batch.queries+4 serve.shard.batch.requests+1 "
+      "serve.shard.batch.queries+2 serve.shard.traced+1\n");
 }
 
 // --- QoS: token buckets, priority lanes, per-tenant partition ---
