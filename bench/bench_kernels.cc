@@ -20,8 +20,17 @@
 // join_planted's shape and at the serving engine's. Gates: the two
 // paths give the same keys, and at the join shape the keyer is at least
 // 1.5x the per-function path.
+//
+// join_block: one 256-query block of join_planted's instance (2048 x 32
+// data, K = 16, L = 64) through the three joins of Definition 1: the
+// exact join (BlockTopK at k = 1 over a thread pool), the LSH bucket
+// join and the LSH index join. Reports the median ms per block over
+// every block of the instance, repeated, and the bucket join's four
+// pair counts summed over one pass of the blocks. Gate: the exact join
+// equals the per-query TopKBruteForce loop, index and score bits.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
@@ -31,13 +40,20 @@
 #include <vector>
 
 #include "bench_report.h"
+#include "core/dataset.h"
+#include "core/mips_index.h"
+#include "core/similarity_join.h"
+#include "core/top_k.h"
 #include "linalg/kernels.h"
 #include "linalg/matrix.h"
+#include "lsh/bucket_join.h"
 #include "lsh/lsh_family.h"
 #include "lsh/simhash.h"
+#include "lsh/transforms.h"
 #include "rng/random.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ips {
@@ -345,6 +361,136 @@ void MeasureSimHashKeys(Rng* rng, BenchReport& report) {
   report.AtLeast("simhash_keys.speedup", join_speedup, 1.5);
 }
 
+// join_planted's instance and one block's joins (bench/e2e/config.json).
+constexpr std::size_t kJoinDataRows = 2048;
+constexpr std::size_t kJoinQueryRows = 2048;
+constexpr std::size_t kJoinDim = 32;
+constexpr std::size_t kJoinBlockRows = 256;
+constexpr double kJoinPlantedTarget = 0.9;
+constexpr double kJoinQueryRadius = 1.0;
+constexpr double kJoinS = 0.8;
+constexpr double kJoinC = 0.75;
+constexpr std::size_t kJoinK = 16;
+constexpr std::size_t kJoinL = 64;
+constexpr std::uint64_t kJoinSeed = 1;
+// Passes over the blocks; the ms rows are medians over every block run.
+constexpr int kJoinRounds = 3;
+
+// Each query's exact join entry equals its TopKBruteForce top-1, bit
+// for bit, reported exactly when that top-1 reaches s.
+bool ExactJoinMatchesBruteForce(const Matrix& data, const Matrix& queries,
+                                const JoinSpec& spec,
+                                const JoinResult& exact) {
+  for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+    const SearchMatch top =
+        TopKBruteForce(data, queries.Row(qi), 1, spec.is_signed).front();
+    const auto& got = exact.per_query[qi];
+    if (top.value < spec.s) {
+      if (got.has_value()) return false;
+      continue;
+    }
+    if (!got.has_value() || got->data != top.index ||
+        std::bit_cast<std::uint64_t>(got->value) !=
+            std::bit_cast<std::uint64_t>(top.value)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+void MeasureJoinBlock(BenchReport& report) {
+  Rng rng(kJoinSeed);
+  const PlantedInstance planted =
+      MakePlantedInstance(kJoinDataRows, kJoinQueryRows, kJoinDim,
+                          kJoinPlantedTarget, kJoinQueryRadius, &rng);
+  JoinSpec spec;
+  spec.s = kJoinS;
+  spec.c = kJoinC;
+  spec.is_signed = true;
+  LshTableParams lsh;
+  lsh.k = kJoinK;
+  lsh.l = kJoinL;
+  const DualBallTransform transform(kJoinDim, kJoinQueryRadius);
+  const SimHashFamily base(transform.output_dim());
+  Rng index_rng(kJoinSeed + 1);
+  auto index = LshMipsIndex::Create(planted.data, &transform, base, lsh,
+                                    &index_rng);
+  if (!index.ok()) Die("join_block index build", index.status());
+  const Matrix hash_data = transform.TransformDataset(planted.data);
+  std::vector<Matrix> blocks;
+  for (std::size_t b = 0; b < kJoinQueryRows; b += kJoinBlockRows) {
+    blocks.push_back(Matrix::View(planted.queries.Row(b).data(),
+                                  kJoinBlockRows, kJoinDim));
+  }
+  ThreadPool pool(ThreadPool::DefaultThreadCount());
+  // The bucket join's pair counts: JSON key, then metric name.
+  const std::pair<const char*, const char*> counts[] = {
+      {"candidate_pairs", "lsh.join.candidate_pairs"},
+      {"verified_pairs", "lsh.join.verified_pairs"},
+      {"duplicate_pairs", "lsh.join.duplicate_pairs"},
+      {"pairs_prefiltered", "lsh.join.pairs_prefiltered"}};
+  std::uint64_t count_sums[4] = {0, 0, 0, 0};
+  std::vector<double> exact_ms, bucket_ms, index_ms;
+  bool exact_agree = true;
+  for (int round = 0; round < kJoinRounds; ++round) {
+    for (const Matrix& queries : blocks) {
+      WallTimer exact_timer;
+      auto exact = ExactJoinChecked(planted.data, queries, spec, &pool);
+      exact_ms.push_back(exact_timer.Millis());
+      if (!exact.ok()) Die("join_block exact join", exact.status());
+      const Matrix hash_queries = transform.TransformQueries(queries);
+      Rng join_rng(kJoinSeed);
+      WallTimer bucket_timer;
+      auto bucket = LshBucketJoinChecked(
+          base, hash_data, planted.data, hash_queries, queries, spec.s,
+          spec.cs(), spec.is_signed, lsh, &join_rng);
+      bucket_ms.push_back(bucket_timer.Millis());
+      if (!bucket.ok()) Die("join_block bucket join", bucket.status());
+      WallTimer index_timer;
+      auto indexed = IndexJoinChecked(**index, queries, spec);
+      index_ms.push_back(index_timer.Millis());
+      if (!indexed.ok()) Die("join_block index join", indexed.status());
+      if (round > 0) continue;
+      exact_agree = exact_agree &&
+                    ExactJoinMatchesBruteForce(planted.data, queries, spec,
+                                               exact.value());
+      for (int c = 0; c < 4; ++c) {
+        count_sums[c] += bucket->metrics.Get(counts[c].second);
+      }
+    }
+  }
+  const double exact_p50 = Summarize(exact_ms).p50;
+  const double bucket_p50 = Summarize(bucket_ms).p50;
+  const double index_p50 = Summarize(index_ms).p50;
+  std::cout << "join block (" << kJoinDataRows << " x " << kJoinDim
+            << " data, " << kJoinBlockRows << "-query blocks, K = " << kJoinK
+            << ", L = " << kJoinL << ", median of " << exact_ms.size()
+            << " block runs): exact " << FormatFixed(exact_p50, 2)
+            << " ms, bucket " << FormatFixed(bucket_p50, 2) << " ms, index "
+            << FormatFixed(index_p50, 2) << " ms; exact join "
+            << (exact_agree ? "agrees with" : "DIFFERS from")
+            << " the per-query scan\n\n";
+  JsonWriter& json = report.json();
+  json.Key("join_block").BeginObject();
+  json.Key("data_rows").Uint(kJoinDataRows);
+  json.Key("dim").Uint(kJoinDim);
+  json.Key("block_rows").Uint(kJoinBlockRows);
+  json.Key("blocks").Uint(blocks.size());
+  json.Key("k").Uint(kJoinK);
+  json.Key("l").Uint(kJoinL);
+  json.Key("rounds").Uint(kJoinRounds);
+  json.Key("pool_threads").Uint(pool.num_threads());
+  json.Key("exact_ms").Double(exact_p50);
+  json.Key("bucket_ms").Double(bucket_p50);
+  json.Key("index_ms").Double(index_p50);
+  for (int c = 0; c < 4; ++c) {
+    json.Key(counts[c].first).Uint(count_sums[c]);
+  }
+  json.Key("exact_agree").Bool(exact_agree);
+  json.EndObject();
+  report.Holds("join_block.exact_agree", exact_agree);
+}
+
 int Run() {
   BenchReport report("kernels");
   Rng rng(2026);
@@ -380,6 +526,7 @@ int Run() {
   json.EndArray().Key("popcount_gbits_per_s").Double(popcount_gbits);
 
   MeasureSimHashKeys(&rng, report);
+  MeasureJoinBlock(report);
   MeasureHeadline(&rng, report);
   return report.Finish();
 }

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/norm_range_index.h"
-#include "core/top_k.h"
+#include "linalg/kernels.h"
 #include "linalg/validate.h"
 #include "obs/metrics.h"
 #include "util/check.h"
@@ -129,11 +129,16 @@ StatusOr<JoinResult> ExactJoinChecked(const Matrix& data,
       pool, queries.rows(),
       [&](std::size_t begin, std::size_t end) -> Status {
         IPS_FAILPOINT("core/exact-join-chunk");
-        // Each query's brute-force top-1 is recorded when it reaches s.
+        // One tiled k = 1 pass scores the chunk's queries against every
+        // data row; each top-1 is recorded when it reaches s.
+        const Matrix chunk = Matrix::View(queries.Row(begin).data(),
+                                          end - begin, queries.cols());
+        std::vector<kernels::TopKHeap> heaps(end - begin,
+                                             kernels::TopKHeap(1));
+        kernels::BlockTopK(data, chunk, /*absolute=*/!spec.is_signed, heaps);
         for (std::size_t qi = begin; qi < end; ++qi) {
-          const std::vector<SearchMatch> top =
-              TopKBruteForce(data, queries.Row(qi), 1, spec.is_signed);
-          if (!top.empty() && top.front().value >= spec.s) {
+          const std::vector<SearchMatch> top = heaps[qi - begin].TakeSorted();
+          if (top.front().value >= spec.s) {
             result.per_query[qi] =
                 JoinMatch{qi, top.front().index, top.front().value};
           }

@@ -12,11 +12,12 @@ namespace {
 
 // The k best rows by score: row rows[j] scores scores[j] (row j itself
 // when `rows` is empty), as absolute values unless `is_signed`, in
-// RanksBefore order. k = 1 (the (cs, s)-search behind IndexJoin and
-// ExactJoin) is one pass. Deeper k still sorts every candidate: a
-// TopKHeap makes this sequential path several times faster, which moves
-// bench_serve's enforced batched-vs-sequential gate (batched.speedup),
-// so it waits for its own decision about that gate.
+// RanksBefore order. k = 1 (the (cs, s)-search behind IndexJoin) is one
+// pass; ExactJoin does not come here, it runs BlockTopK at k = 1.
+// Deeper k still sorts every candidate: a TopKHeap makes this
+// sequential path several times faster, which moves bench_serve's
+// enforced batched-vs-sequential gate (batched.speedup), so it waits
+// for its own decision about that gate.
 std::vector<SearchMatch> KBest(std::span<const double> scores,
                                std::span<const std::size_t> rows,
                                std::size_t k, bool is_signed) {

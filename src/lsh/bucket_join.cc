@@ -69,9 +69,21 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
   const auto all_rows = [](const Matrix& m) {
     return std::span<const double>(m.raw(), m.rows() * m.cols());
   };
+  // Each table buckets the side with fewer rows (the queries on a tie)
+  // and walks the other side's keys through a flat directory over it.
+  // Which pairs collide, and in which table first, does not depend on
+  // the side, so neither do the bests nor the four counts; a pair's
+  // score is the same fma chain from either side.
+  const bool bucket_queries = queries.rows() <= data.rows();
+  const Matrix& bucketed = bucket_queries ? queries : data;
+  const Matrix& probing = bucket_queries ? data : queries;
   std::vector<std::uint64_t> keys(hashed_data.rows());
   std::vector<std::uint64_t> query_keys(hashed_queries.rows());
-  std::vector<std::size_t> survivors;
+  const std::vector<std::uint64_t>& bucket_keys =
+      bucket_queries ? query_keys : keys;
+  const std::vector<std::uint64_t>& probe_keys =
+      bucket_queries ? keys : query_keys;
+  std::vector<std::size_t> survivors;  // rows of `bucketed`
   std::vector<double> scores;
   for (std::size_t table = 0; table < params.l; ++table) {
     // One table's functions at a time: l one-table keyers draw exactly
@@ -81,10 +93,13 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
     keyer->Keys(all_rows(hashed_data), HashSide::kData, 0, 1, keys);
     keyer->Keys(all_rows(hashed_queries), HashSide::kQuery, 0, 1,
                 query_keys);
-    const BucketTable buckets = BucketTable::Build(keys);
-    for (std::size_t qi = 0; qi < hashed_queries.rows(); ++qi) {
+    const BucketTable buckets = BucketTable::Build(bucket_keys);
+    const BucketDirectory directory(buckets);
+    for (std::size_t p = 0; p < probe_keys.size(); ++p) {
       survivors.clear();
-      for (std::uint32_t di : buckets.Find(query_keys[qi])) {
+      for (std::uint32_t b : directory.Find(probe_keys[p])) {
+        const std::size_t qi = bucket_queries ? b : p;
+        const std::size_t di = bucket_queries ? p : b;
         ++candidate_pairs;
         const std::uint64_t key =
             (static_cast<std::uint64_t>(qi) << 32) | di;
@@ -103,22 +118,25 @@ BucketJoinResult LshBucketJoin(const LshFamily& family,
           ++prefiltered_pairs;
           continue;
         }
-        survivors.push_back(di);
+        survivors.push_back(b);
       }
       // The pairs that survive the prefilter get their exact scores in
-      // one GatherScores call per query and table.
+      // one GatherScores call per probing row and table.
+      if (survivors.empty()) continue;
       verified_pairs += survivors.size();
       scores.resize(survivors.size());
-      kernels::GatherScores(data, survivors, queries.Row(qi), scores);
-      auto& best = result.per_query[qi];
+      kernels::GatherScores(bucketed, survivors, probing.Row(p), scores);
       for (std::size_t j = 0; j < survivors.size(); ++j) {
         const double score = is_signed ? scores[j] : std::abs(scores[j]);
         if (score < cs_threshold) continue;
+        const std::size_t qi = bucket_queries ? survivors[j] : p;
+        const std::size_t di = bucket_queries ? p : survivors[j];
         // RanksBefore breaks ties toward the smaller data index, so
         // results do not depend on table enumeration order.
-        if (!best.has_value() ||
-            RanksBefore({survivors[j], score}, {best->first, best->second})) {
-          best = std::make_pair(survivors[j], score);
+        auto& best = result.per_query[qi];
+        if (!best.has_value() || RanksBefore({di, score},
+                                             {best->first, best->second})) {
+          best = std::make_pair(di, score);
         }
       }
     }

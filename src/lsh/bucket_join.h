@@ -7,15 +7,19 @@
 // similarity-join operator built on LSH (cf. the I/O-efficient joins of
 // [41]). Table by table, one LshKeyer (LshFamily::SampleKeyer) hashes
 // all the data rows and all the queries -- for SimHash, one projection
-// kernel call per row block, never one dot per bit. The data keys go
-// into one BucketTable (lsh/bucket_table.h) and every query probes it,
-// so a (query, row) pair occurs at most once per table. Each candidate
-// pair passes a lossless int8 prefilter (skipped only when its quantized
-// estimate plus the rigorous rounding-error bound cannot reach cs), is
-// then verified with one exact inner product, and for every query the
-// best verified pair above cs is reported. The prefilter never changes
-// the result set — it only replaces full-precision dots with
-// one-byte-per-entry estimates for pairs that cannot qualify.
+// kernel call per row block, never one dot per bit. The keys of the
+// side with fewer rows (the queries on a tie) go into one BucketTable
+// (lsh/bucket_table.h), and every row of the other side probes it
+// through a transient BucketDirectory, so a (query, row) pair occurs at
+// most once per table. Which side is bucketed changes no answer, score
+// bit or pair count: the same pairs collide in the same tables. Each
+// candidate pair passes a lossless int8 prefilter (skipped only when
+// its quantized estimate plus the rigorous rounding-error bound cannot
+// reach cs), is then verified with one exact inner product, and for
+// every query the best verified pair above cs is reported. The
+// prefilter never changes the result set — it only replaces
+// full-precision dots with one-byte-per-entry estimates for pairs that
+// cannot qualify.
 
 #ifndef IPS_LSH_BUCKET_JOIN_H_
 #define IPS_LSH_BUCKET_JOIN_H_

@@ -47,6 +47,9 @@ class BucketTable {
   /// keys; empty when no row carries it.
   [[nodiscard]] std::span<const std::uint32_t> Find(std::uint64_t key) const;
 
+  /// Rows of bucket `b` (b < keys().size()), ascending.
+  [[nodiscard]] std::span<const std::uint32_t> Bucket(std::size_t b) const;
+
   std::span<const std::uint64_t> keys() const { return keys_; }
   std::span<const std::uint32_t> offsets() const { return offsets_; }
   std::span<const std::uint32_t> rows() const { return rows_; }
@@ -55,6 +58,25 @@ class BucketTable {
   std::vector<std::uint64_t> keys_;
   std::vector<std::uint32_t> offsets_ = {0};
   std::vector<std::uint32_t> rows_;
+};
+
+/// A transient flat key -> bucket map over one BucketTable, for a loop
+/// that probes many more keys than the table holds (the bucket join
+/// walks the larger side's keys through the smaller side's table): a
+/// hashed slot probe per key instead of Find's binary search. It uses
+/// the open-addressing scheme of Build's scratch at most an eighth
+/// full, holds a pointer to `table` (which must outlive it) and is
+/// never persisted.
+class BucketDirectory {
+ public:
+  explicit BucketDirectory(const BucketTable& table);
+
+  /// Same answer as table.Find(key).
+  [[nodiscard]] std::span<const std::uint32_t> Find(std::uint64_t key) const;
+
+ private:
+  const BucketTable* table_;
+  std::vector<std::uint32_t> slots_;  // bucket index, or empty
 };
 
 }  // namespace ips

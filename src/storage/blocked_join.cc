@@ -17,9 +17,11 @@ namespace {
 // Working-set multiple of one resident block: the data block, the query
 // block, their two hash-space copies when the family composes a
 // transform (about one block each: the maps the library ships add a few
-// columns at most), and the per-pair hash table (one BucketTable at a
-// time: 4 bytes per row plus its keys and offsets; its build scratch
-// peaks near 60 bytes per row when every key is distinct).
+// columns at most), and the per-pair hash table. LshBucketJoin holds one
+// BucketTable at a time, over the smaller block of the pair: 4 bytes
+// per row plus its keys and offsets. Its build scratch peaks near 60
+// bytes per row when every key is distinct, and the transient directory
+// the other block probes it through takes at most 64 bytes per bucket.
 constexpr std::size_t kWorkingSetBlocks = 6;
 
 std::size_t ResolveBlockRows(const BlockedJoinOptions& options,

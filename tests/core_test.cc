@@ -212,8 +212,89 @@ TEST(ExactJoinTest, ParallelMatchesSequential) {
     if (sequential.per_query[i].has_value()) {
       EXPECT_EQ(sequential.per_query[i]->data,
                 parallel.per_query[i]->data);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(sequential.per_query[i]->value),
+                std::bit_cast<std::uint64_t>(parallel.per_query[i]->value));
     }
   }
+}
+
+TEST(ExactJoinTest, EqualsPerQueryBruteForceBitwise) {
+  // The exact join scores query blocks with BlockTopK at k = 1; each
+  // entry must be the per-query TopKBruteForce top-1 bit for bit, the
+  // lowest index among tied rows included. Query counts straddle
+  // BlockTopK's 48-query tile; pools split them into chunks.
+  Rng rng(3131);
+  // Integer rows in [-3, 3]: rows [0, 20) drawn, [20, 40) a copy and
+  // [40, 60) the negation, so most bests tie with a higher index.
+  constexpr std::size_t kBase = 20;
+  Matrix ties(3 * kBase, 5);
+  for (std::size_t r = 0; r < kBase; ++r) {
+    for (std::size_t j = 0; j < ties.cols(); ++j) {
+      const double v = static_cast<double>(rng.NextInt(-3, 3));
+      ties.At(r, j) = v;
+      ties.At(kBase + r, j) = v;
+      ties.At(2 * kBase + r, j) = -v;
+    }
+  }
+  const Matrix gaussians = MakeUnitBallGaussian(200, 9, 0.2, &rng);
+  ThreadPool pool1(1), pool2(2), pool4(4);
+  ThreadPool* const pools[] = {nullptr, &pool1, &pool2, &pool4};
+  std::size_t ties_seen = 0;
+  for (const bool integer : {true, false}) {
+    const Matrix& data = integer ? ties : gaussians;
+    for (const std::size_t m : {1u, 47u, 48u, 49u, 257u}) {
+      Matrix queries(m, data.cols());
+      for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < data.cols(); ++j) {
+          queries.At(i, j) = integer
+                                 ? static_cast<double>(rng.NextInt(-3, 3))
+                                 : rng.NextGaussian();
+        }
+      }
+      for (const bool is_signed : {true, false}) {
+        JoinSpec spec;
+        spec.s = integer ? 1.0 : 0.3;
+        spec.c = 0.5;
+        spec.is_signed = is_signed;
+        for (ThreadPool* pool : pools) {
+          const std::string where =
+              std::string(integer ? "integer" : "gaussian") + " m=" +
+              std::to_string(m) + (is_signed ? " signed" : " unsigned") +
+              " pool=" + std::to_string(pool ? pool->num_threads() : 0);
+          const auto joined = ExactJoinChecked(data, queries, spec, pool);
+          ASSERT_TRUE(joined.ok()) << where << joined.status().ToString();
+          EXPECT_EQ(joined->inner_products, m * data.rows()) << where;
+          for (std::size_t qi = 0; qi < m; ++qi) {
+            const SearchMatch top =
+                TopKBruteForce(data, queries.Row(qi), 1, is_signed).front();
+            const auto& got = joined->per_query[qi];
+            ASSERT_EQ(got.has_value(), top.value >= spec.s)
+                << where << " query " << qi;
+            if (!got.has_value()) continue;
+            EXPECT_EQ(got->query, qi) << where;
+            EXPECT_EQ(got->data, top.index) << where << " query " << qi;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got->value),
+                      std::bit_cast<std::uint64_t>(top.value))
+                << where << " query " << qi;
+            if (!integer) continue;
+            // The lowest of the rows tied with the best, by a direct scan.
+            std::size_t tied = 0;
+            std::size_t lowest = data.rows();
+            for (std::size_t r = data.rows(); r-- > 0;) {
+              const double raw = kernels::Score(data.Row(r), queries.Row(qi));
+              if ((is_signed ? raw : std::abs(raw)) == got->value) {
+                ++tied;
+                lowest = r;
+              }
+            }
+            EXPECT_EQ(got->data, lowest) << where << " query " << qi;
+            ties_seen += tied > 1;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(ties_seen, 0u);
 }
 
 TEST(IndexJoinTest, BruteForceIndexJoinEqualsExactJoin) {

@@ -12,10 +12,13 @@
 #include <map>
 #include <memory>
 #include <numbers>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "core/dataset.h"
 #include "linalg/kernels.h"
+#include "linalg/quantized.h"
 #include "lsh/bucket_join.h"
 #include "lsh/bucket_table.h"
 #include "lsh/cross_polytope.h"
@@ -412,36 +415,54 @@ TEST(BucketTableTest, BuildGroupsDuplicateKeysIntoAscendingRows) {
   EXPECT_EQ(std::vector<std::uint32_t>(table.offsets().begin(),
                                        table.offsets().end()),
             (std::vector<std::uint32_t>{0, 1, 4, 7, 8}));
-  auto rows = [&](std::uint64_t key) {
-    const auto found = table.Find(key);
-    return std::vector<std::uint32_t>(found.begin(), found.end());
-  };
-  EXPECT_EQ(rows(0), (std::vector<std::uint32_t>{3}));
-  EXPECT_EQ(rows(3), (std::vector<std::uint32_t>{1, 4, 7}));
-  EXPECT_EQ(rows(9), (std::vector<std::uint32_t>{0, 2, 5}));
-  EXPECT_EQ(rows(~0ULL), (std::vector<std::uint32_t>{6}));
-  // Misses below, between and above the stored keys are empty.
-  for (std::uint64_t miss : {1ULL, 4ULL, 10ULL, ~0ULL - 1}) {
-    EXPECT_TRUE(table.Find(miss).empty()) << miss;
+  // Find and a BucketDirectory over the table give the same rows.
+  const BucketDirectory directory(table);
+  for (const bool direct : {false, true}) {
+    auto rows = [&](std::uint64_t key) {
+      const auto found = direct ? directory.Find(key) : table.Find(key);
+      return std::vector<std::uint32_t>(found.begin(), found.end());
+    };
+    EXPECT_EQ(rows(0), (std::vector<std::uint32_t>{3}));
+    EXPECT_EQ(rows(3), (std::vector<std::uint32_t>{1, 4, 7}));
+    EXPECT_EQ(rows(9), (std::vector<std::uint32_t>{0, 2, 5}));
+    EXPECT_EQ(rows(~0ULL), (std::vector<std::uint32_t>{6}));
+    // Misses below, between and above the stored keys are empty.
+    for (std::uint64_t miss : {1ULL, 4ULL, 10ULL, ~0ULL - 1}) {
+      EXPECT_TRUE(rows(miss).empty()) << miss;
+    }
   }
   EXPECT_TRUE(BucketTable().Find(0).empty());
   EXPECT_TRUE(BucketTable::Build({}).Find(0).empty());
+  EXPECT_TRUE(BucketDirectory(BucketTable()).Find(0).empty());
 }
 
 TEST(BucketTableTest, BuildMatchesAHashMapOnManyKeys) {
-  // Few distinct keys over many rows, as K = 8 SimHash produces them.
-  Rng rng(91);
-  std::vector<std::uint64_t> keys(5000);
-  for (auto& key : keys) key = rng.NextBounded(97) * 0x100000001ULL;
-  const BucketTable table = BucketTable::Build(keys);
-  std::map<std::uint64_t, std::vector<std::uint32_t>> expected;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    expected[keys[i]].push_back(static_cast<std::uint32_t>(i));
-  }
-  ASSERT_EQ(table.keys().size(), expected.size());
-  for (const auto& [key, rows] : expected) {
-    const auto found = table.Find(key);
-    EXPECT_EQ(std::vector<std::uint32_t>(found.begin(), found.end()), rows);
+  // Few distinct keys over many rows, as K = 8 SimHash produces them,
+  // then many distinct 64-bit keys, so some keys share a home slot in
+  // Build's scratch and in the BucketDirectory and must probe past it.
+  const std::pair<std::uint64_t, std::uint64_t> draws[] = {
+      {97, 0x100000001ULL}, {4000, 0x9E3779B97F4A7C15ULL}};  // count, stride
+  for (const auto& [distinct, stride] : draws) {
+    Rng rng(91);
+    std::vector<std::uint64_t> keys(5000);
+    for (auto& key : keys) key = rng.NextBounded(distinct) * stride;
+    const BucketTable table = BucketTable::Build(keys);
+    const BucketDirectory directory(table);
+    std::map<std::uint64_t, std::vector<std::uint32_t>> expected;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      expected[keys[i]].push_back(static_cast<std::uint32_t>(i));
+    }
+    ASSERT_EQ(table.keys().size(), expected.size());
+    for (const auto& [key, rows] : expected) {
+      for (const auto found : {table.Find(key), directory.Find(key)}) {
+        EXPECT_EQ(std::vector<std::uint32_t>(found.begin(), found.end()),
+                  rows);
+      }
+      // The next key up is stored in neither.
+      if (expected.contains(key + 1)) continue;
+      EXPECT_TRUE(table.Find(key + 1).empty());
+      EXPECT_TRUE(directory.Find(key + 1).empty());
+    }
   }
 }
 
@@ -615,6 +636,162 @@ TEST(BucketJoinTest, DeduplicatesPairsAcrossTablesBeforeVerification) {
   // number of distinct (query, data) pairs.
   EXPECT_LE(result.metrics.Get("lsh.join.verified_pairs"),
             data.rows() * queries.rows());
+}
+
+// The bucket join by definition. Table by table, through the same
+// one-table keyer draws as the join but hashing each row alone, every
+// (query, data) pair with equal keys collides. A collision is a
+// candidate; a pair that collided in an earlier table is a duplicate;
+// a first collision is prefiltered when the lossless int8 bound proves
+// it below cs and verified otherwise. Each query keeps its best
+// verified pair at or above cs in RanksBefore order.
+struct ReferenceJoin {
+  std::vector<std::optional<std::pair<std::size_t, double>>> per_query;
+  std::uint64_t candidate = 0;
+  std::uint64_t verified = 0;
+  std::uint64_t duplicate = 0;
+  std::uint64_t prefiltered = 0;
+};
+
+ReferenceJoin ReferenceBucketJoin(const LshFamily& family,
+                                  const Matrix& data, const Matrix& queries,
+                                  double cs, bool is_signed,
+                                  LshTableParams params, Rng* rng) {
+  ReferenceJoin ref;
+  ref.per_query.resize(queries.rows());
+  const QuantizedMatrix qdata = QuantizedMatrix::Quantize(data);
+  std::vector<std::vector<bool>> collided(
+      queries.rows(), std::vector<bool>(data.rows(), false));
+  for (std::size_t t = 0; t < params.l; ++t) {
+    const std::unique_ptr<LshKeyer> keyer =
+        family.SampleKeyer(params.k, 1, rng);
+    const auto key = [&](const Matrix& rows, std::size_t r, HashSide side) {
+      std::uint64_t out = 0;
+      keyer->Keys(rows.Row(r), side, 0, 1, {&out, 1});
+      return out;
+    };
+    for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+      const std::uint64_t query_key = key(queries, qi, HashSide::kQuery);
+      const QuantizedVector qq = QuantizeVector(queries.Row(qi));
+      for (std::size_t di = 0; di < data.rows(); ++di) {
+        if (key(data, di, HashSide::kData) != query_key) continue;
+        ++ref.candidate;
+        if (collided[qi][di]) {
+          ++ref.duplicate;
+          continue;
+        }
+        collided[qi][di] = true;
+        const double est = static_cast<double>(kernels::DotI8(
+                               {qdata.RowCodes(di), data.cols()}, qq.codes)) *
+                           qdata.RowScale(di) * qq.scale;
+        if ((is_signed ? est : std::abs(est)) + qdata.ErrorBound(di, qq) <
+            cs) {
+          ++ref.prefiltered;
+          continue;
+        }
+        ++ref.verified;
+        const double raw = kernels::Score(data.Row(di), queries.Row(qi));
+        const double score = is_signed ? raw : std::abs(raw);
+        auto& best = ref.per_query[qi];
+        if (score >= cs &&
+            (!best.has_value() ||
+             RanksBefore({di, score}, {best->first, best->second}))) {
+          best = std::make_pair(di, score);
+        }
+      }
+    }
+  }
+  return ref;
+}
+
+// Rows in the topk_test tie corpus's pattern, at any multiple of three:
+// integer coordinates in [-3, 3], the first third drawn, the second a
+// copy of it and the last its negation. Copies share every key, so a
+// join over such rows has multi-row buckets on both sides, and every
+// copy ties (and, unsigned, every negation).
+Matrix TieRows(std::size_t rows, std::size_t dim, Rng* rng) {
+  const std::size_t base = rows / 3;
+  Matrix out(rows, dim);
+  for (std::size_t r = 0; r < base; ++r) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      const double v = static_cast<double>(rng->NextInt(-3, 3));
+      out.At(r, j) = v;
+      out.At(base + r, j) = v;
+      out.At(2 * base + r, j) = -v;
+    }
+  }
+  return out;
+}
+
+TEST(BucketJoinTest, EqualsAReferenceJoinOverEveryPair) {
+  // The join buckets whichever side has fewer rows (the queries on a
+  // tie). Neither choice may move a best, a score bit or a pair count:
+  // queries fewer than, as many as and more than the data rows, over
+  // the tie corpus and over Gaussians, signed and unsigned.
+  struct Case {
+    const char* corpus;
+    std::size_t data_rows, query_rows, dim, k, l;
+    double cs;
+  };
+  const Case cases[] = {
+      {"tie", 48, 12, 4, 3, 6, 4.0},     {"tie", 48, 48, 4, 3, 6, 4.0},
+      {"tie", 48, 96, 4, 3, 6, 4.0},     {"gauss", 64, 16, 6, 2, 8, 0.3},
+      {"gauss", 64, 64, 6, 2, 8, 0.3},   {"gauss", 64, 160, 6, 2, 8, 0.3}};
+  Rng rng(3101);
+  std::uint64_t duplicates = 0, prefiltered = 0, matched = 0;
+  for (const Case& c : cases) {
+    const bool tie = std::string(c.corpus) == "tie";
+    const Matrix data = tie ? TieRows(c.data_rows, c.dim, &rng)
+                            : MakeUnitBallGaussian(c.data_rows, c.dim, 0.9,
+                                                   &rng);
+    const Matrix queries =
+        tie ? TieRows(c.query_rows, c.dim, &rng)
+            : MakeUnitBallGaussian(c.query_rows, c.dim, 0.9, &rng);
+    const SimHashFamily family(c.dim);
+    LshTableParams params;
+    params.k = c.k;
+    params.l = c.l;
+    for (const bool is_signed : {true, false}) {
+      const std::string where = std::string(c.corpus) + " " +
+                                std::to_string(c.query_rows) + " queries x " +
+                                std::to_string(c.data_rows) + " rows, " +
+                                (is_signed ? "signed" : "unsigned");
+      Rng join_rng(c.query_rows + c.data_rows);
+      const BucketJoinResult got =
+          LshBucketJoin(family, data, data, queries, queries,
+                        /*s=*/c.cs + 1.0, c.cs, is_signed, params, &join_rng);
+      Rng ref_rng(c.query_rows + c.data_rows);
+      const ReferenceJoin want = ReferenceBucketJoin(
+          family, data, queries, c.cs, is_signed, params, &ref_rng);
+      ASSERT_EQ(got.per_query.size(), queries.rows()) << where;
+      for (std::size_t qi = 0; qi < queries.rows(); ++qi) {
+        const auto& g = got.per_query[qi];
+        const auto& w = want.per_query[qi];
+        ASSERT_EQ(g.has_value(), w.has_value()) << where << " query " << qi;
+        if (!w.has_value()) continue;
+        ++matched;
+        EXPECT_EQ(g->first, w->first) << where << " query " << qi;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(g->second),
+                  std::bit_cast<std::uint64_t>(w->second))
+            << where << " query " << qi;
+      }
+      EXPECT_EQ(got.metrics.Get("lsh.join.candidate_pairs"), want.candidate)
+          << where;
+      EXPECT_EQ(got.metrics.Get("lsh.join.verified_pairs"), want.verified)
+          << where;
+      EXPECT_EQ(got.metrics.Get("lsh.join.duplicate_pairs"), want.duplicate)
+          << where;
+      EXPECT_EQ(got.metrics.Get("lsh.join.pairs_prefiltered"),
+                want.prefiltered)
+          << where;
+      duplicates += want.duplicate;
+      prefiltered += want.prefiltered;
+    }
+  }
+  // Every stage of the pipeline ran somewhere in the sweep.
+  EXPECT_GT(duplicates, 0u);
+  EXPECT_GT(prefiltered, 0u);
+  EXPECT_GT(matched, 0u);
 }
 
 // --- The projection kernel under the SimHash keyer -------------------

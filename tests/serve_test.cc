@@ -16,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -335,14 +336,14 @@ TEST(EngineTest, ForcedAndPlannedVariantsArePinned) {
   const std::optional<QueryAlgo> paths[] = {
       std::nullopt, QueryAlgo::kBruteForce, QueryAlgo::kBallTree,
       QueryAlgo::kLsh, QueryAlgo::kSketch};
-  std::string table;
+  std::ostringstream table;
   std::vector<std::string> rejections;
   for (const std::optional<QueryAlgo>& path : paths) {
     for (const QueryPrecision precision :
          {QueryPrecision::kAuto, QueryPrecision::kExact,
           QueryPrecision::kQuantizedRerank}) {
-      table += std::string(path ? QueryAlgoName(*path) : "planned") + " " +
-               std::string(QueryPrecisionName(precision)) + ":";
+      table << (path ? QueryAlgoName(*path) : "planned") << " "
+            << QueryPrecisionName(precision) << ":";
       // Columns: signed k=1, signed k=10, unsigned k=1, unsigned k=10.
       for (const bool is_signed : {true, false}) {
         for (const std::size_t k : {1, 10}) {
@@ -358,21 +359,20 @@ TEST(EngineTest, ForcedAndPlannedVariantsArePinned) {
             if (it == rejections.end()) {
               it = rejections.insert(rejections.end(), why);
             }
-            table += " #" + std::to_string(it - rejections.begin());
+            table << " #" << it - rejections.begin();
             continue;
           }
-          table += " " + std::string(QueryAlgoName(served->plan.algorithm)) +
-                   "/" +
-                   std::string(QueryPrecisionName(served->plan.precision));
+          table << " " << QueryAlgoName(served->plan.algorithm) << "/"
+                << QueryPrecisionName(served->plan.precision);
           if (served->stats.metrics.Has("serve.feedback.audit_dots")) {
-            table += "+audit";
+            table << "+audit";
           }
         }
       }
-      table += "\n";
+      table << "\n";
     }
   }
-  EXPECT_EQ(table,
+  EXPECT_EQ(table.str(),
             "planned auto: tree/exact tree/exact brute/quant+audit "
             "brute/quant+audit\n"
             "planned exact: tree/exact tree/exact lsh/exact+audit "
@@ -1091,21 +1091,24 @@ TEST(ServeEnvelopeTest, EveryEngineAndCallKeepsOneContract) {
     }
     return values;
   };
-  auto moved_since = [&](const std::vector<std::uint64_t>& before) {
-    const std::vector<std::uint64_t> after = read_counters();
-    std::string out;
+  // The table is one stream: every cell is written into it, never
+  // concatenated from string temporaries first.
+  std::ostringstream table;
+  auto write_moved = [&](const std::vector<std::uint64_t>& before,
+                         const std::vector<std::uint64_t>& after) {
     for (std::size_t i = 0; i < after.size(); ++i) {
       if (after[i] != before[i]) {
-        out += " " + std::string(counters[i]) + "+" +
-               std::to_string(after[i] - before[i]);
+        table << " " << counters[i] << "+" << after[i] - before[i];
       }
     }
-    return out;
   };
-  auto trace_of = [](const std::shared_ptr<const Trace>& trace) {
-    if (trace == nullptr) return std::string("none");
-    return trace->label() + "(" +
-           (trace->spans().empty() ? "" : trace->spans()[0].name) + ")";
+  auto write_trace = [&](const std::shared_ptr<const Trace>& trace) {
+    if (trace == nullptr) {
+      table << "none";
+      return;
+    }
+    table << trace->label() << "("
+          << (trace->spans().empty() ? "" : trace->spans()[0].name) << ")";
   };
 
   Matrix queries(2, 8);
@@ -1114,36 +1117,44 @@ TEST(ServeEnvelopeTest, EveryEngineAndCallKeepsOneContract) {
       queries.At(i, j) = rng.NextGaussian();
     }
   }
+  // Each rejection row refers to named, fully built inputs.
+  const QueryOptions defaults;
+  QueryOptions k_zero;
+  k_zero.k = 0;
+  QueryOptions recall_zero;
+  recall_zero.recall_target = 0.0;
+  const RequestContext no_context;
+  RequestContext negative_deadline;
+  negative_deadline.deadline_seconds = -1.0;
+  const Matrix narrow(2, 5);
+  Matrix with_nan = queries;
+  with_nan.At(1, 3) = std::numeric_limits<double>::quiet_NaN();
   struct Rejection {
     const char* name;
-    QueryOptions options;
-    RequestContext context;
-    Matrix queries;
+    const QueryOptions* options;
+    const RequestContext* context;
+    const Matrix* queries;
   };
-  std::vector<Rejection> rejections;
-  rejections.push_back({"k=0", {}, {}, queries});
-  rejections.back().options.k = 0;
-  rejections.push_back({"recall=0", {}, {}, queries});
-  rejections.back().options.recall_target = 0.0;
-  rejections.push_back({"width", {}, {}, Matrix(2, 5)});
-  rejections.push_back({"nan", {}, {}, queries});
-  rejections.back().queries.At(1, 3) = std::numeric_limits<double>::quiet_NaN();
-  rejections.push_back({"context", {}, {}, queries});
-  rejections.back().context.deadline_seconds = -1.0;
+  const Rejection rejections[] = {
+      {"k=0", &k_zero, &no_context, &queries},
+      {"recall=0", &recall_zero, &no_context, &queries},
+      {"width", &defaults, &no_context, &narrow},
+      {"nan", &defaults, &no_context, &with_nan},
+      {"context", &defaults, &negative_deadline, &queries}};
 
-  std::string table;
   for (const auto& [name, served] : engines) {
     for (const bool batch : {false, true}) {
-      const std::string call =
-          std::string(name) + (batch ? " batch " : " query ");
+      const char* const call = batch ? " batch " : " query ";
       for (const Rejection& bad : rejections) {
         const Status status =
-            batch ? served->BatchQuery(bad.queries, bad.options, bad.context)
+            batch ? served->BatchQuery(*bad.queries, *bad.options,
+                                       *bad.context)
                         .status()
-                  : served->Query({bad.queries.Row(1), bad.options,
-                                   bad.context})
+                  : served->Query({bad.queries->Row(1), *bad.options,
+                                   *bad.context})
                         .status();
-        table += call + bad.name + ": " + status.ToString() + "\n";
+        table << name << call << bad.name << ": " << status.ToString()
+              << "\n";
       }
       for (const bool traced : {false, true}) {
         QueryOptions options;
@@ -1156,30 +1167,36 @@ TEST(ServeEnvelopeTest, EveryEngineAndCallKeepsOneContract) {
         std::vector<QueryResult> results;
         if (batch) {
           auto answered = served->BatchQuery(queries, options, context);
-          ASSERT_TRUE(answered.ok()) << call << answered.status().ToString();
+          ASSERT_TRUE(answered.ok())
+              << name << call << answered.status().ToString();
           results = std::move(answered).value();
         } else {
           auto answered = served->Query({queries.Row(0), options, context});
-          ASSERT_TRUE(answered.ok()) << call << answered.status().ToString();
+          ASSERT_TRUE(answered.ok())
+              << name << call << answered.status().ToString();
           results.push_back(std::move(answered).value());
         }
-        const std::string moved = moved_since(before);
+        const std::vector<std::uint64_t> after = read_counters();
         const auto ring = TraceRing::Global().Recent();
-        table += call + (traced ? "traced" : "untraced") + ": ring " +
-                 (ring.empty() ? std::string("none") : trace_of(ring[0])) +
-                 " ring_size " + std::to_string(ring.size()) + " attached";
+        table << name << call << (traced ? "traced" : "untraced")
+              << ": ring ";
+        write_trace(ring.empty() ? nullptr : ring[0]);
+        table << " ring_size " << ring.size() << " attached";
         for (const QueryResult& result : results) {
-          EXPECT_GT(result.stats.exec_seconds, 0.0) << call;
-          EXPECT_TRUE(result.stats.deadline_met) << call;
-          EXPECT_EQ(result.matches.size(), 3u) << call;
-          table += " " + trace_of(result.stats.trace);
+          EXPECT_GT(result.stats.exec_seconds, 0.0) << name << call;
+          EXPECT_TRUE(result.stats.deadline_met) << name << call;
+          EXPECT_EQ(result.matches.size(), 3u) << name << call;
+          table << " ";
+          write_trace(result.stats.trace);
         }
-        table += " |" + moved + "\n";
+        table << " |";
+        write_moved(before, after);
+        table << "\n";
       }
     }
   }
   EXPECT_EQ(
-      table,
+      table.str(),
       "engine query k=0: INVALID_ARGUMENT: top-k query needs k >= 1\n"
       "engine query recall=0: INVALID_ARGUMENT: recall target must "
       "lie in (0, 1], got 0.000000\n"
